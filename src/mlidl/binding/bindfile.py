@@ -128,26 +128,32 @@ def load_binding_file(text: str) -> model.BindingDesc:
         for i, x in enumerate(_list(doc, "consts", "$"))
     )
     callbacks = tuple(
-        model.CallbackDef(
-            name=_str(x, "name", f"$.callbacks[{i}]"),
-            sig=_load_sig(_need_key(x, "sig", f"$.callbacks[{i}]"),
-                          f"$.callbacks[{i}].sig"),
-        )
+        _load_callback(x, f"$.callbacks[{i}]")
         for i, x in enumerate(_list(doc, "callbacks", "$"))
     )
     aliases = tuple(
-        model.AliasDef(
-            name=_str(x, "name", f"$.aliases[{i}]"),
-            display=_str(x, "type", f"$.aliases[{i}]"),
-            sem=st.sem_from_json(_need_key(x, "sem", f"$.aliases[{i}]"),
-                                 f"$.aliases[{i}].sem"),
-        )
+        _load_alias(x, f"$.aliases[{i}]")
         for i, x in enumerate(_list(doc, "aliases", "$"))
     )
     return model.BindingDesc(
         module=module, mode=mode, level=level, interfaces=interfaces,
         enums=enums, records=records, consts=consts, callbacks=callbacks,
         aliases=aliases, clsid=clsid,
+    )
+
+
+def _load_callback(x: Any, path: str) -> model.CallbackDef:
+    _need(x, dict, path)
+    return model.CallbackDef(name=_str(x, "name", path),
+                             sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig"))
+
+
+def _load_alias(x: Any, path: str) -> model.AliasDef:
+    _need(x, dict, path)
+    return model.AliasDef(
+        name=_str(x, "name", path),
+        display=_str(x, "type", path),
+        sem=st.sem_from_json(_need_key(x, "sem", path), f"{path}.sem"),
     )
 
 

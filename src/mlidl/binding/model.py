@@ -144,6 +144,12 @@ class BindingDesc:
     aliases: tuple[AliasDef, ...] = ()
     clsid: Optional[str] = None     # GUID text, com mode only
 
+    @cached_property
+    def plans(self) -> dict:
+        """Marshalling plans built against this description, by signature
+        identity; they die with it."""
+        return {}
+
     def record(self, name: str) -> RecordLayout:
         for r in self.records:
             if r.name == name:

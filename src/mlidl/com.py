@@ -230,11 +230,6 @@ class ComObject:
 # -- client-side operations ------------------------------------------------------
 
 
-def make_interface(methods: list[WordFn], owner: ComObject, iid: Iid) -> InterfaceRef:
-    """Add an interface to an object; the IUnknown triple is synthesized."""
-    return owner.add_interface(iid, methods)
-
-
 def get_method(ref: InterfaceRef, index: int) -> WordFn:
     """Slot `index` of the interface's vtable, as a callable."""
     ref.owner._check_alive()

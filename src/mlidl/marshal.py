@@ -1,31 +1,37 @@
 """Value marshalling and the call drivers.
 
-`call` drives a complete client-side call: pack the in-parameters per the
-lifted signature (declaration order is the ABI argument order), allocate one
-block per out parameter, invoke the callable once with the full word list,
-unmarshal the results (out parameters in declaration order, then the return
-value), and free every temporary.
+Each semantic type kind has one codec (`codec_of`): its width in words, a
+pack function (value -> words, recording the blocks it allocates) and an
+unpack function (words -> value).  Each signature has one plan (`plan_of`),
+cached on its binding description and read by both the client `call` and
+the server `skeleton`.  The plan gives every parameter one passing mode, in
+declaration order, which is also the ABI argument order:
 
-`skeleton` is the server-side dual: it wraps a host function as a
-``word list -> word`` closure that unpacks in-parameters, calls the
-implementation, writes out-blocks, and returns the result word.
+    word    the value's words inline (a by-value record is its full width)
+    block   [in] byref: the address of a block holding the packed value
+    out     the address of a block the callee writes
+    inout   both: a packed block that the callee overwrites
+    array   the elements in one block, counted by the [in] integer
+            parameter that size_is names
 
-Layouts are word-granular: scalars, handles, bools and enums are one word;
-records are their fields in declaration order with no padding; strings,
-arrays and callbacks travel as a one-word address.
+Scalars, handles, bools and enums are one word; records are their fields in
+declaration order with no padding; strings and callbacks are an address.
+The caller frees every block it packed when the call returns, and frees the
+strings the callee hands back (out parameters, string fields of out records,
+string return values) once it has decoded them.  Out and in-out arrays and
+record return values are rejected with `Unsupported` when the plan is built.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
-from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RecordLayout
+from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
 from mlidl.wordmem import Mem, Symbol, WordFn, to_signed, word
 
 Value = Any
-
-_BUILTIN_RECORDS = {"IID": 4}
 
 
 class MarshalError(Exception):
@@ -48,32 +54,8 @@ class ArityMismatch(MarshalError):
     pass
 
 
-# -- layout -------------------------------------------------------------------
-
-
-def layout_of(t: SemType, desc: Optional[BindingDesc] = None) -> int:
-    """Width of a value of type `t`, in words."""
-    if t.kind == "record":
-        if desc is not None:
-            try:
-                return desc.record(t.name).size
-            except KeyError:
-                pass
-        if t.name in _BUILTIN_RECORDS:
-            return _BUILTIN_RECORDS[t.name]
-        raise MarshalError(f"unknown record type {t.name!r}")
-    if t.kind == "unit":
-        raise MarshalError("void is not a value type")
-    return 1
-
-
-def _record_layout(name: str, desc: Optional[BindingDesc]) -> RecordLayout:
-    if desc is not None:
-        try:
-            return desc.record(name)
-        except KeyError:
-            pass
-    raise MarshalError(f"unknown record type {name!r}")
+class Unsupported(MarshalError):
+    """A signature shape the word ABI cannot carry."""
 
 
 # -- strings -------------------------------------------------------------------
@@ -133,297 +115,329 @@ def read_string16(mem: Mem, addr: int) -> str:
         addr = mem.offset(addr, 1)
 
 
-# -- value <-> words ----------------------------------------------------------
+# -- codecs ---------------------------------------------------------------------
 
 
-def _check_int(v: Value, t: SemType) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeMismatch(f"expected an integer for {t.kind}, got {v!r}")
-    if not (-0x80000000 <= v <= 0xFFFFFFFF):
-        raise TypeMismatch(f"integer {v} does not fit in 32 bits")
-    return word(v)
+@dataclass(frozen=True)
+class Codec:
+    """`pack(mem, value, temps)` returns `width` words and appends every block
+    it allocates to `temps`.  `unpack(mem, words, owned)` is its inverse; if
+    `owned` is a list, it also gets the callee-allocated strings decoded."""
+
+    width: int
+    pack: Callable[[Mem, Value, list[int]], list[int]]
+    unpack: Callable[[Mem, Sequence[int], Optional[list[int]]], Value]
+    elem: Optional["Codec"] = None      # arrays: the element codec
 
 
-class _Packer:
-    """Marshals values, remembering every temporary heap block."""
+def _int_codec(kind: str, unpack: Callable[[int], int]) -> Codec:
+    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeMismatch(f"expected an integer for {kind}, got {v!r}")
+        if not (-0x80000000 <= v <= 0xFFFFFFFF):
+            raise TypeMismatch(f"integer {v} does not fit in 32 bits")
+        return [word(v)]
 
-    def __init__(self, mem: Mem, desc: Optional[BindingDesc]) -> None:
-        self.mem = mem
-        self.desc = desc
-        self.temps: list[int] = []
+    return Codec(1, pack, lambda mem, ws, owned: unpack(ws[0]))
 
-    def free_temps(self) -> None:
-        for addr in self.temps:
-            self.mem.free(addr)
-        self.temps.clear()
 
-    def to_block(self, v: Value, t: SemType) -> int:
-        words = self.inline(v, t)
-        addr = self.mem.alloc(len(words))
-        self.mem.store(addr, words)
-        self.temps.append(addr)
-        return addr
+def _pack_bool(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    if not isinstance(v, bool):
+        raise TypeMismatch(f"expected a bool, got {v!r}")
+    return [1 if v else 0]
 
-    def pack_array(self, v: Value, t: SemType) -> int:
+
+def _string_codec(pack_str: Callable[[Mem, str], int],
+                  read_str: Callable[[Mem, int], str]) -> Codec:
+    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+        if not isinstance(v, str):
+            raise TypeMismatch(f"expected a string, got {v!r}")
+        temps.append(pack_str(mem, v))
+        return [temps[-1]]
+
+    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> str:
+        addr = word(ws[0])
+        s = read_str(mem, addr)
+        if owned is not None and addr and addr not in owned:
+            owned.append(addr)
+        return s
+
+    return Codec(1, pack, unpack)
+
+
+def _pack_callback(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    if v is None:
+        return [0]
+    if not callable(v):
+        raise TypeMismatch(f"expected a callable or None, got {v!r}")
+    return [mem.fun_to_addr(v)]
+
+
+def _unpack_callback(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> Value:
+    w = word(ws[0])
+    return None if w == 0 else mem.addr_to_fun(w)
+
+
+def _cannot(message: str) -> Callable[..., Value]:
+    def fail(*_: Any) -> Value:
+        raise MarshalError(message)
+    return fail
+
+
+# kinds whose codec needs no binding description
+_CODECS: dict[str, Codec] = {
+    "int32": _int_codec("int32", to_signed),
+    "word32": _int_codec("word32", word),
+    "handle": _int_codec("handle", word),
+    "opaque": _int_codec("opaque", word),
+    "bool": Codec(1, _pack_bool, lambda mem, ws, owned: word(ws[0]) != 0),
+    "string8": _string_codec(pack_string8, read_string8),
+    "string16": _string_codec(pack_string16, read_string16),
+    "callback": Codec(1, _pack_callback, _unpack_callback),
+}
+
+# COM's IID has a 4-word layout, but no values cross yet
+_IID = Codec(4, _cannot("unknown record type 'IID'"), _cannot("unknown record type 'IID'"))
+
+
+def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
+    """The codec of `t`; enum and record codecs are resolved against `desc`."""
+    if t.kind in _CODECS:
+        return _CODECS[t.kind]
+    if t.kind == "array":
+        return _array_codec(codec_of(t.elem, desc))
+    if t.kind == "unit":
+        raise MarshalError("void is not a value type")
+    decls = (desc.records if t.kind == "record" else desc.enums) if desc else ()
+    found = next((d for d in decls if d.name == t.name), None)
+    if isinstance(found, RecordLayout):
+        return _record_codec(found, desc)
+    if isinstance(found, EnumMap):
+        return _enum_codec(found)
+    if t.kind == "record" and t.name == "IID":
+        return _IID
+    if desc is None and t.kind == "enum":
+        raise MarshalError(f"enum {t.name!r} needs a binding description")
+    raise MarshalError(f"unknown {t.kind} type {t.name!r}")
+
+
+def _enum_codec(enum: EnumMap) -> Codec:
+    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+        if not isinstance(v, str):
+            raise TypeMismatch(f"expected a {enum.name} variant name, got {v!r}")
+        try:
+            return [enum.to_int(v)]
+        except KeyError as exc:
+            raise TypeMismatch(str(exc)) from None
+
+    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> str:
+        name = enum.from_int(word(ws[0]))
+        if name is None:
+            raise DecodeError(f"{enum.name} has no variant with value {word(ws[0]):#x}")
+        return name
+
+    return Codec(1, pack, unpack)
+
+
+def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
+    try:
+        fields = [(f.name, f.offset, codec_of(f.sem, desc)) for f in layout.fields]
+    except RecursionError:      # a binding file may nest a record in itself
+        raise MarshalError(f"record {layout.name!r} contains itself") from None
+    names = {f.name for f in layout.fields}
+
+    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+        if not isinstance(v, dict):
+            raise TypeMismatch(f"expected a field map for {layout.name}, got {v!r}")
+        if v.keys() != names:
+            raise TypeMismatch(
+                f"field set {sorted(v.keys())} does not match record "
+                f"{layout.name} {sorted(names)}")
+        words: list[int] = []
+        for name, _, codec in fields:
+            words += codec.pack(mem, v[name], temps)
+        return words
+
+    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> dict:
+        return {name: codec.unpack(mem, ws[off:off + codec.width], owned)
+                for name, off, codec in fields}
+
+    return Codec(layout.size, pack, unpack)
+
+
+def _block(mem: Mem, words: list[int], temps: list[int]) -> int:
+    addr = mem.alloc(max(len(words), 1))
+    mem.store(addr, words)
+    temps.append(addr)
+    return addr
+
+
+def _array_codec(elem: Codec) -> Codec:
+    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
         if not isinstance(v, list):
             raise TypeMismatch(f"expected a list for array, got {v!r}")
-        elem_words: list[int] = []
+        words: list[int] = []
         for item in v:
-            elem_words.extend(self.inline(item, t.elem))
-        addr = self.mem.alloc(max(len(elem_words), 1))
-        self.mem.store(addr, elem_words)
-        self.temps.append(addr)
-        return addr
+            words += elem.pack(mem, item, temps)
+        return [_block(mem, words, temps)]
 
-    def inline(self, v: Value, t: SemType) -> list[int]:
-        kind = t.kind
-        if kind == "int32" or kind == "word32" or kind == "handle" or kind == "opaque":
-            return [_check_int(v, t)]
-        if kind == "bool":
-            if not isinstance(v, bool):
-                raise TypeMismatch(f"expected a bool, got {v!r}")
-            return [1 if v else 0]
-        if kind == "enum":
-            if self.desc is None:
-                raise MarshalError(f"enum {t.name!r} needs a binding description")
-            if not isinstance(v, str):
-                raise TypeMismatch(f"expected a {t.name} variant name, got {v!r}")
-            try:
-                return [self.desc.enum(t.name).to_int(v)]
-            except KeyError as exc:
-                raise TypeMismatch(str(exc)) from None
-        if kind == "string8":
-            if not isinstance(v, str):
-                raise TypeMismatch(f"expected a string, got {v!r}")
-            addr = pack_string8(self.mem, v)
-            self.temps.append(addr)
-            return [addr]
-        if kind == "string16":
-            if not isinstance(v, str):
-                raise TypeMismatch(f"expected a string, got {v!r}")
-            addr = pack_string16(self.mem, v)
-            self.temps.append(addr)
-            return [addr]
-        if kind == "callback":
-            if v is None:
-                return [0]
-            if not callable(v):
-                raise TypeMismatch(f"expected a callable or None, got {v!r}")
-            return [self.mem.fun_to_addr(v)]
-        if kind == "record":
-            layout = _record_layout(t.name, self.desc)
-            if not isinstance(v, dict):
-                raise TypeMismatch(f"expected a field map for {t.name}, got {v!r}")
-            if set(v.keys()) != {f.name for f in layout.fields}:
-                raise TypeMismatch(
-                    f"field set {sorted(v.keys())} does not match record "
-                    f"{t.name} {sorted(f.name for f in layout.fields)}")
-            words: list[int] = []
-            for f in layout.fields:
-                words.extend(self.inline(v[f.name], f.sem))
-            return words
-        if kind == "array":
-            return [self.pack_array(v, t)]
-        raise MarshalError(f"cannot marshal semantic type {kind!r}")
+    return Codec(1, pack, _cannot("an array needs its element count"), elem)
 
 
-class _Unpacker:
-    def __init__(self, mem: Mem, desc: Optional[BindingDesc]) -> None:
-        self.mem = mem
-        self.desc = desc
-
-    def inline(self, words: Sequence[int], t: SemType) -> Value:
-        kind = t.kind
-        if kind in ("record",):
-            layout = _record_layout(t.name, self.desc)
-            if len(words) != layout.size:
-                raise DecodeError(
-                    f"record {t.name} needs {layout.size} words, got {len(words)}")
-            out: dict[str, Value] = {}
-            for f in layout.fields:
-                width = layout_of(f.sem, self.desc)
-                out[f.name] = self.inline(words[f.offset:f.offset + width], f.sem)
-            return out
-        if len(words) != 1:
-            raise DecodeError(f"{kind} is one word, got {len(words)}")
-        w = word(words[0])
-        if kind == "int32":
-            return to_signed(w)
-        if kind in ("word32", "handle", "opaque"):
-            return w
-        if kind == "bool":
-            return w != 0
-        if kind == "enum":
-            if self.desc is None:
-                raise MarshalError(f"enum {t.name!r} needs a binding description")
-            name = self.desc.enum(t.name).from_int(w)
-            if name is None:
-                raise DecodeError(f"{t.name} has no variant with value {w:#x}")
-            return name
-        if kind == "string8":
-            return read_string8(self.mem, w)
-        if kind == "string16":
-            return read_string16(self.mem, w)
-        if kind == "callback":
-            return None if w == 0 else self.mem.addr_to_fun(w)
-        raise MarshalError(f"cannot unmarshal semantic type {kind!r}")
-
-    def from_block(self, addr: int, t: SemType) -> Value:
-        return self.inline(self.mem.read(addr, layout_of(t, self.desc)), t)
-
-    def array(self, addr: int, elem: SemType, count: int) -> list[Value]:
-        width = layout_of(elem, self.desc)
-        out = []
-        for i in range(count):
-            words = self.mem.read(self.mem.offset(addr, i * width), width)
-            out.append(self.inline(words, elem))
-        return out
+def layout_of(t: SemType, desc: Optional[BindingDesc] = None) -> int:
+    """Width of a value of type `t`, in words."""
+    return codec_of(t, desc).width
 
 
 def marshal_value(v: Value, t: SemType, mem: Mem,
                   desc: Optional[BindingDesc] = None) -> list[int]:
     """Value to words.  Blocks referenced from the words (strings, arrays)
     are fresh allocations owned by the caller."""
-    packer = _Packer(mem, desc)
-    words = packer.inline(v, t)
-    return words
+    return codec_of(t, desc).pack(mem, v, [])
 
 
 def unmarshal_value(data: Union[int, Sequence[int]], t: SemType, mem: Mem,
                     desc: Optional[BindingDesc] = None) -> Value:
-    """Words (or a block address) back to a value; inverse of marshal_value."""
-    un = _Unpacker(mem, desc)
+    """Words (or a record's block address) back to a value; inverse of
+    marshal_value."""
+    codec = codec_of(t, desc)
     if isinstance(data, int):
-        if t.kind in ("record",):
-            return un.from_block(data, t)
-        return un.inline([data], t)
-    return un.inline(list(data), t)
+        data = mem.read(data, codec.width) if t.kind == "record" else [data]
+    if len(data) != codec.width:
+        raise DecodeError(f"{t.name or t.kind} is {codec.width} words, got {len(data)}")
+    return codec.unpack(mem, list(data), None)
 
 
-# -- ABI width ----------------------------------------------------------------
+# -- plans ----------------------------------------------------------------------
+
+WORD, BLOCK, OUT, INOUT, ARRAY = "word", "block", "out", "inout", "array"
 
 
-def _param_abi_width(p: ParamSig, desc: Optional[BindingDesc]) -> int:
-    """Words this parameter occupies in the argument list."""
-    if p.dir in ("out", "inout"):
-        return 1                       # address of the callee-visible block
-    if p.sem.kind == "record" and not p.byref:
-        return layout_of(p.sem, desc)  # plain record: passed inline
-    return 1
+class Step(NamedTuple):
+    name: str
+    mode: str
+    codec: Codec
+    at: int                     # index of its first argument word
+    # array mode: (in-argument index, ABI word index, codec) of the count
+    count: Optional[tuple[int, int, Codec]] = None
+
+
+@dataclass(frozen=True)
+class Plan:
+    sig: LiftedSig
+    steps: tuple[Step, ...]
+    arity: int                  # argument words
+    n_ins: int
+    n_results: int
+    ret: Optional[Codec]
+
+
+def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
+    """The plan of `sig`, built once per binding description."""
+    plans = desc.plans if desc is not None else {}
+    plan = plans.get(id(sig))
+    if plan is None:
+        # the plan holds `sig`, so its id stays unique while cached
+        plan = plans[id(sig)] = _build_plan(sig, desc)
+    return plan
+
+
+def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
+    ins = [p for p in sig.params if p.dir != "out"]
+    steps: list[Step] = []
+    arity = 0
+    for p in sig.params:
+        if p.sem.kind == "array" and p.dir != "in":
+            raise Unsupported(f"{sig.name}.{p.name}: {p.dir} arrays are not supported")
+        mode = p.dir if p.dir != "in" else ARRAY if p.sem.kind == "array" \
+            else BLOCK if p.byref else WORD
+        codec = codec_of(p.sem, desc)
+        steps.append(Step(p.name, mode, codec, arity))
+        arity += codec.width if mode == WORD else 1
+    for i, p in enumerate(sig.params):
+        if steps[i].mode != ARRAY:
+            continue
+        n = next((q for q in ins if q.name == p.sem.len_from), None)
+        if n is None or n.dir != "in" or n.byref \
+                or n.sem.kind not in ("int32", "word32", "handle"):
+            raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
+                              f"is not an [in] integer parameter")
+        c = steps[sig.params.index(n)]
+        steps[i] = steps[i]._replace(count=(ins.index(n), c.at, c.codec))
+    ret = None
+    if sig.ret is not None:
+        if sig.ret.sem.kind in ("record", "array"):
+            raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
+                              f"values are not supported")
+        ret = codec_of(sig.ret.sem, desc)
+    return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
-    return sum(_param_abi_width(p, desc) for p in sig.params)
-
-
-def call_plan(sig: LiftedSig,
-              desc: Optional[BindingDesc] = None) -> list[tuple[str, str]]:
-    """Per-parameter marshalling actions, in ABI argument order
-    (= declaration order): pass-word, pass-addr-of-packed, alloc-out(n),
-    pack-string, pack-array, or pack-callback."""
-    plan: list[tuple[str, str]] = []
-    for p in sig.params:
-        if p.dir == "out":
-            size = layout_of(p.sem, desc) if p.sem.kind == "record" else 1
-            action = f"alloc-out({size})"
-        elif p.dir == "inout":
-            action = "pass-addr-of-packed"
-        elif p.sem.kind == "array":
-            action = "pack-array"
-        elif p.sem.kind in ("string8", "string16"):
-            action = "pack-string"
-        elif p.sem.kind == "callback":
-            action = "pack-callback"
-        elif p.byref:
-            action = "pass-addr-of-packed"
-        else:
-            action = "pass-word"
-        plan.append((p.name, action))
-    return plan
+    return plan_of(sig, desc).arity
 
 
 # -- client call driver ---------------------------------------------------------
 
 
-def _resolve_callable(f: Union[WordFn, Symbol, int], mem: Mem
-                      ) -> tuple[WordFn, Optional[int], Optional[str]]:
+def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
+            nwords: int) -> WordFn:
     if isinstance(f, Symbol):
-        mem.addr_to_fun(f.addr)   # fail early on a stale symbol
-        return (lambda words: mem.call(f.addr, words)), f.arity, f.convention
+        if f.arity is not None and f.arity != nwords:
+            raise ArityMismatch(
+                f"{sig.name}: symbol expects {f.arity} argument words "
+                f"({f.convention} convention), got {nwords}")
+        f = f.addr
     if isinstance(f, int):
-        mem.addr_to_fun(f)
-        addr = f
-        return (lambda words: mem.call(addr, words)), None, None
+        mem.addr_to_fun(f)   # fail early on a stale address
+        return lambda words: mem.call(f, words)
     if callable(f):
-        return f, None, None
+        return f
     raise TypeMismatch(f"not callable: {f!r}")
 
 
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
          mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
-    in_params = sig.ins
-    ins = list(ins)
-    if len(ins) != len(in_params):
+    plan = plan_of(sig, desc)
+    if len(ins) != plan.n_ins:
         raise ArityMismatch(
-            f"{sig.name} takes {len(in_params)} in-arguments, got {len(ins)}")
-    target, declared_arity, convention = _resolve_callable(f, mem)
-    ins_by_name = {p.name: v for p, v in zip(in_params, ins)}
+            f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
+    target = _target(f, mem, sig, plan.arity)
 
-    packer = _Packer(mem, desc)
-    out_blocks: list[tuple[ParamSig, int]] = []
+    temps: list[int] = []
+    outs: list[tuple[Codec, int]] = []
     try:
         words: list[int] = []
-        in_iter = iter(ins)
-        for p, (_, action) in zip(sig.params, call_plan(sig, desc)):
-            if action.startswith("alloc-out"):
-                if p.sem.kind == "array":
-                    raise TypeMismatch(f"{sig.name}.{p.name}: out arrays are "
-                                       f"not supported")
-                addr = mem.alloc(int(action[len("alloc-out("):-1]))
-                packer.temps.append(addr)
-                out_blocks.append((p, addr))
-                words.append(addr)
-                continue
-            v = next(in_iter)
-            if action == "pack-array":
-                count = ins_by_name.get(p.sem.len_from)
-                if isinstance(v, list) and isinstance(count, int) \
-                        and count != len(v):
-                    raise TypeMismatch(
-                        f"{sig.name}.{p.name}: array has {len(v)} elements "
-                        f"but {p.sem.len_from} is {count}")
-                words.append(packer.pack_array(v, p.sem))
-            elif action == "pass-addr-of-packed":
-                addr = packer.to_block(v, p.sem)
-                if p.dir == "inout":
-                    out_blocks.append((p, addr))
-                words.append(addr)
+        args = iter(ins)
+        for name, mode, codec, _, count in plan.steps:
+            if mode == OUT:
+                addr = mem.alloc(codec.width)
+                temps.append(addr)
             else:
-                # pass-word, pack-string, pack-callback: inline word(s)
-                words.extend(packer.inline(v, p.sem))
-
-        if declared_arity is not None and declared_arity != len(words):
-            raise ArityMismatch(
-                f"{sig.name}: symbol expects {declared_arity} argument words "
-                f"({convention} convention), got {len(words)}")
+                v = next(args)
+                if mode == ARRAY and isinstance(v, list) \
+                        and isinstance(ins[count[0]], int) and ins[count[0]] != len(v):
+                    raise TypeMismatch(
+                        f"{sig.name}.{name}: array has {len(v)} elements but "
+                        f"{sig.ins[count[0]].name} is {ins[count[0]]}")
+                if mode == WORD or mode == ARRAY:
+                    words += codec.pack(mem, v, temps)
+                    continue
+                addr = _block(mem, codec.pack(mem, v, temps), temps)
+            if mode != BLOCK:
+                outs.append((codec, addr))
+            words.append(addr)
 
         ret_word = word(target(words))
 
-        un = _Unpacker(mem, desc)
-        results: list[Value] = []
-        for p, addr in out_blocks:
-            if p.sem.kind == "record":
-                results.append(un.from_block(addr, p.sem))
-            else:
-                results.append(un.inline(mem.read(addr, 1), p.sem))
-        if sig.ret is not None:
-            if sig.ret.sem.kind == "record":
-                raise MarshalError(
-                    f"{sig.name}: record return values are not supported")
-            results.append(un.inline([ret_word], sig.ret.sem))
+        results = [codec.unpack(mem, mem.read(addr, codec.width), temps)
+                   for codec, addr in outs]
+        if plan.ret is not None:
+            results.append(plan.ret.unpack(mem, [ret_word], temps))
         return results
     finally:
-        packer.free_temps()
+        for addr in temps:
+            mem.free(addr)
 
 
 # -- server-side skeleton -----------------------------------------------------
@@ -438,71 +452,51 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     parameter, then the return value last if the operation is not void.  A
     void operation with no outs may return None.
     """
-
-    expected = abi_arity(sig, desc)
+    plan = plan_of(sig, desc)
 
     def stub(words: list[int]) -> int:
-        if len(words) != expected:
+        if len(words) != plan.arity:
             raise ArityMismatch(
-                f"{sig.name}: expected {expected} argument words, got {len(words)}")
-        un = _Unpacker(mem, desc)
-        raw: list[tuple[ParamSig, list[int]]] = []
-        i = 0
-        for p in sig.params:
-            width = _param_abi_width(p, desc)
-            raw.append((p, words[i:i + width]))
-            i += width
+                f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
+        args: list[Value] = []
+        outs: list[tuple[Codec, int]] = []
+        for name, mode, codec, at, count in plan.steps:
+            if mode == WORD:
+                args.append(codec.unpack(mem, words[at:at + codec.width], None))
+                continue
+            addr = words[at]
+            if mode == ARRAY:
+                n = count[2].unpack(mem, words[count[1]:count[1] + 1], None)
+                if n < 0:
+                    raise TypeMismatch(f"{sig.name}.{name}: bad element count {n}")
+                elem = codec.elem
+                ws = mem.read(addr, n * elem.width)
+                args.append([elem.unpack(mem, ws[k:k + elem.width], None)
+                             for k in range(0, len(ws), elem.width)])
+                continue
+            if mode != OUT:
+                args.append(codec.unpack(mem, mem.read(addr, codec.width), None))
+            if mode != BLOCK:
+                outs.append((codec, addr))
 
-        scalars: dict[str, Value] = {}
-        for p, ws in raw:
-            if p.dir == "in" and p.sem.kind in ("int32", "word32", "handle"):
-                scalars[p.name] = un.inline(ws, p.sem)
+        result = impl(*args)
 
-        in_values: list[Value] = []
-        out_slots: list[tuple[ParamSig, int]] = []
-        for p, ws in raw:
-            if p.dir == "in":
-                if p.sem.kind == "array":
-                    count = scalars.get(p.sem.len_from)
-                    if not isinstance(count, int) or count < 0:
-                        raise TypeMismatch(
-                            f"{sig.name}.{p.name}: bad element count from "
-                            f"{p.sem.len_from}")
-                    in_values.append(un.array(ws[0], p.sem.elem, count))
-                elif p.byref and p.sem.kind == "record":
-                    in_values.append(un.from_block(ws[0], p.sem))
-                elif p.byref and p.sem.kind not in ("string8", "string16"):
-                    in_values.append(un.inline(mem.read(ws[0], 1), p.sem))
-                else:
-                    in_values.append(un.inline(ws, p.sem))
-            elif p.dir == "inout":
-                in_values.append(un.from_block(ws[0], p.sem))
-                out_slots.append((p, ws[0]))
-            else:
-                out_slots.append((p, ws[0]))
-
-        result = impl(*in_values)
-
-        want = len(sig.results)
         if result is None:
             values: tuple[Value, ...] = ()
         elif isinstance(result, tuple):
             values = result
         else:
             values = (result,)
-        if len(values) != want:
+        if len(values) != plan.n_results:
             raise ArityMismatch(
                 f"{sig.name}: implementation returned {len(values)} values, "
-                f"signature has {want} results")
+                f"signature has {plan.n_results} results")
 
-        packer = _Packer(mem, desc)
-        for (p, addr), v in zip(out_slots, values):
-            mem.store(addr, packer.inline(v, p.sem))
-        if sig.ret is not None:
-            if sig.ret.sem.kind == "record":
-                raise MarshalError(
-                    f"{sig.name}: record return values are not supported")
-            return packer.inline(values[-1], sig.ret.sem)[0]
+        given: list[int] = []    # blocks packed here now belong to the caller
+        for (codec, addr), v in zip(outs, values):
+            mem.store(addr, codec.pack(mem, v, given))
+        if plan.ret is not None:
+            return plan.ret.pack(mem, values[-1], given)[0]
         return 0
 
     return stub

@@ -138,13 +138,6 @@ class Mem:
     def live_count(self) -> int:
         return self._live
 
-    def live_blocks(self) -> list[int]:
-        seen: list[int] = []
-        for alloc in self._pages.values():
-            if alloc.live and alloc.base not in seen:
-                seen.append(alloc.base)
-        return sorted(seen)
-
     def alloc(self, nwords: int) -> int:
         if nwords <= 0:
             raise BadSize(f"alloc of {nwords} words")

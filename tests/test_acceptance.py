@@ -28,7 +28,6 @@ from mlidl.com import (
     Iid,
     NoInterface,
     add_ref,
-    make_interface,
     query_interface,
     release,
 )
@@ -172,7 +171,7 @@ def _three_interface_object(mem):
                 f"I{i}") for i in (0x30, 0x31, 0x32)]
     obj = ComObject(mem, clsid)
     for iid in iids:
-        make_interface([lambda ws: 0], obj, iid)
+        obj.add_interface(iid, [lambda ws: 0])
     return obj, iids
 
 

@@ -114,3 +114,13 @@ def test_abstract_level_round_trips(win32_unit):
     loaded = load_binding_file(emit_binding_file(desc))
     assert loaded == desc
     assert loaded.level == "abstract"
+
+
+@pytest.mark.parametrize("entry", [1, "x", None, [1]], ids=repr)
+@pytest.mark.parametrize("key", ["callbacks", "aliases"])
+def test_non_object_entry_is_schema_violation(win32_desc, key, entry):
+    doc = json.loads(emit_binding_file(win32_desc))
+    doc[key].append(entry)
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert f"$.{key}[{len(doc[key]) - 1}]" in str(exc.value)

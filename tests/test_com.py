@@ -22,7 +22,6 @@ from mlidl.com import (
     co_unregister_class_object,
     ComError,
     get_method,
-    make_interface,
     query_interface,
     release,
     simple_factory,
@@ -38,8 +37,8 @@ IID_NONE = Iid(Guid.parse("{DEADBEEF-0000-0000-0000-000000000000}"), "INone")
 def build_bar(mem, log=None):
     log = log if log is not None else []
     obj = ComObject(mem, CLSID_BAR)
-    make_interface([lambda ws: (log.append("FooX"), 0)[1]], obj, IID_IX)
-    make_interface([lambda ws: (log.append("FooY"), 0)[1]], obj, IID_IY)
+    obj.add_interface(IID_IX, [lambda ws: (log.append("FooX"), 0)[1]])
+    obj.add_interface(IID_IY, [lambda ws: (log.append("FooY"), 0)[1]])
     return obj, log
 
 
@@ -78,10 +77,10 @@ def test_iunknown_canonical_value():
 
 def test_make_interface_slot_counts(mem):
     obj = ComObject(mem, CLSID_BAR)
-    ix = make_interface([lambda ws: 0], obj, IID_IX)
+    ix = obj.add_interface(IID_IX, [lambda ws: 0])
     vtable = mem.read(ix.addr, 1)[0]
     assert len(mem.read(vtable, 4)) == 4  # qi, addref, release, fooX
-    iz = make_interface([], obj, IID_IZ)
+    iz = obj.add_interface(IID_IZ, [])
     vt2 = mem.read(iz.addr, 1)[0]
     assert len(mem.read(vt2, 3)) == 3
 
@@ -151,7 +150,7 @@ def test_iunknown_identity_shared(mem):
 def test_identity_differs_across_objects(mem):
     obj1, _ = build_bar(mem)
     obj2 = ComObject(mem, CLSID_BAR)
-    make_interface([], obj2, IID_IX)
+    obj2.add_interface(IID_IX, [])
     assert obj1.identity.addr != obj2.identity.addr
 
 

@@ -1,0 +1,213 @@
+"""One plan per signature: the client `call` and the server `skeleton` agree
+on every parameter shape, reject the same unsupported shapes, and leave no
+block behind."""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from mlidl import semtypes as st
+from mlidl.binding import build_binding
+from mlidl.binding.model import FieldLayout, LiftedSig, RecordLayout
+from mlidl.idl import parse_text
+from mlidl.marshal import MarshalError, Unsupported, call, layout_of, plan_of, skeleton
+from mlidl.wordmem import Mem
+
+SHAPES_IDL = """
+sml_name ("Shapes");
+
+typedef int INT;
+typedef boolean BOOL;
+typedef [string] char *STRING;
+typedef [string] wchar_t *WSTRING;
+typedef int *CB ([in] INT a, [in] INT b);
+
+typedef enum {
+  MODE_OFF = 0,
+  MODE_ON = 1,
+  MODE_HIGH = 0wx80000000
+} MODE;
+
+typedef struct tagPOINT {
+    INT x;
+    INT y;
+} POINT;
+
+typedef struct tagLABEL {
+    STRING text;
+    INT    id;
+    MODE   mode;
+} LABEL;
+
+[sml_source ("shapes.dll")]
+interface Shapes {
+  INT Scalar ([in] INT a, [in] unsigned long b);
+  BOOL Flag ([in] BOOL f);
+  MODE Mode ([in] MODE m);
+  INT Str8 ([in] STRING s);
+  INT Str16 ([in] WSTRING s);
+  INT Callback ([in] CB cb, [in] INT k);
+  INT CallbackRef ([in] CB *cb, [in] INT k);
+  INT ByValue ([in] POINT p, [in] INT k);
+  INT ByRef ([in,ref] LABEL *l);
+  void OutScalar ([out] INT *n);
+  INT OutRecord ([in] INT k, [out] LABEL *l);
+  void InoutScalar ([in,out] INT *n);
+  void InoutRecord ([in,out] LABEL *l);
+  INT IntArray ([in,size_is (n)] INT *a, [in] INT n);
+  INT RecordArray ([in] INT n, [in,size_is (n)] LABEL *a);
+  STRING Name ([in] INT k);
+  void OutString ([in] INT k, [out] STRING *s);
+  STRING Echo ([in] STRING s);
+}
+
+[sml_source ("shapes.dll")]
+interface Unsupported {
+  void OutArray ([out,size_is (n)] INT *a, [in] INT n);
+  void InoutArray ([in,out,size_is (n)] INT *a, [in] INT n);
+  POINT RecordReturn ([in] INT k);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def desc():
+    return build_binding(parse_text(SHAPES_IDL, "shapes.idl"), mode="dynamic",
+                         level="auto")
+
+
+def op(desc, name):
+    return next(o for i in desc.interfaces for o in i.ops if o.name == name)
+
+
+def label(text, i=1, mode="MODE_ON"):
+    return {"text": text, "id": i, "mode": mode}
+
+
+def mix(ws):
+    return ws[0] * 10 + ws[1]
+
+
+CASES = {
+    "scalar": ("Scalar", [-5, 0xFFFFFFFF], lambda a, b: a + (b & 0xFF)),
+    "bool": ("Flag", [True], lambda f: not f),
+    "enum": ("Mode", ["MODE_HIGH"], lambda m: "MODE_OFF" if m == "MODE_HIGH" else m),
+    "string8": ("Str8", ["héllo"], lambda s: len(s)),
+    "string16": ("Str16", ["wörld!"], lambda s: len(s) * 2),
+    "callback": ("Callback", [mix, 3], lambda cb, k: cb([k, 4])),
+    "callback_ref": ("CallbackRef", [mix, 3], lambda cb, k: cb([k, 5])),
+    "record_by_value": ("ByValue", [{"x": 2, "y": -3}, 7],
+                        lambda p, k: p["x"] * p["y"] + k),
+    "record_ref": ("ByRef", [label("hi", 9)], lambda lb: len(lb["text"]) + lb["id"]),
+    "out_scalar": ("OutScalar", [], lambda: 42),
+    "out_record": ("OutRecord", [6], lambda k: (label("out" * k, k, "MODE_HIGH"), -k)),
+    "inout_scalar": ("InoutScalar", [41], lambda n: n + 1),
+    "inout_record": ("InoutRecord", [label("in", 2)],
+                     lambda lb: label(lb["text"] + "-out", lb["id"] + 1, "MODE_OFF")),
+    "int_array": ("IntArray", [[1, -2, 3], 3], lambda a, n: sum(a) * n),
+    "record_array": ("RecordArray", [2, [label("a", 1), label("bc", 2)]],
+                     lambda n, a: sum(len(x["text"]) * x["id"] for x in a) + n),
+    "empty_array": ("IntArray", [[], 0], lambda a, n: len(a) + n + 1),
+    "string_return": ("Name", [3], lambda k: "n" * k),
+    "out_string": ("OutString", [2], lambda k: "s" * k),
+}
+
+
+def as_results(value):
+    if value is None:
+        return []
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_client_and_server_agree(desc, case):
+    name, args, impl = CASES[case]
+    sig = op(desc, name)
+    mem = Mem()
+    stub = skeleton(sig, impl, mem, desc)
+    before = mem.live_count
+    assert call(sig, stub, args, mem, desc) == as_results(impl(*args))
+    assert mem.live_count == before
+
+
+def test_byref_callback_travels_in_a_block(desc):
+    sig = op(desc, "CallbackRef")
+    mem = Mem()
+    seen = []
+
+    def spy(words):
+        seen.append(mem.read(words[0], 1)[0])
+        return 0
+
+    call(sig, spy, [mix, 1], mem, desc)
+    assert mem.addr_to_fun(seen[0]) is mix
+
+
+@pytest.mark.parametrize("name, where", [
+    ("OutArray", "OutArray.a"),
+    ("InoutArray", "InoutArray.a"),
+    ("RecordReturn", "RecordReturn.return"),
+])
+def test_unsupported_shapes_rejected_on_both_sides(desc, name, where):
+    sig = op(desc, name)
+    mem = Mem()
+    with pytest.raises(Unsupported, match=rf"^{where}: "):
+        skeleton(sig, lambda *args: None, mem, desc)
+    hits = []
+    with pytest.raises(Unsupported, match=rf"^{where}: "):
+        call(sig, lambda ws: hits.append(ws) or 0, [], mem, desc)
+    assert hits == []
+    assert mem.live_count == 0
+
+
+def test_size_is_must_name_an_in_integer(desc):
+    sig = op(desc, "IntArray")
+    bad = LiftedSig(sig.name, (sig.params[0],), sig.ret)   # no n
+    with pytest.raises(Unsupported, match=r"^IntArray\.a: size_is\(n\)"):
+        plan_of(bad, desc)
+
+
+@pytest.mark.parametrize("name, args, impl", [
+    ("Name", [4], lambda k: "x" * k),
+    ("OutString", [4], lambda k: "y" * k),
+    ("OutRecord", [4], lambda k: (label("z" * k, k), k)),
+])
+def test_callee_allocated_strings_are_freed_by_the_caller(desc, name, args, impl):
+    sig = op(desc, name)
+    mem = Mem()
+    stub = skeleton(sig, impl, mem, desc)
+    before = mem.live_count
+    for _ in range(1000):
+        call(sig, stub, args, mem, desc)
+    assert mem.live_count == before
+
+
+def test_string_handed_back_unchanged_is_freed_once(desc):
+    # a raw callee may return the caller's own string; it is freed once
+    mem = Mem()
+    assert call(op(desc, "Echo"), lambda ws: ws[0], ["same"], mem, desc) == ["same"]
+    assert mem.live_count == 0
+
+
+def test_record_nested_in_itself_is_a_marshal_error(desc):
+    loop = RecordLayout("LOOP", (FieldLayout("self", "LOOP", st.record_t("LOOP"), 0),), 1)
+    bad = replace(desc, records=desc.records + (loop,))
+    with pytest.raises(MarshalError, match="LOOP"):
+        layout_of(st.record_t("LOOP"), bad)
+
+
+def test_plans_are_shared_through_the_description(monkeypatch):
+    from mlidl import marshal
+
+    built = []
+    build = marshal._build_plan
+    monkeypatch.setattr(marshal, "_build_plan",
+                        lambda sig, d: built.append(sig.name) or build(sig, d))
+    fresh = build_binding(parse_text(SHAPES_IDL, "shapes.idl"), "dynamic", "auto")
+    sig = op(fresh, "ByRef")
+    mem = Mem()
+    stubs = [skeleton(sig, lambda lb, k=k: k, mem, fresh) for k in range(3)]
+    assert [call(sig, s, [label("t")], mem, fresh) for s in stubs] == [[0], [1], [2]]
+    assert built == ["ByRef"]
