@@ -38,15 +38,15 @@ class LiftedSig:
     kind: str = "method"          # method | query_interface
     callback: bool = False
 
-    @property
+    @cached_property
     def ins(self) -> tuple[ParamSig, ...]:
         return tuple(p for p in self.params if p.dir in ("in", "inout"))
 
-    @property
+    @cached_property
     def outs(self) -> tuple[ParamSig, ...]:
         return tuple(p for p in self.params if p.dir in ("out", "inout"))
 
-    @property
+    @cached_property
     def results(self) -> tuple[RetSig, ...]:
         out = tuple(RetSig(p.display, p.sem) for p in self.outs)
         if self.ret is not None:

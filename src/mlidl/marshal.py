@@ -1,11 +1,14 @@
 """Value marshalling and the call drivers.
 
 Each semantic type kind has one codec (`codec_of`): its width in words, a
-pack function (value -> words, recording the blocks it allocates) and an
-unpack function (words -> value).  Each signature has one plan (`plan_of`),
-cached on its binding description and read by both the client `call` and
-the server `skeleton`.  The plan gives every parameter one passing mode, in
-declaration order, which is also the ABI argument order:
+pack function that appends a value's words to a list the caller passes in
+(recording the blocks it allocates), and an unpack function that decodes a
+value at an offset into the words it is given.  Inline values are thus
+packed into, and decoded from, the argument list itself, with no word list
+per value.  Each signature has one plan (`plan_of`), cached on its binding
+description and read by both the client `call` and the server `skeleton`.
+The plan gives every parameter one passing mode, in declaration order,
+which is also the ABI argument order:
 
     word    the value's words inline (a by-value record is its full width)
     block   [in] byref: the address of a block holding the packed value
@@ -120,43 +123,45 @@ def read_string16(mem: Mem, addr: int) -> str:
 
 @dataclass(frozen=True)
 class Codec:
-    """`pack(mem, value, temps)` returns `width` words and appends every block
-    it allocates to `temps`.  `unpack(mem, words, owned)` is its inverse; if
+    """`pack(mem, value, words, temps)` appends `width` words to `words` and
+    every block it allocates to `temps`.  `unpack(mem, words, at, owned)` is
+    its inverse: it decodes the `width` words starting at `words[at]`; if
     `owned` is a list, it also gets the callee-allocated strings decoded."""
 
     width: int
-    pack: Callable[[Mem, Value, list[int]], list[int]]
-    unpack: Callable[[Mem, Sequence[int], Optional[list[int]]], Value]
+    pack: Callable[[Mem, Value, list[int], list[int]], None]
+    unpack: Callable[[Mem, Sequence[int], int, Optional[list[int]]], Value]
     elem: Optional["Codec"] = None      # arrays: the element codec
 
 
 def _int_codec(kind: str, unpack: Callable[[int], int]) -> Codec:
-    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if isinstance(v, bool) or not isinstance(v, int):
             raise TypeMismatch(f"expected an integer for {kind}, got {v!r}")
         if not (-0x80000000 <= v <= 0xFFFFFFFF):
             raise TypeMismatch(f"integer {v} does not fit in 32 bits")
-        return [word(v)]
+        words.append(word(v))
 
-    return Codec(1, pack, lambda mem, ws, owned: unpack(ws[0]))
+    return Codec(1, pack, lambda mem, ws, at, owned: unpack(ws[at]))
 
 
-def _pack_bool(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+def _pack_bool(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
     if not isinstance(v, bool):
         raise TypeMismatch(f"expected a bool, got {v!r}")
-    return [1 if v else 0]
+    words.append(1 if v else 0)
 
 
 def _string_codec(pack_str: Callable[[Mem, str], int],
                   read_str: Callable[[Mem, int], str]) -> Codec:
-    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, str):
             raise TypeMismatch(f"expected a string, got {v!r}")
         temps.append(pack_str(mem, v))
-        return [temps[-1]]
+        words.append(temps[-1])
 
-    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> str:
-        addr = word(ws[0])
+    def unpack(mem: Mem, ws: Sequence[int], at: int,
+               owned: Optional[list[int]]) -> str:
+        addr = word(ws[at])
         s = read_str(mem, addr)
         if owned is not None and addr and addr not in owned:
             owned.append(addr)
@@ -165,16 +170,18 @@ def _string_codec(pack_str: Callable[[Mem, str], int],
     return Codec(1, pack, unpack)
 
 
-def _pack_callback(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+def _pack_callback(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
     if v is None:
-        return [0]
-    if not callable(v):
+        words.append(0)
+    elif callable(v):
+        words.append(mem.fun_to_addr(v))
+    else:
         raise TypeMismatch(f"expected a callable or None, got {v!r}")
-    return [mem.fun_to_addr(v)]
 
 
-def _unpack_callback(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> Value:
-    w = word(ws[0])
+def _unpack_callback(mem: Mem, ws: Sequence[int], at: int,
+                     owned: Optional[list[int]]) -> Value:
+    w = word(ws[at])
     return None if w == 0 else mem.addr_to_fun(w)
 
 
@@ -190,7 +197,7 @@ _CODECS: dict[str, Codec] = {
     "word32": _int_codec("word32", word),
     "handle": _int_codec("handle", word),
     "opaque": _int_codec("opaque", word),
-    "bool": Codec(1, _pack_bool, lambda mem, ws, owned: word(ws[0]) != 0),
+    "bool": Codec(1, _pack_bool, lambda mem, ws, at, owned: word(ws[at]) != 0),
     "string8": _string_codec(pack_string8, read_string8),
     "string16": _string_codec(pack_string16, read_string16),
     "callback": Codec(1, _pack_callback, _unpack_callback),
@@ -222,18 +229,19 @@ def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
 
 
 def _enum_codec(enum: EnumMap) -> Codec:
-    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, str):
             raise TypeMismatch(f"expected a {enum.name} variant name, got {v!r}")
         try:
-            return [enum.to_int(v)]
+            words.append(enum.to_int(v))
         except KeyError as exc:
             raise TypeMismatch(str(exc)) from None
 
-    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> str:
-        name = enum.from_int(word(ws[0]))
+    def unpack(mem: Mem, ws: Sequence[int], at: int,
+               owned: Optional[list[int]]) -> str:
+        name = enum.from_int(word(ws[at]))
         if name is None:
-            raise DecodeError(f"{enum.name} has no variant with value {word(ws[0]):#x}")
+            raise DecodeError(f"{enum.name} has no variant with value {word(ws[at]):#x}")
         return name
 
     return Codec(1, pack, unpack)
@@ -246,20 +254,19 @@ def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
         raise MarshalError(f"record {layout.name!r} contains itself") from None
     names = {f.name for f in layout.fields}
 
-    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, dict):
             raise TypeMismatch(f"expected a field map for {layout.name}, got {v!r}")
         if v.keys() != names:
             raise TypeMismatch(
                 f"field set {sorted(v.keys())} does not match record "
                 f"{layout.name} {sorted(names)}")
-        words: list[int] = []
         for name, _, codec in fields:
-            words += codec.pack(mem, v[name], temps)
-        return words
+            codec.pack(mem, v[name], words, temps)
 
-    def unpack(mem: Mem, ws: Sequence[int], owned: Optional[list[int]]) -> dict:
-        return {name: codec.unpack(mem, ws[off:off + codec.width], owned)
+    def unpack(mem: Mem, ws: Sequence[int], at: int,
+               owned: Optional[list[int]]) -> dict:
+        return {name: codec.unpack(mem, ws, at + off, owned)
                 for name, off, codec in fields}
 
     return Codec(layout.size, pack, unpack)
@@ -273,13 +280,13 @@ def _block(mem: Mem, words: list[int], temps: list[int]) -> int:
 
 
 def _array_codec(elem: Codec) -> Codec:
-    def pack(mem: Mem, v: Value, temps: list[int]) -> list[int]:
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, list):
             raise TypeMismatch(f"expected a list for array, got {v!r}")
-        words: list[int] = []
+        elems: list[int] = []
         for item in v:
-            words += elem.pack(mem, item, temps)
-        return [_block(mem, words, temps)]
+            elem.pack(mem, item, elems, temps)
+        words.append(_block(mem, elems, temps))
 
     return Codec(1, pack, _cannot("an array needs its element count"), elem)
 
@@ -293,7 +300,9 @@ def marshal_value(v: Value, t: SemType, mem: Mem,
                   desc: Optional[BindingDesc] = None) -> list[int]:
     """Value to words.  Blocks referenced from the words (strings, arrays)
     are fresh allocations owned by the caller."""
-    return codec_of(t, desc).pack(mem, v, [])
+    words: list[int] = []
+    codec_of(t, desc).pack(mem, v, words, [])
+    return words
 
 
 def unmarshal_value(data: Union[int, Sequence[int]], t: SemType, mem: Mem,
@@ -305,7 +314,7 @@ def unmarshal_value(data: Union[int, Sequence[int]], t: SemType, mem: Mem,
         data = mem.read(data, codec.width) if t.kind == "record" else [data]
     if len(data) != codec.width:
         raise DecodeError(f"{t.name or t.kind} is {codec.width} words, got {len(data)}")
-    return codec.unpack(mem, list(data), None)
+    return codec.unpack(mem, data, 0, None)
 
 
 # -- plans ----------------------------------------------------------------------
@@ -381,7 +390,8 @@ def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
 
 
 def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
-            nwords: int) -> WordFn:
+            nwords: int) -> Union[WordFn, int]:
+    """A host callable as given, or a checked closure address for `Mem.call`."""
     if isinstance(f, Symbol):
         if f.arity is not None and f.arity != nwords:
             raise ArityMismatch(
@@ -390,7 +400,7 @@ def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
         f = f.addr
     if isinstance(f, int):
         mem.addr_to_fun(f)   # fail early on a stale address
-        return lambda words: mem.call(f, words)
+        return f
     if callable(f):
         return f
     raise TypeMismatch(f"not callable: {f!r}")
@@ -421,19 +431,24 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
                         f"{sig.name}.{name}: array has {len(v)} elements but "
                         f"{sig.ins[count[0]].name} is {ins[count[0]]}")
                 if mode == WORD or mode == ARRAY:
-                    words += codec.pack(mem, v, temps)
+                    codec.pack(mem, v, words, temps)
                     continue
-                addr = _block(mem, codec.pack(mem, v, temps), temps)
+                block: list[int] = []
+                codec.pack(mem, v, block, temps)
+                addr = _block(mem, block, temps)
             if mode != BLOCK:
                 outs.append((codec, addr))
             words.append(addr)
 
-        ret_word = word(target(words))
+        if isinstance(target, int):
+            ret_word = mem.call(target, words)
+        else:
+            ret_word = word(target(words))
 
-        results = [codec.unpack(mem, mem.read(addr, codec.width), temps)
+        results = [codec.unpack(mem, mem.read(addr, codec.width), 0, temps)
                    for codec, addr in outs]
         if plan.ret is not None:
-            results.append(plan.ret.unpack(mem, [ret_word], temps))
+            results.append(plan.ret.unpack(mem, (ret_word,), 0, temps))
         return results
     finally:
         for addr in temps:
@@ -462,20 +477,20 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
         outs: list[tuple[Codec, int]] = []
         for name, mode, codec, at, count in plan.steps:
             if mode == WORD:
-                args.append(codec.unpack(mem, words[at:at + codec.width], None))
+                args.append(codec.unpack(mem, words, at, None))
                 continue
             addr = words[at]
             if mode == ARRAY:
-                n = count[2].unpack(mem, words[count[1]:count[1] + 1], None)
+                n = count[2].unpack(mem, words, count[1], None)
                 if n < 0:
                     raise TypeMismatch(f"{sig.name}.{name}: bad element count {n}")
                 elem = codec.elem
                 ws = mem.read(addr, n * elem.width)
-                args.append([elem.unpack(mem, ws[k:k + elem.width], None)
+                args.append([elem.unpack(mem, ws, k, None)
                              for k in range(0, len(ws), elem.width)])
                 continue
             if mode != OUT:
-                args.append(codec.unpack(mem, mem.read(addr, codec.width), None))
+                args.append(codec.unpack(mem, mem.read(addr, codec.width), 0, None))
             if mode != BLOCK:
                 outs.append((codec, addr))
 
@@ -494,9 +509,13 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
 
         given: list[int] = []    # blocks packed here now belong to the caller
         for (codec, addr), v in zip(outs, values):
-            mem.store(addr, codec.pack(mem, v, given))
+            block: list[int] = []
+            codec.pack(mem, v, block, given)
+            mem.store(addr, block)
         if plan.ret is not None:
-            return plan.ret.pack(mem, values[-1], given)[0]
+            ret: list[int] = []
+            plan.ret.pack(mem, values[-1], ret, given)
+            return ret[0]
         return 0
 
     return stub
@@ -526,7 +545,7 @@ class BoundInterface:
 
 def _bound_op(sig: LiftedSig, sym: Symbol, mem: Mem, desc: BindingDesc):
     def invoke(*args: Value) -> Value:
-        results = call(sig, sym, list(args), mem, desc)
+        results = call(sig, sym, args, mem, desc)
         if not results:
             return None
         if len(results) == 1:

@@ -86,6 +86,8 @@ class Timer:
 
 
 def _render_arg(v: Any) -> str:
+    if type(v) is int:      # nearly every argument
+        return str(v)
     if isinstance(v, bool):
         return "1" if v else "0"
     if v is None:
@@ -131,7 +133,7 @@ class SimWorld:
         return h
 
     def record(self, op: str, args: list[Any]) -> None:
-        rendered = " ".join(_render_arg(a) for a in args)
+        rendered = " ".join([_render_arg(a) for a in args])
         self.trace.append(f"TICK {self.tick} DRAW {op} {rendered}".rstrip())
 
     def gdi_record(self, op: str, args: list[Any],

@@ -126,8 +126,9 @@ class Mem:
         self._next_page = 0
         self._live = 0
         self._closures: dict[int, WordFn] = {}
-        self._closure_addrs: dict[int, int] = {}   # id(fn) -> addr
-        self._closure_keep: list[WordFn] = []      # keeps id() keys stable
+        # id(fn) -> addr; `_closures` keeps every registered callable alive
+        # for the world's life, so no id() key is reused while it is here
+        self._closure_addrs: dict[int, int] = {}
         self._next_closure = CLOSURE_BASE
         self._libraries: dict[str, Library] = {}
         self._trace = trace
@@ -150,7 +151,8 @@ class Mem:
             self._pages[self._next_page + i] = alloc
         self._next_page += npages
         self._live += 1
-        self._emit(f"alloc {nwords} -> {base:#x}")
+        if self._trace is not None:
+            self._trace(f"alloc {nwords} -> {base:#x}")
         return base
 
     def _find(self, addr: int) -> tuple[Allocation, int]:
@@ -184,7 +186,8 @@ class Mem:
             raise DoubleFree(f"double free of {addr:#x}")
         alloc.live = False
         self._live -= 1
-        self._emit(f"free {addr:#x}")
+        if self._trace is not None:
+            self._trace(f"free {addr:#x}")
 
     def offset(self, addr: int, nwords: int) -> int:
         """Address `nwords` words past `addr`; checked only at read/store."""
@@ -199,9 +202,10 @@ class Mem:
                 f"store of {len(words)} words at {addr:#x} overruns "
                 f"allocation {alloc.base:#x} ({alloc.size} words)"
             )
-        for i, w in enumerate(words):
-            alloc.cells[idx + i] = word(w)
-        self._emit(f"store {addr:#x} {[hex(word(w)) for w in words]}")
+        masked = [w & WORD_MASK for w in words]
+        alloc.cells[idx:idx + len(masked)] = masked
+        if self._trace is not None:
+            self._trace(f"store {addr:#x} {[hex(w) for w in masked]}")
 
     def read(self, addr: int, nwords: int) -> list[int]:
         if nwords < 0:
@@ -215,7 +219,8 @@ class Mem:
                 f"allocation {alloc.base:#x} ({alloc.size} words)"
             )
         out = alloc.cells[idx:idx + nwords]
-        self._emit(f"read {addr:#x} {nwords} -> {[hex(w) for w in out]}")
+        if self._trace is not None:
+            self._trace(f"read {addr:#x} {nwords} -> {[hex(w) for w in out]}")
         return out
 
     # -- closures ---------------------------------------------------------
@@ -230,7 +235,6 @@ class Mem:
         self._next_closure += WORD_BYTES
         self._closures[addr] = fn
         self._closure_addrs[key] = addr
-        self._closure_keep.append(fn)
         return addr
 
     def addr_to_fun(self, addr: int) -> WordFn:
@@ -242,7 +246,8 @@ class Mem:
     def call(self, addr: int, args: list[int]) -> int:
         """Invoke a closure address with raw word arguments."""
         result = word(self.addr_to_fun(addr)(list(args)))
-        self._emit(f"call {addr:#x} {args} -> {result:#x}")
+        if self._trace is not None:
+            self._trace(f"call {addr:#x} {args} -> {result:#x}")
         return result
 
     # -- libraries ----------------------------------------------------------
@@ -283,9 +288,3 @@ class Mem:
         if sym is None:
             raise UnknownSymbol(f"no symbol {name!r} in library {lib.name!r}")
         return sym
-
-    # -- trace ----------------------------------------------------------------
-
-    def _emit(self, line: str) -> None:
-        if self._trace is not None:
-            self._trace(line)

@@ -29,6 +29,19 @@ def test_beginpaint_results_out_param_then_return(win32_desc):
     assert [r.display for r in bp.results] == ["PAINTSTRUCT", "HDC"]
 
 
+def test_lifted_sig_views_cached_without_changing_equality(win32_unit):
+    first = op(build_binding(win32_unit), "User", "BeginPaint")
+    fresh = op(build_binding(win32_unit), "User", "BeginPaint")
+    assert first is not fresh and first == fresh
+    before = hash(first)
+    views = (first.ins, first.outs, first.results)
+    assert (first.ins, first.outs, first.results) == views
+    assert first.ins is views[0] and first.results is views[2]
+    assert first == fresh and hash(first) == before == hash(fresh)
+    assert views == (fresh.ins, fresh.outs, fresh.results)
+    assert first.results[-1] == first.ret
+
+
 def test_in_ref_record_stays_in_param(win32_desc):
     rc = op(win32_desc, "User", "RegisterClassExA")
     (p,) = rc.ins

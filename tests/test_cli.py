@@ -110,3 +110,17 @@ def test_run_demo_adapter_matches_direct(tmp_path):
 
 def test_run_demo_rejects_zero_ticks():
     assert main(["run-demo", "bounce", "--ticks", "0"]) == 1
+
+
+def test_run_demo_mlidl_trace_logs_memory_ops(tmp_path, capsys, monkeypatch):
+    plain, traced = tmp_path / "plain.log", tmp_path / "traced.log"
+    monkeypatch.delenv("MLIDL_TRACE", raising=False)
+    assert main(["run-demo", "bounce", "--ticks", "40", "--trace", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+
+    monkeypatch.setenv("MLIDL_TRACE", "1")
+    assert main(["run-demo", "bounce", "--ticks", "40", "--trace", str(traced)]) == 0
+    ops = [line.split(" ", 1)[0] for line in capsys.readouterr().err.splitlines()]
+    assert set(ops) == {"alloc", "store", "read", "call", "free"}
+    assert ops.count("alloc") == ops.count("free")
+    assert traced.read_bytes() == plain.read_bytes()

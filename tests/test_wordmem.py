@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mlidl.winsim.bounce import BounceDemo
 from mlidl.wordmem import (
     BadRegion,
     BadSize,
@@ -250,3 +251,37 @@ def test_closure_identity_property_thousand_functions():
         g = mem.addr_to_fun(mem.fun_to_addr(f))
         args = [rng.getrandbits(32) for _ in range(rng.randrange(5))]
         assert g(list(args)) == f(list(args))
+
+
+def test_trace_lines_pin_format():
+    lines: list[str] = []
+    mem = Mem(trace=lines.append)
+    a = mem.alloc(3)
+    mem.store(a, [1, -1, 0x1_0000_0002])
+    assert mem.read(a, 3) == [1, 0xFFFFFFFF, 2]
+    mem.read(mem.offset(a, 2), 1)
+    f = mem.fun_to_addr(lambda ws: ws[0] - ws[1])
+    mem.call(f, [5, 7])
+    b = mem.alloc(1025)
+    mem.store(mem.offset(b, 1024), [0xABCD])
+    mem.free(b)
+    mem.free(a)
+    assert lines == [
+        "alloc 3 -> 0x1000",
+        "store 0x1000 ['0x1', '0xffffffff', '0x2']",
+        "read 0x1000 3 -> ['0x1', '0xffffffff', '0x2']",
+        "read 0x1008 1 -> ['0x2']",
+        "call 0x8000000 [5, 7] -> 0xfffffffe",
+        "alloc 1025 -> 0x2000",
+        "store 0x3000 ['0xabcd']",
+        "free 0x2000",
+        "free 0x1000",
+    ]
+
+    # a bound all-scalar call touches the heap not at all: one call line
+    demo = BounceDemo(mem=Mem(trace=lines.append))
+    sym = demo.mem.get_symbol(demo.mem.open_library("gdi32.dll"), "BitBlt")
+    lines.clear()
+    assert demo.gdi.BitBlt(1, 2, 3, 4, 5, 6, 7, 8, -9) is True
+    assert lines == [
+        f"call {sym.addr:#x} [1, 2, 3, 4, 5, 6, 7, 8, 4294967287] -> 0x1"]
