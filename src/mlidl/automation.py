@@ -7,6 +7,11 @@ from the same signatures, with DISPIDs assigned densely from 1 in
 declaration order, and Invoke calls through the very closure installed in
 the vtable slot, so both invocation paths share one implementation.
 
+A dual interface is a plain `InterfaceRef`, however it was reached.  Its
+DISPID table and binding description live with the IDispatch closures of
+slots 3..6, and the typed `invoke` and `get_ids_of_names` find them through
+slot 6 of any ref to it.  IUnknown is implemented once, in `com.ComObject`.
+
 Arguments are positional VARIANTs.  Coercion is strict: exact tag matches,
 bit-exact VT_I4/VT_UI4 reinterpretation, and nothing else; type libraries,
 locales and named arguments are out of scope (GetTypeInfoCount reports 0
@@ -15,7 +20,7 @@ and GetTypeInfo is not implemented, riid/lcid arguments are ignored).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from mlidl import marshal
@@ -28,9 +33,11 @@ from mlidl.com import (
     Iid,
     InterfaceRef,
     S_OK,
+    check_words,
+    get_method,
 )
 from mlidl.semtypes import SemType
-from mlidl.wordmem import Mem, WordFn, to_signed, word
+from mlidl.wordmem import Mem, OutOfBounds, to_signed, word
 
 VT_EMPTY = 0
 VT_I4 = 3
@@ -109,37 +116,6 @@ class DispEntry:
     slot: int            # vtable slot carrying the implementation
 
 
-class DispTable:
-    """name -> (DISPID, signature, vtable slot); DISPIDs dense from 1."""
-
-    def __init__(self, sigs: Sequence[LiftedSig], first_slot: int) -> None:
-        self.entries: list[DispEntry] = []
-        self._by_name: dict[str, DispEntry] = {}
-        self._by_id: dict[int, DispEntry] = {}
-        for i, sig in enumerate(sigs):
-            entry = DispEntry(dispid=i + 1, sig=sig, slot=first_slot + i)
-            self.entries.append(entry)
-            key = sig.name.casefold()
-            if key in self._by_name:
-                raise ComError(f"dispatch name clash on {sig.name!r}")
-            self._by_name[key] = entry
-            self._by_id[entry.dispid] = entry
-
-    def by_name(self, name: str) -> Optional[DispEntry]:
-        return self._by_name.get(name.casefold())
-
-    def by_id(self, dispid: int) -> Optional[DispEntry]:
-        return self._by_id.get(dispid)
-
-
-@dataclass(frozen=True)
-class DispatchRef(InterfaceRef):
-    """Interface reference that also carries its dispatch table."""
-
-    disp: DispTable = field(default=None, compare=False)  # type: ignore[assignment]
-    desc: Optional[BindingDesc] = field(default=None, compare=False)
-
-
 # -- coercion -------------------------------------------------------------------
 
 
@@ -215,7 +191,7 @@ def make_dual(
     owner: ComObject,
     iid: Iid,
     desc: Optional[BindingDesc] = None,
-) -> DispatchRef:
+) -> InterfaceRef:
     """Build a dual interface on `owner` from aligned signatures and host
     implementations."""
     if len(sigs) != len(impls):
@@ -223,32 +199,50 @@ def make_dual(
     mem = owner.mem
     method_fns = [marshal.skeleton(sig, impl, mem, desc)
                   for sig, impl in zip(sigs, impls)]
-    table = DispTable(sigs, first_slot=7)
-    dispatch_fns = _dispatch_quadruple(table, mem, desc)
-    plain = owner.add_interface(iid, dispatch_fns + method_fns)
-    ref = DispatchRef(addr=plain.addr, iid=plain.iid, owner=owner,
-                      disp=table, desc=desc)
-    owner.alias_interface(IID_IDISPATCH, plain)
-    return ref
+    d = _Dispatch(sigs, mem, desc)
+    d.ref = owner.add_interface(iid, [d._raw_get_type_info_count, d._raw_get_type_info,
+                                      d._raw_get_ids_of_names, d._raw_invoke]
+                                + method_fns)
+    owner.alias_interface(IID_IDISPATCH, d.ref)
+    return d.ref
 
 
-def _dispatch_quadruple(table: DispTable, mem: Mem,
-                        desc: Optional[BindingDesc]) -> list[WordFn]:
-    def get_type_info_count(words: list[int]) -> int:
+class _Dispatch:
+    """IDispatch of one dual interface: the DISPID table (dense from 1 in
+    declaration order, methods from slot 7) and the binding description,
+    with the bound `_raw_*` methods that fill vtable slots 3..6."""
+
+    def __init__(self, sigs: Sequence[LiftedSig], mem: Mem,
+                 desc: Optional[BindingDesc]) -> None:
+        self.mem = mem
+        self.desc = desc
+        self.ref: InterfaceRef     # set once the vtable is laid out
+        self.by_id = {i + 1: DispEntry(i + 1, sig, 7 + i) for i, sig in enumerate(sigs)}
+        self.by_name: dict[str, DispEntry] = {}
+        for entry in self.by_id.values():
+            key = entry.sig.name.casefold()
+            if key in self.by_name:
+                raise ComError(f"dispatch name clash on {entry.sig.name!r}")
+            self.by_name[key] = entry
+
+    def _raw_get_type_info_count(self, words: list[int]) -> int:
         # no type libraries: always report zero
-        _this, out_addr = words
-        mem.store(out_addr, [0])
+        _this, out_addr = check_words("GetTypeInfoCount", words, 2)
+        self.mem.store(out_addr, [0])
         return S_OK
 
-    def get_type_info(words: list[int]) -> int:
+    def _raw_get_type_info(self, words: list[int]) -> int:
+        check_words("GetTypeInfo", words, 4)
         return E_NOTIMPL
 
-    def get_ids_of_names_raw(words: list[int]) -> int:
-        _this, _riid, names_addr, cnames, _lcid, out_addr = words
+    def _raw_get_ids_of_names(self, words: list[int]) -> int:
+        _this, _riid, names_addr, cnames, _lcid, out_addr = check_words(
+            "GetIDsOfNames", words, 6)
+        mem = self.mem
         hr = S_OK
         for i in range(cnames):
             name_addr = mem.read(mem.offset(names_addr, i), 1)[0]
-            entry = table.by_name(marshal.read_string8(mem, name_addr))
+            entry = self.by_name.get(marshal.read_string8(mem, name_addr).casefold())
             if entry is None:
                 mem.store(mem.offset(out_addr, i), [0xFFFFFFFF])
                 hr = DISP_E_UNKNOWNNAME
@@ -256,10 +250,11 @@ def _dispatch_quadruple(table: DispTable, mem: Mem,
                 mem.store(mem.offset(out_addr, i), [entry.dispid])
         return hr
 
-    def invoke_raw(words: list[int]) -> int:
-        (this, dispid, _riid, _lcid, _wflags, dp_addr, result_addr,
-         _excep_addr, argerr_addr) = words
-        entry = table.by_id(dispid)
+    def _raw_invoke(self, words: list[int]) -> int:
+        (_this, dispid, _riid, _lcid, _wflags, dp_addr, result_addr,
+         _excep_addr, argerr_addr) = check_words("Invoke", words, 9)
+        mem = self.mem
+        entry = self.by_id.get(dispid)
         if entry is None:
             return DISP_E_MEMBERNOTFOUND
         argc, args_addr = mem.read(dp_addr, 2) if dp_addr else (0, 0)
@@ -268,7 +263,7 @@ def _dispatch_quadruple(table: DispTable, mem: Mem,
             tag, payload = mem.read(mem.offset(args_addr, 2 * i), 2)
             variants.append(_variant_from_words(tag, payload, mem))
         try:
-            result = _invoke_entry(entry, variants, this, mem, desc)
+            result = self.call(entry, variants)
         except AutomationError as exc:
             if exc.arg_index is not None and argerr_addr:
                 mem.store(argerr_addr, [exc.arg_index])
@@ -277,7 +272,30 @@ def _dispatch_quadruple(table: DispTable, mem: Mem,
             mem.store(result_addr, _variant_to_words(result, mem))
         return S_OK
 
-    return [get_type_info_count, get_type_info, get_ids_of_names_raw, invoke_raw]
+    def call(self, entry: DispEntry, args: list[Variant]) -> Variant:
+        """Coerce `args` and call the method through its vtable slot."""
+        sig = entry.sig
+        ins = sig.ins
+        if len(args) != len(ins):
+            raise AutomationError(
+                f"{sig.name} takes {len(ins)} arguments, got {len(args)}",
+                DISP_E_BADPARAMCOUNT)
+        values = []
+        for i, (v, p) in enumerate(zip(args, ins)):
+            try:
+                values.append(coerce(v, p.sem, self.desc))
+            except AutomationError as exc:
+                raise AutomationError(f"argument {i}: {exc}", exc.hresult,
+                                      arg_index=i) from None
+        results = marshal.call(sig, get_method(self.ref, entry.slot), values,
+                               self.mem, self.desc)
+        if not results:
+            return Variant.empty()
+        if len(results) == 1:
+            return variant_of(results[0], sig.results[0].sem, self.desc)
+        raise AutomationError(
+            f"{sig.name} has {len(results)} results; Invoke carries at most one",
+            DISP_E_TYPEMISMATCH)
 
 
 def _variant_from_words(tag: int, payload: int, mem: Mem) -> Variant:
@@ -316,58 +334,35 @@ def _variant_to_words(v: Variant, mem: Mem) -> list[int]:
 # -- client-side operations ---------------------------------------------------
 
 
-def get_ids_of_names(d: DispatchRef, name: str) -> int:
-    d.owner._check_alive()
-    entry = d.disp.by_name(name)
+def _dispatch_of(ref: InterfaceRef) -> _Dispatch:
+    """The IDispatch behind `ref`, found through vtable slot 6."""
+    try:
+        disp = getattr(get_method(ref, 6), "__self__", None)
+    except OutOfBounds:         # a vtable of fewer than 7 slots
+        disp = None
+    if not isinstance(disp, _Dispatch):
+        raise ComError(f"{ref.iid} is not a dual interface")
+    return disp
+
+
+def get_ids_of_names(ref: InterfaceRef, name: str) -> int:
+    entry = _dispatch_of(ref).by_name.get(name.casefold())
     if entry is None:
         raise AutomationError(f"unknown name {name!r}", DISP_E_UNKNOWNNAME)
     return entry.dispid
 
 
-def invoke(d: DispatchRef, dispid: int,
+def invoke(ref: InterfaceRef, dispid: int,
            params: "DispParams | Sequence[Variant]") -> Variant:
-    d.owner._check_alive()
-    args = tuple(params.args if isinstance(params, DispParams) else params)
-    entry = d.disp.by_id(dispid)
+    disp = _dispatch_of(ref)
+    entry = disp.by_id.get(dispid)
     if entry is None:
         raise AutomationError(f"no member with DISPID {dispid}",
                               DISP_E_MEMBERNOTFOUND)
-    return _invoke_entry(entry, list(args), d.addr, d.owner.mem, d.desc)
+    return disp.call(entry, list(params.args if isinstance(params, DispParams)
+                                 else params))
 
 
-def _invoke_entry(entry: DispEntry, args: list[Variant], this: int,
-                  mem: Mem, desc: Optional[BindingDesc]) -> Variant:
-    sig = entry.sig
-    ins = sig.ins
-    if len(args) != len(ins):
-        raise AutomationError(
-            f"{sig.name} takes {len(ins)} arguments, got {len(args)}",
-            DISP_E_BADPARAMCOUNT)
-    values = []
-    for i, (v, p) in enumerate(zip(args, ins)):
-        try:
-            values.append(coerce(v, p.sem, desc))
-        except AutomationError as exc:
-            raise AutomationError(f"argument {i}: {exc}", exc.hresult,
-                                  arg_index=i) from None
-    fn = _slot_fn(this, entry.slot, mem)
-    results = marshal.call(sig, fn, values, mem, desc)
-    if not results:
-        return Variant.empty()
-    if len(results) == 1:
-        result_t = sig.results[0].sem
-        return variant_of(results[0], result_t, desc)
-    raise AutomationError(
-        f"{sig.name} has {len(results)} results; Invoke carries at most one",
-        DISP_E_TYPEMISMATCH)
-
-
-def _slot_fn(iface_addr: int, slot: int, mem: Mem) -> WordFn:
-    vtable = mem.read(iface_addr, 1)[0]
-    fn_addr = mem.read(mem.offset(vtable, slot), 1)[0]
-    return mem.addr_to_fun(fn_addr)
-
-
-def get_type_info_count(d: DispatchRef) -> int:
+def get_type_info_count(ref: InterfaceRef) -> int:
     """Dispatch-level type info count; always 0 (no type libraries)."""
     return 0

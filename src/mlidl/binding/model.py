@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from mlidl.semtypes import SemType
 
@@ -37,6 +37,12 @@ class LiftedSig:
     ret: Optional[RetSig] = None
     kind: str = "method"          # method | query_interface
     callback: bool = False
+
+    @cached_property
+    def plans(self) -> dict:
+        """Marshalling plans built for this signature with no binding
+        description; they die with it."""
+        return {}
 
     @cached_property
     def ins(self) -> tuple[ParamSig, ...]:
@@ -150,26 +156,36 @@ class BindingDesc:
         identity; they die with it."""
         return {}
 
+    @cached_property
+    def _by_name(self) -> dict[str, dict[str, Any]]:
+        """kind -> name -> the first declaration of that name."""
+        index: dict[str, dict[str, Any]] = {}
+        for kind, decls in (("record", self.records), ("enum", self.enums),
+                            ("callback", self.callbacks),
+                            ("interface", self.interfaces)):
+            table = index[kind] = {}
+            for decl in decls:
+                table.setdefault(decl.name, decl)
+        return index
+
+    def lookup(self, kind: str, name: str) -> Any:
+        """The first `kind` declaration named `name`, or None."""
+        return self._by_name[kind].get(name)
+
+    def _named(self, kind: str, name: str) -> Any:
+        found = self.lookup(kind, name)
+        if found is None:
+            raise KeyError(f"no {kind} {name!r} in binding {self.module!r}")
+        return found
+
     def record(self, name: str) -> RecordLayout:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(f"no record {name!r} in binding {self.module!r}")
+        return self._named("record", name)
 
     def enum(self, name: str) -> EnumMap:
-        for e in self.enums:
-            if e.name == name:
-                return e
-        raise KeyError(f"no enum {name!r} in binding {self.module!r}")
+        return self._named("enum", name)
 
     def callback_named(self, name: str) -> CallbackDef:
-        for c in self.callbacks:
-            if c.name == name:
-                return c
-        raise KeyError(f"no callback {name!r} in binding {self.module!r}")
+        return self._named("callback", name)
 
     def interface(self, name: str) -> InterfaceDesc:
-        for i in self.interfaces:
-            if i.name == name:
-                return i
-        raise KeyError(f"no interface {name!r} in binding {self.module!r}")
+        return self._named("interface", name)

@@ -8,6 +8,10 @@ the object owns is freed.  QueryInterface for IUnknown returns the same
 interface from any starting interface, which makes its address usable as
 the object's identity.
 
+IUnknown is implemented once, by `ComObject.query_interface/add_ref/release`.
+Vtable slots 0..2 only check and decode their words and call them; the
+client helpers of the same names call them directly, packing nothing.
+
 The QueryInterface ABI is (this, iid-block-addr, out-slot-addr) -> HRESULT,
 with the IID packed as a 4-word block, so the whole model stays callable
 through raw memory alone.
@@ -138,6 +142,13 @@ class InterfaceRef:
     owner: "ComObject" = field(compare=False, repr=False)
 
 
+def check_words(method: str, words: list[int], n: int) -> list[int]:
+    """`words` unchanged if a raw vtable slot got its `n` argument words."""
+    if len(words) != n:
+        raise ComError(f"{method} takes {n} words, got {len(words)}")
+    return words
+
+
 class ComObject:
     """Refcounted object with one vtable block per supported interface."""
 
@@ -148,9 +159,9 @@ class ComObject:
         self.alive = True
         self._interfaces: dict[Guid, InterfaceRef] = {}
         self._blocks: list[int] = []
-        self._qi_fn: WordFn = self._raw_query_interface
-        self._addref_fn: WordFn = self._raw_add_ref
-        self._release_fn: WordFn = self._raw_release
+        # one bound method per slot, so every vtable registers the same three
+        self._unknown_slots: list[WordFn] = [
+            self._raw_query_interface, self._raw_add_ref, self._raw_release]
         self.identity = self.add_interface(IID_IUNKNOWN, [])
 
     # -- construction ----------------------------------------------------------
@@ -160,7 +171,7 @@ class ComObject:
         self._check_alive()
         if iid.guid in self._interfaces:
             raise ComError(f"interface {iid} already present")
-        slots = [self._qi_fn, self._addref_fn, self._release_fn] + list(methods)
+        slots = self._unknown_slots + list(methods)
         vtable = self.mem.alloc(len(slots))
         self.mem.store(vtable, [self.mem.fun_to_addr(fn) for fn in slots])
         iface = self.mem.alloc(1)
@@ -184,11 +195,7 @@ class ComObject:
         if not self.alive:
             raise DeadObject("object has been destroyed")
 
-    # -- IUnknown semantics -------------------------------------------------------
-
     def find_interface(self, iid: Iid) -> Optional[InterfaceRef]:
-        if iid.guid == IID_IUNKNOWN.guid:
-            return self.identity
         return self._interfaces.get(iid.guid)
 
     def _destroy(self) -> None:
@@ -198,33 +205,43 @@ class ComObject:
         self._interfaces.clear()
         self.alive = False
 
-    # -- raw vtable closures (shared by every interface of the object) ---------
+    # -- IUnknown, implemented once --------------------------------------------
 
-    def _raw_query_interface(self, words: list[int]) -> int:
-        if len(words) != 3:
-            raise ComError(f"QueryInterface takes 3 words, got {len(words)}")
-        _this, iid_addr, out_addr = words
-        guid = Guid.from_words(self.mem.read(iid_addr, 4))
+    def query_interface(self, guid: Guid) -> Optional[InterfaceRef]:
+        """The interface for `guid`, with a reference added; None if absent."""
         self._check_alive()
-        ref = self.find_interface(Iid(guid, "?"))
-        if ref is None:
-            self.mem.store(out_addr, [0])
-            return E_NOINTERFACE
-        self.refcount += 1
-        self.mem.store(out_addr, [ref.addr])
-        return S_OK
+        ref = self._interfaces.get(guid)
+        if ref is not None:
+            self.refcount += 1
+        return ref
 
-    def _raw_add_ref(self, words: list[int]) -> int:
+    def add_ref(self) -> int:
         self._check_alive()
         self.refcount += 1
         return self.refcount
 
-    def _raw_release(self, words: list[int]) -> int:
+    def release(self) -> int:
         self._check_alive()
         self.refcount -= 1
         if self.refcount == 0:
             self._destroy()
         return self.refcount
+
+    # -- vtable slots 0..2 (shared by every interface of the object) --------
+
+    def _raw_query_interface(self, words: list[int]) -> int:
+        _this, iid_addr, out_addr = check_words("QueryInterface", words, 3)
+        ref = self.query_interface(Guid.from_words(self.mem.read(iid_addr, 4)))
+        self.mem.store(out_addr, [0 if ref is None else ref.addr])
+        return E_NOINTERFACE if ref is None else S_OK
+
+    def _raw_add_ref(self, words: list[int]) -> int:
+        check_words("AddRef", words, 1)
+        return self.add_ref()
+
+    def _raw_release(self, words: list[int]) -> int:
+        check_words("Release", words, 1)
+        return self.release()
 
 
 # -- client-side operations ------------------------------------------------------
@@ -240,31 +257,18 @@ def get_method(ref: InterfaceRef, index: int) -> WordFn:
 
 
 def query_interface(ref: InterfaceRef, iid: Iid) -> InterfaceRef:
-    obj = ref.owner
-    obj._check_alive()
-    found = obj.find_interface(iid)
+    found = ref.owner.query_interface(iid.guid)
     if found is None:
         raise NoInterface(f"{iid} not supported")
-    obj.refcount += 1
-    if iid.guid == IID_IUNKNOWN.guid:
-        return obj.identity
     return found
 
 
 def add_ref(ref: InterfaceRef) -> int:
-    obj = ref.owner
-    obj._check_alive()
-    obj.refcount += 1
-    return obj.refcount
+    return ref.owner.add_ref()
 
 
 def release(ref: InterfaceRef) -> int:
-    obj = ref.owner
-    obj._check_alive()
-    obj.refcount -= 1
-    if obj.refcount == 0:
-        obj._destroy()
-    return obj.refcount
+    return ref.owner.release()
 
 
 # -- activation ---------------------------------------------------------------

@@ -215,8 +215,7 @@ def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
         return _array_codec(codec_of(t.elem, desc))
     if t.kind == "unit":
         raise MarshalError("void is not a value type")
-    decls = (desc.records if t.kind == "record" else desc.enums) if desc else ()
-    found = next((d for d in decls if d.name == t.name), None)
+    found = desc.lookup(t.kind, t.name) if desc else None
     if isinstance(found, RecordLayout):
         return _record_codec(found, desc)
     if isinstance(found, EnumMap):
@@ -342,8 +341,9 @@ class Plan:
 
 
 def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
-    """The plan of `sig`, built once per binding description."""
-    plans = desc.plans if desc is not None else {}
+    """The plan of `sig`, built once per binding description (or once per
+    signature when there is none)."""
+    plans = desc.plans if desc is not None else sig.plans
     plan = plans.get(id(sig))
     if plan is None:
         # the plan holds `sig`, so its id stays unique while cached

@@ -278,10 +278,7 @@ class Mem:
         return lib
 
     def get_function(self, lib: Library, name: str) -> int:
-        sym = lib.symbols.get(name)
-        if sym is None:
-            raise UnknownSymbol(f"no symbol {name!r} in library {lib.name!r}")
-        return sym.addr
+        return self.get_symbol(lib, name).addr
 
     def get_symbol(self, lib: Library, name: str) -> Symbol:
         sym = lib.symbols.get(name)

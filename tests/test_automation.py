@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -25,7 +27,21 @@ from mlidl.automation import (
     variant_of,
 )
 from mlidl.binding.model import LiftedSig, ParamSig, RetSig
-from mlidl.com import ComObject, Guid, IID_IDISPATCH, Iid, get_method, query_interface
+from mlidl.com import (
+    Clsid,
+    ComError,
+    ComObject,
+    Guid,
+    IID_IDISPATCH,
+    Iid,
+    Registry,
+    co_create_instance,
+    co_register_class_object,
+    get_method,
+    query_interface,
+    release,
+    simple_factory,
+)
 from mlidl.wordmem import to_signed
 
 IID_ICALC = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0020}"), "ICalc")
@@ -280,3 +296,102 @@ def test_raw_get_ids_of_names(mem):
     assert mem.read(ids, 1) == [0xFFFFFFFF]
     for a in (name, names, ids, bad):
         mem.free(a)
+
+
+# -- one interface reference ------------------------------------------------------
+
+
+IID_IPLAIN = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0021}"), "IPlain")
+CLSID_CALC = Clsid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0022}"), "Calc")
+
+
+def check_calc(ref):
+    assert get_ids_of_names(ref, "negate") == 2
+    assert invoke(ref, 1, (Variant.i4(20), Variant.i4(22))) == Variant.i4(42)
+
+
+def test_dual_reached_by_query_interface_is_the_make_dual_ref(mem):
+    obj, dual, _ = make_calc(mem)
+    for ref in (query_interface(obj.identity, IID_ICALC),
+                query_interface(dual, IID_IDISPATCH)):
+        assert ref == dual
+        check_calc(ref)
+        release(ref)
+    assert obj.refcount == 1
+
+
+def test_dual_from_co_create_instance_is_the_make_dual_ref(mem):
+    made = []
+
+    def build():
+        obj, dual, _ = make_calc(mem)
+        made.append(dual)
+        return obj
+
+    reg = Registry()
+    co_register_class_object(reg, CLSID_CALC, simple_factory(CLSID_CALC, build))
+    ref = co_create_instance(reg, CLSID_CALC, IID_ICALC)
+    assert ref == made[0]
+    check_calc(ref)
+    disp = query_interface(ref, IID_IDISPATCH)
+    assert disp == ref
+    check_calc(disp)
+    release(disp)
+    assert release(ref) == 0
+
+
+def test_invoke_on_non_dual_ref_raises_com_error(mem):
+    obj, _, _ = make_calc(mem)
+    wide = obj.add_interface(IID_IPLAIN, [lambda ws: 0] * 5)   # 8 slots, none IDispatch
+    for ref in (obj.identity, wide):
+        with pytest.raises(ComError, match="not a dual interface"):
+            invoke(ref, 1, (Variant.i4(1), Variant.i4(2)))
+        with pytest.raises(ComError, match="not a dual interface"):
+            get_ids_of_names(ref, "Add")
+
+
+# -- raw slot word counts ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("slot,method,n", [
+    (0, "QueryInterface", 3), (1, "AddRef", 1), (2, "Release", 1),
+    (3, "GetTypeInfoCount", 2), (4, "GetTypeInfo", 4), (5, "GetIDsOfNames", 6),
+    (6, "Invoke", 9),
+])
+def test_raw_slot_checks_word_count(mem, slot, method, n):
+    obj, dual, trace = make_calc(mem)
+    live = mem.live_count
+    fn = get_method(dual, slot)
+    for count in (n - 1, n + 1):
+        with pytest.raises(ComError) as exc:
+            fn([dual.addr] + [0] * (count - 1) if count else [])
+        assert str(exc.value) == f"{method} takes {n} words, got {count}"
+    assert obj.refcount == 1 and obj.alive
+    assert mem.live_count == live and trace == []
+
+
+# -- plans without a binding description ------------------------------------------
+
+
+def test_plans_without_desc_built_once_per_signature(mem, monkeypatch):
+    built = []
+    build = marshal._build_plan
+    monkeypatch.setattr(marshal, "_build_plan",
+                        lambda sig, desc: (built.append(sig.name), build(sig, desc))[1])
+    _, dual, _ = make_calc(mem)
+    assert sorted(built) == ["Add", "IsUpper", "Negate", "Ping"]   # one per skeleton
+    for i in range(100):
+        assert invoke(dual, 2, (Variant.i4(i),)) == Variant.i4(-i)
+    sig = calc_sigs()[0]
+    for i in range(100):
+        assert marshal.call(sig, lambda ws: ws[0] + ws[1], [i, 1], mem) == [i + 1]
+    assert sorted(built) == ["Add", "Add", "IsUpper", "Negate", "Ping"]
+
+
+def test_plan_without_desc_freed_with_its_signature(mem):
+    sig = calc_sigs()[1]
+    marshal.call(sig, lambda ws: ws[0], [5], mem)
+    plan = weakref.ref(marshal.plan_of(sig))
+    del sig
+    gc.collect()
+    assert plan() is None

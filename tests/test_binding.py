@@ -2,7 +2,18 @@ from __future__ import annotations
 
 import pytest
 
+from mlidl import marshal
+from mlidl import semtypes as st
 from mlidl.binding import BindingError, MissingIid, build_binding
+from mlidl.binding.model import (
+    BindingDesc,
+    CallbackDef,
+    EnumMap,
+    FieldLayout,
+    InterfaceDesc,
+    LiftedSig,
+    RecordLayout,
+)
 from mlidl.idl import parse_text
 
 
@@ -200,3 +211,27 @@ def test_handle_semantics(win32_desc):
     assert sw.params[0].sem.kind == "handle"
     assert sw.params[0].display == "HWND"
     assert sw.params[1].sem.kind == "int32"
+
+
+def test_name_lookup_first_declaration_wins_and_errors_unchanged():
+    one = st.INT32
+    first = RecordLayout("R", (FieldLayout("a", "int", one, 0),), 1)
+    second = RecordLayout("R", (FieldLayout("a", "int", one, 0),
+                                FieldLayout("b", "int", one, 1)), 2)
+    e1, e2 = EnumMap("E", (("A", 1),)), EnumMap("E", (("B", 2),))
+    sig = LiftedSig("f", ())
+    c1, c2 = CallbackDef("CB", sig), CallbackDef("CB", LiftedSig("g", ()))
+    i1, i2 = InterfaceDesc("I", (sig,)), InterfaceDesc("I", ())
+    desc = BindingDesc("M", "dynamic", "auto", interfaces=(i1, i2), enums=(e1, e2),
+                       records=(first, second), callbacks=(c1, c2))
+    assert desc.record("R") is first and desc.enum("E") is e1
+    assert desc.callback_named("CB") is c1 and desc.interface("I") is i1
+    assert marshal.codec_of(st.record_t("R"), desc).width == 1
+    assert marshal.codec_of(st.enum_t("E"), desc).width == 1
+    for lookup, kind in ((desc.record, "record"), (desc.enum, "enum"),
+                         (desc.callback_named, "callback"),
+                         (desc.interface, "interface")):
+        with pytest.raises(KeyError, match=f"no {kind} 'Nope' in binding 'M'"):
+            lookup("Nope")
+    with pytest.raises(marshal.MarshalError, match="unknown record type 'Nope'"):
+        marshal.codec_of(st.record_t("Nope"), desc)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlidl.com import (
     ClassNotRegistered,
@@ -26,6 +28,7 @@ from mlidl.com import (
     release,
     simple_factory,
 )
+from mlidl.wordmem import Mem
 
 CLSID_BAR = Clsid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0001}"), "Bar")
 IID_IX = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002}"), "IX")
@@ -313,3 +316,76 @@ def test_raw_vtable_call_matches_query_interface(mem):
                 query_interface(ix, iid)
         mem.free(blk)
         mem.free(out)
+
+
+# -- one IUnknown: client helpers and raw slots agree ----------------------------
+
+
+_IUNKNOWN_OPS = ("qi", "raw_qi", "add_ref", "raw_add_ref", "release", "raw_release")
+_QI_TARGETS = (IID_IX, IID_IY, IID_IUNKNOWN, IID_NONE)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(_IUNKNOWN_OPS), st.integers(0, 99)),
+                max_size=40))
+def test_client_and_raw_iunknown_interleaved(ops):
+    mem = Mem()
+    baseline = mem.live_count
+    obj, _ = build_bar(mem)
+    identity = obj.identity.addr
+    slots = [get_method(obj.identity, i) for i in range(3)]   # kept past death
+    held = [obj.identity]             # one entry per reference the model owns
+
+    def raw_qi(fn, ref, iid):
+        blk, out = mem.alloc(4), mem.alloc(1)
+        mem.store(blk, iid.guid.to_words())
+        try:
+            return fn([ref.addr, blk, out]), mem.read(out, 1)[0]
+        finally:
+            mem.free(blk)
+            mem.free(out)
+
+    for op, pick in ops:
+        iid = _QI_TARGETS[pick % len(_QI_TARGETS)]
+        if not held:
+            ref = obj.identity
+            with pytest.raises(DeadObject):
+                get_method(ref, 0)
+            with pytest.raises(DeadObject):
+                {"qi": lambda: query_interface(ref, iid),
+                 "raw_qi": lambda: raw_qi(slots[0], ref, iid),
+                 "add_ref": lambda: add_ref(ref),
+                 "raw_add_ref": lambda: slots[1]([ref.addr]),
+                 "release": lambda: release(ref),
+                 "raw_release": lambda: slots[2]([ref.addr])}[op]()
+            assert mem.live_count == baseline
+            continue
+        ref = held[pick % len(held)]
+        live = mem.live_count
+        if op == "qi":
+            try:
+                got = query_interface(ref, iid)
+            except NoInterface:
+                got = None
+            assert got == obj.find_interface(iid)
+        elif op == "raw_qi":
+            hr, out = raw_qi(get_method(ref, 0), ref, iid)
+            got = obj.find_interface(iid)
+            assert (hr, out) == ((0, got.addr) if got else (E_NOINTERFACE, 0))
+        elif op in ("add_ref", "raw_add_ref"):
+            got = ref
+            count = add_ref(ref) if op == "add_ref" else get_method(ref, 1)([ref.addr])
+            assert count == len(held) + 1
+        else:
+            fn = get_method(ref, 2) if op == "raw_release" else None
+            held.remove(ref)
+            got = None
+            count = fn([ref.addr]) if fn else release(ref)
+            assert count == len(held)
+        if got is not None:
+            held.append(got)
+        if iid == IID_IUNKNOWN and op.endswith("qi"):
+            assert got.addr == identity
+        assert obj.refcount == len(held)
+        assert obj.alive == bool(held)
+        assert mem.live_count == (live if held else baseline)

@@ -182,6 +182,17 @@ def test_unknown_symbol(mem):
         mem.get_function(lib, "Nope")
 
 
+def test_get_function_and_get_symbol_agree(mem):
+    lib = mem.register_library("user32.dll")
+    sym = mem.register_function(lib, "ShowWindow", lambda ws: 1)
+    assert mem.get_function(lib, "ShowWindow") == mem.get_symbol(lib, "ShowWindow").addr \
+        == sym.addr
+    for lookup in (mem.get_function, mem.get_symbol):
+        with pytest.raises(UnknownSymbol) as exc:
+            lookup(lib, "Nope")
+        assert str(exc.value) == "no symbol 'Nope' in library 'user32.dll'"
+
+
 def test_symbol_metadata(mem):
     lib = mem.register_library("user32.dll")
     sym = mem.register_function(lib, "ShowWindow", lambda ws: 1,
