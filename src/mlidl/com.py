@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from mlidl.wordmem import Mem, WordFn
+from mlidl.wordmem import Mem, MemFault, WordFn
 
 S_OK = 0x00000000
 E_NOTIMPL = 0x80004001
@@ -174,7 +174,11 @@ class ComObject:
         slots = self._unknown_slots + list(methods)
         vtable = self.mem.alloc(len(slots))
         self.mem.store(vtable, [self.mem.fun_to_addr(fn) for fn in slots])
-        iface = self.mem.alloc(1)
+        try:
+            iface = self.mem.alloc(1)
+        except MemFault:
+            self.mem.free(vtable)     # nothing is recorded yet: leave no block
+            raise
         self.mem.store(iface, [vtable])
         self._blocks += [vtable, iface]
         ref = InterfaceRef(addr=iface, iid=iid, owner=self)
@@ -340,7 +344,9 @@ def simple_factory(clsid: Clsid, build: Callable[[], ComObject],
     The builder returns a fresh object holding its creation reference; the
     requested interface is taken via QueryInterface and the creation
     reference dropped, so a failed request destroys the partial object and
-    leaks nothing.
+    leaks nothing.  If `build` itself raises, the factory never receives
+    the partial object: releasing what the builder made before it failed is
+    the builder's job.
     """
 
     def create(iid: Iid) -> InterfaceRef:

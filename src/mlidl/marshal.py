@@ -19,6 +19,16 @@ which is also the ABI argument order:
 
 Scalars, handles, bools and enums are one word; records are their fields in
 declaration order with no padding; strings and callbacks are an address.
+
+A plan is flat when every parameter is a one-word value passed inline
+(int32, word32, handle, opaque, bool or enum) and so is the return value,
+if any: the shape of the GDI calls the bounce demo makes on each tick.
+Those codecs have a `to_word` and a `from_word`, and the plan keeps them in
+order, so a flat `call` converts its arguments in one list comprehension,
+makes one `Mem.call` and converts the returned word, and a flat stub does
+the same in reverse; neither allocates.  Every other plan takes the general
+path below.  Both paths raise the same errors in the same order.
+
 The caller frees every block it packed when the call returns, and frees the
 strings the callee hands back (out parameters, string fields of out records,
 string return values) once it has decoded them.  Out and in-out arrays and
@@ -32,7 +42,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
-from mlidl.wordmem import Mem, Symbol, WordFn, to_signed, word
+from mlidl.wordmem import WORD_MASK, Mem, Symbol, WordFn, to_signed, word
 
 Value = Any
 
@@ -76,19 +86,28 @@ def pack_string8(mem: Mem, s: str) -> int:
     return addr
 
 
+def _decode(raw: bytes, encoding: str, kind: str, addr: int) -> str:
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{kind} at {addr:#x} is not valid {encoding.upper()}: "
+                          f"{exc.reason} at byte {exc.start}") from None
+
+
 def read_string8(mem: Mem, addr: int) -> str:
     if addr == 0:
         return ""
     data = bytearray()
+    at = addr
     while True:
-        w = mem.read(addr, 1)[0]
+        w = mem.read(at, 1)[0]
         chunk = w.to_bytes(4, "little")
         if 0 in chunk:
             data.extend(chunk[:chunk.index(0)])
             break
         data.extend(chunk)
-        addr = mem.offset(addr, 1)
-    return data.decode("utf-8")
+        at = mem.offset(at, 1)
+    return _decode(data, "utf-8", "string8", addr)
 
 
 def pack_string16(mem: Mem, s: str) -> int:
@@ -108,14 +127,15 @@ def read_string16(mem: Mem, addr: int) -> str:
     if addr == 0:
         return ""
     units: list[int] = []
+    at = addr
     while True:
-        w = mem.read(addr, 1)[0]
+        w = mem.read(at, 1)[0]
         for u in (w & 0xFFFF, w >> 16):
             if u == 0:
                 raw = b"".join(x.to_bytes(2, "little") for x in units)
-                return raw.decode("utf-16-le")
+                return _decode(raw, "utf-16-le", "string16", addr)
             units.append(u)
-        addr = mem.offset(addr, 1)
+        at = mem.offset(at, 1)
 
 
 # -- codecs ---------------------------------------------------------------------
@@ -126,29 +146,50 @@ class Codec:
     """`pack(mem, value, words, temps)` appends `width` words to `words` and
     every block it allocates to `temps`.  `unpack(mem, words, at, owned)` is
     its inverse: it decodes the `width` words starting at `words[at]`; if
-    `owned` is a list, it also gets the callee-allocated strings decoded."""
+    `owned` is a list, it also gets the callee-allocated strings decoded.
+
+    A one-word value kind (integers, handles, bools, enums) also has
+    `to_word(value)` and `from_word(word)`, which check and convert one value
+    with no memory; its pack and unpack are derived from them."""
 
     width: int
     pack: Callable[[Mem, Value, list[int], list[int]], None]
     unpack: Callable[[Mem, Sequence[int], int, Optional[list[int]]], Value]
     elem: Optional["Codec"] = None      # arrays: the element codec
+    to_word: Optional[Callable[[Value], int]] = None
+    from_word: Optional[Callable[[int], Value]] = None
 
 
-def _int_codec(kind: str, unpack: Callable[[int], int]) -> Codec:
+def _word_codec(to_word: Callable[[Value], int],
+                from_word: Callable[[int], Value]) -> Codec:
     def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
-        if isinstance(v, bool) or not isinstance(v, int):
+        words.append(to_word(v))
+
+    return Codec(1, pack, lambda mem, ws, at, owned: from_word(ws[at]),
+                 to_word=to_word, from_word=from_word)
+
+
+def _int_codec(kind: str, from_word: Callable[[int], int]) -> Codec:
+    def to_word(v: Value) -> int:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise TypeMismatch(f"expected an integer for {kind}, got {v!r}")
         if not (-0x80000000 <= v <= 0xFFFFFFFF):
             raise TypeMismatch(f"integer {v} does not fit in 32 bits")
-        words.append(word(v))
+        return v & WORD_MASK
 
-    return Codec(1, pack, lambda mem, ws, at, owned: unpack(ws[at]))
+    return _word_codec(to_word, from_word)
 
 
-def _pack_bool(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
-    if not isinstance(v, bool):
-        raise TypeMismatch(f"expected a bool, got {v!r}")
-    words.append(1 if v else 0)
+def _bool_to_word(v: Value) -> int:
+    if v is True:
+        return 1
+    if v is False:
+        return 0
+    raise TypeMismatch(f"expected a bool, got {v!r}")
+
+
+def _bool_from_word(w: int) -> bool:
+    return (w & WORD_MASK) != 0
 
 
 def _string_codec(pack_str: Callable[[Mem, str], int],
@@ -197,7 +238,7 @@ _CODECS: dict[str, Codec] = {
     "word32": _int_codec("word32", word),
     "handle": _int_codec("handle", word),
     "opaque": _int_codec("opaque", word),
-    "bool": Codec(1, _pack_bool, lambda mem, ws, at, owned: word(ws[at]) != 0),
+    "bool": _word_codec(_bool_to_word, _bool_from_word),
     "string8": _string_codec(pack_string8, read_string8),
     "string16": _string_codec(pack_string16, read_string16),
     "callback": Codec(1, _pack_callback, _unpack_callback),
@@ -228,22 +269,21 @@ def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
 
 
 def _enum_codec(enum: EnumMap) -> Codec:
-    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
+    def to_word(v: Value) -> int:
         if not isinstance(v, str):
             raise TypeMismatch(f"expected a {enum.name} variant name, got {v!r}")
         try:
-            words.append(enum.to_int(v))
+            return enum.to_int(v)
         except KeyError as exc:
             raise TypeMismatch(str(exc)) from None
 
-    def unpack(mem: Mem, ws: Sequence[int], at: int,
-               owned: Optional[list[int]]) -> str:
-        name = enum.from_int(word(ws[at]))
+    def from_word(w: int) -> str:
+        name = enum.from_int(w)
         if name is None:
-            raise DecodeError(f"{enum.name} has no variant with value {word(ws[at]):#x}")
+            raise DecodeError(f"{enum.name} has no variant with value {word(w):#x}")
         return name
 
-    return Codec(1, pack, unpack)
+    return _word_codec(to_word, from_word)
 
 
 def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
@@ -338,6 +378,10 @@ class Plan:
     n_ins: int
     n_results: int
     ret: Optional[Codec]
+    # flat plans only (every parameter a one-word value inline, and so is
+    # the return if any): each parameter's to_word, then its from_word
+    to_words: Optional[tuple[Callable[[Value], int], ...]] = None
+    from_words: Optional[tuple[Callable[[int], Value], ...]] = None
 
 
 def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
@@ -379,7 +423,11 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
             raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
                               f"values are not supported")
         ret = codec_of(sig.ret.sem, desc)
-    return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
+    flat = all(s.mode == WORD and s.codec.to_word is not None for s in steps) \
+        and (ret is None or ret.to_word is not None)
+    return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
+                tuple(s.codec.to_word for s in steps) if flat else None,
+                tuple(s.codec.from_word for s in steps) if flat else None)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -414,10 +462,16 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
     target = _target(f, mem, sig, plan.arity)
 
+    if plan.to_words is not None:
+        words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
+        ret_word = mem.call(target, words) if isinstance(target, int) \
+            else word(target(words))
+        return [] if plan.ret is None else [plan.ret.from_word(ret_word)]
+
     temps: list[int] = []
     outs: list[tuple[Codec, int]] = []
     try:
-        words: list[int] = []
+        words = []
         args = iter(ins)
         for name, mode, codec, _, count in plan.steps:
             if mode == OUT:
@@ -458,6 +512,21 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
 # -- server-side skeleton -----------------------------------------------------
 
 
+def _results(plan: Plan, result: Any) -> tuple[Value, ...]:
+    """An implementation's result as the tuple of its signature's results."""
+    if result is None:
+        values: tuple[Value, ...] = ()
+    elif isinstance(result, tuple):
+        values = result
+    else:
+        values = (result,)
+    if len(values) != plan.n_results:
+        raise ArityMismatch(
+            f"{plan.sig.name}: implementation returned {len(values)} values, "
+            f"signature has {plan.n_results} results")
+    return values
+
+
 def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
              desc: Optional[BindingDesc] = None) -> WordFn:
     """Wrap a host function as a raw word-list closure.
@@ -473,6 +542,11 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
         if len(words) != plan.arity:
             raise ArityMismatch(
                 f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
+        from_words = plan.from_words
+        if from_words is not None:
+            values = _results(plan, impl(*[from_word(w) for from_word, w
+                                           in zip(from_words, words)]))
+            return 0 if plan.ret is None else plan.ret.to_word(values[0])
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
         for name, mode, codec, at, count in plan.steps:
@@ -494,19 +568,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             if mode != BLOCK:
                 outs.append((codec, addr))
 
-        result = impl(*args)
-
-        if result is None:
-            values: tuple[Value, ...] = ()
-        elif isinstance(result, tuple):
-            values = result
-        else:
-            values = (result,)
-        if len(values) != plan.n_results:
-            raise ArityMismatch(
-                f"{sig.name}: implementation returned {len(values)} values, "
-                f"signature has {plan.n_results} results")
-
+        values = _results(plan, impl(*args))
         given: list[int] = []    # blocks packed here now belong to the caller
         for (codec, addr), v in zip(outs, values):
             block: list[int] = []

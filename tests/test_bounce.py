@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
 from reference_bounce import reference_trace
-from mlidl.winsim.bounce import run_bounce
+from mlidl.winsim.bounce import BounceDemo, run_bounce
+from mlidl.wordmem import Mem
 
 LOGO_HALF_W = 158 // 2
 LOGO_HALF_H = 131 // 2
@@ -117,3 +119,13 @@ def test_unhandled_message_reaches_default_handler():
                for line in world.trace)
     world.post_message(hwnd, WM_DESTROY, 0, 0)
     assert world.pump(2) == 0
+
+
+def test_mem_operation_counts_of_a_run_are_pinned():
+    # set-up and tear-down only touch the heap: 500 ticks of scalar calls
+    # allocate, store, read and free nothing, whatever machine runs this
+    ops = Counter()
+    demo = BounceDemo(mem=Mem(trace=lambda line: ops.update([line.split(" ", 1)[0]])))
+    assert demo.run(500) == 0
+    assert ops == {"call": 3017, "alloc": 9, "store": 9, "read": 25, "free": 9}
+    assert demo.mem.live_count == 0

@@ -28,7 +28,10 @@ from mlidl.com import (
     release,
     simple_factory,
 )
-from mlidl.wordmem import Mem
+from mlidl.automation import make_dual
+from mlidl.binding.model import LiftedSig, RetSig
+from mlidl.semtypes import INT32
+from mlidl.wordmem import BadSize, Mem
 
 CLSID_BAR = Clsid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0001}"), "Bar")
 IID_IX = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002}"), "IX")
@@ -276,6 +279,39 @@ def test_failed_create_leaves_no_live_object(mem):
     with pytest.raises(NoInterface):
         co_create_instance(reg, CLSID_BAR, IID_NONE)
     assert mem.live_count == baseline
+
+
+class FailingMem(Mem):
+    """A world whose `fail_in`-th allocation from now raises BadSize."""
+
+    fail_in = 0
+
+    def alloc(self, nwords):
+        self.fail_in -= 1
+        if self.fail_in == 0:
+            raise BadSize("injected")
+        return super().alloc(nwords)
+
+
+PING = LiftedSig("Ping", (), RetSig("INT", INT32))
+BUILDS = {
+    "ComObject": lambda obj: ComObject(obj.mem),
+    "add_interface": lambda obj: obj.add_interface(IID_IZ, [lambda ws: 0]),
+    "make_dual": lambda obj: make_dual([PING], [lambda: 1], obj, IID_IZ),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+@pytest.mark.parametrize("nth", [1, 2])
+def test_failed_alloc_leaves_no_block(build, nth):
+    mem = FailingMem()
+    obj = ComObject(mem)
+    before = mem.live_count
+    mem.fail_in = nth
+    with pytest.raises(BadSize, match="injected"):
+        BUILDS[build](obj)
+    assert mem.live_count == before
+    BUILDS[build](obj)      # nothing of the failed attempt was recorded
 
 
 def test_registry_dump_load(mem):

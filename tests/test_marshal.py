@@ -125,6 +125,23 @@ def test_empty_strings(mem):
     mem.free(a16)
 
 
+@pytest.mark.parametrize("sem, reader, bad", [
+    (st.STRING8, read_string8, 0x000000FF),     # bytes ff 00: not UTF-8
+    (st.STRING16, read_string16, 0x0000D800),   # a lone surrogate
+])
+def test_bad_string_bytes_raise_decode_error(mem, sem, reader, bad):
+    addr = mem.alloc(1)
+    mem.store(addr, [bad])
+    where = rf"^{sem.kind} at {addr:#x} is not valid "
+    with pytest.raises(DecodeError, match=where):
+        reader(mem, addr)
+    take = LiftedSig("Take", (ParamSig("s", "STRING", sem),), RetSig("INT", st.INT32))
+    stub = skeleton(take, lambda s: len(s), mem)
+    with pytest.raises(DecodeError, match=where):
+        stub([addr])
+    mem.free(addr)
+
+
 def test_callback_identity(mem):
     fn = lambda ws: 7  # noqa: E731
     words = marshal_value(fn, st.callback_t("CB"), mem)

@@ -7,13 +7,25 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
-from mlidl.binding.model import FieldLayout, LiftedSig, RecordLayout
+from mlidl.binding.model import FieldLayout, LiftedSig, ParamSig, RecordLayout, RetSig
 from mlidl.idl import parse_text
-from mlidl.marshal import MarshalError, Unsupported, call, layout_of, plan_of, skeleton
-from mlidl.wordmem import Mem
+from mlidl.marshal import (
+    ArityMismatch,
+    DecodeError,
+    MarshalError,
+    TypeMismatch,
+    Unsupported,
+    call,
+    layout_of,
+    plan_of,
+    skeleton,
+)
+from mlidl.wordmem import Mem, NotCallable, Symbol
 
 SHAPES_IDL = """
 sml_name ("Shapes");
@@ -211,3 +223,136 @@ def test_plans_are_shared_through_the_description(monkeypatch):
     stubs = [skeleton(sig, lambda lb, k=k: k, mem, fresh) for k in range(3)]
     assert [call(sig, s, [label("t")], mem, fresh) for s in stubs] == [[0], [1], [2]]
     assert built == ["ByRef"]
+
+
+# -- one-word signatures ----------------------------------------------------------
+
+CLIENT_ERRORS = [
+    ("Scalar", ["x", 1], TypeMismatch, "expected an integer for int32, got 'x'"),
+    ("Scalar", [True, 1], TypeMismatch, "expected an integer for int32, got True"),
+    ("Scalar", [1, 2.0], TypeMismatch, "expected an integer for word32, got 2.0"),
+    ("Scalar", [-2**31 - 1, 1], TypeMismatch,
+     "integer -2147483649 does not fit in 32 bits"),
+    ("Scalar", [1, 2**32], TypeMismatch, "integer 4294967296 does not fit in 32 bits"),
+    ("Flag", [1], TypeMismatch, "expected a bool, got 1"),
+    ("Mode", ["MODE_MAX"], TypeMismatch, "\"MODE has no variant 'MODE_MAX'\""),
+    ("Mode", [1], TypeMismatch, "expected a MODE variant name, got 1"),
+    ("Scalar", [1], ArityMismatch, "Scalar takes 2 in-arguments, got 1"),
+    ("Flag", [], ArityMismatch, "Flag takes 1 in-arguments, got 0"),
+]
+
+
+@pytest.mark.parametrize("name, args, exc, message", CLIENT_ERRORS)
+def test_flat_client_errors(desc, name, args, exc, message):
+    mem = Mem()
+    hits = []
+    with pytest.raises(exc) as info:
+        call(op(desc, name), lambda ws: hits.append(ws) or 0, args, mem, desc)
+    assert str(info.value) == message
+    assert hits == [] and mem.live_count == 0
+
+
+def test_flat_client_decodes_the_returned_word(desc):
+    mem = Mem()
+    with pytest.raises(DecodeError) as info:
+        call(op(desc, "Mode"), lambda ws: 7, ["MODE_ON"], mem, desc)
+    assert str(info.value) == "MODE has no variant with value 0x7"
+    assert call(op(desc, "Scalar"), lambda ws: -1, [0, 0], mem, desc) == [-1]
+    assert call(op(desc, "Flag"), lambda ws: 2, [False], mem, desc) == [True]
+
+
+def test_flat_client_checks_the_target_before_any_value(desc):
+    sig = op(desc, "Scalar")
+    mem = Mem()
+    sym = mem.register_function(mem.register_library("shapes.dll"), "Scalar",
+                                lambda ws: 0, arity=3)
+    with pytest.raises(ArityMismatch) as info:
+        call(sig, sym, ["x", 1], mem, desc)
+    assert str(info.value) == \
+        "Scalar: symbol expects 3 argument words (pascal convention), got 2"
+    stale = sym.addr + 4
+    for target in (stale, Symbol("Scalar", stale, "pascal", 2)):
+        with pytest.raises(NotCallable):
+            call(sig, target, ["x", 1], mem, desc)
+    assert mem.live_count == 0
+
+
+SERVER_ERRORS = [
+    ("Scalar", [1], lambda a, b: 0, ArityMismatch,
+     "Scalar: expected 2 argument words, got 1"),
+    ("Mode", [7], lambda m: m, DecodeError, "MODE has no variant with value 0x7"),
+    ("Scalar", [1, 2], lambda a, b: "x", TypeMismatch,
+     "expected an integer for int32, got 'x'"),
+    ("Scalar", [1, 2], lambda a, b: False, TypeMismatch,
+     "expected an integer for int32, got False"),
+    ("Scalar", [1, 2], lambda a, b: -2**31 - 1, TypeMismatch,
+     "integer -2147483649 does not fit in 32 bits"),
+    ("Scalar", [1, 2], lambda a, b: 2**32, TypeMismatch,
+     "integer 4294967296 does not fit in 32 bits"),
+    ("Flag", [1], lambda f: 0, TypeMismatch, "expected a bool, got 0"),
+    ("Mode", [1], lambda m: "MODE_MAX", TypeMismatch,
+     "\"MODE has no variant 'MODE_MAX'\""),
+    ("Scalar", [1, 2], lambda a, b: (a, b), ArityMismatch,
+     "Scalar: implementation returned 2 values, signature has 1 results"),
+    ("Flag", [1], lambda f: None, ArityMismatch,
+     "Flag: implementation returned 0 values, signature has 1 results"),
+]
+
+
+@pytest.mark.parametrize("name, words, impl, exc, message", SERVER_ERRORS)
+def test_flat_server_errors(desc, name, words, impl, exc, message):
+    mem = Mem()
+    stub = skeleton(op(desc, name), impl, mem, desc)
+    with pytest.raises(exc) as info:
+        stub(words)
+    assert str(info.value) == message
+    assert mem.live_count == 0
+
+
+def test_only_one_word_signatures_are_flat(desc):
+    flat = {o.name for i in desc.interfaces[:1] for o in i.ops
+            if plan_of(o, desc).to_words is not None}
+    assert flat == {"Scalar", "Flag", "Mode"}
+
+
+def _boundary_ints(lo, hi):
+    return hs.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]).filter(
+        lambda v: lo <= v <= hi) | hs.integers(lo, hi)
+
+
+FLAT_KINDS = {
+    "int32": (st.INT32, _boundary_ints(-2**31, 2**31 - 1)),
+    "word32": (st.WORD32, _boundary_ints(0, 2**32 - 1)),
+    "handle": (st.HANDLE, _boundary_ints(0, 2**32 - 1)),
+    "opaque": (st.OPAQUE, _boundary_ints(0, 2**32 - 1)),
+    "bool": (st.BOOL, hs.booleans()),
+    "enum": (st.enum_t("MODE"), hs.sampled_from(["MODE_OFF", "MODE_ON", "MODE_HIGH"])),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hs.data())
+def test_flat_round_trip_through_symbol_and_callable(desc, data):
+    kinds = data.draw(hs.lists(hs.sampled_from(sorted(FLAT_KINDS)), max_size=9))
+    ret = data.draw(hs.sampled_from([None, *sorted(FLAT_KINDS)]))
+    sig = LiftedSig("Flat", tuple(ParamSig(f"p{i}", k, FLAT_KINDS[k][0])
+                                  for i, k in enumerate(kinds)),
+                    None if ret is None else RetSig(ret, FLAT_KINDS[ret][0]))
+    args = [data.draw(FLAT_KINDS[k][1]) for k in kinds]
+    result = None if ret is None else data.draw(FLAT_KINDS[ret][1])
+    seen = []
+
+    def impl(*values):
+        seen.append(list(values))
+        return result
+
+    mem = Mem()
+    stub = skeleton(sig, impl, mem, desc)
+    sym = mem.register_function(mem.register_library("flat.dll"), "Flat", stub,
+                                arity=len(kinds))
+    before = mem.live_count
+    expected = as_results(impl(*args))
+    for target in (sym, stub):
+        assert call(sig, target, args, mem, desc) == expected
+    assert seen == [args] * 3
+    assert mem.live_count == before
