@@ -5,6 +5,13 @@ JSON with top-level keys `module`, `mode`, `level`, `interfaces`, `enums`,
 plain integers are decimal, and 32-bit word values are spelled as "0x..."
 strings.  `load_binding_file` is the exact inverse of `emit_binding_file`
 and reports violations with a JSON-path to the offending field.
+
+The text is byte-identical to `json.dumps(doc, indent=2)` plus a newline,
+but comes from a small writer: any `indent` sends `json.dumps` to its
+pure-Python encoder, while the writer lays out the containers itself and
+hands each string to the C string encoder.  It is rendered once per
+description and kept on it, so the signature's digest and the emitted file
+share one render.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ class SchemaViolation(Exception):
 
 
 def emit_binding_file(desc: model.BindingDesc) -> str:
+    """The binding file's text, rendered once per description."""
+    return desc.binding_text
+
+
+def render_binding_file(desc: model.BindingDesc) -> str:
+    """The binding file's text; `desc.binding_text` keeps it."""
     doc: dict[str, Any] = {
         "module": desc.module,
         "mode": desc.mode,
@@ -59,7 +72,7 @@ def emit_binding_file(desc: model.BindingDesc) -> str:
     }
     if desc.clsid is not None:
         doc["clsid"] = desc.clsid
-    return json.dumps(doc, indent=2) + "\n"
+    return render_json(doc) + "\n"
 
 
 def _iface_json(i: model.InterfaceDesc) -> dict[str, Any]:
@@ -85,6 +98,57 @@ def _sig_json(sig: model.LiftedSig) -> dict[str, Any]:
         "ret": None if sig.ret is None else
                {"type": sig.ret.display, "sem": st.sem_to_json(sig.ret.sem)},
     }
+
+
+# -- the writer --------------------------------------------------------------
+
+_quote = json.encoder.encode_basestring_ascii   # what json.dumps uses by default
+
+
+def render_json(doc: Any) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
+def _write(x: Any, newline: str, out: list[str]) -> None:
+    """Append `json.dumps(x, indent=2)` to `out`, with `x` nested where
+    `newline` ("\n" plus its indentation) starts a line."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:   # a float from a loaded file, or the TypeError json.dumps raises
+        out.append(json.dumps(x))
 
 
 # -- loading -----------------------------------------------------------------

@@ -12,6 +12,7 @@ client-visible signature; interface IIDs come from a companion manifest.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,6 +46,12 @@ _BASE_DISPLAY = {
 }
 
 
+# The braced GUID text that `com.Guid.parse` reads; checked here so that the
+# compiler does not import the runtime.
+_GUID_TEXT = re.compile(r"\{[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-"
+                        r"[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}\}")
+
+
 class BindingError(Exception):
     pass
 
@@ -55,7 +62,15 @@ class MissingIid(BindingError):
 
 def load_manifest(path: Union[str, Path]) -> dict:
     """Read a {"iids": {...}, "clsids": {...}} manifest file."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise BindingError(f"manifest {path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise BindingError(f"manifest {path}: not UTF-8: {exc.reason} "
+                           f"at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise BindingError(f"manifest {path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BindingError(f"manifest {path}: expected a JSON object")
     for key in ("iids", "clsids"):
@@ -123,6 +138,8 @@ class _Builder:
         clsid = None
         if self.mode == "com":
             clsid = self.manifest.get("clsids", {}).get(module)
+            if clsid is not None:
+                _check_guid(clsid, f"CLSID of module {module!r}")
 
         return model.BindingDesc(
             module=module,
@@ -193,6 +210,7 @@ class _Builder:
             if iid is None:
                 raise MissingIid(
                     f"com-mode interface {d.name!r} has no IID in the manifest")
+            _check_guid(iid, f"IID of interface {d.name!r}")
             ops.append(_QUERY_INTERFACE_SIG)
         for op in d.ops:
             if self.mode == "com" and op.name in ("QueryInterface", "AddRef", "Release"):
@@ -312,6 +330,12 @@ class _Builder:
         if isinstance(t, ast.ArrayType):
             return f"{self.display(t.elem)} list"
         raise BindingError(f"cannot display type {t!r}")
+
+
+def _check_guid(value: object, what: str) -> None:
+    if not isinstance(value, str) or _GUID_TEXT.fullmatch(value) is None:
+        raise BindingError(f"{what} in the manifest is not a GUID of the form "
+                           f"{{XXXXXXXX-XXXX-XXXX-XXXX-XXXXXXXXXXXX}}: {value!r}")
 
 
 _QUERY_INTERFACE_SIG = model.LiftedSig(

@@ -157,6 +157,13 @@ class BindingDesc:
         return {}
 
     @cached_property
+    def binding_text(self) -> str:
+        """This description's binding file, rendered once; it dies with it."""
+        from mlidl.binding.bindfile import render_binding_file  # cycle-free at call time
+
+        return render_binding_file(self)
+
+    @cached_property
     def _by_name(self) -> dict[str, dict[str, Any]]:
         """kind -> name -> the first declaration of that name."""
         index: dict[str, dict[str, Any]] = {}

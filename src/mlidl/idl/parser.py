@@ -48,9 +48,10 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    # `advance` never moves past the final eof token, so `self.i` is always
+    # a valid index and lookahead needs no clamp.
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def advance(self) -> Token:
         tok = self.toks[self.i]
@@ -59,7 +60,7 @@ class _Parser:
         return tok
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
+        tok = self.toks[self.i]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:

@@ -3,12 +3,19 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from conftest import IDL_DIR, REPO
 from mlidl.binding import (
     SchemaViolation,
+    build_binding,
     emit_binding_file,
     load_binding_file,
+    load_manifest,
 )
+from mlidl.binding.bindfile import render_json
+from mlidl.idl import parse_text
 
 
 @pytest.mark.parametrize("fixture", ["win32_desc", "time_desc", "bar_desc"])
@@ -124,3 +131,47 @@ def test_non_object_entry_is_schema_violation(win32_desc, key, entry):
     with pytest.raises(SchemaViolation) as exc:
         load_binding_file(json.dumps(doc))
     assert f"$.{key}[{len(doc[key]) - 1}]" in str(exc.value)
+
+
+# -- the writer is json.dumps(doc, indent=2), byte for byte -------------------
+
+_SHIPPED = [IDL_DIR / "win32.idl", IDL_DIR / "time.idl", IDL_DIR / "bar.idl",
+            REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl"]
+
+
+@pytest.mark.parametrize("path, mode", [
+    (path, mode) for path in _SHIPPED for mode in ("static", "dynamic")
+] + [(IDL_DIR / "bar.idl", "com")], ids=lambda x: getattr(x, "name", x))
+@pytest.mark.parametrize("level", ["auto", "abstract"])
+def test_shipped_files_emit_as_json_dumps_indent_2(path, mode, level):
+    manifest = load_manifest(IDL_DIR / "bar.manifest.json") if mode == "com" else None
+    desc = build_binding(parse_text(path.read_text(encoding="utf-8"), path.name),
+                         mode=mode, level=level, manifest=manifest)
+    text = emit_binding_file(desc)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert emit_binding_file(load_binding_file(text)) == text
+
+
+def test_binding_file_is_rendered_once_per_description(win32_desc):
+    assert emit_binding_file(win32_desc) is emit_binding_file(win32_desc)
+    again = load_binding_file(emit_binding_file(win32_desc))
+    assert again == win32_desc and hash(again) == hash(win32_desc)
+
+
+# ASCII, the characters json escapes, and non-ASCII up to a lone surrogate
+# and the astral plane.
+_CHARS = hs.sampled_from('aZ0 "\\/\x00\t\n\x1f\x7f\xffé€\u2028\ud800𝄞\U0010ffff')
+_LEAVES = (hs.none() | hs.booleans()
+           | hs.integers(-(1 << 70), 1 << 70) | hs.sampled_from([-1, 1 << 32, 1 << 40])
+           | hs.floats() | hs.text(_CHARS, max_size=8))
+_DOCS = hs.recursive(
+    _LEAVES,
+    lambda kids: hs.lists(kids, max_size=4)
+    | hs.dictionaries(hs.text(_CHARS, max_size=5), kids, max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCS)
+def test_writer_equals_json_dumps_indent_2(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2)

@@ -165,6 +165,25 @@ def test_com_mode_missing_iid(bar_unit):
         build_binding(bar_unit, "com", "auto", {"iids": {"IX": "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002}"}})
 
 
+@pytest.mark.parametrize("bad", [5, 1.5, "nope", "C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002",
+                                 " {C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002}", ["x"]])
+def test_com_mode_rejects_iid_and_clsid_that_are_not_guid_text(bar_unit, bar_manifest, bad):
+    iids = dict(bar_manifest["iids"], IY=bad)
+    with pytest.raises(BindingError, match="IID of interface 'IY'"):
+        build_binding(bar_unit, "com", "auto", {"iids": iids})
+    with pytest.raises(BindingError, match="CLSID of module 'Bar'"):
+        build_binding(bar_unit, "com", "auto",
+                      {"iids": bar_manifest["iids"], "clsids": {"Bar": bad}})
+
+
+def test_com_mode_emits_guid_text_unchanged(bar_manifest):
+    lower = {k: v.lower() for k, v in bar_manifest["iids"].items()}
+    desc = build_binding(parse_text("interface IX { void F(); }", "m.idl"), "com", "auto",
+                         {"iids": lower, "clsids": {"m": bar_manifest["clsids"]["Bar"]}})
+    assert desc.interface("IX").iid == lower["IX"]
+    assert desc.clsid == bar_manifest["clsids"]["Bar"]
+
+
 def test_double_pointer_out_param_is_an_address_slot():
     unit = parse_text("""
         interface I {

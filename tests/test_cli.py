@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from conftest import IDL_DIR
 from mlidl.cli import main
 
@@ -59,6 +63,32 @@ def test_compile_com_with_manifest(tmp_path):
     assert code == 0
     text = (tmp_path / "bar.sig").read_text()
     assert "val BarCLSID : Com.CLSID" in text
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"iids": {', "not valid JSON"),
+    (b'{"iids": {"IX": "\xff"}}', "not UTF-8"),
+    (None, "cannot read"),
+], ids=["malformed-json", "not-utf8", "missing"])
+def test_compile_bad_manifest_exits_2(tmp_path, capsys, content, reason):
+    manifest = tmp_path / "m.json"
+    if content is not None:
+        manifest.write_bytes(content)
+    assert main(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
+                 "--manifest", str(manifest), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"manifest {manifest}: {reason}")
+    assert not (tmp_path / "bar.sig").exists()
+
+
+def test_compile_manifest_iid_not_a_guid_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"iids": {"IX": "nope", "IY": 5}}))
+    assert main(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
+                 "--manifest", str(manifest), "-o", str(tmp_path)]) == 2
+    assert "IID of interface 'IX'" in capsys.readouterr().err
+    assert not (tmp_path / "bar.binding.json").exists()
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
+
+import reference_lexer
 from mlidl.idl import LexError, tokenize
 
 
@@ -100,3 +106,80 @@ def test_concatenation_recovers_non_comment_input():
     again = tokenize(rejoined)
     assert [(t.kind, t.text) for t in toks[:-1]] == \
            [(t.kind, t.text) for t in again[:-1]]
+
+
+# -- pinned against the frozen scanner in reference_lexer.py ----------------
+
+_REPO = Path(__file__).resolve().parents[1]
+_SHIPPED = {
+    p.name: p.read_text(encoding="utf-8")
+    for p in (_REPO / "idl" / "win32.idl", _REPO / "idl" / "time.idl",
+              _REPO / "idl" / "bar.idl",
+              _REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl")
+}
+
+# Every lexeme kind and escape, so that one edit can reach every error; the
+# shipped files hold no char literals.
+_ZOO = ("typedef struct _s { int a; } S; const char *T = \"a\\\"b\\n\";\n"
+        "const char C = 'x'; const char E = '\\0'; /* block\n */ // line\n"
+        "enum { A = 0wxFFFFFFFF, B = 42 } [in, size_is(n)] & : *\n")
+
+# Characters that open, close or continue a lexeme, plus some that no rule takes.
+_EDIT_CHARS = "azAZ_09wx/*\"'\\\n\t {};,=$@é€"
+
+
+def _lexed(tokenize_fn, text):
+    """The token stream as tuples, or the LexError's fields."""
+    try:
+        return [(t.kind, t.text, t.line, t.col, t.value)
+                for t in tokenize_fn(text, "m.idl")]
+    except LexError as exc:
+        return ("LexError", exc.message, exc.line, exc.col, exc.source)
+
+
+@pytest.mark.parametrize("name", sorted(_SHIPPED))
+def test_shipped_files_tokenize_as_the_reference(name):
+    got = _lexed(tokenize, _SHIPPED[name])
+    assert isinstance(got, list) and got == _lexed(reference_lexer.tokenize,
+                                                   _SHIPPED[name])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=hs.sampled_from(sorted(_SHIPPED)), at=hs.integers(0, 1 << 20),
+       op=hs.sampled_from(["insert", "delete", "replace"]),
+       ch=hs.sampled_from(_EDIT_CHARS))
+def test_one_character_edits_tokenize_as_the_reference(name, at, op, ch):
+    text = _edited(_SHIPPED[name], at % len(_SHIPPED[name]), op, ch)
+    assert _lexed(tokenize, text) == _lexed(reference_lexer.tokenize, text)
+
+
+def test_every_one_character_edit_of_the_zoo_tokenizes_as_the_reference():
+    edits = [(i, "delete", "") for i in range(len(_ZOO))] + [
+        (i, op, ch) for i in range(len(_ZOO)) for op in ("insert", "replace")
+        for ch in _EDIT_CHARS]
+    errors = set()
+    for i, op, ch in edits:
+        text = _edited(_ZOO, i, op, ch)
+        got = _lexed(tokenize, text)
+        assert got == _lexed(reference_lexer.tokenize, text), (i, op, ch)
+        if isinstance(got, tuple):
+            errors.add(re.sub(r"'.*'|0wx\w+", "_", got[1]))
+    # every LexError message the scanner has, reached by one edit
+    assert len(errors) == 9, sorted(errors)
+
+
+def _edited(text, i, op, ch):
+    if op == "insert":
+        return text[:i] + ch + text[i:]
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + ch + text[i + 1:]
+
+
+def test_token_equality_and_hash_leave_out_value():
+    a, b = tokenize("x"), tokenize("x")
+    assert a[0] == b[0] and hash(a[0]) == hash(b[0])
+    assert a[0] == type(a[0])("ident", "x", 1, 1, "other")
+    assert a[0] != type(a[0])("ident", "x", 1, 2, "x")
+    assert repr(a[0]) == "Token(ident, 'x', 1:1)"
