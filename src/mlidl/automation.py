@@ -12,18 +12,25 @@ DISPID table and binding description live with the IDispatch closures of
 slots 3..6, and the typed `invoke` and `get_ids_of_names` find them through
 slot 6 of any ref to it.  IUnknown is implemented once, in `com.ComObject`.
 
-Arguments are positional VARIANTs.  Coercion is strict: exact tag matches,
-bit-exact VT_I4/VT_UI4 reinterpretation, and nothing else; type libraries,
-locales and named arguments are out of scope (GetTypeInfoCount reports 0
-and GetTypeInfo is not implemented, riid/lcid arguments are ignored).
+Arguments are positional VARIANTs: a tag and one payload word.  One table
+gives each tag the marshal codec of its payload, another each semantic kind
+the tags it accepts and its result's tag.  Coercion is strict: the payload
+codec's `to_word` checks the value and the parameter codec's `from_word`
+reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly and
+nothing is bridged between strings, numbers and bools (DISP_E_TYPEMISMATCH
+with the argument's index).  `variant_of` runs the same way back, and raw
+Invoke reads and writes payloads with the codecs' unpack and pack.  Type
+libraries, locales and named arguments are out of scope (GetTypeInfoCount
+reports 0, GetTypeInfo is not implemented, riid/lcid are ignored).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence
 
 from mlidl import marshal
+from mlidl import semtypes as st
 from mlidl.binding.model import BindingDesc, LiftedSig
 from mlidl.com import (
     ComError,
@@ -36,7 +43,6 @@ from mlidl.com import (
     check_words,
     get_method,
 )
-from mlidl.semtypes import SemType
 from mlidl.wordmem import Mem, OutOfBounds, to_signed, word
 
 VT_EMPTY = 0
@@ -47,11 +53,7 @@ VT_BOOL = 11
 VT_UNKNOWN = 13
 VT_UI4 = 19
 
-_VT_NAMES = {
-    VT_EMPTY: "VT_EMPTY", VT_I4: "VT_I4", VT_BSTR: "VT_BSTR",
-    VT_DISPATCH: "VT_DISPATCH", VT_BOOL: "VT_BOOL", VT_UNKNOWN: "VT_UNKNOWN",
-    VT_UI4: "VT_UI4",
-}
+_VT_NAMES = {tag: name for name, tag in list(globals().items()) if name.startswith("VT_")}
 
 DISP_E_MEMBERNOTFOUND = 0x80020003
 DISP_E_TYPEMISMATCH = 0x80020005
@@ -109,77 +111,85 @@ class DispParams:
     args: tuple[Variant, ...] = ()
 
 
-@dataclass(frozen=True)
-class DispEntry:
-    dispid: int
-    sig: LiftedSig
-    slot: int            # vtable slot carrying the implementation
+# -- the value model ------------------------------------------------------------
 
 
-# -- coercion -------------------------------------------------------------------
+_OPAQUE = marshal.codec_of(st.OPAQUE)
+# an interface payload: opaque, and coercion takes an InterfaceRef as its address
+_INTERFACE = replace(_OPAQUE, to_word=lambda v: _OPAQUE.to_word(
+    v.addr if isinstance(v, InterfaceRef) else v))
+
+# the codec of each tag's payload word; VT_EMPTY's is a 0 read back as None
+_PAYLOAD: dict[int, marshal.Codec] = {
+    VT_EMPTY: marshal.Codec(1, lambda mem, v, words, temps: words.append(0),
+                            lambda mem, ws, at, owned: None),
+    VT_I4: marshal.codec_of(st.INT32),
+    VT_UI4: marshal.codec_of(st.WORD32),
+    VT_BOOL: marshal.codec_of(st.BOOL),
+    VT_BSTR: marshal.codec_of(st.STRING8),
+    VT_DISPATCH: _INTERFACE,
+    VT_UNKNOWN: _INTERFACE,
+}
+
+_NUMBERS = (VT_I4, VT_UI4)
+# semantic kind -> (the tags it accepts, the tag of its result)
+_KINDS: dict[str, tuple[tuple[int, ...], Optional[int]]] = {
+    "int32": (_NUMBERS, VT_I4),
+    "word32": (_NUMBERS, VT_UI4),
+    "handle": (_NUMBERS, VT_UI4),
+    "opaque": (_NUMBERS + (VT_DISPATCH, VT_UNKNOWN), VT_UI4),
+    "enum": (_NUMBERS, VT_I4),
+    "bool": ((VT_BOOL,), VT_BOOL),
+    "string8": ((VT_BSTR,), VT_BSTR),
+    "string16": ((VT_BSTR,), VT_BSTR),
+}
 
 
-def coerce(v: Variant, t: SemType, desc: Optional[BindingDesc] = None) -> Any:
+def _text(value: Any) -> str:      # a string codec has no word conversions
+    if not isinstance(value, str):
+        raise marshal.TypeMismatch(f"expected a string, got {value!r}")
+    return value
+
+
+def coerce(v: Variant, t: st.SemType, desc: Optional[BindingDesc] = None) -> Any:
     """Variant to host value for semantic type `t`; strict, no string/number
     bridging, VT_I4/VT_UI4 reinterpreted bit-exactly."""
-
-    def reject() -> AutomationError:
-        return AutomationError(
-            f"cannot coerce {_VT_NAMES[v.tag]} to {t.kind}", DISP_E_TYPEMISMATCH)
-
-    kind = t.kind
-    if kind == "int32":
-        if v.tag == VT_I4:
-            return int(v.value)
-        if v.tag == VT_UI4:
-            return to_signed(int(v.value))
-        raise reject()
-    if kind in ("word32", "handle", "opaque"):
-        if v.tag in (VT_I4, VT_UI4):
-            return word(int(v.value))
-        if v.tag in (VT_DISPATCH, VT_UNKNOWN) and kind == "opaque":
-            payload = v.value
-            if isinstance(payload, InterfaceRef):
-                return payload.addr
-            if isinstance(payload, int):
-                return word(payload)
-        raise reject()
-    if kind == "bool":
-        if v.tag == VT_BOOL:
-            return bool(v.value)
-        raise reject()
-    if kind in ("string8", "string16"):
-        if v.tag == VT_BSTR:
-            return str(v.value)
-        raise reject()
-    if kind == "enum":
-        if v.tag in (VT_I4, VT_UI4):
-            if desc is None:
-                raise AutomationError(f"enum {t.name!r} needs a binding "
-                                      f"description", DISP_E_TYPEMISMATCH)
-            name = desc.enum(t.name).from_int(word(int(v.value)))
-            if name is None:
-                raise reject()
-            return name
-        raise reject()
-    raise reject()
+    try:
+        codec = marshal.codec_of(t, desc)
+    except marshal.MarshalError as exc:
+        raise AutomationError(str(exc), DISP_E_TYPEMISMATCH) from None
+    return _coerce(v, t.kind, codec)
 
 
-def variant_of(value: Any, t: SemType, desc: Optional[BindingDesc] = None) -> Variant:
-    kind = t.kind
-    if kind == "int32":
-        return Variant.i4(value)
-    if kind in ("word32", "handle", "opaque"):
-        return Variant.ui4(value)
-    if kind == "bool":
-        return Variant.boolean(value)
-    if kind in ("string8", "string16"):
-        return Variant.bstr(value)
-    if kind == "enum":
-        if desc is None:
-            raise ComError(f"enum {t.name!r} needs a binding description")
-        return Variant.i4(desc.enum(t.name).to_int(value))
-    raise ComError(f"cannot wrap a {kind} result as a VARIANT")
+def _coerce(v: Variant, kind: str, codec: marshal.Codec) -> Any:
+    """`v` as `codec` holds it: its payload's word, read back by `codec`."""
+    try:
+        if v.tag not in _KINDS.get(kind, ((), None))[0]:
+            raise marshal.TypeMismatch(f"{kind} takes no {_VT_NAMES[v.tag]}")
+        to_word = _PAYLOAD[v.tag].to_word
+        return codec.from_word(to_word(v.value)) if to_word else _text(v.value)
+    except marshal.MarshalError as exc:
+        raise AutomationError(f"cannot coerce {v} to {kind}: {exc}",
+                              DISP_E_TYPEMISMATCH) from None
+
+
+def variant_of(value: Any, t: st.SemType, desc: Optional[BindingDesc] = None) -> Variant:
+    try:
+        codec = marshal.codec_of(t, desc)
+    except marshal.MarshalError as exc:
+        raise ComError(str(exc)) from None
+    return _variant_of(value, t.kind, codec)
+
+
+def _variant_of(value: Any, kind: str, codec: marshal.Codec) -> Variant:
+    tag = _KINDS.get(kind, ((), None))[1]
+    if tag is None:
+        raise ComError(f"cannot wrap a {kind} result as a VARIANT")
+    try:
+        return Variant(tag, _PAYLOAD[tag].from_word(codec.to_word(value))
+                       if codec.to_word else _text(value))
+    except marshal.MarshalError as exc:
+        raise ComError(f"cannot wrap {value!r} as a {kind} VARIANT: {exc}") from None
 
 
 # -- dual interface construction ---------------------------------------------
@@ -217,13 +227,13 @@ class _Dispatch:
         self.mem = mem
         self.desc = desc
         self.ref: InterfaceRef     # set once the vtable is laid out
-        self.by_id = {i + 1: DispEntry(i + 1, sig, 7 + i) for i, sig in enumerate(sigs)}
-        self.by_name: dict[str, DispEntry] = {}
-        for entry in self.by_id.values():
-            key = entry.sig.name.casefold()
+        self.by_id = dict(enumerate(sigs, 1))      # DISPID -> its signature
+        self.by_name: dict[str, int] = {}
+        for dispid, sig in self.by_id.items():
+            key = sig.name.casefold()
             if key in self.by_name:
-                raise ComError(f"dispatch name clash on {entry.sig.name!r}")
-            self.by_name[key] = entry
+                raise ComError(f"dispatch name clash on {sig.name!r}")
+            self.by_name[key] = dispid
 
     def _raw_get_type_info_count(self, words: list[int]) -> int:
         # no type libraries: always report zero
@@ -242,93 +252,71 @@ class _Dispatch:
         hr = S_OK
         for i in range(cnames):
             name_addr = mem.read(mem.offset(names_addr, i), 1)[0]
-            entry = self.by_name.get(marshal.read_string8(mem, name_addr).casefold())
-            if entry is None:
+            dispid = self.by_name.get(marshal.read_string8(mem, name_addr).casefold())
+            if dispid is None:
                 mem.store(mem.offset(out_addr, i), [0xFFFFFFFF])
                 hr = DISP_E_UNKNOWNNAME
             else:
-                mem.store(mem.offset(out_addr, i), [entry.dispid])
+                mem.store(mem.offset(out_addr, i), [dispid])
         return hr
 
     def _raw_invoke(self, words: list[int]) -> int:
         (_this, dispid, _riid, _lcid, _wflags, dp_addr, result_addr,
          _excep_addr, argerr_addr) = check_words("Invoke", words, 9)
         mem = self.mem
-        entry = self.by_id.get(dispid)
-        if entry is None:
+        sig = self.by_id.get(dispid)
+        if sig is None:
             return DISP_E_MEMBERNOTFOUND
         argc, args_addr = mem.read(dp_addr, 2) if dp_addr else (0, 0)
+        if argc != len(sig.ins):
+            return DISP_E_BADPARAMCOUNT
+        ws = mem.read(args_addr, 2 * argc) if argc else []
         variants = []
-        for i in range(argc):
-            tag, payload = mem.read(mem.offset(args_addr, 2 * i), 2)
-            variants.append(_variant_from_words(tag, payload, mem))
+        for at in range(0, len(ws), 2):
+            codec = _PAYLOAD.get(ws[at])
+            if codec is None:
+                raise ComError(f"unsupported variant tag {ws[at]} in memory")
+            variants.append(Variant(ws[at], codec.unpack(mem, ws, at + 1, None)))
         try:
-            result = self.call(entry, variants)
+            result = self.call(dispid, variants)
         except AutomationError as exc:
             if exc.arg_index is not None and argerr_addr:
                 mem.store(argerr_addr, [exc.arg_index])
             return exc.hresult
         if result_addr:
-            mem.store(result_addr, _variant_to_words(result, mem))
+            # a BSTR is callee-allocated: the caller owns and frees the block
+            words = [result.tag]
+            _PAYLOAD[result.tag].pack(mem, result.value, words, [])
+            mem.store(result_addr, words)
         return S_OK
 
-    def call(self, entry: DispEntry, args: list[Variant]) -> Variant:
+    def call(self, dispid: int, args: list[Variant]) -> Variant:
         """Coerce `args` and call the method through its vtable slot."""
-        sig = entry.sig
-        ins = sig.ins
-        if len(args) != len(ins):
+        sig = self.by_id[dispid]
+        plan = marshal.plan_of(sig, self.desc)
+        if len(args) != plan.n_ins:
             raise AutomationError(
-                f"{sig.name} takes {len(ins)} arguments, got {len(args)}",
+                f"{sig.name} takes {plan.n_ins} arguments, got {len(args)}",
                 DISP_E_BADPARAMCOUNT)
+        codecs = [s.codec for s in plan.steps if s.mode != marshal.OUT]
         values = []
-        for i, (v, p) in enumerate(zip(args, ins)):
+        for i, (v, p, codec) in enumerate(zip(args, sig.ins, codecs)):
             try:
-                values.append(coerce(v, p.sem, self.desc))
+                values.append(_coerce(v, p.sem.kind, codec))
             except AutomationError as exc:
                 raise AutomationError(f"argument {i}: {exc}", exc.hresult,
                                       arg_index=i) from None
-        results = marshal.call(sig, get_method(self.ref, entry.slot), values,
+        results = marshal.call(sig, get_method(self.ref, 6 + dispid), values,
                                self.mem, self.desc)
         if not results:
             return Variant.empty()
         if len(results) == 1:
-            return variant_of(results[0], sig.results[0].sem, self.desc)
+            ret = plan.ret or next(s.codec for s in plan.steps
+                                   if s.mode in (marshal.OUT, marshal.INOUT))
+            return _variant_of(results[0], sig.results[0].sem.kind, ret)
         raise AutomationError(
             f"{sig.name} has {len(results)} results; Invoke carries at most one",
             DISP_E_TYPEMISMATCH)
-
-
-def _variant_from_words(tag: int, payload: int, mem: Mem) -> Variant:
-    if tag == VT_EMPTY:
-        return Variant.empty()
-    if tag == VT_I4:
-        return Variant.i4(payload)
-    if tag == VT_UI4:
-        return Variant.ui4(payload)
-    if tag == VT_BOOL:
-        return Variant.boolean(payload != 0)
-    if tag == VT_BSTR:
-        return Variant.bstr(marshal.read_string8(mem, payload))
-    if tag in (VT_DISPATCH, VT_UNKNOWN):
-        return Variant(tag, payload)
-    raise ComError(f"unsupported variant tag {tag} in memory")
-
-
-def _variant_to_words(v: Variant, mem: Mem) -> list[int]:
-    if v.tag == VT_EMPTY:
-        return [VT_EMPTY, 0]
-    if v.tag in (VT_I4, VT_UI4):
-        return [v.tag, word(int(v.value))]
-    if v.tag == VT_BOOL:
-        return [VT_BOOL, 1 if v.value else 0]
-    if v.tag == VT_BSTR:
-        # callee-allocated: the caller owns and frees the string block
-        return [VT_BSTR, marshal.pack_string8(mem, str(v.value))]
-    if v.tag in (VT_DISPATCH, VT_UNKNOWN):
-        payload = v.value
-        addr = payload.addr if isinstance(payload, InterfaceRef) else word(payload)
-        return [v.tag, addr]
-    raise ComError(f"cannot store variant {v}")
 
 
 # -- client-side operations ---------------------------------------------------
@@ -346,20 +334,19 @@ def _dispatch_of(ref: InterfaceRef) -> _Dispatch:
 
 
 def get_ids_of_names(ref: InterfaceRef, name: str) -> int:
-    entry = _dispatch_of(ref).by_name.get(name.casefold())
-    if entry is None:
+    dispid = _dispatch_of(ref).by_name.get(name.casefold())
+    if dispid is None:
         raise AutomationError(f"unknown name {name!r}", DISP_E_UNKNOWNNAME)
-    return entry.dispid
+    return dispid
 
 
 def invoke(ref: InterfaceRef, dispid: int,
            params: "DispParams | Sequence[Variant]") -> Variant:
     disp = _dispatch_of(ref)
-    entry = disp.by_id.get(dispid)
-    if entry is None:
+    if dispid not in disp.by_id:
         raise AutomationError(f"no member with DISPID {dispid}",
                               DISP_E_MEMBERNOTFOUND)
-    return disp.call(entry, list(params.args if isinstance(params, DispParams)
+    return disp.call(dispid, list(params.args if isinstance(params, DispParams)
                                  else params))
 
 

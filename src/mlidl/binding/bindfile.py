@@ -21,6 +21,7 @@ from typing import Any, Optional
 
 from mlidl import semtypes as st
 from mlidl.binding import model
+from mlidl.binding.build import _GUID_TEXT
 
 
 class SchemaViolation(Exception):
@@ -171,9 +172,7 @@ def load_binding_file(text: str) -> model.BindingDesc:
     level = _str(doc, "level", "$")
     if level not in ("abstract", "auto"):
         raise SchemaViolation("$.level", f"unknown level {level!r}")
-    clsid = doc.get("clsid")
-    if clsid is not None and not isinstance(clsid, str):
-        raise SchemaViolation("$.clsid", "expected a string")
+    clsid = _guid(doc, "clsid", "$")
 
     interfaces = tuple(
         _load_iface(x, f"$.interfaces[{i}]")
@@ -225,16 +224,23 @@ def _load_iface(x: Any, path: str) -> model.InterfaceDesc:
     _need(x, dict, path)
     source = x.get("source")
     parent = x.get("parent")
-    iid = x.get("iid")
-    for key, val in (("source", source), ("parent", parent), ("iid", iid)):
+    for key, val in (("source", source), ("parent", parent)):
         if val is not None and not isinstance(val, str):
             raise SchemaViolation(f"{path}.{key}", "expected a string or null")
+    iid = _guid(x, "iid", path)
     ops = tuple(
         _load_sig(op, f"{path}.ops[{i}]")
         for i, op in enumerate(_list(x, "ops", path))
     )
     return model.InterfaceDesc(name=_str(x, "name", path), ops=ops,
                                source=source, parent=parent, iid=iid)
+
+
+def _guid(x: dict, key: str, path: str) -> Optional[str]:
+    val = x.get(key)
+    if val is not None and (not isinstance(val, str) or _GUID_TEXT.fullmatch(val) is None):
+        raise SchemaViolation(f"{path}.{key}", "expected braced GUID text or null")
+    return val
 
 
 def _load_sig(x: Any, path: str) -> model.LiftedSig:

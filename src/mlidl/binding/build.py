@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from mlidl import semtypes as st
 from mlidl.idl import ast
@@ -60,8 +60,9 @@ class MissingIid(BindingError):
     pass
 
 
-def load_manifest(path: Union[str, Path]) -> dict:
-    """Read a {"iids": {...}, "clsids": {...}} manifest file."""
+def load_manifest(path: Union[str, Path]) -> Any:
+    """Read a {"iids": {...}, "clsids": {...}} manifest file; `build_binding`
+    checks its shape."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -71,11 +72,6 @@ def load_manifest(path: Union[str, Path]) -> dict:
                            f"at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise BindingError(f"manifest {path}: not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise BindingError(f"manifest {path}: expected a JSON object")
-    for key in ("iids", "clsids"):
-        if key in data and not isinstance(data[key], dict):
-            raise BindingError(f"manifest {path}: {key!r} must be an object")
     return data
 
 
@@ -89,8 +85,14 @@ def build_binding(
         raise BindingError(f"unknown mode {mode!r}; expected one of {MODES}")
     if level not in LEVELS:
         raise BindingError(f"unknown level {level!r}; expected one of {LEVELS}")
+    manifest = {} if manifest is None else manifest
+    if not isinstance(manifest, dict):
+        raise BindingError(f"manifest: expected a JSON object, got {manifest!r}")
+    for key in ("iids", "clsids"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise BindingError(f"manifest: {key!r} must be an object")
     resolve(unit)
-    return _Builder(unit, mode, level, manifest or {}).build()
+    return _Builder(unit, mode, level, manifest).build()
 
 
 class _Builder:

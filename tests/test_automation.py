@@ -5,6 +5,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from mlidl import marshal
 from mlidl import semtypes as st
@@ -16,9 +18,13 @@ from mlidl.automation import (
     DISP_E_UNKNOWNNAME,
     DispParams,
     Variant,
+    VT_BOOL,
     VT_BSTR,
+    VT_DISPATCH,
     VT_EMPTY,
     VT_I4,
+    VT_UI4,
+    VT_UNKNOWN,
     coerce,
     get_ids_of_names,
     get_type_info_count,
@@ -42,7 +48,7 @@ from mlidl.com import (
     release,
     simple_factory,
 )
-from mlidl.wordmem import to_signed
+from mlidl.wordmem import to_signed, word
 
 IID_ICALC = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0020}"), "ICalc")
 
@@ -395,3 +401,286 @@ def test_plan_without_desc_freed_with_its_signature(mem):
     del sig
     gc.collect()
     assert plan() is None
+
+
+# -- one method per Automation kind ------------------------------------------------
+
+
+IID_IKINDS = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0023}"), "IKinds")
+
+_WM = st.enum_t("WM")
+# (semantic type, host implementation, Variant of a host value)
+_KINDS = {
+    "int32": (st.INT32, lambda a: to_signed(a + 1), Variant.i4),
+    "word32": (st.WORD32, lambda w: w ^ 0xFFFF, Variant.ui4),
+    "handle": (st.HANDLE, lambda h: h, Variant.ui4),
+    "bool": (st.BOOL, lambda b: not b, Variant.boolean),
+    "enum": (_WM, lambda name: name, None),        # VT_I4 of the enum value
+    "string8": (st.STRING8, lambda s: s[::-1], Variant.bstr),
+}
+
+
+def kind_sigs():
+    return [LiftedSig(f"Echo_{kind}", (ParamSig("x", kind, sem),), RetSig(kind, sem))
+            for kind, (sem, _, _) in _KINDS.items()]
+
+
+def make_kinds(mem, desc):
+    obj = ComObject(mem)
+    dual = make_dual(kind_sigs(), [impl for _, impl, _ in _KINDS.values()], obj,
+                     IID_IKINDS, desc)
+    return obj, dual
+
+
+def kind_variant(kind, value, desc):
+    if kind == "enum":
+        return Variant.i4(desc.enum("WM").to_int(value))
+    return _KINDS[kind][2](value)
+
+
+def raw_invoke(mem, ref, dispid, arg_words, argerr=0):
+    """Invoke through vtable slot 6 with the VARIANT words `arg_words`;
+    (HRESULT, result tag, result payload)."""
+    blocks = []
+    try:
+        args_addr = 0
+        if arg_words:
+            args_addr = mem.alloc(len(arg_words))
+            blocks.append(args_addr)
+            mem.store(args_addr, arg_words)
+        dp = mem.alloc(2)
+        blocks.append(dp)
+        mem.store(dp, [len(arg_words) // 2, args_addr])
+        res = mem.alloc(2)
+        blocks.append(res)
+        mem.store(res, [VT_EMPTY, 0])
+        hr = get_method(ref, 6)([ref.addr, dispid, 0, 0, 0, dp, res, 0, argerr])
+        tag, payload = mem.read(res, 2)
+        return hr, tag, payload
+    finally:
+        for b in blocks:
+            mem.free(b)
+
+
+# -- pinned behaviour of the value model --------------------------------------------
+
+
+def test_dispatch_and_unknown_payloads_coerce_to_opaque(mem):
+    obj, dual, _ = make_calc(mem)
+    assert coerce(Variant(VT_DISPATCH, dual), st.OPAQUE) == dual.addr
+    assert coerce(Variant(VT_UNKNOWN, 0x1234), st.OPAQUE) == 0x1234
+
+
+def test_dispatch_is_rejected_for_handle(mem):
+    _, dual, _ = make_calc(mem)
+    with pytest.raises(AutomationError) as exc:
+        coerce(Variant(VT_DISPATCH, dual), st.HANDLE)
+    assert exc.value.hresult == DISP_E_TYPEMISMATCH
+
+
+def test_enum_without_description():
+    with pytest.raises(AutomationError) as exc:
+        coerce(Variant.i4(1), _WM)
+    assert exc.value.hresult == DISP_E_TYPEMISMATCH
+    with pytest.raises(ComError):
+        variant_of("WM_CREATE", _WM)
+
+
+def test_variant_of_string16_is_a_bstr():
+    assert variant_of("wide", st.STRING16) == Variant.bstr("wide")
+
+
+def test_raw_invoke_reads_bool_payload_2_as_true(mem, win32_desc):
+    _, dual = make_kinds(mem, win32_desc)
+    hr, tag, payload = raw_invoke(mem, dual, get_ids_of_names(dual, "Echo_bool"),
+                                  [VT_BOOL, 2])
+    # the implementation saw True and answered `not True`
+    assert (hr, tag, payload) == (0, VT_BOOL, 0)
+
+
+def test_raw_invoke_rejects_unknown_tag_in_memory(mem):
+    _, dual, trace = make_calc(mem)
+    with pytest.raises(ComError, match="tag 99"):
+        raw_invoke(mem, dual, 2, [99, 5])
+    assert trace == []
+
+
+def test_raw_invoke_bstr_result_is_freed_by_the_caller(mem, win32_desc):
+    _, dual = make_kinds(mem, win32_desc)
+    arg = marshal.pack_string8(mem, "abc")
+    live = mem.live_count
+    hr, tag, payload = raw_invoke(mem, dual, get_ids_of_names(dual, "Echo_string8"),
+                                  [VT_BSTR, arg])
+    assert (hr, tag) == (0, VT_BSTR)
+    assert mem.live_count == live + 1           # the callee allocated the result
+    assert marshal.read_string8(mem, payload) == "cba"
+    mem.free(payload)
+    assert mem.live_count == live
+    mem.free(arg)
+
+
+# -- strict coercion ------------------------------------------------------------------
+
+
+IID_IMIX = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0024}"), "IMix")
+MIX_SIG = LiftedSig("Mix", (ParamSig("a", "Int32.int", st.INT32),
+                            ParamSig("s", "STRING", st.STRING8),
+                            ParamSig("b", "BOOL", st.BOOL),
+                            ParamSig("w", "Word32.word", st.WORD32)),
+                    RetSig("Int32.int", st.INT32))
+MIX_ARGS = (Variant.i4(1), Variant.bstr("s"), Variant.boolean(True), Variant.ui4(2))
+
+
+def make_mix(mem):
+    calls = []
+    dual = make_dual([MIX_SIG], [lambda a, s, b, w: (calls.append((a, s, b, w)), a)[1]],
+                     ComObject(mem), IID_IMIX)
+    return dual, calls
+
+
+@pytest.mark.parametrize("bad, index", [
+    (Variant(VT_I4, "5"), 0), (Variant(VT_I4, "5"), 3),
+    (Variant(VT_I4, 1.7), 0), (Variant(VT_I4, 1.7), 3),
+    (Variant(VT_I4, 2**40), 0), (Variant(VT_I4, 2**40), 3),
+    (Variant(VT_I4), 0), (Variant(VT_I4), 3),
+    (Variant(VT_BSTR, 5), 1),
+    (Variant(VT_BOOL, 5), 2),
+], ids=lambda x: str(x))
+def test_invoke_rejects_payloads_the_tag_cannot_carry(mem, bad, index):
+    dual, calls = make_mix(mem)
+    args = list(MIX_ARGS)
+    args[index] = bad
+    live = mem.live_count
+    with pytest.raises(AutomationError) as exc:
+        invoke(dual, 1, args)
+    assert exc.value.hresult == DISP_E_TYPEMISMATCH
+    assert exc.value.arg_index == index
+    assert calls == [] and mem.live_count == live
+    with pytest.raises(AutomationError) as exc:
+        coerce(bad, MIX_SIG.ins[index].sem)
+    assert exc.value.hresult == DISP_E_TYPEMISMATCH
+
+
+@pytest.mark.parametrize("index, bad_words", [
+    (0, [VT_BSTR, None]), (1, [VT_I4, 5]), (2, [VT_I4, 5]), (3, [VT_BOOL, 1]),
+])
+def test_raw_invoke_writes_the_failing_index_to_puargerr(mem, index, bad_words):
+    dual, calls = make_mix(mem)
+    text = marshal.pack_string8(mem, "s")
+    words = [VT_I4, 1, VT_BSTR, text, VT_BOOL, 1, VT_UI4, 2]
+    words[2 * index:2 * index + 2] = [bad_words[0], text if bad_words[1] is None
+                                      else bad_words[1]]
+    argerr = mem.alloc(1)
+    mem.store(argerr, [0xFFFFFFFF])
+    live = mem.live_count
+    hr, _, _ = raw_invoke(mem, dual, 1, words, argerr)
+    assert hr == DISP_E_TYPEMISMATCH
+    assert mem.read(argerr, 1) == [index]
+    assert calls == [] and mem.live_count == live
+    assert raw_invoke(mem, dual, 1, [VT_I4, 1, VT_BSTR, text, VT_BOOL, 1, VT_UI4, 2]) \
+        == (0, VT_I4, 1)
+    for a in (text, argerr):
+        mem.free(a)
+
+
+@pytest.mark.parametrize("cargs", [0, 1, 3, 5])
+def test_raw_invoke_checks_cargs_before_reading_rgvarg(mem, cargs):
+    _, dual, trace = make_calc(mem)
+    args_blk = mem.alloc(4)
+    mem.store(args_blk, [VT_I4, 20, VT_I4, 22])
+    dp = mem.alloc(2)
+    mem.store(dp, [cargs, args_blk])
+    argerr = mem.alloc(1)
+    mem.store(argerr, [0xFFFFFFFF])
+    live = mem.live_count
+    hr = get_method(dual, 6)([dual.addr, 1, 0, 0, 0, dp, 0, 0, argerr])
+    assert hr == DISP_E_BADPARAMCOUNT
+    assert mem.read(argerr, 1) == [0xFFFFFFFF]
+    assert trace == [] and mem.live_count == live
+    for a in (args_blk, dp, argerr):
+        mem.free(a)
+
+
+def test_raw_invoke_reads_rgvarg_in_one_read(mem, monkeypatch):
+    _, dual, _ = make_calc(mem)
+    args_blk = mem.alloc(4)
+    mem.store(args_blk, [VT_I4, 20, VT_I4, 22])
+    dp = mem.alloc(2)
+    mem.store(dp, [2, args_blk])
+    block = {mem.offset(args_blk, k) for k in range(4)}
+    reads = []
+    read = mem.read
+    monkeypatch.setattr(mem, "read", lambda addr, n: (reads.append((addr, n)), read(addr, n))[1])
+    assert get_method(dual, 6)([dual.addr, 1, 0, 0, 0, dp, 0, 0, 0]) == 0
+    assert [r for r in reads if r[0] in block] == [(args_blk, 4)]
+    for a in (args_blk, dp):
+        mem.free(a)
+
+
+# -- typed, raw and vtable calls agree ----------------------------------------------
+
+
+def _text():
+    return hs.text(hs.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                   max_size=12)
+
+
+_VALUES = {
+    "int32": hs.integers(-2**31, 2**31 - 1),
+    "word32": hs.integers(0, 2**32 - 1),
+    "handle": hs.integers(0, 2**32 - 1),
+    "bool": hs.booleans(),
+    "enum": hs.sampled_from(["WM_NULL", "WM_CREATE", "WM_PAINT", "WM_VSCROLL"]),
+    "string8": _text(),
+}
+
+
+def _variant_words(mem, v):
+    """The VARIANT words of `v`; a BSTR payload is a fresh string block."""
+    if v.tag == VT_BSTR:
+        return [VT_BSTR, marshal.pack_string8(mem, v.value)]
+    return [v.tag, int(v.value) if v.tag == VT_BOOL else word(v.value)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=hs.data())
+def test_typed_raw_and_vtable_calls_agree(win32_desc, data):
+    from mlidl.wordmem import Mem
+
+    mem = Mem()
+    _, dual = make_kinds(mem, win32_desc)
+    live = mem.live_count
+    kind = data.draw(hs.sampled_from(sorted(_KINDS)))
+    value = data.draw(_VALUES[kind])
+    sem, impl, _ = _KINDS[kind]
+    index = list(_KINDS).index(kind)
+    sig = kind_sigs()[index]
+    dispid = get_ids_of_names(dual, sig.name)
+    want = kind_variant(kind, impl(value), win32_desc)
+
+    assert invoke(dual, dispid, [kind_variant(kind, value, win32_desc)]) == want
+
+    direct = marshal.call(sig, get_method(dual, 7 + index), [value], mem, win32_desc)
+    assert variant_of(direct[0], sem, win32_desc) == want
+
+    arg_words = _variant_words(mem, kind_variant(kind, value, win32_desc))
+    hr, tag, payload = raw_invoke(mem, dual, dispid, arg_words)
+    if tag == VT_BSTR:
+        mem.free(arg_words[1])
+        text = marshal.read_string8(mem, payload)
+        mem.free(payload)
+        assert (hr, tag, text) == (0, VT_BSTR, want.value)
+    else:
+        assert [hr, tag, payload] == [0] + _variant_words(mem, want)
+    assert mem.live_count == live
+
+
+def test_invoke_result_from_an_out_or_inout_parameter(mem):
+    sigs = [LiftedSig("Get", (ParamSig("x", "BOOL", st.BOOL, dir="out"),), None),
+            LiftedSig("Bump", (ParamSig("x", "Word32.word", st.WORD32, dir="inout"),), None)]
+    dual = make_dual(sigs, [lambda: True, lambda x: x + 1], ComObject(mem), IID_IMIX)
+    live = mem.live_count
+    assert invoke(dual, 1, []) == Variant.boolean(True)
+    assert invoke(dual, 2, [Variant.i4(-2)]) == Variant.ui4(0xFFFFFFFF)
+    assert raw_invoke(mem, dual, 2, [VT_UI4, 41]) == (0, VT_UI4, 42)
+    assert mem.live_count == live

@@ -175,3 +175,26 @@ _DOCS = hs.recursive(
 @given(_DOCS)
 def test_writer_equals_json_dumps_indent_2(doc):
     assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("path", ["$.interfaces[0].iid", "$.clsid"])
+@pytest.mark.parametrize("bad", ["nope", 5, "C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002",
+                                 "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002} ",
+                                 "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D000G}"])
+def test_iid_and_clsid_that_are_not_guid_text_are_schema_violations(bar_desc, path, bad):
+    doc = json.loads(emit_binding_file(bar_desc))
+    owner = doc["interfaces"][0] if path.endswith(".iid") else doc
+    key = path.rsplit(".", 1)[1]
+    assert owner[key]
+    owner[key] = bad
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_null_iid_and_lowercase_guid_text_load(bar_desc):
+    doc = json.loads(emit_binding_file(bar_desc))
+    doc["interfaces"][0]["iid"] = None
+    doc["clsid"] = doc["clsid"].lower()
+    desc = load_binding_file(json.dumps(doc))
+    assert desc.interfaces[0].iid is None and desc.clsid == doc["clsid"]

@@ -254,3 +254,12 @@ def test_name_lookup_first_declaration_wins_and_errors_unchanged():
             lookup("Nope")
     with pytest.raises(marshal.MarshalError, match="unknown record type 'Nope'"):
         marshal.codec_of(st.record_t("Nope"), desc)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"iids": ["IX"]}, {"iids": None}, {"clsids": ["Bar"]},
+    ["iids"], "iids", 5,
+], ids=["iids-list", "iids-null", "clsids-list", "list", "str", "int"])
+def test_manifest_of_the_wrong_shape_is_a_binding_error(bar_unit, manifest):
+    with pytest.raises(BindingError, match="^manifest: "):
+        build_binding(bar_unit, "com", "auto", manifest)

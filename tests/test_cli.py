@@ -91,6 +91,16 @@ def test_compile_manifest_iid_not_a_guid_exits_2(tmp_path, capsys):
     assert not (tmp_path / "bar.binding.json").exists()
 
 
+def test_compile_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"iids": ["IX"]}))
+    assert main(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
+                 "--manifest", str(manifest), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "manifest: 'iids' must be an object\n"
+    assert not (tmp_path / "bar.sig").exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["compile", str(IDL_DIR / "time.idl"), "--frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err
