@@ -19,7 +19,8 @@ codec's `to_word` checks the value and the parameter codec's `from_word`
 reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly and
 nothing is bridged between strings, numbers and bools (DISP_E_TYPEMISMATCH
 with the argument's index).  `variant_of` runs the same way back, and raw
-Invoke reads and writes payloads with the codecs' unpack and pack.  Type
+Invoke reads and writes payloads with the codecs' unpack and pack (a tag it
+does not know is DISP_E_BADVARTYPE, with the argument's index).  Type
 libraries, locales and named arguments are out of scope (GetTypeInfoCount
 reports 0, GetTypeInfo is not implemented, riid/lcid are ignored).
 """
@@ -58,7 +59,10 @@ _VT_NAMES = {tag: name for name, tag in list(globals().items()) if name.startswi
 DISP_E_MEMBERNOTFOUND = 0x80020003
 DISP_E_TYPEMISMATCH = 0x80020005
 DISP_E_UNKNOWNNAME = 0x80020006
+DISP_E_BADVARTYPE = 0x80020008
 DISP_E_BADPARAMCOUNT = 0x8002000E
+
+_DISPID_UNKNOWN = 0xFFFFFFFF        # what GetIDsOfNames writes for an unknown name
 
 
 class AutomationError(ComError):
@@ -249,16 +253,10 @@ class _Dispatch:
         _this, _riid, names_addr, cnames, _lcid, out_addr = check_words(
             "GetIDsOfNames", words, 6)
         mem = self.mem
-        hr = S_OK
-        for i in range(cnames):
-            name_addr = mem.read(mem.offset(names_addr, i), 1)[0]
-            dispid = self.by_name.get(marshal.read_string8(mem, name_addr).casefold())
-            if dispid is None:
-                mem.store(mem.offset(out_addr, i), [0xFFFFFFFF])
-                hr = DISP_E_UNKNOWNNAME
-            else:
-                mem.store(mem.offset(out_addr, i), [dispid])
-        return hr
+        dispids = [self.by_name.get(marshal.read_string8(mem, a).casefold(), _DISPID_UNKNOWN)
+                   for a in mem.read(names_addr, cnames)]
+        mem.store(out_addr, dispids)
+        return DISP_E_UNKNOWNNAME if _DISPID_UNKNOWN in dispids else S_OK
 
     def _raw_invoke(self, words: list[int]) -> int:
         (_this, dispid, _riid, _lcid, _wflags, dp_addr, result_addr,
@@ -275,7 +273,9 @@ class _Dispatch:
         for at in range(0, len(ws), 2):
             codec = _PAYLOAD.get(ws[at])
             if codec is None:
-                raise ComError(f"unsupported variant tag {ws[at]} in memory")
+                if argerr_addr:
+                    mem.store(argerr_addr, [at // 2])
+                return DISP_E_BADVARTYPE
             variants.append(Variant(ws[at], codec.unpack(mem, ws, at + 1, None)))
         try:
             result = self.call(dispid, variants)

@@ -46,8 +46,8 @@ _BASE_DISPLAY = {
 }
 
 
-# The braced GUID text that `com.Guid.parse` reads; checked here so that the
-# compiler does not import the runtime.
+# The one braced GUID grammar: the compiler and the binding loader check
+# against it, and `com.Guid.parse` reads it.
 _GUID_TEXT = re.compile(r"\{[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-"
                         r"[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}\}")
 

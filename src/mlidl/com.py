@@ -19,10 +19,10 @@ through raw memory alone.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from mlidl.binding.build import _GUID_TEXT
 from mlidl.wordmem import Mem, MemFault, WordFn
 
 S_OK = 0x00000000
@@ -31,11 +31,6 @@ E_NOINTERFACE = 0x80004002
 E_FAIL = 0x80004005
 CLASS_E_NOAGGREGATION = 0x80040110
 REGDB_E_CLASSNOTREG = 0x80040154
-
-_GUID_RE = re.compile(
-    r"\{([0-9A-Fa-f]{8})-([0-9A-Fa-f]{4})-([0-9A-Fa-f]{4})-"
-    r"([0-9A-Fa-f]{4})-([0-9A-Fa-f]{12})\}"
-)
 
 
 class ComError(Exception):
@@ -70,12 +65,12 @@ class Guid:
 
     @staticmethod
     def parse(text: str) -> "Guid":
-        match = _GUID_RE.fullmatch(text.strip())
-        if match is None:
+        braced = text.strip()
+        if _GUID_TEXT.fullmatch(braced) is None:
             raise ValueError(f"malformed GUID {text!r}")
-        g1, g2, g3, g4, g5 = match.groups()
-        return Guid(int(g1, 16), int(g2, 16), int(g3, 16),
-                    bytes.fromhex(g4 + g5))
+        hexes = braced[1:-1].replace("-", "")
+        return Guid(int(hexes[:8], 16), int(hexes[8:12], 16), int(hexes[12:16], 16),
+                    bytes.fromhex(hexes[16:]))
 
     def __str__(self) -> str:
         d4 = self.data4.hex().upper()

@@ -19,6 +19,11 @@ which is also the ABI argument order:
 
 Scalars, handles, bools and enums are one word; records are their fields in
 declaration order with no padding; strings and callbacks are an address.
+A string's block holds its text (UTF-8 for string8, UTF-16 for string16),
+one NUL unit and zero padding to a whole word.  One function pair packs and
+reads both kinds: a pack is one `alloc` and one `store`, a read is one
+`Mem.read_rest`, and a block with no NUL unit is `OutOfBounds`, never a read
+into the next block.
 
 A plan is flat when every parameter is a one-word value passed inline
 (int32, word32, handle, opaque, bool or enum) and so is the return value,
@@ -37,12 +42,13 @@ record return values are rejected with `Unsupported` when the plan is built.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
-from mlidl.wordmem import WORD_MASK, Mem, Symbol, WordFn, to_signed, word
+from mlidl.wordmem import WORD_MASK, Mem, OutOfBounds, Symbol, WordFn, to_signed, word
 
 Value = Any
 
@@ -74,68 +80,51 @@ class Unsupported(MarshalError):
 # -- strings -------------------------------------------------------------------
 
 
-def pack_string8(mem: Mem, s: str) -> int:
+def _pack_text(mem: Mem, s: str, encoding: str, nul: bytes) -> int:
+    """One block holding `s` encoded, one NUL unit, and zero padding to a
+    whole word; packed with one alloc and one store."""
     if "\x00" in s:
         raise BadString("string contains NUL")
-    data = s.encode("utf-8") + b"\x00"
-    nwords = (len(data) + 3) // 4
-    data = data.ljust(nwords * 4, b"\x00")
-    addr = mem.alloc(nwords)
-    mem.store(addr, [int.from_bytes(data[i:i + 4], "little")
-                     for i in range(0, len(data), 4)])
+    data = s.encode(encoding) + nul
+    data += bytes(-len(data) % 4)
+    addr = mem.alloc(len(data) // 4)
+    mem.store(addr, list(struct.unpack(f"<{len(data) // 4}I", data)))
     return addr
 
 
-def _decode(raw: bytes, encoding: str, kind: str, addr: int) -> str:
+def _read_text(mem: Mem, addr: int, encoding: str, nul: bytes, kind: str) -> str:
+    """The text at `addr`, up to the first NUL unit inside the block that
+    holds `addr`, read with one `Mem.read_rest`; a missing NUL is an overrun."""
+    if addr == 0:
+        return ""
+    ws = mem.read_rest(addr)
+    raw = struct.pack(f"<{len(ws)}I", *ws)
+    end = raw.find(nul)
+    while end > 0 and end % len(nul):       # a NUL unit starts on a unit boundary
+        end = raw.find(nul, end + 1)
+    if end < 0:
+        raise OutOfBounds(f"{kind} at {addr:#x} has no NUL before the end of its block")
     try:
-        return raw.decode(encoding)
+        return raw[:end].decode(encoding)
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{kind} at {addr:#x} is not valid {encoding.upper()}: "
                           f"{exc.reason} at byte {exc.start}") from None
 
 
+def pack_string8(mem: Mem, s: str) -> int:
+    return _pack_text(mem, s, "utf-8", b"\0")
+
+
 def read_string8(mem: Mem, addr: int) -> str:
-    if addr == 0:
-        return ""
-    data = bytearray()
-    at = addr
-    while True:
-        w = mem.read(at, 1)[0]
-        chunk = w.to_bytes(4, "little")
-        if 0 in chunk:
-            data.extend(chunk[:chunk.index(0)])
-            break
-        data.extend(chunk)
-        at = mem.offset(at, 1)
-    return _decode(data, "utf-8", "string8", addr)
+    return _read_text(mem, addr, "utf-8", b"\0", "string8")
 
 
 def pack_string16(mem: Mem, s: str) -> int:
-    if "\x00" in s:
-        raise BadString("string contains NUL")
-    raw = s.encode("utf-16-le")
-    units = [int.from_bytes(raw[i:i + 2], "little") for i in range(0, len(raw), 2)]
-    units.append(0)
-    if len(units) % 2:
-        units.append(0)
-    addr = mem.alloc(len(units) // 2)
-    mem.store(addr, [units[i] | (units[i + 1] << 16) for i in range(0, len(units), 2)])
-    return addr
+    return _pack_text(mem, s, "utf-16-le", b"\0\0")
 
 
 def read_string16(mem: Mem, addr: int) -> str:
-    if addr == 0:
-        return ""
-    units: list[int] = []
-    at = addr
-    while True:
-        w = mem.read(at, 1)[0]
-        for u in (w & 0xFFFF, w >> 16):
-            if u == 0:
-                raw = b"".join(x.to_bytes(2, "little") for x in units)
-                return _decode(raw, "utf-16-le", "string16", addr)
-            units.append(u)
-        at = mem.offset(at, 1)
+    return _read_text(mem, addr, "utf-16-le", b"\0\0", "string16")
 
 
 # -- codecs ---------------------------------------------------------------------

@@ -74,6 +74,9 @@ def sem_from_json(obj: object, path: str = "$") -> SemType:
 
     if not isinstance(obj, dict) or "k" not in obj:
         raise SchemaViolation(path, "expected a semantic type object with key 'k'")
+    for key in ("name", "len_from"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise SchemaViolation(f"{path}.{key}", "expected a string")
     kind = obj["k"]
     try:
         return SemType(

@@ -11,7 +11,9 @@ into three regions:
 
 Heap allocations are page-granular internally so that any address can be
 mapped back to its allocation in O(1); reads and stores are bounds-checked
-against the owning allocation.
+against the owning allocation.  `read_rest` reads from an address to the end
+of its allocation, so data of unknown length (a NUL-terminated string) is
+read in one checked step and can never run on into the next block.
 """
 
 from __future__ import annotations
@@ -222,6 +224,13 @@ class Mem:
         if self._trace is not None:
             self._trace(f"read {addr:#x} {nwords} -> {[hex(w) for w in out]}")
         return out
+
+    def read_rest(self, addr: int) -> list[int]:
+        """The words from `addr` to the end of the allocation that holds it,
+        as one `read`: for data such as a NUL-terminated string, whose length
+        the reader finds in the words and must find inside this block."""
+        alloc, idx = self._find(addr)
+        return self.read(addr, alloc.size - idx)
 
     # -- closures ---------------------------------------------------------
 

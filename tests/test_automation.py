@@ -13,6 +13,7 @@ from mlidl import semtypes as st
 from mlidl.automation import (
     AutomationError,
     DISP_E_BADPARAMCOUNT,
+    DISP_E_BADVARTYPE,
     DISP_E_MEMBERNOTFOUND,
     DISP_E_TYPEMISMATCH,
     DISP_E_UNKNOWNNAME,
@@ -304,6 +305,33 @@ def test_raw_get_ids_of_names(mem):
         mem.free(a)
 
 
+def test_raw_get_ids_of_names_reads_each_name_once_and_stores_once():
+    from mlidl.wordmem import Mem
+
+    lines: list[str] = []
+    mem = Mem(trace=lines.append)
+    _, dual, _ = make_calc(mem)
+    strings = [marshal.pack_string8(mem, n) for n in ("add", "nope", "ISUPPER")]
+    names = mem.alloc(3)
+    mem.store(names, strings)
+    ids = mem.alloc(3)
+    get_ids = get_method(dual, 5)
+    lines.clear()
+    hr = get_ids([dual.addr, 0, names, 3, 0, ids])
+    # one read of the pointer array, one of each whole string, one store
+    assert [line.split(" ")[:3] for line in lines] == [
+        ["read", f"{names:#x}", "3"], ["read", f"{strings[0]:#x}", "1"],
+        ["read", f"{strings[1]:#x}", "2"], ["read", f"{strings[2]:#x}", "2"],
+        ["store", f"{ids:#x}", "['0x1',"]]
+    assert hr == DISP_E_UNKNOWNNAME
+    assert mem.read(ids, 3) == [1, 0xFFFFFFFF, 3]
+    mem.store(names, [strings[2], strings[0], strings[2]])
+    assert get_ids([dual.addr, 0, names, 3, 0, ids]) == 0
+    assert mem.read(ids, 3) == [3, 1, 3]
+    for a in strings + [names, ids]:
+        mem.free(a)
+
+
 # -- one interface reference ------------------------------------------------------
 
 
@@ -500,9 +528,13 @@ def test_raw_invoke_reads_bool_payload_2_as_true(mem, win32_desc):
 
 def test_raw_invoke_rejects_unknown_tag_in_memory(mem):
     _, dual, trace = make_calc(mem)
-    with pytest.raises(ComError, match="tag 99"):
-        raw_invoke(mem, dual, 2, [99, 5])
+    argerr = mem.alloc(1)
+    for index, words in ((0, [99, 5, VT_I4, 22]), (1, [VT_I4, 20, 99, 5])):
+        mem.store(argerr, [0xFFFFFFFF])
+        assert raw_invoke(mem, dual, 1, words, argerr) == (DISP_E_BADVARTYPE, VT_EMPTY, 0)
+        assert mem.read(argerr, 1) == [index]
     assert trace == []
+    mem.free(argerr)
 
 
 def test_raw_invoke_bstr_result_is_freed_by_the_caller(mem, win32_desc):

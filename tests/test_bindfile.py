@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import IDL_DIR, REPO
+from mlidl import marshal
 from mlidl.binding import (
     SchemaViolation,
     build_binding,
@@ -198,3 +199,59 @@ def test_null_iid_and_lowercase_guid_text_load(bar_desc):
     doc["clsid"] = doc["clsid"].lower()
     desc = load_binding_file(json.dumps(doc))
     assert desc.interfaces[0].iid is None and desc.clsid == doc["clsid"]
+
+
+@pytest.mark.parametrize("key, bad", [("name", {}), ("name", [1]), ("len_from", {}),
+                                      ("len_from", 5)])
+def test_sem_name_or_len_from_that_is_not_a_string_is_schema_violation(win32_desc, key, bad):
+    doc = json.loads(emit_binding_file(win32_desc))
+    sem = doc["callbacks"][0]["sig"]["params"][0]["sem"]
+    sem[key] = bad
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert exc.value.path == f"$.callbacks[0].sig.params[0].sem.{key}"
+
+
+# -- fuzz gate: one node of an emitted file mutated ----------------------------
+
+_DELETE = object()
+_MUTANTS = [None, True, False, 0, -1, 1 << 40, 1.5, "", "x", "int32", [], [1], {},
+            {"k": "int32"}, {"k": "record", "name": "POINT"},
+            {"k": "array", "elem": {"k": "int32"}, "len_from": "n"}, _DELETE]
+
+
+def _node_paths(x, path=()):
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _node_paths(v, path + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+@pytest.mark.parametrize("which", ["win32_desc", "time_desc", "bar_desc"])
+def test_one_mutated_node_loads_or_is_a_schema_violation(win32_desc, time_desc, bar_desc,
+                                                         which, data):
+    desc = {"win32_desc": win32_desc, "time_desc": time_desc, "bar_desc": bar_desc}[which]
+    doc = json.loads(emit_binding_file(desc))
+    path = data.draw(hs.sampled_from(list(_node_paths(doc))))
+    owner = doc
+    for k in path[:-1]:
+        owner = owner[k]
+    mutant = data.draw(hs.sampled_from(_MUTANTS))
+    if mutant is _DELETE and isinstance(owner, dict):
+        del owner[path[-1]]
+    elif mutant is not _DELETE:
+        owner[path[-1]] = mutant
+    try:
+        loaded = load_binding_file(json.dumps(doc))
+    except SchemaViolation:
+        return
+    hash(loaded)
+    assert load_binding_file(emit_binding_file(loaded)) == loaded
+    for iface in loaded.interfaces:
+        for op in iface.ops:
+            try:
+                marshal.plan_of(op, loaded)
+            except marshal.MarshalError:
+                pass

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from mlidl import semtypes as st
 from mlidl.binding.model import LiftedSig, ParamSig, RetSig
@@ -22,7 +24,7 @@ from mlidl.marshal import (
     skeleton,
     unmarshal_value,
 )
-from mlidl.wordmem import Mem
+from mlidl.wordmem import Mem, OutOfBounds
 
 
 def sig_of(desc, iface, name):
@@ -123,6 +125,68 @@ def test_empty_strings(mem):
     assert read_string16(mem, a16) == ""
     mem.free(a8)
     mem.free(a16)
+
+
+def _reference_words8(s):
+    """string8 packed a byte at a time: the words the codec must store."""
+    data = s.encode("utf-8") + b"\x00"
+    nwords = (len(data) + 3) // 4
+    data = data.ljust(nwords * 4, b"\x00")
+    return [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
+
+
+def _reference_words16(s):
+    """string16 packed a UTF-16 unit at a time: the words the codec must store."""
+    raw = s.encode("utf-16-le")
+    units = [int.from_bytes(raw[i:i + 2], "little") for i in range(0, len(raw), 2)]
+    units.append(0)
+    if len(units) % 2:
+        units.append(0)
+    return [units[i] | (units[i + 1] << 16) for i in range(0, len(units), 2)]
+
+
+_STRINGS = [(pack_string8, read_string8, _reference_words8),
+            (pack_string16, read_string16, _reference_words16)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=hs.text(hs.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")))
+@example(text="A\u4100")        # units 0041 4100: bytes 41 00 00 41, zero bytes but no NUL unit
+@example(text="\U0001d11e\U0010ffff")
+@pytest.mark.parametrize("pack, read, reference", _STRINGS, ids=["string8", "string16"])
+def test_strings_pack_to_the_reference_words_and_read_back(pack, read, reference, text):
+    ops: list[str] = []
+    mem = Mem(trace=lambda line: ops.append(line.split(" ", 1)[0]))
+    addr = pack(mem, text)
+    assert ops == ["alloc", "store"]
+    want = reference(text)
+    assert mem.read_rest(addr) == want          # the block is exactly these words
+    ops.clear()
+    assert read(mem, addr) == text
+    assert ops == ["read"]
+
+
+@pytest.mark.parametrize("kind, read", [("string8", read_string8), ("string16", read_string16)])
+def test_string_with_no_nul_in_its_block_does_not_run_into_the_next(mem, kind, read):
+    full = mem.alloc(1024)          # one whole page: the next block starts where it ends
+    mem.store(full, [0x41414141] * 1024)
+    after = pack_string8(mem, "BBBB")
+    assert after == mem.offset(full, 1024)
+    for at in (full, mem.offset(full, 1023)):
+        with pytest.raises(OutOfBounds, match=rf"^{kind} at {at:#x} has no NUL"):
+            read(mem, at)
+    assert read_string8(mem, after) == "BBBB"
+    mem.free(after)
+    mem.free(full)
+
+
+def test_string16_nul_is_a_whole_aligned_unit(mem):
+    addr = mem.alloc(2)
+    mem.store(addr, [0x41000041, 0x41414141])   # bytes 41 00 00 41 41 41 41 41
+    assert read_string8(mem, addr) == "A"
+    with pytest.raises(OutOfBounds, match="string16"):
+        read_string16(mem, addr)
+    mem.free(addr)
 
 
 @pytest.mark.parametrize("sem, reader, bad", [

@@ -112,6 +112,27 @@ def test_read_past_end(mem):
         mem.read(mem.offset(a, 2), 1)
 
 
+def test_read_rest_reads_to_the_end_of_the_block():
+    lines: list[str] = []
+    mem = Mem(trace=lines.append)
+    a = mem.alloc(3)
+    mem.store(a, [1, 2, 3])
+    b = mem.alloc(1)
+    lines.clear()
+    assert mem.read_rest(a) == [1, 2, 3]
+    assert mem.read_rest(mem.offset(a, 2)) == [3]
+    assert lines == ["read 0x1000 3 -> ['0x1', '0x2', '0x3']",
+                     "read 0x1008 1 -> ['0x3']"]
+    with pytest.raises(OutOfBounds):
+        mem.read_rest(mem.offset(a, 3))
+    with pytest.raises(BadRegion):
+        mem.read_rest(0)
+    mem.free(a)
+    with pytest.raises(UseAfterFree):
+        mem.read_rest(a)
+    mem.free(b)
+
+
 def test_store_past_end(mem):
     a = mem.alloc(2)
     with pytest.raises(OutOfBounds):
