@@ -7,11 +7,20 @@ strings.  `load_binding_file` is the exact inverse of `emit_binding_file`
 and reports violations with a JSON-path to the offending field.
 
 The text is byte-identical to `json.dumps(doc, indent=2)` plus a newline,
-but comes from a small writer: any `indent` sends `json.dumps` to its
-pure-Python encoder, while the writer lays out the containers itself and
-hands each string to the C string encoder.  It is rendered once per
-description and kept on it, so the signature's digest and the emitted file
-share one render.
+where `doc` is the file's JSON value, but no `doc` is built for the bulk of
+it: each interface's and callback's ops are written straight from their
+`LiftedSig`/`ParamSig`, and each `sem` fragment is rendered once per
+(SemType, indentation) and found again by identity, which pays because a
+description holds one object per distinct type.  The smaller tables go
+through `render_json`, a writer that lays out dicts and lists itself and
+hands each string to the C string encoder (any `indent` sends `json.dumps`
+to its pure-Python encoder).  The text is rendered once per description and
+kept on it, so the signature's digest and the emitted file share one render.
+
+Loading runs C `json.loads` and then one walk that rebuilds the model.  The
+walk interns semantic types through a table that belongs to one
+`load_binding_file` call (see `semtypes.sem_from_json`), so the loaded
+description, like a built one, holds one object per distinct type.
 """
 
 from __future__ import annotations
@@ -22,13 +31,7 @@ from typing import Any, Optional
 from mlidl import semtypes as st
 from mlidl.binding import model
 from mlidl.binding.build import _GUID_TEXT
-
-
-class SchemaViolation(Exception):
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
+from mlidl.semtypes import SchemaViolation   # defined there, raised here too
 
 
 def emit_binding_file(desc: model.BindingDesc) -> str:
@@ -38,11 +41,24 @@ def emit_binding_file(desc: model.BindingDesc) -> str:
 
 def render_binding_file(desc: model.BindingDesc) -> str:
     """The binding file's text; `desc.binding_text` keeps it."""
-    doc: dict[str, Any] = {
-        "module": desc.module,
-        "mode": desc.mode,
-        "level": desc.level,
-        "interfaces": [_iface_json(i) for i in desc.interfaces],
+    frags: dict[tuple[int, str], str] = {}
+    out = [f'{{{_NL2}"module": {_quote(desc.module)},{_NL2}"mode": {_quote(desc.mode)},'
+           f'{_NL2}"level": {_quote(desc.level)},{_NL2}"interfaces": ']
+    sep = "["
+    for i in desc.interfaces:
+        out.append(f'{sep}{_NL4}{{{_NL6}"name": {_quote(i.name)},'
+                   f'{_NL6}"source": {_str_or_null(i.source)},'
+                   f'{_NL6}"parent": {_str_or_null(i.parent)},'
+                   f'{_NL6}"iid": {_str_or_null(i.iid)},{_NL6}"ops": ')
+        sep2 = "["
+        for op in i.ops:
+            out.append(f"{sep2}{_NL8}")
+            _write_sig(op, _NL8, out, frags)
+            sep2 = ","
+        out.append(f"{_NL6}]{_NL4}}}" if i.ops else f"[]{_NL4}}}")
+        sep = ","
+    out.append(f"{_NL2}]" if desc.interfaces else "[]")
+    tables: dict[str, Any] = {
         "enums": [
             {"name": e.name,
              "variants": [[n, f"0x{v:x}"] for n, v in e.variants]}
@@ -63,42 +79,72 @@ def render_binding_file(desc: model.BindingDesc) -> str:
              "value": f"0x{c.value:x}" if c.form == "word" else c.value}
             for c in desc.consts
         ],
-        "callbacks": [
-            {"name": c.name, "sig": _sig_json(c.sig)} for c in desc.callbacks
-        ],
-        "aliases": [
-            {"name": a.name, "type": a.display, "sem": st.sem_to_json(a.sem)}
-            for a in desc.aliases
-        ],
     }
+    for key, value in tables.items():
+        out.append(f',{_NL2}"{key}": ')
+        _write(value, _NL2, out)
+    out.append(f',{_NL2}"callbacks": ')
+    sep = "["
+    for c in desc.callbacks:
+        out.append(f'{sep}{_NL4}{{{_NL6}"name": {_quote(c.name)},{_NL6}"sig": ')
+        _write_sig(c.sig, _NL6, out, frags)
+        out.append(_NL4 + "}")
+        sep = ","
+    out.append(f"{_NL2}]" if desc.callbacks else "[]")
+    out.append(f',{_NL2}"aliases": ')
+    _write([{"name": a.name, "type": a.display, "sem": st.sem_to_json(a.sem)}
+            for a in desc.aliases], _NL2, out)
     if desc.clsid is not None:
-        doc["clsid"] = desc.clsid
-    return render_json(doc) + "\n"
+        out.append(f',{_NL2}"clsid": {_quote(desc.clsid)}')
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _iface_json(i: model.InterfaceDesc) -> dict[str, Any]:
-    return {
-        "name": i.name,
-        "source": i.source,
-        "parent": i.parent,
-        "iid": i.iid,
-        "ops": [_sig_json(op) for op in i.ops],
-    }
+_NL2, _NL4, _NL6, _NL8 = ("\n" + " " * n for n in (2, 4, 6, 8))
 
 
-def _sig_json(sig: model.LiftedSig) -> dict[str, Any]:
-    return {
-        "name": sig.name,
-        "kind": sig.kind,
-        "callback": sig.callback,
-        "params": [
-            {"name": p.name, "type": p.display, "sem": st.sem_to_json(p.sem),
-             "dir": p.dir, "byref": p.byref}
-            for p in sig.params
-        ],
-        "ret": None if sig.ret is None else
-               {"type": sig.ret.display, "sem": st.sem_to_json(sig.ret.sem)},
-    }
+def _write_sig(sig: model.LiftedSig, newline: str, out: list[str],
+               frags: dict[tuple[int, str], str]) -> None:
+    """Append what `_write` makes of the op's JSON object {"name", "kind",
+    "callback", "params", "ret"}, nested where `newline` starts a line."""
+    keys = newline + "  "
+    item = keys + "  "
+    field = item + "  "
+    out.append(f'{{{keys}"name": {_quote(sig.name)},{keys}"kind": {_quote(sig.kind)},'
+               f'{keys}"callback": {"true" if sig.callback else "false"},'
+               f'{keys}"params": ')
+    sep = "["
+    for p in sig.params:
+        out.append(f'{sep}{item}{{{field}"name": {_quote(p.name)},'
+                   f'{field}"type": {_quote(p.display)},'
+                   f'{field}"sem": {_sem_at(p.sem, field, frags)},'
+                   f'{field}"dir": {_quote(p.dir)},'
+                   f'{field}"byref": {"true" if p.byref else "false"}{item}}}')
+        sep = ","
+    out.append(f"{keys}]" if sig.params else "[]")
+    ret = sig.ret
+    if ret is None:
+        out.append(f',{keys}"ret": null{newline}}}')
+    else:
+        out.append(f',{keys}"ret": {{{item}"type": {_quote(ret.display)},'
+                   f'{item}"sem": {_sem_at(ret.sem, item, frags)}{keys}}}{newline}}}')
+
+
+def _sem_at(sem: st.SemType, newline: str, frags: dict[tuple[int, str], str]) -> str:
+    """`sem`'s JSON nested where `newline` starts a line, rendered once per
+    (object, indentation) in one render; `frags` lives as long as the render,
+    and the description keeps every `sem` alive, so an `id` names one."""
+    key = (id(sem), newline)
+    text = frags.get(key)
+    if text is None:
+        parts: list[str] = []
+        _write(st.sem_to_json(sem), newline, parts)
+        text = frags[key] = "".join(parts)
+    return text
+
+
+def _str_or_null(x: Optional[str]) -> str:
+    return "null" if x is None else _quote(x)
 
 
 # -- the writer --------------------------------------------------------------
@@ -174,8 +220,9 @@ def load_binding_file(text: str) -> model.BindingDesc:
         raise SchemaViolation("$.level", f"unknown level {level!r}")
     clsid = _guid(doc, "clsid", "$")
 
+    sems = st.sem_table()       # this call's intern table; it dies on return
     interfaces = tuple(
-        _load_iface(x, f"$.interfaces[{i}]")
+        _load_iface(x, f"$.interfaces[{i}]", sems)
         for i, x in enumerate(_list(doc, "interfaces", "$"))
     )
     enums = tuple(
@@ -183,7 +230,7 @@ def load_binding_file(text: str) -> model.BindingDesc:
         for i, x in enumerate(_list(doc, "enums", "$"))
     )
     records = tuple(
-        _load_record(x, f"$.records[{i}]")
+        _load_record(x, f"$.records[{i}]", sems)
         for i, x in enumerate(_list(doc, "records", "$"))
     )
     consts = tuple(
@@ -191,11 +238,11 @@ def load_binding_file(text: str) -> model.BindingDesc:
         for i, x in enumerate(_list(doc, "consts", "$"))
     )
     callbacks = tuple(
-        _load_callback(x, f"$.callbacks[{i}]")
+        _load_callback(x, f"$.callbacks[{i}]", sems)
         for i, x in enumerate(_list(doc, "callbacks", "$"))
     )
     aliases = tuple(
-        _load_alias(x, f"$.aliases[{i}]")
+        _load_alias(x, f"$.aliases[{i}]", sems)
         for i, x in enumerate(_list(doc, "aliases", "$"))
     )
     return model.BindingDesc(
@@ -205,22 +252,22 @@ def load_binding_file(text: str) -> model.BindingDesc:
     )
 
 
-def _load_callback(x: Any, path: str) -> model.CallbackDef:
+def _load_callback(x: Any, path: str, sems: dict) -> model.CallbackDef:
     _need(x, dict, path)
     return model.CallbackDef(name=_str(x, "name", path),
-                             sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig"))
+                             sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig", sems))
 
 
-def _load_alias(x: Any, path: str) -> model.AliasDef:
+def _load_alias(x: Any, path: str, sems: dict) -> model.AliasDef:
     _need(x, dict, path)
     return model.AliasDef(
         name=_str(x, "name", path),
         display=_str(x, "type", path),
-        sem=st.sem_from_json(_need_key(x, "sem", path), f"{path}.sem"),
+        sem=st.sem_from_json(_need_key(x, "sem", path), f"{path}.sem", sems),
     )
 
 
-def _load_iface(x: Any, path: str) -> model.InterfaceDesc:
+def _load_iface(x: Any, path: str, sems: dict) -> model.InterfaceDesc:
     _need(x, dict, path)
     source = x.get("source")
     parent = x.get("parent")
@@ -229,7 +276,7 @@ def _load_iface(x: Any, path: str) -> model.InterfaceDesc:
             raise SchemaViolation(f"{path}.{key}", "expected a string or null")
     iid = _guid(x, "iid", path)
     ops = tuple(
-        _load_sig(op, f"{path}.ops[{i}]")
+        _load_sig(op, f"{path}.ops[{i}]", sems)
         for i, op in enumerate(_list(x, "ops", path))
     )
     return model.InterfaceDesc(name=_str(x, "name", path), ops=ops,
@@ -243,7 +290,7 @@ def _guid(x: dict, key: str, path: str) -> Optional[str]:
     return val
 
 
-def _load_sig(x: Any, path: str) -> model.LiftedSig:
+def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
     _need(x, dict, path)
     kind = x.get("kind", "method")
     if kind not in ("method", "query_interface"):
@@ -258,7 +305,7 @@ def _load_sig(x: Any, path: str) -> model.LiftedSig:
         params.append(model.ParamSig(
             name=_str(p, "name", ppath),
             display=_str(p, "type", ppath),
-            sem=st.sem_from_json(_need_key(p, "sem", ppath), f"{ppath}.sem"),
+            sem=st.sem_from_json(_need_key(p, "sem", ppath), f"{ppath}.sem", sems),
             dir=direction,
             byref=bool(p.get("byref", False)),
         ))
@@ -269,7 +316,7 @@ def _load_sig(x: Any, path: str) -> model.LiftedSig:
         _need(ret_obj, dict, rpath)
         ret = model.RetSig(
             display=_str(ret_obj, "type", rpath),
-            sem=st.sem_from_json(_need_key(ret_obj, "sem", rpath), f"{rpath}.sem"),
+            sem=st.sem_from_json(_need_key(ret_obj, "sem", rpath), f"{rpath}.sem", sems),
         )
     return model.LiftedSig(name=_str(x, "name", path), params=tuple(params),
                            ret=ret, kind=kind, callback=bool(x.get("callback", False)))
@@ -287,7 +334,7 @@ def _load_enum(x: Any, path: str) -> model.EnumMap:
     return model.EnumMap(name=_str(x, "name", path), variants=tuple(variants))
 
 
-def _load_record(x: Any, path: str) -> model.RecordLayout:
+def _load_record(x: Any, path: str, sems: dict) -> model.RecordLayout:
     _need(x, dict, path)
     fields = []
     for i, f in enumerate(_list(x, "fields", path)):
@@ -299,7 +346,7 @@ def _load_record(x: Any, path: str) -> model.RecordLayout:
         fields.append(model.FieldLayout(
             name=_str(f, "name", fpath),
             display=_str(f, "type", fpath),
-            sem=st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem"),
+            sem=st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
             offset=offset,
         ))
     size = x.get("size")

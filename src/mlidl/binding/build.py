@@ -103,6 +103,12 @@ class _Builder:
         self.manifest = manifest
         self.table = symbol_table(unit)
         self.layouts: dict[str, model.RecordLayout] = {}
+        # One SemType object per distinct type in this description (hash
+        # consing): a named type is lowered once per name, and each new
+        # record, enum, callback or array type is interned by equality.
+        # The scalars are the module constants.
+        self.named: dict[str, st.SemType] = {}
+        self.interned: dict[st.SemType, st.SemType] = {_IID_SEM: _IID_SEM}
 
     def build(self) -> model.BindingDesc:
         module = self.unit.sml_name() or Path(self.unit.source_name).stem
@@ -244,7 +250,7 @@ class _Builder:
             if elem_sem.kind == "callback":
                 raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
                                    f"not supported")
-            sem: st.SemType = st.array_t(elem_sem, t.len_param)
+            sem: st.SemType = self.intern(st.array_t(elem_sem, t.len_param))
             display = f"{self.display(t.elem)} list"
         elif isinstance(t, ast.PtrType):
             inner = t.to
@@ -281,41 +287,51 @@ class _Builder:
     # -- type mapping -----------------------------------------------------------
 
     def sem(self, t: ast.IdlType, string: bool = False) -> st.SemType:
+        """The interned semantic type of `t`."""
         if isinstance(t, ast.BaseType):
             if t.name == "void":
                 return st.UNIT
             return _BASE_SEM[t.name]
         if isinstance(t, ast.NamedType):
-            d = self.table.get(t.name)
-            if d is None:
-                if t.name == "IID":
-                    return st.record_t("IID")
-                if t.name == "HRESULT":
-                    return st.INT32
-                if t.name == "IUnknown":
-                    return st.OPAQUE
-                raise BindingError(f"unresolved type {t.name!r}")
-            if isinstance(d, ast.Typedef):
-                if isinstance(d.type, ast.FuncType):
-                    return st.callback_t(d.name)
-                if d.name == "HANDLE":
-                    return st.HANDLE
-                return self.sem(d.type, string=d.string)
-            if isinstance(d, ast.RecordDecl):
-                return st.record_t(d.name)
-            if isinstance(d, ast.EnumDecl):
-                return st.enum_t(d.name)
-            if isinstance(d, ast.Interface):
-                return st.OPAQUE
-            raise BindingError(f"cannot use {t.name!r} as a type")
+            found = self.named.get(t.name)
+            if found is None:
+                found = self.named[t.name] = self.intern(self.named_sem(t.name))
+            return found
         if isinstance(t, ast.PtrType):
             inner = t.to
             if string and isinstance(inner, ast.BaseType):
                 return st.STRING16 if inner.name == "wchar_t" else st.STRING8
             return st.OPAQUE
         if isinstance(t, ast.ArrayType):
-            return st.array_t(self.sem(t.elem), t.len_param)
+            return self.intern(st.array_t(self.sem(t.elem), t.len_param))
         raise BindingError(f"cannot map type {t!r}")
+
+    def named_sem(self, name: str) -> st.SemType:
+        d = self.table.get(name)
+        if d is None:
+            if name == "IID":
+                return _IID_SEM
+            if name == "HRESULT":
+                return st.INT32
+            if name == "IUnknown":
+                return st.OPAQUE
+            raise BindingError(f"unresolved type {name!r}")
+        if isinstance(d, ast.Typedef):
+            if isinstance(d.type, ast.FuncType):
+                return st.callback_t(d.name)
+            if d.name == "HANDLE":
+                return st.HANDLE
+            return self.sem(d.type, string=d.string)
+        if isinstance(d, ast.RecordDecl):
+            return st.record_t(d.name)
+        if isinstance(d, ast.EnumDecl):
+            return st.enum_t(d.name)
+        if isinstance(d, ast.Interface):
+            return st.OPAQUE
+        raise BindingError(f"cannot use {name!r} as a type")
+
+    def intern(self, sem: st.SemType) -> st.SemType:
+        return self.interned.setdefault(sem, sem)
 
     def display(self, t: ast.IdlType, string: bool = False) -> str:
         if isinstance(t, ast.BaseType):
@@ -340,10 +356,12 @@ def _check_guid(value: object, what: str) -> None:
                            f"{{XXXXXXXX-XXXX-XXXX-XXXX-XXXXXXXXXXXX}}: {value!r}")
 
 
+_IID_SEM = st.record_t("IID")
+
 _QUERY_INTERFACE_SIG = model.LiftedSig(
     name="QueryInterface",
     params=(model.ParamSig(name="iid", display="'a Com.IID",
-                           sem=st.record_t("IID"), dir="in", byref=True),),
+                           sem=_IID_SEM, dir="in", byref=True),),
     ret=model.RetSig("'a Com.interface", st.OPAQUE),
     kind="query_interface",
 )

@@ -85,7 +85,11 @@ def _pack_text(mem: Mem, s: str, encoding: str, nul: bytes) -> int:
     whole word; packed with one alloc and one store."""
     if "\x00" in s:
         raise BadString("string contains NUL")
-    data = s.encode(encoding) + nul
+    try:
+        data = s.encode(encoding) + nul
+    except UnicodeEncodeError as exc:     # a lone surrogate
+        raise BadString(f"string is not encodable as {encoding.upper()}: "
+                        f"{exc.reason} at index {exc.start}") from None
     data += bytes(-len(data) % 4)
     addr = mem.alloc(len(data) // 4)
     mem.store(addr, list(struct.unpack(f"<{len(data) // 4}I", data)))

@@ -3,12 +3,31 @@
 A SemType says how a value is represented at the word level and how it
 converts to and from host values.  Scalars occupy one word inline; strings,
 arrays and callbacks cross the boundary as a one-word address.
+
+A description holds one SemType object per distinct type: the builder and
+the binding-file loader each intern the types of one description (hash
+consing), so equal types are one object there, and the binding-file writer
+renders each once.  `sem_from_json` interns through a table its caller owns
+and drops, and keys it only on fields it has already checked; nothing is
+kept between loads.  `SchemaViolation`, the loader's error, is defined here
+so that this module needs no import of the binding package; its public
+home stays `mlidl.binding`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+
+class SchemaViolation(Exception):
+    """A binding file that breaks its schema, at a JSON path such as
+    `$.interfaces[0].ops[2].params[1].sem`."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -69,21 +88,42 @@ def sem_to_json(t: SemType) -> dict:
     return out
 
 
-def sem_from_json(obj: object, path: str = "$") -> SemType:
-    from mlidl.binding.bindfile import SchemaViolation  # cycle-free at call time
+def sem_from_json(obj: object, path: str = "$",
+                  table: Optional[dict] = None) -> SemType:
+    """The SemType `obj` spells, or a SchemaViolation at `path`.
 
+    With a `table`, equal types come back as one object: the table maps
+    (kind, name, id of the interned elem, len_from) to the type, and is
+    consulted only once `name` and `len_from` are checked strings or None
+    and `kind` is a string; a key that names no valid type never gets in.
+    """
     if not isinstance(obj, dict) or "k" not in obj:
         raise SchemaViolation(path, "expected a semantic type object with key 'k'")
-    for key in ("name", "len_from"):
-        if obj.get(key) is not None and not isinstance(obj[key], str):
-            raise SchemaViolation(f"{path}.{key}", "expected a string")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SchemaViolation(f"{path}.name", "expected a string")
+    len_from = obj.get("len_from")
+    if len_from is not None and not isinstance(len_from, str):
+        raise SchemaViolation(f"{path}.len_from", "expected a string")
     kind = obj["k"]
+    elem = sem_from_json(obj["elem"], path + ".elem", table) if "elem" in obj else None
+    key = None
+    if table is not None and type(kind) is str:
+        key = (kind, name, id(elem), len_from)
+        found = table.get(key)
+        if found is not None:
+            return found
     try:
-        return SemType(
-            kind=kind,
-            name=obj.get("name"),
-            elem=sem_from_json(obj["elem"], path + ".elem") if "elem" in obj else None,
-            len_from=obj.get("len_from"),
-        )
+        t = SemType(kind=kind, name=name, elem=elem, len_from=len_from)
     except ValueError as exc:
         raise SchemaViolation(path, str(exc)) from None
+    if key is not None:
+        table[key] = t
+    return t
+
+
+def sem_table() -> dict:
+    """A fresh intern table for `sem_from_json`, holding the scalar
+    constants so that a loaded scalar is the builder's own object."""
+    return {(t.kind, None, id(None), None): t
+            for t in (INT32, WORD32, BOOL, STRING8, STRING16, HANDLE, OPAQUE, UNIT)}

@@ -159,6 +159,93 @@ def test_binding_file_is_rendered_once_per_description(win32_desc):
     assert again == win32_desc and hash(again) == hash(win32_desc)
 
 
+# -- every shipped file in every mode: the direct writer and interning --------
+
+def _manifest_for(unit):
+    """An IID for every interface of `unit`, and the bar manifest's own."""
+    from mlidl.idl import ast
+
+    names = [d.name for d in unit.decls if isinstance(d, ast.Interface)]
+    iids = {n: f"{{00000000-0000-0000-0000-{i:012X}}}" for i, n in enumerate(names)}
+    shipped = load_manifest(IDL_DIR / "bar.manifest.json")
+    return {"iids": {**iids, **shipped["iids"]}, "clsids": shipped["clsids"]}
+
+
+def _sems(desc):
+    """Every SemType object `desc` holds, element types included."""
+    sigs = [op for i in desc.interfaces for op in i.ops] + [c.sig for c in desc.callbacks]
+    todo = ([p.sem for s in sigs for p in s.params]
+            + [s.ret.sem for s in sigs if s.ret is not None]
+            + [f.sem for r in desc.records for f in r.fields]
+            + [a.sem for a in desc.aliases])
+    out = []
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        if t.elem is not None:
+            todo.append(t.elem)
+    return out
+
+
+def _one_object_per_type(desc):
+    sems = _sems(desc)
+    by_value = {}
+    for t in sems:
+        assert by_value.setdefault(t, t) is t, t
+    return sems
+
+
+@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: p.name)
+@pytest.mark.parametrize("mode", ["static", "dynamic", "com"])
+@pytest.mark.parametrize("level", ["auto", "abstract"])
+def test_every_shipped_file_in_every_mode_writes_loads_and_interns(path, mode, level):
+    from mlidl import semtypes as st
+
+    unit = parse_text(path.read_text(encoding="utf-8"), path.name)
+    desc = build_binding(unit, mode=mode, level=level,
+                         manifest=_manifest_for(unit) if mode == "com" else None)
+    text = emit_binding_file(desc)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    loaded = load_binding_file(text)
+    assert loaded == desc and hash(loaded) == hash(desc)
+    assert emit_binding_file(loaded) == text
+    built_sems = _one_object_per_type(desc)
+    loaded_sems = _one_object_per_type(loaded)
+    assert len({id(t) for t in built_sems}) == len({id(t) for t in loaded_sems})
+    # a loaded scalar is the builder's own constant
+    assert all(t is getattr(st, t.kind.upper()) for t in loaded_sems
+               if t.kind in ("int32", "word32", "bool", "string8", "string16",
+                             "handle", "opaque", "unit"))
+
+
+def test_a_record_named_iid_is_the_query_interface_parameter_type(bar_manifest):
+    text = ("typedef struct { long a; long b; long c; long d; } IID;\n"
+            "interface IX { void Take ([in] IID *iid); }\n")
+    desc = build_binding(parse_text(text, "bar.idl"), "com", manifest=bar_manifest)
+    qi, take = desc.interfaces[0].ops
+    assert qi.params[0].sem is take.params[0].sem
+    _one_object_per_type(desc)
+
+
+def test_sem_from_json_interns_only_through_its_table():
+    from mlidl import semtypes as st
+
+    arr = {"k": "array", "elem": {"k": "record", "name": "P"}, "len_from": "n"}
+    table = st.sem_table()
+    a, b = st.sem_from_json(arr, "$", table), st.sem_from_json(dict(arr), "$", table)
+    assert a is b and a.elem is st.sem_from_json(arr["elem"], "$", table)
+    assert st.sem_from_json({"k": "int32"}, "$", table) is st.INT32
+    fresh = st.sem_from_json(arr)
+    assert fresh == a and fresh is not a
+    # an unhashable kind is reported, not looked up
+    with pytest.raises(SchemaViolation) as exc:
+        st.sem_from_json({"k": ["int32"]}, "$.x", table)
+    assert str(exc.value) == "$.x: unknown semantic type kind ['int32']"
+    with pytest.raises(SchemaViolation):
+        st.sem_from_json({"k": "quux"}, "$", table)
+    assert all(key[0] != "quux" for key in table)
+
+
 # ASCII, the characters json escapes, and non-ASCII up to a lone surrogate
 # and the astral plane.
 _CHARS = hs.sampled_from('aZ0 "\\/\x00\t\n\x1f\x7f\xffé€\u2028\ud800𝄞\U0010ffff')
@@ -249,9 +336,29 @@ def test_one_mutated_node_loads_or_is_a_schema_violation(win32_desc, time_desc, 
         return
     hash(loaded)
     assert load_binding_file(emit_binding_file(loaded)) == loaded
+    text = emit_binding_file(loaded)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    _one_object_per_type(loaded)
     for iface in loaded.interfaces:
         for op in iface.ops:
             try:
                 marshal.plan_of(op, loaded)
             except marshal.MarshalError:
                 pass
+
+
+def test_compiler_imports_no_runtime_module():
+    # a command-line compile pays for every module it imports
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys, mlidl.idl, mlidl.binding\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('mlidl'))))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=env).stdout.split()
+    assert "mlidl.binding.bindfile" in loaded
+    runtime = ("mlidl.wordmem", "mlidl.marshal", "mlidl.com", "mlidl.automation",
+               "mlidl.winsim")
+    assert [m for m in loaded if m.startswith(runtime)] == []

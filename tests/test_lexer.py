@@ -183,3 +183,19 @@ def test_token_equality_and_hash_leave_out_value():
     assert a[0] == type(a[0])("ident", "x", 1, 1, "other")
     assert a[0] != type(a[0])("ident", "x", 1, 2, "x")
     assert repr(a[0]) == "Token(ident, 'x', 1:1)"
+
+
+@pytest.mark.parametrize("text, ch", [("const int X = ²;", "²"), ("const int X = 0³;", "³"),
+                                      ("const int X = ¹000000;", "¹"),
+                                      ("const int X = ①;", "①")])
+def test_digit_that_int_rejects_is_a_stray_character(text, ch):
+    # str.isdigit() takes these, int() does not
+    with pytest.raises(LexError) as exc:
+        tokenize(text)
+    assert exc.value.message == f"stray character {ch!r}"
+    assert exc.value.col == text.index(ch) + 1
+
+
+def test_decimal_digit_of_another_script_is_an_int():
+    tok = tokenize("٣")[0]
+    assert (tok.kind, tok.text, tok.value) == ("int", "٣", 3)

@@ -112,6 +112,24 @@ def test_string_nul_rejected(mem):
         pack_string16(mem, "a\x00b")
 
 
+@pytest.mark.parametrize("pack", [pack_string8, pack_string16])
+def test_lone_surrogate_is_bad_string(mem, pack):
+    with pytest.raises(BadString, match="not encodable"):
+        pack(mem, "a\ud800")
+    assert mem.live_count == 0
+
+
+def test_lone_surrogate_in_a_bound_call_is_bad_string_and_leaks_nothing(mem):
+    sig = LiftedSig("Two", (ParamSig("a", "String.string", st.STRING8),
+                            ParamSig("b", "String.string", st.STRING8)),
+                    RetSig("Int32.int", st.INT32))
+    hits = []
+    before = mem.live_count
+    with pytest.raises(BadString):
+        call(sig, lambda ws: hits.append(ws) or 0, ["ok", "x\ud800"], mem)
+    assert hits == [] and mem.live_count == before
+
+
 def test_string16_round_trip(mem):
     addr = pack_string16(mem, "héllo wörld")
     assert read_string16(mem, addr) == "héllo wörld"
