@@ -103,12 +103,16 @@ class _Builder:
         self.manifest = manifest
         self.table = symbol_table(unit)
         self.layouts: dict[str, model.RecordLayout] = {}
-        # One SemType object per distinct type in this description (hash
-        # consing): a named type is lowered once per name, and each new
-        # record, enum, callback or array type is interned by equality.
-        # The scalars are the module constants.
-        self.named: dict[str, st.SemType] = {}
-        self.interned: dict[st.SemType, st.SemType] = {_IID_SEM: _IID_SEM}
+        # one SemType object per distinct type in this description
+        self.sems = st.sem_table()
+        self.query_interface = model.LiftedSig(
+            name="QueryInterface",
+            params=(model.ParamSig(name="iid", display="'a Com.IID",
+                                   sem=st.interned(self.sems, "record", "IID"),
+                                   dir="in", byref=True),),
+            ret=model.RetSig("'a Com.interface", st.OPAQUE),
+            kind="query_interface",
+        )
 
     def build(self) -> model.BindingDesc:
         module = self.unit.sml_name() or Path(self.unit.source_name).stem
@@ -219,7 +223,7 @@ class _Builder:
                 raise MissingIid(
                     f"com-mode interface {d.name!r} has no IID in the manifest")
             _check_guid(iid, f"IID of interface {d.name!r}")
-            ops.append(_QUERY_INTERFACE_SIG)
+            ops.append(self.query_interface)
         for op in d.ops:
             if self.mode == "com" and op.name in ("QueryInterface", "AddRef", "Release"):
                 continue
@@ -246,11 +250,10 @@ class _Builder:
         t = p.type
         byref = False
         if isinstance(t, ast.ArrayType):
-            elem_sem = self.sem(t.elem)
-            if elem_sem.kind == "callback":
+            sem: st.SemType = self.sem(t)
+            if sem.elem.kind == "callback":
                 raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
                                    f"not supported")
-            sem: st.SemType = self.intern(st.array_t(elem_sem, t.len_param))
             display = f"{self.display(t.elem)} list"
         elif isinstance(t, ast.PtrType):
             inner = t.to
@@ -293,45 +296,37 @@ class _Builder:
                 return st.UNIT
             return _BASE_SEM[t.name]
         if isinstance(t, ast.NamedType):
-            found = self.named.get(t.name)
-            if found is None:
-                found = self.named[t.name] = self.intern(self.named_sem(t.name))
-            return found
+            d = self.table.get(t.name)
+            if d is None:
+                if t.name == "IID":
+                    return st.interned(self.sems, "record", "IID")
+                if t.name == "HRESULT":
+                    return st.INT32
+                if t.name == "IUnknown":
+                    return st.OPAQUE
+                raise BindingError(f"unresolved type {t.name!r}")
+            if isinstance(d, ast.Typedef):
+                if isinstance(d.type, ast.FuncType):
+                    return st.interned(self.sems, "callback", d.name)
+                if d.name == "HANDLE":
+                    return st.HANDLE
+                return self.sem(d.type, string=d.string)
+            if isinstance(d, ast.RecordDecl):
+                return st.interned(self.sems, "record", d.name)
+            if isinstance(d, ast.EnumDecl):
+                return st.interned(self.sems, "enum", d.name)
+            if isinstance(d, ast.Interface):
+                return st.OPAQUE
+            raise BindingError(f"cannot use {t.name!r} as a type")
         if isinstance(t, ast.PtrType):
             inner = t.to
             if string and isinstance(inner, ast.BaseType):
                 return st.STRING16 if inner.name == "wchar_t" else st.STRING8
             return st.OPAQUE
         if isinstance(t, ast.ArrayType):
-            return self.intern(st.array_t(self.sem(t.elem), t.len_param))
+            return st.interned(self.sems, "array", elem=self.sem(t.elem),
+                               len_from=t.len_param)
         raise BindingError(f"cannot map type {t!r}")
-
-    def named_sem(self, name: str) -> st.SemType:
-        d = self.table.get(name)
-        if d is None:
-            if name == "IID":
-                return _IID_SEM
-            if name == "HRESULT":
-                return st.INT32
-            if name == "IUnknown":
-                return st.OPAQUE
-            raise BindingError(f"unresolved type {name!r}")
-        if isinstance(d, ast.Typedef):
-            if isinstance(d.type, ast.FuncType):
-                return st.callback_t(d.name)
-            if d.name == "HANDLE":
-                return st.HANDLE
-            return self.sem(d.type, string=d.string)
-        if isinstance(d, ast.RecordDecl):
-            return st.record_t(d.name)
-        if isinstance(d, ast.EnumDecl):
-            return st.enum_t(d.name)
-        if isinstance(d, ast.Interface):
-            return st.OPAQUE
-        raise BindingError(f"cannot use {name!r} as a type")
-
-    def intern(self, sem: st.SemType) -> st.SemType:
-        return self.interned.setdefault(sem, sem)
 
     def display(self, t: ast.IdlType, string: bool = False) -> str:
         if isinstance(t, ast.BaseType):
@@ -355,13 +350,3 @@ def _check_guid(value: object, what: str) -> None:
         raise BindingError(f"{what} in the manifest is not a GUID of the form "
                            f"{{XXXXXXXX-XXXX-XXXX-XXXX-XXXXXXXXXXXX}}: {value!r}")
 
-
-_IID_SEM = st.record_t("IID")
-
-_QUERY_INTERFACE_SIG = model.LiftedSig(
-    name="QueryInterface",
-    params=(model.ParamSig(name="iid", display="'a Com.IID",
-                           sem=_IID_SEM, dir="in", byref=True),),
-    ret=model.RetSig("'a Com.interface", st.OPAQUE),
-    kind="query_interface",
-)

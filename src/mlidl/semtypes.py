@@ -5,13 +5,12 @@ converts to and from host values.  Scalars occupy one word inline; strings,
 arrays and callbacks cross the boundary as a one-word address.
 
 A description holds one SemType object per distinct type: the builder and
-the binding-file loader each intern the types of one description (hash
-consing), so equal types are one object there, and the binding-file writer
-renders each once.  `sem_from_json` interns through a table its caller owns
-and drops, and keys it only on fields it has already checked; nothing is
-kept between loads.  `SchemaViolation`, the loader's error, is defined here
-so that this module needs no import of the binding package; its public
-home stays `mlidl.binding`.
+the binding-file loader each make the types of one description through
+`interned` and a `sem_table` that they own and drop (hash consing), so equal
+types are one object there, and the binding-file writer renders each once.
+Nothing is kept between descriptions.  `SchemaViolation`, the loader's
+error, is defined here so that this module needs no import of the binding
+package; its public home stays `mlidl.binding`.
 """
 
 from __future__ import annotations
@@ -88,15 +87,32 @@ def sem_to_json(t: SemType) -> dict:
     return out
 
 
-def sem_from_json(obj: object, path: str = "$",
-                  table: Optional[dict] = None) -> SemType:
-    """The SemType `obj` spells, or a SchemaViolation at `path`.
+def sem_table() -> dict:
+    """A fresh intern table for `interned`, holding the scalar constants so
+    that an interned scalar is the module's own object."""
+    return {(t.kind, None, id(None), None): t
+            for t in (INT32, WORD32, BOOL, STRING8, STRING16, HANDLE, OPAQUE, UNIT)}
 
-    With a `table`, equal types come back as one object: the table maps
-    (kind, name, id of the interned elem, len_from) to the type, and is
-    consulted only once `name` and `len_from` are checked strings or None
-    and `kind` is a string; a key that names no valid type never gets in.
+
+def interned(table: dict, kind: str, name: Optional[str] = None,
+             elem: Optional[SemType] = None,
+             len_from: Optional[str] = None) -> SemType:
+    """The one SemType in `table` with these fields, made and added if new.
+
+    The table maps (kind, name, id of elem, len_from) to the type, so `elem`
+    must come from the same table; every argument is a str or None, and a
+    type that fails its checks raises ValueError and never gets in.
     """
+    key = (kind, name, id(elem), len_from)
+    t = table.get(key)
+    if t is None:
+        t = table[key] = SemType(kind, name, elem, len_from)
+    return t
+
+
+def sem_from_json(obj: object, path: str, table: dict) -> SemType:
+    """The SemType `obj` spells, interned in `table`, or a SchemaViolation
+    at `path`."""
     if not isinstance(obj, dict) or "k" not in obj:
         raise SchemaViolation(path, "expected a semantic type object with key 'k'")
     name = obj.get("name")
@@ -105,25 +121,11 @@ def sem_from_json(obj: object, path: str = "$",
     len_from = obj.get("len_from")
     if len_from is not None and not isinstance(len_from, str):
         raise SchemaViolation(f"{path}.len_from", "expected a string")
-    kind = obj["k"]
     elem = sem_from_json(obj["elem"], path + ".elem", table) if "elem" in obj else None
-    key = None
-    if table is not None and type(kind) is str:
-        key = (kind, name, id(elem), len_from)
-        found = table.get(key)
-        if found is not None:
-            return found
+    kind = obj["k"]
+    if type(kind) is not str:
+        raise SchemaViolation(path, f"unknown semantic type kind {kind!r}")
     try:
-        t = SemType(kind=kind, name=name, elem=elem, len_from=len_from)
+        return interned(table, kind, name, elem, len_from)
     except ValueError as exc:
         raise SchemaViolation(path, str(exc)) from None
-    if key is not None:
-        table[key] = t
-    return t
-
-
-def sem_table() -> dict:
-    """A fresh intern table for `sem_from_json`, holding the scalar
-    constants so that a loaded scalar is the builder's own object."""
-    return {(t.kind, None, id(None), None): t
-            for t in (INT32, WORD32, BOOL, STRING8, STRING16, HANDLE, OPAQUE, UNIT)}
