@@ -16,11 +16,13 @@ Arguments are positional VARIANTs: a tag and one payload word.  One table
 gives each tag the marshal codec of its payload, another each semantic kind
 the tags it accepts and its result's tag.  Coercion is strict: the payload
 codec's `to_word` checks the value and the parameter codec's `from_word`
-reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly and
-nothing is bridged between strings, numbers and bools (DISP_E_TYPEMISMATCH
-with the argument's index).  `variant_of` runs the same way back, and raw
-Invoke reads and writes payloads with the codecs' unpack and pack (a tag it
-does not know is DISP_E_BADVARTYPE, with the argument's index).  Type
+reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly,
+nothing is bridged between strings, numbers and bools, and a BSTR holding a
+NUL or a lone surrogate is refused as a string pack refuses it
+(DISP_E_TYPEMISMATCH with the argument's index).  `variant_of` runs the
+same way back, and raw Invoke reads and writes payloads with the codecs'
+unpack and pack (a tag it does not know is DISP_E_BADVARTYPE, with the
+argument's index).  Type
 libraries, locales and named arguments are out of scope (GetTypeInfoCount
 reports 0, GetTypeInfo is not implemented, riid/lcid are ignored).
 """
@@ -44,7 +46,7 @@ from mlidl.com import (
     check_words,
     get_method,
 )
-from mlidl.wordmem import Mem, OutOfBounds, to_signed, word
+from mlidl.wordmem import Mem, MemFault, OutOfBounds, to_signed, word
 
 VT_EMPTY = 0
 VT_I4 = 3
@@ -149,9 +151,12 @@ _KINDS: dict[str, tuple[tuple[int, ...], Optional[int]]] = {
 }
 
 
-def _text(value: Any) -> str:      # a string codec has no word conversions
+def _text(value: Any) -> str:
+    """A BSTR payload: a str that a string8 block can hold, checked as a pack
+    checks it (a string codec has no word conversions)."""
     if not isinstance(value, str):
         raise marshal.TypeMismatch(f"expected a string, got {value!r}")
+    marshal._encoded(value, "utf-8")
     return value
 
 
@@ -284,10 +289,16 @@ class _Dispatch:
                 mem.store(argerr_addr, [exc.arg_index])
             return exc.hresult
         if result_addr:
-            # a BSTR is callee-allocated: the caller owns and frees the block
-            words = [result.tag]
-            _PAYLOAD[result.tag].pack(mem, result.value, words, [])
-            mem.store(result_addr, words)
+            # a BSTR is callee-allocated: the caller owns and frees the block,
+            # unless the store into the result slot faults
+            words, packed = [result.tag], []
+            _PAYLOAD[result.tag].pack(mem, result.value, words, packed)
+            try:
+                mem.store(result_addr, words)
+            except MemFault:
+                for addr in packed:
+                    mem.free(addr)
+                raise
         return S_OK
 
     def call(self, dispid: int, args: list[Variant]) -> Variant:
@@ -298,7 +309,7 @@ class _Dispatch:
             raise AutomationError(
                 f"{sig.name} takes {plan.n_ins} arguments, got {len(args)}",
                 DISP_E_BADPARAMCOUNT)
-        codecs = [s.codec for s in plan.steps if s.mode != marshal.OUT]
+        codecs = [s.codec for s in plan.steps if s.dir != "out"]
         values = []
         for i, (v, p, codec) in enumerate(zip(args, sig.ins, codecs)):
             try:
@@ -311,8 +322,7 @@ class _Dispatch:
         if not results:
             return Variant.empty()
         if len(results) == 1:
-            ret = plan.ret or next(s.codec for s in plan.steps
-                                   if s.mode in (marshal.OUT, marshal.INOUT))
+            ret = plan.ret or next(s.codec for s in plan.steps if s.dir != "in")
             return _variant_of(results[0], sig.results[0].sem.kind, ret)
         raise AutomationError(
             f"{sig.name} has {len(results)} results; Invoke carries at most one",

@@ -307,7 +307,7 @@ def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
             display=_str(p, "type", ppath),
             sem=st.sem_from_json(_need_key(p, "sem", ppath), f"{ppath}.sem", sems),
             dir=direction,
-            byref=bool(p.get("byref", False)),
+            byref=_flag(p, "byref", ppath),
         ))
     ret_obj = x.get("ret")
     ret: Optional[model.RetSig] = None
@@ -319,7 +319,7 @@ def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
             sem=st.sem_from_json(_need_key(ret_obj, "sem", rpath), f"{rpath}.sem", sems),
         )
     return model.LiftedSig(name=_str(x, "name", path), params=tuple(params),
-                           ret=ret, kind=kind, callback=bool(x.get("callback", False)))
+                           ret=ret, kind=kind, callback=_flag(x, "callback", path))
 
 
 def _load_enum(x: Any, path: str) -> model.EnumMap:
@@ -340,18 +340,14 @@ def _load_record(x: Any, path: str, sems: dict) -> model.RecordLayout:
     for i, f in enumerate(_list(x, "fields", path)):
         fpath = f"{path}.fields[{i}]"
         _need(f, dict, fpath)
-        offset = f.get("offset")
-        if not isinstance(offset, int) or offset < 0:
-            raise SchemaViolation(f"{fpath}.offset", "expected a non-negative int")
+        offset = _count(f, "offset", fpath)
         fields.append(model.FieldLayout(
             name=_str(f, "name", fpath),
             display=_str(f, "type", fpath),
             sem=st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
             offset=offset,
         ))
-    size = x.get("size")
-    if not isinstance(size, int) or size < 0:
-        raise SchemaViolation(f"{path}.size", "expected a non-negative int")
+    size = _count(x, "size", path)
     return model.RecordLayout(name=_str(x, "name", path), fields=tuple(fields),
                               size=size)
 
@@ -366,7 +362,7 @@ def _load_const(x: Any, path: str) -> model.ConstDef:
         if not isinstance(value, str):
             raise SchemaViolation(f"{path}.value", "expected a string")
     elif form == "int":
-        if not isinstance(value, int):
+        if type(value) is not int:      # JSON true and false are bools, not ints
             raise SchemaViolation(f"{path}.value", "expected a decimal integer")
     else:
         value = _word(value, f"{path}.value")
@@ -401,6 +397,21 @@ def _str(x: dict, key: str, path: str) -> str:
     v = x.get(key)
     if not isinstance(v, str):
         raise SchemaViolation(f"{path}.{key}", "expected a string")
+    return v
+
+
+def _count(x: dict, key: str, path: str) -> int:
+    v = x.get(key)
+    if type(v) is not int or v < 0:     # JSON true and false are bools, not ints
+        raise SchemaViolation(f"{path}.{key}", "expected a non-negative int")
+    return v
+
+
+def _flag(x: dict, key: str, path: str) -> bool:
+    """An optional flag; a missing one is false."""
+    v = x.get(key, False)
+    if type(v) is not bool:
+        raise SchemaViolation(f"{path}.{key}", "expected true or false")
     return v
 
 

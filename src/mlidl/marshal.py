@@ -7,15 +7,15 @@ value at an offset into the words it is given.  Inline values are thus
 packed into, and decoded from, the argument list itself, with no word list
 per value.  Each signature has one plan (`plan_of`), cached on its binding
 description and read by both the client `call` and the server `skeleton`.
-The plan gives every parameter one passing mode, in declaration order,
-which is also the ABI argument order:
+The plan gives every parameter, in declaration order (the ABI argument
+order), its IDL direction, on which alone the drivers branch, and the wire
+codec of its argument words:
 
-    word    the value's words inline (a by-value record is its full width)
-    block   [in] byref: the address of a block holding the packed value
-    out     the address of a block the callee writes
-    inout   both: a packed block that the callee overwrites
-    array   the elements in one block, counted by the [in] integer
-            parameter that size_is names
+    in            the value's own codec: its words inline
+    in, byref     by reference: the address of a block holding the value
+    in, size_is   the address of a block of elements; it reads its count
+                  from the [in] integer argument that size_is names
+    out, inout    by reference: a block the callee writes back
 
 Scalars, handles, bools and enums are one word; records are their fields in
 declaration order with no padding; strings and callbacks are an address.
@@ -25,12 +25,12 @@ reads both kinds: a pack is one `alloc` and one `store`, a read is one
 `Mem.read_rest`, and a block with no NUL unit is `OutOfBounds`, never a read
 into the next block.
 
-A plan is flat when every parameter is a one-word value passed inline
-(int32, word32, handle, opaque, bool or enum) and so is the return value,
-if any: the shape of the GDI calls the bounce demo makes on each tick.
-Those codecs have a `to_word` and a `from_word`, and the plan keeps them in
-order, so a flat `call` converts its arguments in one list comprehension,
-makes one `Mem.call` and converts the returned word, and a flat stub does
+A plan is flat when every wire is a one-word value passed inline (int32,
+word32, handle, opaque, bool or enum) and so is the return value, if any:
+the shape of the GDI calls the bounce demo makes on each tick.  Those codecs
+have a `to_word` and a `from_word`, and the plan keeps them in order, so a
+flat `call` converts its arguments in one list comprehension, makes one
+`Mem.call` and converts the returned word, and a flat stub does
 the same in reverse; neither allocates.  Every other plan takes the general
 path below.  Both paths raise the same errors in the same order.
 
@@ -80,16 +80,21 @@ class Unsupported(MarshalError):
 # -- strings -------------------------------------------------------------------
 
 
-def _pack_text(mem: Mem, s: str, encoding: str, nul: bytes) -> int:
-    """One block holding `s` encoded, one NUL unit, and zero padding to a
-    whole word; packed with one alloc and one store."""
+def _encoded(s: str, encoding: str) -> bytes:
+    """`s` encoded; a NUL or a character `encoding` cannot carry is BadString."""
     if "\x00" in s:
         raise BadString("string contains NUL")
     try:
-        data = s.encode(encoding) + nul
+        return s.encode(encoding)
     except UnicodeEncodeError as exc:     # a lone surrogate
         raise BadString(f"string is not encodable as {encoding.upper()}: "
                         f"{exc.reason} at index {exc.start}") from None
+
+
+def _pack_text(mem: Mem, s: str, encoding: str, nul: bytes) -> int:
+    """One block holding `s` encoded, one NUL unit, and zero padding to a
+    whole word; packed with one alloc and one store."""
+    data = _encoded(s, encoding) + nul
     data += bytes(-len(data) % 4)
     addr = mem.alloc(len(data) // 4)
     mem.store(addr, list(struct.unpack(f"<{len(data) // 4}I", data)))
@@ -148,17 +153,14 @@ class Codec:
     width: int
     pack: Callable[[Mem, Value, list[int], list[int]], None]
     unpack: Callable[[Mem, Sequence[int], int, Optional[list[int]]], Value]
-    elem: Optional["Codec"] = None      # arrays: the element codec
     to_word: Optional[Callable[[Value], int]] = None
     from_word: Optional[Callable[[int], Value]] = None
 
 
 def _word_codec(to_word: Callable[[Value], int],
                 from_word: Callable[[int], Value]) -> Codec:
-    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
-        words.append(to_word(v))
-
-    return Codec(1, pack, lambda mem, ws, at, owned: from_word(ws[at]),
+    return Codec(1, lambda mem, v, words, temps: words.append(to_word(v)),
+                 lambda mem, ws, at, owned: from_word(ws[at]),
                  to_word=to_word, from_word=from_word)
 
 
@@ -219,10 +221,8 @@ def _unpack_callback(mem: Mem, ws: Sequence[int], at: int,
     return None if w == 0 else mem.addr_to_fun(w)
 
 
-def _cannot(message: str) -> Callable[..., Value]:
-    def fail(*_: Any) -> Value:
-        raise MarshalError(message)
-    return fail
+def _no_iid(*_: Any) -> Value:
+    raise MarshalError("unknown record type 'IID'")
 
 
 # kinds whose codec needs no binding description
@@ -238,7 +238,7 @@ _CODECS: dict[str, Codec] = {
 }
 
 # COM's IID has a 4-word layout, but no values cross yet
-_IID = Codec(4, _cannot("unknown record type 'IID'"), _cannot("unknown record type 'IID'"))
+_IID = Codec(4, _no_iid, _no_iid)
 
 
 def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
@@ -304,23 +304,46 @@ def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
     return Codec(layout.size, pack, unpack)
 
 
-def _block(mem: Mem, words: list[int], temps: list[int]) -> int:
-    addr = mem.alloc(max(len(words), 1))
-    mem.store(addr, words)
-    temps.append(addr)
-    return addr
+def _ref_codec(codec: Codec) -> Codec:
+    """One word: the address of a fresh block holding the value."""
+    pack_value, unpack_value, width = codec.pack, codec.unpack, codec.width
+
+    def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
+        block: list[int] = []
+        pack_value(mem, v, block, temps)
+        temps.append(mem.alloc(max(len(block), 1)))
+        mem.store(temps[-1], block)
+        words.append(temps[-1])
+
+    return Codec(1, pack, lambda mem, ws, at, owned:
+                 unpack_value(mem, mem.read(ws[at], width), 0, owned))
 
 
-def _array_codec(elem: Codec) -> Codec:
+def _array_codec(elem: Codec, where: str = "", count: Optional[Step] = None) -> Codec:
+    """One word: the address of a block of elements.  Unpack reads how many
+    through `count`, the plan step of the count of parameter `where`."""
     def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, list):
             raise TypeMismatch(f"expected a list for array, got {v!r}")
         elems: list[int] = []
         for item in v:
             elem.pack(mem, item, elems, temps)
-        words.append(_block(mem, elems, temps))
+        temps.append(mem.alloc(max(len(elems), 1)))
+        mem.store(temps[-1], elems)
+        words.append(temps[-1])
 
-    return Codec(1, pack, _cannot("an array needs its element count"), elem)
+    def unpack(mem: Mem, ws: Sequence[int], at: int,
+               owned: Optional[list[int]]) -> list:
+        if count is None:
+            raise MarshalError("an array needs its element count")
+        n = count.codec.unpack(mem, ws, count.at, None)
+        if n < 0:
+            raise TypeMismatch(f"{where}: bad element count {n}")
+        block = mem.read(ws[at], n * elem.width)
+        return [elem.unpack(mem, block, k, owned)
+                for k in range(0, len(block), elem.width)]
+
+    return Codec(1, pack, unpack)
 
 
 def layout_of(t: SemType, desc: Optional[BindingDesc] = None) -> int:
@@ -351,16 +374,14 @@ def unmarshal_value(data: Union[int, Sequence[int]], t: SemType, mem: Mem,
 
 # -- plans ----------------------------------------------------------------------
 
-WORD, BLOCK, OUT, INOUT, ARRAY = "word", "block", "out", "inout", "array"
-
 
 class Step(NamedTuple):
     name: str
-    mode: str
-    codec: Codec
+    dir: str                    # in | out | inout
+    codec: Codec                # the value's codec
+    wire: Codec                 # the codec of its argument words
     at: int                     # index of its first argument word
-    # array mode: (in-argument index, ABI word index, codec) of the count
-    count: Optional[tuple[int, int, Codec]] = None
+    count: Optional[int] = None     # arrays: the in-argument index of the count
 
 
 @dataclass(frozen=True)
@@ -371,8 +392,7 @@ class Plan:
     n_ins: int
     n_results: int
     ret: Optional[Codec]
-    # flat plans only (every parameter a one-word value inline, and so is
-    # the return if any): each parameter's to_word, then its from_word
+    # flat plans only: each wire's to_word, then its from_word
     to_words: Optional[tuple[Callable[[Value], int], ...]] = None
     from_words: Optional[tuple[Callable[[int], Value], ...]] = None
 
@@ -395,32 +415,32 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
     for p in sig.params:
         if p.sem.kind == "array" and p.dir != "in":
             raise Unsupported(f"{sig.name}.{p.name}: {p.dir} arrays are not supported")
-        mode = p.dir if p.dir != "in" else ARRAY if p.sem.kind == "array" \
-            else BLOCK if p.byref else WORD
         codec = codec_of(p.sem, desc)
-        steps.append(Step(p.name, mode, codec, arity))
-        arity += codec.width if mode == WORD else 1
+        wire = _ref_codec(codec) if p.dir != "in" or p.byref else codec
+        steps.append(Step(p.name, p.dir, codec, wire, arity))
+        arity += wire.width
     for i, p in enumerate(sig.params):
-        if steps[i].mode != ARRAY:
+        if p.sem.kind != "array":
             continue
         n = next((q for q in ins if q.name == p.sem.len_from), None)
         if n is None or n.dir != "in" or n.byref \
                 or n.sem.kind not in ("int32", "word32", "handle"):
             raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
                               f"is not an [in] integer parameter")
-        c = steps[sig.params.index(n)]
-        steps[i] = steps[i]._replace(count=(ins.index(n), c.at, c.codec))
+        wire = _array_codec(codec_of(p.sem.elem, desc), f"{sig.name}.{p.name}",
+                            steps[sig.params.index(n)])
+        steps[i] = steps[i]._replace(wire=wire, count=ins.index(n))
     ret = None
     if sig.ret is not None:
         if sig.ret.sem.kind in ("record", "array"):
             raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
                               f"values are not supported")
         ret = codec_of(sig.ret.sem, desc)
-    flat = all(s.mode == WORD and s.codec.to_word is not None for s in steps) \
+    flat = all(s.wire.to_word is not None for s in steps) \
         and (ret is None or ret.to_word is not None)
     return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
-                tuple(s.codec.to_word for s in steps) if flat else None,
-                tuple(s.codec.from_word for s in steps) if flat else None)
+                tuple(s.wire.to_word for s in steps) if flat else None,
+                tuple(s.wire.from_word for s in steps) if flat else None)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -466,31 +486,22 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
     try:
         words = []
         args = iter(ins)
-        for name, mode, codec, _, count in plan.steps:
-            if mode == OUT:
-                addr = mem.alloc(codec.width)
-                temps.append(addr)
+        for name, direction, codec, wire, _, count in plan.steps:
+            if direction == "out":
+                temps.append(mem.alloc(codec.width))
+                words.append(temps[-1])
             else:
                 v = next(args)
-                if mode == ARRAY and isinstance(v, list) \
-                        and isinstance(ins[count[0]], int) and ins[count[0]] != len(v):
-                    raise TypeMismatch(
-                        f"{sig.name}.{name}: array has {len(v)} elements but "
-                        f"{sig.ins[count[0]].name} is {ins[count[0]]}")
-                if mode == WORD or mode == ARRAY:
-                    codec.pack(mem, v, words, temps)
-                    continue
-                block: list[int] = []
-                codec.pack(mem, v, block, temps)
-                addr = _block(mem, block, temps)
-            if mode != BLOCK:
-                outs.append((codec, addr))
-            words.append(addr)
+                if count is not None and isinstance(v, list) \
+                        and isinstance(ins[count], int) and ins[count] != len(v):
+                    raise TypeMismatch(f"{sig.name}.{name}: array has {len(v)} elements "
+                                       f"but {sig.ins[count].name} is {ins[count]}")
+                wire.pack(mem, v, words, temps)
+            if direction != "in":
+                outs.append((codec, words[-1]))
 
-        if isinstance(target, int):
-            ret_word = mem.call(target, words)
-        else:
-            ret_word = word(target(words))
+        ret_word = mem.call(target, words) if isinstance(target, int) \
+            else word(target(words))
 
         results = [codec.unpack(mem, mem.read(addr, codec.width), 0, temps)
                    for codec, addr in outs]
@@ -542,24 +553,11 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             return 0 if plan.ret is None else plan.ret.to_word(values[0])
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
-        for name, mode, codec, at, count in plan.steps:
-            if mode == WORD:
-                args.append(codec.unpack(mem, words, at, None))
-                continue
-            addr = words[at]
-            if mode == ARRAY:
-                n = count[2].unpack(mem, words, count[1], None)
-                if n < 0:
-                    raise TypeMismatch(f"{sig.name}.{name}: bad element count {n}")
-                elem = codec.elem
-                ws = mem.read(addr, n * elem.width)
-                args.append([elem.unpack(mem, ws, k, None)
-                             for k in range(0, len(ws), elem.width)])
-                continue
-            if mode != OUT:
-                args.append(codec.unpack(mem, mem.read(addr, codec.width), 0, None))
-            if mode != BLOCK:
-                outs.append((codec, addr))
+        for _, direction, codec, wire, at, _ in plan.steps:
+            if direction != "out":
+                args.append(wire.unpack(mem, words, at, None))
+            if direction != "in":
+                outs.append((codec, words[at]))
 
         values = _results(plan, impl(*args))
         given: list[int] = []    # blocks packed here now belong to the caller

@@ -36,8 +36,6 @@ class SemType:
     elem: Optional["SemType"] = None    # array element type
     len_from: Optional[str] = None      # array length parameter name
 
-    SCALARS = ("int32", "word32", "bool", "handle", "opaque")
-
     def __post_init__(self) -> None:
         if self.kind not in (
             "int32", "word32", "bool", "string8", "string16", "handle",

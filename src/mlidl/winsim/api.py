@@ -28,10 +28,9 @@ def sim_binding() -> BindingDesc:
     return build_binding(unit, mode="dynamic", level="auto")
 
 
-def install_libraries(world: SimWorld, desc: BindingDesc | None = None) -> BindingDesc:
+def install_libraries(world: SimWorld) -> BindingDesc:
     """Register every simulated operation as a callable library symbol."""
-    if desc is None:
-        desc = sim_binding()
+    desc = sim_binding()
     mem = world.mem
     for iface in desc.interfaces:
         if iface.source is None:

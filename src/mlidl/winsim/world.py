@@ -109,8 +109,7 @@ def _render_arg(v: Any) -> str:
 class SimWorld:
     """Deterministic window-system state over one memory world."""
 
-    def __init__(self, mem: Mem,
-                 assets: Optional[Mapping[str, tuple[int, int]]] = None) -> None:
+    def __init__(self, mem: Mem) -> None:
         self.mem = mem
         self.classes: dict[str, WndClass] = {}
         self.windows: dict[int, Window] = {}
@@ -119,9 +118,6 @@ class SimWorld:
         self.tick = 0
         self.trace: list[str] = []
         self.quit_code: Optional[int] = None
-        self.assets = dict(DEFAULT_ASSETS)
-        if assets:
-            self.assets.update(assets)
         self.images: dict[int, tuple[int, int]] = {}
         self._next_handle = 1
 
@@ -338,7 +334,7 @@ class SimWorld:
                    load_flags: int) -> int:
         handle = self.gdi_record("LoadImageA",
                                  [h, name, image_type, cx, cy, load_flags])
-        self.images[handle] = self.assets.get(name, (cx, cy))
+        self.images[handle] = DEFAULT_ASSETS.get(name, (cx, cy))
         return handle
 
     LoadImageA = load_image

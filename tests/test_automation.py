@@ -49,7 +49,7 @@ from mlidl.com import (
     release,
     simple_factory,
 )
-from mlidl.wordmem import to_signed, word
+from mlidl.wordmem import BadRegion, to_signed, word
 
 IID_ICALC = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0020}"), "ICalc")
 
@@ -591,6 +591,38 @@ def test_invoke_rejects_payloads_the_tag_cannot_carry(mem, bad, index):
     with pytest.raises(AutomationError) as exc:
         coerce(bad, MIX_SIG.ins[index].sem)
     assert exc.value.hresult == DISP_E_TYPEMISMATCH
+
+
+@pytest.mark.parametrize("bad", ["a\x00b", "x\ud800"], ids=["nul", "lone_surrogate"])
+def test_invoke_rejects_a_bstr_no_string_block_can_hold(mem, bad):
+    dual, calls = make_mix(mem)
+    args = list(MIX_ARGS)
+    args[1] = Variant(VT_BSTR, bad)
+    live = mem.live_count
+    with pytest.raises(AutomationError) as exc:
+        invoke(dual, 1, args)
+    assert exc.value.hresult == DISP_E_TYPEMISMATCH
+    assert exc.value.arg_index == 1
+    assert calls == [] and mem.live_count == live
+    with pytest.raises(marshal.BadString) as packed:
+        marshal.pack_string8(mem, bad)
+    assert str(packed.value) in str(exc.value)
+
+
+def test_raw_invoke_frees_the_result_bstr_when_its_slot_faults(mem):
+    sig = LiftedSig("Name", (ParamSig("k", "Int32.int", st.INT32),),
+                    RetSig("STRING", st.STRING8))
+    dual = make_dual([sig], [lambda k: "n" * k], ComObject(mem), IID_IMIX)
+    args_blk = mem.alloc(2)
+    mem.store(args_blk, [VT_I4, 3])
+    dp = mem.alloc(2)
+    mem.store(dp, [1, args_blk])
+    live = mem.live_count
+    with pytest.raises(BadRegion):
+        get_method(dual, 6)([dual.addr, 1, 0, 0, 0, dp, 0x0FFFFFFC, 0, 0])
+    assert mem.live_count == live
+    for a in (args_blk, dp):
+        mem.free(a)
 
 
 @pytest.mark.parametrize("index, bad_words", [

@@ -297,6 +297,57 @@ def test_sem_name_or_len_from_that_is_not_a_string_is_schema_violation(win32_des
     assert exc.value.path == f"$.callbacks[0].sig.params[0].sem.{key}"
 
 
+def _const(doc, value):
+    doc["consts"].append({"name": "N", "type": "int", "form": "int", "value": value})
+    return f"$.consts[{len(doc['consts']) - 1}].value"
+
+
+def _set(keys, value):
+    def mutate(doc):
+        owner = doc
+        for k in keys[:-1]:
+            owner = owner[k]
+        owner[keys[-1]] = value
+        return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+    return mutate
+
+
+@pytest.mark.parametrize("fixture, mutate", [
+    pytest.param("time_desc", _set(("records", 0, "size"), False), id="size-false"),
+    pytest.param("time_desc", _set(("records", 0, "size"), True), id="size-true"),
+    pytest.param("time_desc", _set(("records", 0, "fields", 1, "offset"), True),
+                 id="offset-true"),
+    pytest.param("time_desc", _set(("records", 0, "fields", 0, "offset"), False),
+                 id="offset-false"),
+    pytest.param("time_desc", lambda doc: _const(doc, True), id="int-const-true"),
+    pytest.param("time_desc", lambda doc: _const(doc, False), id="int-const-false"),
+    pytest.param("time_desc", _set(("interfaces", 0, "ops", 0, "params", 0, "byref"), "no"),
+                 id="byref-string"),
+    pytest.param("win32_desc", _set(("interfaces", 0, "ops", 0, "params", 0, "byref"), 1),
+                 id="byref-int"),
+    pytest.param("win32_desc", _set(("interfaces", 0, "ops", 0, "params", 0, "byref"), None),
+                 id="byref-null"),
+    pytest.param("win32_desc", _set(("callbacks", 0, "sig", "callback"), "yes"),
+                 id="callback-string"),
+    pytest.param("win32_desc", _set(("interfaces", 0, "ops", 0, "callback"), 0),
+                 id="callback-int"),
+])
+def test_a_bool_for_an_int_or_a_non_bool_flag_is_schema_violation(fixture, mutate, request):
+    doc = json.loads(emit_binding_file(request.getfixturevalue(fixture)))
+    path = mutate(doc)
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_a_missing_flag_is_false(win32_desc):
+    doc = json.loads(emit_binding_file(win32_desc))
+    op = doc["interfaces"][0]["ops"][0]
+    del op["params"][0]["byref"], op["callback"]
+    loaded = load_binding_file(json.dumps(doc)).interfaces[0].ops[0]
+    assert loaded.params[0].byref is False and loaded.callback is False
+
+
 # -- fuzz gate: one node of an emitted file mutated ----------------------------
 
 _DELETE = object()

@@ -1,16 +1,20 @@
-"""Fuzz gates on the compiler's input boundaries: a mutated manifest and a
-one-character edit of a shipped IDL file fail only with the compiler's own
-error classes."""
+"""Fuzz gates on the input boundaries: a mutated manifest and a one-character
+edit of a shipped IDL file fail only with the compiler's own error classes,
+and raw Invoke and GetIDsOfNames words fail only with an HRESULT or the
+runtime's own error classes, leaving no block behind."""
 
 from __future__ import annotations
 
 import copy
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import IDL_DIR, REPO
+from mlidl import semtypes as st
+from mlidl.automation import (VT_BOOL, VT_BSTR, VT_DISPATCH, VT_EMPTY, VT_I4, VT_UI4,
+                              VT_UNKNOWN, make_dual)
 from mlidl.binding import (
     BindingError,
     SchemaViolation,
@@ -19,7 +23,11 @@ from mlidl.binding import (
     emit_sig_text,
     load_binding_file,
 )
+from mlidl.binding.model import LiftedSig, ParamSig, RetSig
+from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
 from mlidl.idl import IdlError, parse_text
+from mlidl.marshal import MarshalError, pack_string8
+from mlidl.wordmem import Mem, MemFault
 
 _GUID = "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D00FF}"
 
@@ -109,3 +117,102 @@ def test_one_character_edit_of_shipped_idl_raises_only_compiler_errors(
         return
     assert loaded == desc and emit_binding_file(loaded) == bfile
 
+
+# -- raw Invoke (slot 6) and GetIDsOfNames (slot 5) words ----------------------
+
+_IID_IFUZZ = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0030}"), "IFuzz")
+_INT = ParamSig("k", "Int32.int", st.INT32)
+_MEMBERS = [
+    (LiftedSig("Num", (_INT,), RetSig("Int32.int", st.INT32)), lambda k: k + 1),
+    (LiftedSig("Len", (ParamSig("s", "STRING", st.STRING8),), RetSig("Int32.int", st.INT32)),
+     len),
+    (LiftedSig("Name", (_INT,), RetSig("STRING", st.STRING8)), lambda k: "n" * (k & 7)),
+]
+# blocks of the world, by name, with their sizes in words; "text" is the
+# string "Len" (one word) and "name" the string "name" (two words)
+_BLOCKS = {"dp": 2, "rgvarg": 4, "names": 2, "result": 2, "out": 2}
+# any word: a block address, one word into a block, the interface pointer,
+# a small int or any 32-bit word
+_WORD = hs.one_of(
+    hs.sampled_from(sorted(_BLOCKS) + [f"{b}+1" for b in sorted(_BLOCKS)]
+                    + ["text", "name", "this"]),
+    hs.integers(0, 20), hs.integers(0, 2**32 - 1))
+_TAGS = [VT_EMPTY, VT_I4, VT_UI4, VT_BOOL, VT_BSTR, VT_DISPATCH, VT_UNKNOWN]
+
+
+@hs.composite
+def _words(draw, *sensible):
+    """The words of a well-formed call, one drawn from each strategy, with
+    up to three of them replaced by any word."""
+    words = [draw(s) for s in sensible]
+    for i, w in draw(hs.dictionaries(hs.integers(0, len(words) - 1), _WORD,
+                                     max_size=3)).items():
+        words[i] = w
+    return tuple(words)
+
+
+def _fuzz_world(contents):
+    mem = Mem()
+    dual = make_dual([sig for sig, _ in _MEMBERS], [impl for _, impl in _MEMBERS],
+                     ComObject(mem), _IID_IFUZZ)
+    addrs = {"this": dual.addr, "text": pack_string8(mem, "Len"),
+             "name": pack_string8(mem, "name")}
+    for name, size in _BLOCKS.items():
+        addrs[name] = mem.alloc(size)
+        addrs[f"{name}+1"] = mem.offset(addrs[name], 1)
+
+    def word(w):
+        return addrs[w] if isinstance(w, str) else w
+
+    for name, ws in contents.items():
+        mem.store(addrs[name], [word(w) for w in ws])
+    return mem, dual, word
+
+
+def _call_slot(slot, words, contents):
+    """Call vtable slot `slot` with `words`: only an HRESULT or a runtime
+    error comes out, and `live_count` comes back once a BSTR handed back
+    through Invoke's result slot is freed."""
+    mem, dual, word = _fuzz_world(contents)
+    args = [word(w) for w in words]
+    live = mem.live_count
+    try:
+        hr = mem.call(mem.fun_to_addr(get_method(dual, slot)), args)
+    except (MemFault, MarshalError, ComError):
+        hr = None
+    if slot == 6 and hr == S_OK and args[6]:
+        tag, payload = mem.read(args[6], 2)
+        if tag == VT_BSTR:          # the caller owns a BSTR handed back
+            mem.free(payload)
+    assert mem.live_count == live
+
+
+_NAME_CALL = ["this", 3, 0, 0, 0, "dp", "result", 0, "out"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(words=_words(hs.just("this"), hs.sampled_from([1, 2, 3]), hs.just(0), hs.just(0),
+                    hs.just(1), hs.just("dp"),
+                    # no result wanted, a result slot, or one a word short
+                    hs.sampled_from([0, "result", "result+1"]), hs.just(0),
+                    hs.just("out")),
+       dp=_words(hs.just(1), hs.just("rgvarg")),
+       rgvarg=_words(hs.sampled_from(_TAGS), hs.sampled_from([3, "text", "name"]),
+                     hs.sampled_from(_TAGS), hs.sampled_from([3, "text", "name"])))
+# a string handed back through a result slot that faults on the store
+@example(words=_NAME_CALL[:6] + [0x0FFFFFFC] + _NAME_CALL[7:], dp=(1, "rgvarg"),
+         rgvarg=(VT_I4, 3, 0, 0))
+@example(words=_NAME_CALL[:6] + ["result+1"] + _NAME_CALL[7:], dp=(1, "rgvarg"),
+         rgvarg=(VT_I4, 3, 0, 0))
+@example(words=_NAME_CALL, dp=(1, "rgvarg"), rgvarg=(VT_I4, 3, 0, 0))
+def test_raw_invoke_words_fail_only_with_an_hresult_or_runtime_errors(words, dp, rgvarg):
+    _call_slot(6, words, {"dp": dp, "rgvarg": rgvarg})
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_words(hs.just("this"), hs.just(0), hs.just("names"), hs.sampled_from([0, 1, 2]),
+                    hs.just(0), hs.just("out")),
+       names=_words(hs.sampled_from(["text", "name"]), hs.sampled_from(["text", "name"])))
+@example(words=("this", 0, "names", 2, 0, "out"), names=("text", "name"))
+def test_raw_get_ids_of_names_words_fail_only_with_an_hresult_or_runtime_errors(words, names):
+    _call_slot(5, words, {"names": names})

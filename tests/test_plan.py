@@ -5,6 +5,7 @@ block behind."""
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from mlidl.marshal import (
     layout_of,
     plan_of,
     skeleton,
+    unmarshal_value,
 )
 from mlidl.wordmem import Mem, NotCallable, Symbol
 
@@ -356,3 +358,72 @@ def test_flat_round_trip_through_symbol_and_callable(desc, data):
         assert call(sig, target, args, mem, desc) == expected
     assert seen == [args] * 3
     assert mem.live_count == before
+
+
+# -- what a plan must preserve ------------------------------------------------------
+
+TRACES = Path(__file__).resolve().parent / "plan_traces.txt"
+TRACE_CASES = {**CASES, "echo": ("Echo", ["ab"], lambda s: s + "!")}
+
+
+def _pinned_traces():
+    traces: dict[str, list[str]] = {}
+    for line in TRACES.read_text(encoding="utf-8").splitlines():
+        if line.startswith("    "):
+            traces[case].append(line[4:])
+        elif not line.startswith("#"):
+            case = line
+            traces[case] = []
+    return traces
+
+
+def test_every_trace_case_is_pinned():
+    assert sorted(_pinned_traces()) == sorted(TRACE_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_mem_trace_of_a_call_and_its_stub_is_pinned(desc, case):
+    name, args, impl = TRACE_CASES[case]
+    sig = op(desc, name)
+    lines: list[str] = []
+    mem = Mem(trace=lines.append)
+    stub = skeleton(sig, impl, mem, desc)
+    sym = mem.register_function(mem.register_library("shapes.dll"), name, stub)
+    call(sig, sym, args, mem, desc)
+    assert lines == _pinned_traces()[case]
+
+
+def test_stub_rejects_a_negative_element_count(desc):
+    mem = Mem()
+    seen = []
+    stub = skeleton(op(desc, "IntArray"), lambda a, n: seen.append(a) or 0, mem, desc)
+    with pytest.raises(TypeMismatch) as info:
+        stub([0x1000, 0xFFFFFFFF])
+    assert str(info.value) == "IntArray.a: bad element count -1"
+    assert seen == [] and mem.live_count == 0
+
+
+def test_an_array_value_alone_cannot_be_decoded():
+    mem = Mem()
+    with pytest.raises(MarshalError) as info:
+        unmarshal_value(0x1000, st.array_t(st.INT32, "n"), mem)
+    assert str(info.value) == "an array needs its element count"
+
+
+def test_each_step_has_a_wire_codec_of_the_plan_width(desc, win32_desc, time_desc,
+                                                       bar_desc):
+    from mlidl.winsim.api import sim_binding
+
+    seen = 0
+    for d in (desc, win32_desc, time_desc, bar_desc, sim_binding()):
+        for sig in (o for i in d.interfaces for o in i.ops):
+            try:
+                plan = plan_of(sig, d)
+            except Unsupported:
+                continue
+            assert sum(s.wire.width for s in plan.steps) == plan.arity
+            for s, p in zip(plan.steps, sig.params):
+                inline = p.dir == "in" and not p.byref and p.sem.kind != "array"
+                assert (s.wire is s.codec) == inline, f"{sig.name}.{p.name}"
+            seen += 1
+    assert seen >= 50
