@@ -1,20 +1,21 @@
 """Queue-backed wndproc: state threading instead of mutable cells.
 
-The returned wndproc sends its 4-word message over a rendezvous queue and
-blocks for the reply; a single worker thread receives the messages and
-threads a state value through a step function
+The returned wndproc sends its 4-word message to the worker and blocks for
+the reply, so at most one message is in flight; a single worker thread
+receives the messages and threads a state value through a step function
 ``handler(state, (hwnd, code, wparam, lparam)) -> (state, return_word)``.
 
 Contract: the message pump must never run on the worker thread itself, or
 the rendezvous deadlocks.  A handler failure is re-raised in the blocked
 caller as AdapterError; the worker stays alive with its state unchanged.
+A wndproc called while the worker is not running (before `start` or after
+`stop`) raises AdapterError instead of waiting for a reply that never comes.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from queue import Queue
+from queue import SimpleQueue
 from typing import Any, Callable
 
 from mlidl.wordmem import WordFn
@@ -22,11 +23,6 @@ from mlidl.wordmem import WordFn
 Handler = Callable[[Any, tuple[int, int, int, int]], tuple[Any, int]]
 
 _STOP = object()
-
-
-@dataclass
-class _Failure:
-    exc: BaseException
 
 
 class AdapterError(Exception):
@@ -37,8 +33,8 @@ class AdapterWorker:
     """Owns the worker thread and the state it threads between messages."""
 
     def __init__(self, handler: Handler, initial_state: Any) -> None:
-        self.requests: Queue = Queue(maxsize=1)
-        self.replies: Queue = Queue(maxsize=1)
+        self.requests: SimpleQueue = SimpleQueue()
+        self.replies: SimpleQueue = SimpleQueue()   # a return word or the failure
         self.state = initial_state
         self.messages_handled = 0
         self._handler = handler
@@ -62,7 +58,7 @@ class AdapterWorker:
             try:
                 self.state, ret = self._handler(self.state, msg)
             except BaseException as exc:
-                self.replies.put(_Failure(exc))
+                self.replies.put(exc)
                 continue
             self.messages_handled += 1
             self.replies.put(ret)
@@ -76,10 +72,12 @@ def wndproc_queue_adapter(handler: Handler,
     def wndproc(words: list[int]) -> int:
         if len(words) != 4:
             raise AdapterError(f"wndproc takes 4 words, got {len(words)}")
+        if not worker._thread.is_alive():
+            raise AdapterError("wndproc worker is not running")
         worker.requests.put((words[0], words[1], words[2], words[3]))
         reply = worker.replies.get()
-        if isinstance(reply, _Failure):
-            raise AdapterError(f"wndproc worker failed: {reply.exc}") from reply.exc
+        if isinstance(reply, BaseException):
+            raise AdapterError(f"wndproc worker failed: {reply}") from reply
         return reply
 
     return wndproc, worker

@@ -14,8 +14,7 @@ the queue-backed wndproc adapter; both produce identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from mlidl.binding.model import BindingDesc
 from mlidl.marshal import BoundInterface
@@ -35,8 +34,7 @@ LOGO_W = 158
 LOGO_H = 131
 
 
-@dataclass(frozen=True)
-class BounceState:
+class BounceState(NamedTuple):
     hbitmap: int = 0
     cxclient: int = 0
     cyclient: int = 0
@@ -101,8 +99,7 @@ class BounceDemo:
         hbitmap = self.user.LoadImageA(
             0, LOGO_NAME, self.consts.to_int("IMAGE_BITMAP"), 0, 0,
             util_or([self.opts.to_int("LR_LOADFROMFILE")]))
-        state = replace(
-            state,
+        state = state._replace(
             cxclient=xsize, cyclient=ysize,
             xcenter=xsize // 2, ycenter=ysize // 2,
             cxmove=MOVE_RATE, cymove=MOVE_RATE,
@@ -136,8 +133,8 @@ class BounceDemo:
         if ycenter + state.cyradius >= state.cyclient or \
                 ycenter - state.cyradius <= 0:
             cymove = -cymove
-        return replace(state, xcenter=xcenter, ycenter=ycenter,
-                       cxmove=cxmove, cymove=cymove), 0
+        return state._replace(xcenter=xcenter, ycenter=ycenter,
+                              cxmove=cxmove, cymove=cymove), 0
 
     def _destroy(self, state: BounceState, hwnd: int) -> tuple[BounceState, int]:
         self.user.KillTimer(hwnd, BALL_TIMER)
@@ -205,13 +202,18 @@ class BounceDemo:
                 raise RuntimeError("demo did not reach the quit message")
             return code
         finally:
+            # the worker's handler and the registered wndproc and stubs
+            # refer back to this demo and its world; dropping them frees a
+            # finished demo without the cycle collector
             if self.worker is not None:
                 self.worker.stop()
+                self.worker = None
+            self.mem.close()
 
 
-def run_bounce(ticks: int = 500, adapter: bool = False,
-               width: int = 500, height: int = 300) -> tuple[SimWorld, int]:
+def run_bounce(ticks: int = 500,
+               adapter: bool = False) -> tuple[SimWorld, int]:
     """Run the demo; returns the world (trace included) and the exit code."""
-    demo = BounceDemo(width=width, height=height, adapter=adapter)
+    demo = BounceDemo(adapter=adapter)
     code = demo.run(ticks)
     return demo.world, code

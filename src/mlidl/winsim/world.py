@@ -7,17 +7,24 @@ each message to its window's wndproc through the closure registry.  GDI and
 the other painting-adjacent calls never fail: they append a trace entry and
 hand out fresh opaque handles.
 
+Each simulated call is a method named as its operation in win32sim.idl.
+
 Trace lines, one event per line (the golden-test artifact):
 
     TICK <n> MSG <hwnd> <code> <wparam> <lparam>
     TICK <n> DRAW <op> <args...>
+
+A string argument is written between double quotes.  A backslash, a double
+quote, and each control or line-separator character in it is written as a
+backslash escape, so no argument can end its line or its quotes early; all
+other text is written as it is.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Mapping, NamedTuple, Optional
 
 from mlidl.wordmem import Mem, word
 
@@ -49,26 +56,13 @@ class PumpError(Exception):
 
 
 @dataclass
-class WndClass:
-    name: str
-    atom: int
-    wndproc_addr: int
-    style: int
-    details: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class Window:
-    hwnd: int
     class_name: str
-    title: str
     rect: tuple[int, int, int, int]    # x, y, w, h
-    visible: bool = False
     destroyed: bool = False
 
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(NamedTuple):
     hwnd: int
     code: int
     wparam: int
@@ -85,6 +79,14 @@ class Timer:
     cb_addr: int = 0
 
 
+# the backslash, the quote, every Cc character, and the two separators that
+# str.splitlines also breaks at
+_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                 ord("\r"): "\\r", ord("\t"): "\\t",
+                 0x2028: "\\u2028", 0x2029: "\\u2029"})
+
+
 def _render_arg(v: Any) -> str:
     if type(v) is int:      # nearly every argument
         return str(v)
@@ -95,7 +97,7 @@ def _render_arg(v: Any) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        return f'"{v}"'
+        return f'"{v.translate(_ESCAPES)}"'
     if isinstance(v, dict):
         inner = ",".join(f"{k}={_render_arg(x)}" for k, x in v.items())
         return "{" + inner + "}"
@@ -111,7 +113,7 @@ class SimWorld:
 
     def __init__(self, mem: Mem) -> None:
         self.mem = mem
-        self.classes: dict[str, WndClass] = {}
+        self.classes: dict[str, int] = {}    # class name -> wndproc address
         self.windows: dict[int, Window] = {}
         self.queue: deque[Msg] = deque()
         self.timers: dict[tuple[int, int], Timer] = {}
@@ -145,13 +147,13 @@ class SimWorld:
         window = self.windows.get(msg.hwnd)
         if window is None or window.destroyed:
             return None
-        cls = self.classes.get(window.class_name)
-        if cls is None:
+        wndproc_addr = self.classes.get(window.class_name)
+        if wndproc_addr is None:
             return None
         self.trace.append(
             f"TICK {self.tick} MSG {msg.hwnd} {msg.code} "
             f"{word(msg.wparam)} {word(msg.lparam)}")
-        fn = self.mem.addr_to_fun(cls.wndproc_addr)
+        fn = self.mem.addr_to_fun(wndproc_addr)
         try:
             ret = fn([word(msg.hwnd), word(msg.code),
                       word(msg.wparam), word(msg.lparam)])
@@ -165,7 +167,7 @@ class SimWorld:
 
     # -- classes and windows --------------------------------------------------
 
-    def register_class_ex(self, wndclass: Mapping[str, Any]) -> int:
+    def RegisterClassExA(self, wndclass: Mapping[str, Any]) -> int:
         name = wndclass["lpszClassName"]
         if name in self.classes:
             return 0
@@ -173,29 +175,19 @@ class SimWorld:
         if not callable(wndproc):
             return 0
         atom = self.fresh_handle()
-        self.classes[name] = WndClass(
-            name=name,
-            atom=atom,
-            wndproc_addr=self.mem.fun_to_addr(wndproc),
-            style=int(wndclass.get("style", 0)),
-            details=dict(wndclass),
-        )
+        self.classes[name] = self.mem.fun_to_addr(wndproc)
         return atom
 
-    RegisterClassExA = register_class_ex
-
-    def unregister_class(self, class_name: str, hinstance: int) -> bool:
+    def UnregisterClassA(self, class_name: str, hinstance: int) -> bool:
         if class_name not in self.classes:
             return False
         del self.classes[class_name]
         return True
 
-    UnregisterClassA = unregister_class
-
-    def create_window_ex(self, exstyle: int, classname: str, windowname: str,
-                         style: int, x: int, y: int, w: int, h: int,
-                         parent: int, menu: int, hinstance: int,
-                         param: int) -> int:
+    def CreateWindowExA(self, exstyle: int, classname: str, windowname: str,
+                        style: int, x: int, y: int, w: int, h: int,
+                        parent: int, menu: int, hinstance: int,
+                        param: int) -> int:
         if classname not in self.classes:
             return 0
         if word(x) == CW_USEDEFAULT:
@@ -203,19 +195,16 @@ class SimWorld:
         if word(y) == CW_USEDEFAULT:
             y = 0
         hwnd = self.fresh_handle()
-        self.windows[hwnd] = Window(hwnd=hwnd, class_name=classname,
-                                    title=windowname, rect=(x, y, w, h))
+        self.windows[hwnd] = Window(classname, (x, y, w, h))
         self._dispatch(Msg(hwnd, WM_CREATE, 0, 0, self.tick))
         size_lparam = ((word(h) & 0xFFFF) << 16) | (word(w) & 0xFFFF)
         self._dispatch(Msg(hwnd, WM_SIZE, 0, size_lparam, self.tick))
         return hwnd
 
-    CreateWindowExA = create_window_ex
-
     # -- timers, queue, loop ------------------------------------------------------
 
-    def set_timer(self, hwnd: int, timer_id: int, period_ms: int,
-                  cb: Any = None) -> int:
+    def SetTimer(self, hwnd: int, timer_id: int, period_ms: int,
+                 cb: Any = None) -> int:
         period = max(1, -(-int(period_ms) // MS_PER_TICK))
         cb_addr = self.mem.fun_to_addr(cb) if callable(cb) else 0
         self.timers[(hwnd, timer_id)] = Timer(
@@ -224,38 +213,28 @@ class SimWorld:
         self.record("SetTimer", [hwnd, timer_id, period_ms, cb_addr])
         return timer_id
 
-    SetTimer = set_timer
-
-    def kill_timer(self, hwnd: int, timer_id: int) -> bool:
+    def KillTimer(self, hwnd: int, timer_id: int) -> bool:
         found = self.timers.pop((hwnd, timer_id), None) is not None
         self.record("KillTimer", [hwnd, timer_id])
         return found
 
-    KillTimer = kill_timer
-
-    def post_message(self, hwnd: int, code: int, wparam: int,
+    def PostMessageA(self, hwnd: int, code: int, wparam: int,
                      lparam: int) -> bool:
         self.queue.append(Msg(hwnd, code, wparam, lparam, self.tick))
         return True
 
-    PostMessageA = post_message
-
-    def post_quit_message(self, code: int) -> None:
+    def PostQuitMessage(self, code: int) -> None:
         self.quit_code = int(code)
         self.record("PostQuitMessage", [code])
 
-    PostQuitMessage = post_quit_message
-
-    def def_window_proc(self, hwnd: int, code: int, wparam: int,
-                        lparam: int) -> int:
+    def DefWindowProcA(self, hwnd: int, code: int, wparam: int,
+                       lparam: int) -> int:
         if code == WM_DESTROY:
             window = self.windows.get(hwnd)
             if window is not None:
                 window.destroyed = True
         self.record("DefWindowProcA", [hwnd, code, wparam, lparam])
         return 0
-
-    DefWindowProcA = def_window_proc
 
     def pump(self, max_ticks: int) -> Optional[int]:
         """Run up to `max_ticks` ticks; stop early when the quit flag is set.
@@ -277,34 +256,23 @@ class SimWorld:
                 self._dispatch(self.queue.popleft())
                 if self.quit_code is not None:
                     return self.quit_code
-        if self.quit_code is not None:
-            return self.quit_code
-        return None
+        return self.quit_code
 
     # -- trace-only user calls ----------------------------------------------------
 
-    def show_window(self, hwnd: int, cmdshow: int) -> bool:
-        window = self.windows.get(hwnd)
-        if window is not None:
-            window.visible = cmdshow != 0
+    def ShowWindow(self, hwnd: int, cmdshow: int) -> bool:
         self.record("ShowWindow", [hwnd, cmdshow])
         return True
 
-    ShowWindow = show_window
-
-    def update_window(self, hwnd: int) -> bool:
+    def UpdateWindow(self, hwnd: int) -> bool:
         self.record("UpdateWindow", [hwnd])
         return True
 
-    UpdateWindow = update_window
-
-    def set_foreground_window(self, hwnd: int) -> bool:
+    def SetForegroundWindow(self, hwnd: int) -> bool:
         self.record("SetForegroundWindow", [hwnd])
         return True
 
-    SetForegroundWindow = set_foreground_window
-
-    def begin_paint(self, hwnd: int) -> tuple[dict[str, Any], int]:
+    def BeginPaint(self, hwnd: int) -> tuple[dict[str, Any], int]:
         window = self.windows.get(hwnd)
         w, h = (window.rect[2], window.rect[3]) if window else (0, 0)
         hdc = self.gdi_record("BeginPaint", [hwnd])
@@ -312,87 +280,57 @@ class SimWorld:
               "rcPaint": {"left": 0, "top": 0, "right": w, "bottom": h}}
         return ps, hdc
 
-    BeginPaint = begin_paint
-
-    def end_paint(self, hwnd: int, ps: dict[str, Any]) -> bool:
+    def EndPaint(self, hwnd: int, ps: dict[str, Any]) -> bool:
         self.record("EndPaint", [hwnd, ps])
         return True
 
-    EndPaint = end_paint
-
-    def load_icon(self, h: int, name: str) -> int:
+    def LoadIconA(self, h: int, name: str) -> int:
         return self.gdi_record("LoadIconA", [h, name])
 
-    LoadIconA = load_icon
-
-    def load_cursor(self, h: int, name: str) -> int:
+    def LoadCursorA(self, h: int, name: str) -> int:
         return self.gdi_record("LoadCursorA", [h, name])
 
-    LoadCursorA = load_cursor
-
-    def load_image(self, h: int, name: str, image_type: int, cx: int, cy: int,
+    def LoadImageA(self, h: int, name: str, image_type: int, cx: int, cy: int,
                    load_flags: int) -> int:
         handle = self.gdi_record("LoadImageA",
                                  [h, name, image_type, cx, cy, load_flags])
         self.images[handle] = DEFAULT_ASSETS.get(name, (cx, cy))
         return handle
 
-    LoadImageA = load_image
-
-    def get_dc(self, hwnd: int) -> int:
+    def GetDC(self, hwnd: int) -> int:
         return self.gdi_record("GetDC", [hwnd])
 
-    GetDC = get_dc
-
-    def release_dc(self, hwnd: int, hdc: int) -> int:
+    def ReleaseDC(self, hwnd: int, hdc: int) -> int:
         return self.gdi_record("ReleaseDC", [hwnd, hdc], ret=1)
-
-    ReleaseDC = release_dc
 
     # -- gdi ----------------------------------------------------------------------
 
-    def line_to(self, hdc: int, x: int, y: int) -> bool:
+    def LineTo(self, hdc: int, x: int, y: int) -> bool:
         self.record("LineTo", [hdc, x, y])
         return True
 
-    LineTo = line_to
-
-    def poly_line_to(self, hdc: int, points: list, count: int) -> bool:
+    def PolyLineTo(self, hdc: int, points: list, count: int) -> bool:
         self.record("PolyLineTo", [hdc, points, count])
         return True
 
-    PolyLineTo = poly_line_to
-
-    def create_compatible_dc(self, hdc: int) -> int:
+    def CreateCompatibleDC(self, hdc: int) -> int:
         return self.gdi_record("CreateCompatibleDC", [hdc])
 
-    CreateCompatibleDC = create_compatible_dc
-
-    def select_object(self, hdc: int, handle: int) -> int:
+    def SelectObject(self, hdc: int, handle: int) -> int:
         return self.gdi_record("SelectObject", [hdc, handle])
 
-    SelectObject = select_object
-
-    def bit_blt(self, hdc_dest: int, x: int, y: int, w: int, h: int,
-                hdc_src: int, x_src: int, y_src: int, rop: int) -> bool:
+    def BitBlt(self, hdc_dest: int, x: int, y: int, w: int, h: int,
+               hdc_src: int, x_src: int, y_src: int, rop: int) -> bool:
         self.record("BitBlt", [hdc_dest, x, y, w, h, hdc_src, x_src, y_src, rop])
         return True
 
-    BitBlt = bit_blt
-
-    def delete_object(self, handle: int) -> bool:
+    def DeleteObject(self, handle: int) -> bool:
         self.record("DeleteObject", [handle])
         return handle != 0
 
-    DeleteObject = delete_object
-
-    def delete_dc(self, hdc: int) -> bool:
+    def DeleteDC(self, hdc: int) -> bool:
         self.record("DeleteDC", [hdc])
         return True
 
-    DeleteDC = delete_dc
-
-    def get_stock_object(self, index: int) -> int:
+    def GetStockObject(self, index: int) -> int:
         return self.gdi_record("GetStockObject", [index])
-
-    GetStockObject = get_stock_object

@@ -259,6 +259,13 @@ class Mem:
             self._trace(f"call {addr:#x} {args} -> {result:#x}")
         return result
 
+    def close(self) -> None:
+        """Drop every registered closure and library, which may refer back
+        to this world; the heap and `live_count` stay readable."""
+        self._closures.clear()
+        self._closure_addrs.clear()
+        self._libraries.clear()
+
     # -- libraries ----------------------------------------------------------
 
     def register_library(self, name: str) -> Library:

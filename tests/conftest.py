@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,13 @@ def bar_desc(bar_unit, bar_manifest):
 @pytest.fixture
 def mem():
     return Mem()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_adapter_worker():
+    """Fail a test that leaves a queue-adapter worker thread running."""
+    before = {t for t in threading.enumerate() if t.name == "wndproc-worker"}
+    yield
+    leaked = [t for t in threading.enumerate()
+              if t.name == "wndproc-worker" and t not in before]
+    assert not leaked, f"{len(leaked)} wndproc-worker thread(s) left running"

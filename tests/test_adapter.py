@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from mlidl.winsim import AdapterError, SimWorld, wndproc_queue_adapter
@@ -63,6 +65,33 @@ def test_wndproc_requires_four_words():
         worker.stop()
 
 
+def _call_in_thread(wndproc):
+    """What wndproc([1, 2, 3, 4]) returned or raised, or None if it never
+    returned."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(wndproc([1, 2, 3, 4]))
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=5)
+    return outcome[0] if outcome else None
+
+
+def test_wndproc_refuses_when_worker_not_running():
+    wndproc, worker = wndproc_queue_adapter(lambda s, m: (s, 0), None)
+    assert isinstance(_call_in_thread(wndproc), AdapterError)   # not started
+    worker.start()
+    assert _call_in_thread(wndproc) == 0
+    worker.stop()
+    assert isinstance(_call_in_thread(wndproc), AdapterError)   # stopped
+    assert worker.messages_handled == 1
+
+
 def test_adapter_trace_equals_direct_trace():
     def run(use_adapter):
         mem = Mem()
@@ -70,7 +99,7 @@ def test_adapter_trace_equals_direct_trace():
 
         def step(state, msg):
             hwnd, code, wparam, lparam = msg
-            world.line_to(1, state, code)
+            world.LineTo(1, state, code)
             return state + 1, 0
 
         if use_adapter:
@@ -84,10 +113,10 @@ def test_adapter_trace_equals_direct_trace():
                 return ret
 
             worker = None
-        world.register_class_ex(
+        world.RegisterClassExA(
             {"lpszClassName": "C", "lpfnWndProc": wndproc, "style": 0})
-        hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 10, 10, 0, 0, 0, 0)
-        world.set_timer(hwnd, 1, 20, None)
+        hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 10, 10, 0, 0, 0, 0)
+        world.SetTimer(hwnd, 1, 20, None)
         world.pump(5)
         if worker is not None:
             worker.stop()

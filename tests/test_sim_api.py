@@ -79,6 +79,19 @@ def test_poly_line_to_through_the_full_pipeline():
         "TICK 0 DRAW PolyLineTo 7 [{x=1,y=2},{x=3,y=4},{x=5,y=6}] 3"
 
 
+def test_string_arguments_cannot_forge_trace_lines():
+    mem = Mem()
+    world = SimWorld(mem)
+    user = BoundInterface(install_libraries(world), "User", mem)
+    user.LoadIconA(0, "x\nTICK 0 MSG 1 2 3 4")
+    user.LoadCursorA(0, 'q"\\ \t\x01\x7f\u2028 é')
+    assert world.trace_text().count("\n") == len(world.trace) == 2
+    assert world.trace == [
+        'TICK 0 DRAW LoadIconA 0 "x\\nTICK 0 MSG 1 2 3 4"',
+        'TICK 0 DRAW LoadCursorA 0 "q\\"\\\\ \\t\\x01\\x7f\\u2028 é"',
+    ]
+
+
 def test_timer_callback_address_carried_in_lparam():
     mem = Mem()
     world = SimWorld(mem)
@@ -88,11 +101,11 @@ def test_timer_callback_address_carried_in_lparam():
         seen.append(tuple(words))
         return 0
 
-    world.register_class_ex({"lpszClassName": "C", "lpfnWndProc": wndproc,
-                             "style": 0})
-    hwnd = world.create_window_ex(0, "C", "t", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.RegisterClassExA({"lpszClassName": "C", "lpfnWndProc": wndproc,
+                            "style": 0})
+    hwnd = world.CreateWindowExA(0, "C", "t", 0, 0, 0, 9, 9, 0, 0, 0, 0)
     tick_cb = lambda ws: 0  # noqa: E731
-    world.set_timer(hwnd, 3, 20, tick_cb)
+    world.SetTimer(hwnd, 3, 20, tick_cb)
     cb_addr = mem.fun_to_addr(tick_cb)
     world.pump(1)
     timers = [m for m in seen if m[1] == WM_TIMER]

@@ -28,7 +28,7 @@ def make_class(world, log, name="C", ret=0):
         log.append(tuple(words))
         return ret
     wc = {"lpszClassName": name, "lpfnWndProc": wndproc, "style": 3}
-    return world.register_class_ex(wc)
+    return world.RegisterClassExA(wc)
 
 
 # -- utilities ------------------------------------------------------------------
@@ -63,9 +63,9 @@ def test_duplicate_class_returns_zero():
 def test_unregister_then_reregister():
     world, _ = make_world()
     make_class(world, [], "C")
-    assert world.unregister_class("C", 0) is True
+    assert world.UnregisterClassA("C", 0) is True
     assert make_class(world, [], "C") != 0
-    assert world.unregister_class("Nope", 0) is False
+    assert world.UnregisterClassA("Nope", 0) is False
 
 
 # -- windows ----------------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_create_window_dispatches_create_then_size():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 500, 300, 0, 0, 0, 0)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 500, 300, 0, 0, 0, 0)
     assert hwnd != 0
     assert log[0][1] == WM_CREATE
     assert log[1][1] == WM_SIZE
@@ -86,22 +86,22 @@ def test_create_window_dispatches_create_then_size():
 
 def test_create_window_unknown_class_returns_zero():
     world, _ = make_world()
-    assert world.create_window_ex(0, "Nope", "T", 0, 0, 0, 1, 1, 0, 0, 0, 0) == 0
+    assert world.CreateWindowExA(0, "Nope", "T", 0, 0, 0, 1, 1, 0, 0, 0, 0) == 0
 
 
 def test_cw_usedefault_resolves_to_zero():
     world, _ = make_world()
     make_class(world, [], "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0x80000000, -2147483648,
-                                  500, 300, 0, 0, 0, 0)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0x80000000, -2147483648,
+                                 500, 300, 0, 0, 0, 0)
     assert world.windows[hwnd].rect[:2] == (0, 0)
 
 
 def test_hwnds_unique():
     world, _ = make_world()
     make_class(world, [], "C")
-    h1 = world.create_window_ex(0, "C", "a", 0, 0, 0, 1, 1, 0, 0, 0, 0)
-    h2 = world.create_window_ex(0, "C", "b", 0, 0, 0, 1, 1, 0, 0, 0, 0)
+    h1 = world.CreateWindowExA(0, "C", "a", 0, 0, 0, 1, 1, 0, 0, 0, 0)
+    h2 = world.CreateWindowExA(0, "C", "b", 0, 0, 0, 1, 1, 0, 0, 0, 0)
     assert h1 != h2 != 0
 
 
@@ -113,8 +113,8 @@ def test_timer_fires_every_tick_at_ms_per_tick():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
-    world.set_timer(hwnd, 2, 20, None)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.SetTimer(hwnd, 2, 20, None)
     log.clear()
     assert world.pump(5) is None
     timers = [m for m in log if m[1] == WM_TIMER]
@@ -126,8 +126,8 @@ def test_timer_period_rounds_up():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
-    world.set_timer(hwnd, 1, 50, None)  # ceil(50/20) = 3 ticks
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.SetTimer(hwnd, 1, 50, None)  # ceil(50/20) = 3 ticks
     log.clear()
     world.pump(6)
     timers = [m for m in log if m[1] == WM_TIMER]
@@ -138,19 +138,19 @@ def test_kill_timer_stops_events():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
-    world.set_timer(hwnd, 2, 20, None)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.SetTimer(hwnd, 2, 20, None)
     world.pump(2)
-    assert world.kill_timer(hwnd, 2) is True
+    assert world.KillTimer(hwnd, 2) is True
     log.clear()
     world.pump(3)
     assert [m for m in log if m[1] == WM_TIMER] == []
-    assert world.kill_timer(hwnd, 2) is False
+    assert world.KillTimer(hwnd, 2) is False
 
 
 def test_post_quit_then_pump_exits():
     world, _ = make_world()
-    world.post_quit_message(0)
+    world.PostQuitMessage(0)
     assert world.pump(10) == 0
     assert world.tick == 0
 
@@ -165,16 +165,16 @@ def test_message_enqueued_at_tick_dispatches_same_tick():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
 
     def chained(words):
         log.append(tuple(words))
         if words[1] == WM_MOVE and words[2] == 0:
-            world.post_message(hwnd, WM_MOVE, 1, 0)
+            world.PostMessageA(hwnd, WM_MOVE, 1, 0)
         return 0
 
-    world.classes["C"].wndproc_addr = world.mem.fun_to_addr(chained)
-    world.post_message(hwnd, WM_MOVE, 0, 0)
+    world.classes["C"] = world.mem.fun_to_addr(chained)
+    world.PostMessageA(hwnd, WM_MOVE, 0, 0)
     log.clear()
     world.pump(1)
     moves = [m for m in log if m[1] == WM_MOVE]
@@ -184,25 +184,25 @@ def test_message_enqueued_at_tick_dispatches_same_tick():
 
 def test_def_window_proc_returns_zero():
     world, _ = make_world()
-    assert world.def_window_proc(5, WM_MOVE, 0, 0) == 0
-    assert world.def_window_proc(5, WM_DESTROY, 0, 0) == 0
+    assert world.DefWindowProcA(5, WM_MOVE, 0, 0) == 0
+    assert world.DefWindowProcA(5, WM_DESTROY, 0, 0) == 0
 
 
 def test_quit_mid_drain_leaves_rest_queued():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
 
     def quitproc(words):
         log.append(tuple(words))
         if words[1] == WM_DESTROY:
-            world.post_quit_message(7)
+            world.PostQuitMessage(7)
         return 0
 
-    world.classes["C"].wndproc_addr = world.mem.fun_to_addr(quitproc)
-    world.post_message(hwnd, WM_DESTROY, 0, 0)
-    world.post_message(hwnd, WM_MOVE, 0, 0)
+    world.classes["C"] = world.mem.fun_to_addr(quitproc)
+    world.PostMessageA(hwnd, WM_DESTROY, 0, 0)
+    world.PostMessageA(hwnd, WM_MOVE, 0, 0)
     assert world.pump(5) == 7
     assert len(world.queue) == 1
 
@@ -213,11 +213,11 @@ def test_wndproc_error_aborts_pump_with_message():
     def bad(words):
         raise ValueError("boom")
 
-    world.register_class_ex({"lpszClassName": "C", "lpfnWndProc": bad, "style": 0})
+    world.RegisterClassExA({"lpszClassName": "C", "lpfnWndProc": bad, "style": 0})
 
     # create dispatches WM_CREATE synchronously, so the error surfaces here
     with pytest.raises(PumpError) as exc:
-        world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+        world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
     assert exc.value.msg.code == WM_CREATE
 
 
@@ -226,29 +226,29 @@ def test_wndproc_error_aborts_pump_with_message():
 
 def test_gdi_handles_fresh_and_nonzero():
     world, _ = make_world()
-    handles = [world.get_dc(1), world.create_compatible_dc(2),
-               world.get_stock_object(0), world.load_icon(0, "#32512"),
-               world.load_cursor(0, "#32512"), world.select_object(1, 2),
-               world.load_image(0, "smlnj.bmp", 0, 0, 0, 16)]
+    handles = [world.GetDC(1), world.CreateCompatibleDC(2),
+               world.GetStockObject(0), world.LoadIconA(0, "#32512"),
+               world.LoadCursorA(0, "#32512"), world.SelectObject(1, 2),
+               world.LoadImageA(0, "smlnj.bmp", 0, 0, 0, 16)]
     assert 0 not in handles
     assert len(set(handles)) == len(handles)
 
 
 def test_load_image_intrinsic_size():
     world, _ = make_world()
-    h = world.load_image(0, "smlnj.bmp", 0, 0, 0, 16)
+    h = world.LoadImageA(0, "smlnj.bmp", 0, 0, 0, 16)
     assert world.images[h] == (158, 131)
 
 
 def test_delete_object_zero_recorded():
     world, _ = make_world()
-    assert world.delete_object(0) is False
+    assert world.DeleteObject(0) is False
     assert world.trace[-1] == "TICK 0 DRAW DeleteObject 0"
 
 
 def test_line_to_trace_entry():
     world, _ = make_world()
-    world.line_to(3, 10, 20)
+    world.LineTo(3, 10, 20)
     assert world.trace[-1] == "TICK 0 DRAW LineTo 3 10 20"
 
 
@@ -256,8 +256,8 @@ def test_trace_line_shapes():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 20, 10, 0, 0, 0, 0)
-    world.load_icon(0, "#32512")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 20, 10, 0, 0, 0, 0)
+    world.LoadIconA(0, "#32512")
     msg_lines = [l for l in world.trace if " MSG " in l]
     draw_lines = [l for l in world.trace if " DRAW " in l]
     assert msg_lines[0] == f"TICK 0 MSG {hwnd} 1 0 0"
@@ -270,10 +270,10 @@ def test_determinism_identical_worlds():
         world, _ = make_world()
         log = []
         make_class(world, log, "C")
-        hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 50, 40, 0, 0, 0, 0)
-        world.set_timer(hwnd, 1, 20, None)
+        hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 50, 40, 0, 0, 0, 0)
+        world.SetTimer(hwnd, 1, 20, None)
         world.pump(10)
-        world.post_message(hwnd, WM_DESTROY, 0, 0)
+        world.PostMessageA(hwnd, WM_DESTROY, 0, 0)
         world.pump(1)
         return world.trace
 
@@ -284,10 +284,10 @@ def test_lifecycle_ordering():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
-    world.set_timer(hwnd, 1, 20, None)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.SetTimer(hwnd, 1, 20, None)
     world.pump(3)
-    world.post_message(hwnd, WM_DESTROY, 0, 0)
+    world.PostMessageA(hwnd, WM_DESTROY, 0, 0)
     world.pump(1)
     codes = [m[1] for m in log]
     assert codes[0] == WM_CREATE
@@ -301,9 +301,9 @@ def test_begin_end_paint():
     world, _ = make_world()
     log = []
     make_class(world, log, "C")
-    hwnd = world.create_window_ex(0, "C", "T", 0, 0, 0, 30, 20, 0, 0, 0, 0)
-    ps, hdc = world.begin_paint(hwnd)
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 30, 20, 0, 0, 0, 0)
+    ps, hdc = world.BeginPaint(hwnd)
     assert ps["hdc"] == hdc
     assert ps["rcPaint"] == {"left": 0, "top": 0, "right": 30, "bottom": 20}
-    assert world.end_paint(hwnd, ps) is True
+    assert world.EndPaint(hwnd, ps) is True
     assert "EndPaint" in world.trace[-1]
