@@ -20,7 +20,9 @@ kept on it, so the signature's digest and the emitted file share one render.
 Loading runs C `json.loads` and then one walk that rebuilds the model.  The
 walk interns semantic types through a table that belongs to one
 `load_binding_file` call (see `semtypes.sem_from_json`), so the loaded
-description, like a built one, holds one object per distinct type.
+description, like a built one, holds one object per distinct type.  A
+record's `size` and `offset`s must be those of `model.lay_out`, the layout
+rule the builder uses, given the records before it in the file.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, Optional
 
 from mlidl import semtypes as st
 from mlidl.binding import model
-from mlidl.binding.build import _GUID_TEXT
+from mlidl.binding.build import _GUID_TEXT, LEVELS, MODES
 from mlidl.semtypes import SchemaViolation   # defined there, raised here too
 
 
@@ -213,10 +215,10 @@ def load_binding_file(text: str) -> model.BindingDesc:
 
     module = _str(doc, "module", "$")
     mode = _str(doc, "mode", "$")
-    if mode not in ("static", "dynamic", "com"):
+    if mode not in MODES:
         raise SchemaViolation("$.mode", f"unknown mode {mode!r}")
     level = _str(doc, "level", "$")
-    if level not in ("abstract", "auto"):
+    if level not in LEVELS:
         raise SchemaViolation("$.level", f"unknown level {level!r}")
     clsid = _guid(doc, "clsid", "$")
 
@@ -229,8 +231,9 @@ def load_binding_file(text: str) -> model.BindingDesc:
         _load_enum(x, f"$.enums[{i}]")
         for i, x in enumerate(_list(doc, "enums", "$"))
     )
+    earlier: dict[str, model.RecordLayout] = {}
     records = tuple(
-        _load_record(x, f"$.records[{i}]", sems)
+        _load_record(x, f"$.records[{i}]", sems, earlier)
         for i, x in enumerate(_list(doc, "records", "$"))
     )
     consts = tuple(
@@ -334,22 +337,33 @@ def _load_enum(x: Any, path: str) -> model.EnumMap:
     return model.EnumMap(name=_str(x, "name", path), variants=tuple(variants))
 
 
-def _load_record(x: Any, path: str, sems: dict) -> model.RecordLayout:
+def _load_record(x: Any, path: str, sems: dict,
+                 earlier: dict[str, model.RecordLayout]) -> model.RecordLayout:
+    """The record at `path`, laid out by the rule given `earlier`, the records
+    before it by name (the first of a name wins); it joins `earlier`."""
     _need(x, dict, path)
     fields = []
+    offsets = []
     for i, f in enumerate(_list(x, "fields", path)):
         fpath = f"{path}.fields[{i}]"
         _need(f, dict, fpath)
-        offset = _count(f, "offset", fpath)
-        fields.append(model.FieldLayout(
-            name=_str(f, "name", fpath),
-            display=_str(f, "type", fpath),
-            sem=st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
-            offset=offset,
+        offsets.append(_count(f, "offset", fpath))
+        fields.append((
+            _str(f, "name", fpath),
+            _str(f, "type", fpath),
+            st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
         ))
     size = _count(x, "size", path)
-    return model.RecordLayout(name=_str(x, "name", path), fields=tuple(fields),
-                              size=size)
+    name = _str(x, "name", path)
+    layout = model.lay_out(name, fields, earlier, lambda i, message:
+                           SchemaViolation(f"{path}.fields[{i}].sem", message))
+    laid = [(f"{path}.fields[{i}].offset", f.offset, offset)
+            for i, (f, offset) in enumerate(zip(layout.fields, offsets))]
+    for where, rule, given in laid + [(f"{path}.size", layout.size, size)]:
+        if rule != given:
+            raise SchemaViolation(where, f"expected {rule} by the layout rule, got {given}")
+    earlier.setdefault(name, layout)
+    return layout
 
 
 def _load_const(x: Any, path: str) -> model.ConstDef:

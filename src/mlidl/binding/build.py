@@ -7,6 +7,9 @@ shown as plain values; at the ABI they travel as the address of a packed
 block.  In com mode every interface implicitly derives from IUnknown, a
 QueryInterface signature is synthesized, and AddRef/Release never reach the
 client-visible signature; interface IIDs come from a companion manifest.
+Each IDL type is lowered to its SML text and interned semantic type in one
+walk (`_Builder.lower`), and each record is laid out by `model.lay_out`, the
+one layout rule, which the binding-file loader checks loaded records against.
 """
 
 from __future__ import annotations
@@ -24,25 +27,16 @@ from mlidl.binding import model
 MODES = ("static", "dynamic", "com")
 LEVELS = ("abstract", "auto")
 
-_BASE_SEM = {
-    "int": st.INT32,
-    "long": st.INT32,
-    "unsigned long": st.WORD32,
-    "UINT": st.WORD32,
-    "boolean": st.BOOL,
-    "char": st.INT32,
-    "wchar_t": st.INT32,
-}
-
-_BASE_DISPLAY = {
-    "int": "Int32.int",
-    "long": "Int32.int",
-    "unsigned long": "Word32.word",
-    "UINT": "UINT",
-    "boolean": "Bool.bool",
-    "char": "Char.char",
-    "wchar_t": "Word32.word",
-    "void": "unit",
+# base type -> (SML text, semantic type)
+_BASE = {
+    "int": ("Int32.int", st.INT32),
+    "long": ("Int32.int", st.INT32),
+    "unsigned long": ("Word32.word", st.WORD32),
+    "UINT": ("UINT", st.WORD32),
+    "boolean": ("Bool.bool", st.BOOL),
+    "char": ("Char.char", st.INT32),
+    "wchar_t": ("Word32.word", st.INT32),
+    "void": ("unit", st.UNIT),
 }
 
 
@@ -123,18 +117,13 @@ class _Builder:
         callbacks: list[model.CallbackDef] = []
         aliases: list[model.AliasDef] = []
 
-        for d in self.unit.decls:
-            if isinstance(d, ast.SmlName):
-                continue
+        for d in self.unit.decls:     # an sml_name annotation lowers to nothing
             if isinstance(d, ast.Typedef):
                 if isinstance(d.type, ast.FuncType):
                     callbacks.append(self.callback_def(d))
                 else:
                     aliases.append(model.AliasDef(
-                        name=d.name,
-                        display=self.display(d.type, string=d.string),
-                        sem=self.sem(d.type, string=d.string),
-                    ))
+                        d.name, *self.lower(d.type, string=d.string)))
             elif isinstance(d, ast.RecordDecl):
                 layout = self.record_layout(d)
                 self.layouts[d.name] = layout
@@ -180,36 +169,13 @@ class _Builder:
     def callback_def(self, d: ast.Typedef) -> model.CallbackDef:
         ft = d.type
         assert isinstance(ft, ast.FuncType)
-        params = tuple(self.param_sig(p, d.name) for p in ft.params)
-        ret = self.ret_sig(ft.ret, d.name)
-        sig = model.LiftedSig(name=d.name, params=params, ret=ret, callback=True)
-        return model.CallbackDef(name=d.name, sig=sig)
+        return model.CallbackDef(d.name, self.lift(d.name, ft.params, ft.ret, d.name,
+                                                   callback=True))
 
     def record_layout(self, d: ast.RecordDecl) -> model.RecordLayout:
-        fields: list[model.FieldLayout] = []
-        offset = 0
-        for f in d.fields:
-            sem = self.sem(f.type)
-            fields.append(model.FieldLayout(
-                name=f.name,
-                display=self.display(f.type),
-                sem=sem,
-                offset=offset,
-            ))
-            offset += self.size_of(sem, d.name)
-        return model.RecordLayout(name=d.name, fields=tuple(fields), size=offset)
-
-    def size_of(self, sem: st.SemType, context: str) -> int:
-        if sem.kind == "record":
-            layout = self.layouts.get(sem.name)
-            if layout is None:
-                raise BindingError(
-                    f"record {sem.name!r} used in {context!r} before its "
-                    f"declaration")
-            return layout.size
-        if sem.kind == "unit":
-            raise BindingError(f"void is not a value type (in {context!r})")
-        return 1
+        # a generator: a field is lowered once the fields before it are placed
+        return model.lay_out(d.name, ((f.name, *self.lower(f.type)) for f in d.fields),
+                             self.layouts, lambda i, message: BindingError(message))
 
     def interface_desc(self, d: ast.Interface) -> model.InterfaceDesc:
         parent = d.parent
@@ -227,56 +193,54 @@ class _Builder:
         for op in d.ops:
             if self.mode == "com" and op.name in ("QueryInterface", "AddRef", "Release"):
                 continue
-            ops.append(self.lift_op(op, d.name))
+            ops.append(self.lift(op.name, op.params, op.ret, f"{d.name}.{op.name}"))
         return model.InterfaceDesc(
             name=d.name, ops=tuple(ops), source=d.sml_source, parent=parent, iid=iid)
 
     # -- signature lifting ---------------------------------------------------
 
-    def lift_op(self, op: ast.OpDecl, iface: str) -> model.LiftedSig:
-        where = f"{iface}.{op.name}"
-        params = tuple(self.param_sig(p, where) for p in op.params)
-        ret = self.ret_sig(op.ret, where)
-        return model.LiftedSig(name=op.name, params=params, ret=ret)
+    def lift(self, name: str, params: tuple[ast.ParamDecl, ...], ret: ast.IdlType,
+             where: str, callback: bool = False) -> model.LiftedSig:
+        return model.LiftedSig(name, tuple(self.param_sig(p, where) for p in params),
+                               self.ret_sig(ret, where), callback=callback)
 
     def ret_sig(self, t: ast.IdlType, where: str) -> Optional[model.RetSig]:
         if isinstance(t, ast.BaseType) and t.name == "void":
             return None
         if isinstance(t, ast.PtrType):
             raise BindingError(f"{where}: pointer return types are not supported")
-        return model.RetSig(self.display(t), self.sem(t))
+        return model.RetSig(*self.lower(t))
 
     def param_sig(self, p: ast.ParamDecl, where: str) -> model.ParamSig:
         t = p.type
         byref = False
         if isinstance(t, ast.ArrayType):
-            sem: st.SemType = self.sem(t)
+            display, sem = self.lower(t)
             if sem.elem.kind == "callback":
                 raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
                                    f"not supported")
-            display = f"{self.display(t.elem)} list"
         elif isinstance(t, ast.PtrType):
             inner = t.to
             if isinstance(inner, ast.PtrType):
                 # pointer-to-pointer: an out slot for an address-sized value
                 inner = inner.to
                 sem = st.OPAQUE
-                if isinstance(inner, ast.BaseType) and inner.name == "void":
+                if isinstance(inner, ast.NamedType):    # shown, never looked up
+                    display = inner.name
+                elif isinstance(inner, ast.BaseType) and inner.name == "void":
                     display = "Word32.word"
                 else:
-                    display = self.display(inner)
+                    display = self.lower(inner)[0]
                 if p.dir == "in":
                     raise BindingError(
                         f"{where}.{p.name}: in-parameters of pointer-to-pointer "
                         f"type are not supported")
             else:
-                sem = self.sem(inner, string=p.string)
-                display = self.display(inner, string=p.string)
+                display, sem = self.lower(inner, string=p.string)
                 if p.dir in ("in", "inout") and sem.kind not in ("string8", "string16"):
                     byref = True
         else:
-            sem = self.sem(t, string=p.string)
-            display = self.display(t, string=p.string)
+            display, sem = self.lower(t, string=p.string)
             if p.dir in ("out", "inout"):
                 raise BindingError(
                     f"{where}.{p.name}: out parameters must be pointers")
@@ -289,60 +253,46 @@ class _Builder:
 
     # -- type mapping -----------------------------------------------------------
 
-    def sem(self, t: ast.IdlType, string: bool = False) -> st.SemType:
-        """The interned semantic type of `t`."""
+    def lower(self, t: ast.IdlType, string: bool = False) -> tuple[str, st.SemType]:
+        """`t`'s SML text and interned semantic type, from one walk."""
         if isinstance(t, ast.BaseType):
-            if t.name == "void":
-                return st.UNIT
-            return _BASE_SEM[t.name]
+            return _BASE[t.name]
         if isinstance(t, ast.NamedType):
             d = self.table.get(t.name)
             if d is None:
                 if t.name == "IID":
-                    return st.interned(self.sems, "record", "IID")
+                    return t.name, st.interned(self.sems, "record", "IID")
                 if t.name == "HRESULT":
-                    return st.INT32
+                    return t.name, st.INT32
                 if t.name == "IUnknown":
-                    return st.OPAQUE
+                    return t.name, st.OPAQUE
                 raise BindingError(f"unresolved type {t.name!r}")
             if isinstance(d, ast.Typedef):
                 if isinstance(d.type, ast.FuncType):
-                    return st.interned(self.sems, "callback", d.name)
+                    return t.name, st.interned(self.sems, "callback", d.name)
                 if d.name == "HANDLE":
-                    return st.HANDLE
-                return self.sem(d.type, string=d.string)
+                    return t.name, st.HANDLE
+                return t.name, self.lower(d.type, string=d.string)[1]
             if isinstance(d, ast.RecordDecl):
-                return st.interned(self.sems, "record", d.name)
+                return t.name, st.interned(self.sems, "record", d.name)
             if isinstance(d, ast.EnumDecl):
-                return st.interned(self.sems, "enum", d.name)
+                return t.name, st.interned(self.sems, "enum", d.name)
             if isinstance(d, ast.Interface):
-                return st.OPAQUE
+                return t.name, st.OPAQUE
             raise BindingError(f"cannot use {t.name!r} as a type")
         if isinstance(t, ast.PtrType):
             inner = t.to
             if string and isinstance(inner, ast.BaseType):
-                return st.STRING16 if inner.name == "wchar_t" else st.STRING8
-            return st.OPAQUE
-        if isinstance(t, ast.ArrayType):
-            return st.interned(self.sems, "array", elem=self.sem(t.elem),
-                               len_from=t.len_param)
-        raise BindingError(f"cannot map type {t!r}")
-
-    def display(self, t: ast.IdlType, string: bool = False) -> str:
-        if isinstance(t, ast.BaseType):
-            return _BASE_DISPLAY[t.name]
-        if isinstance(t, ast.NamedType):
-            return t.name
-        if isinstance(t, ast.PtrType):
-            inner = t.to
-            if string and isinstance(inner, ast.BaseType):
-                return "String.string"
+                return "String.string", (st.STRING16 if inner.name == "wchar_t"
+                                         else st.STRING8)
             if isinstance(inner, ast.NamedType):
-                return inner.name
-            return "Word32.word"
+                return inner.name, st.OPAQUE
+            return "Word32.word", st.OPAQUE
         if isinstance(t, ast.ArrayType):
-            return f"{self.display(t.elem)} list"
-        raise BindingError(f"cannot display type {t!r}")
+            display, elem = self.lower(t.elem)
+            return f"{display} list", st.interned(self.sems, "array", elem=elem,
+                                                  len_from=t.len_param)
+        raise BindingError(f"cannot map type {t!r}")
 
 
 def _check_guid(value: object, what: str) -> None:

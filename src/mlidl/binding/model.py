@@ -4,13 +4,17 @@ A LiftedSig keeps the declaration-ordered parameter list (which is also the
 ABI argument order) and derives the two client-facing views from it: the
 in-parameters, and the results list (out parameters in declaration order,
 then the function result last if the operation is not void).
+
+`lay_out` holds the one record layout rule: the builder makes every
+RecordLayout through it, and the binding-file loader checks each loaded
+record's size and offsets against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from mlidl.semtypes import SemType
 
@@ -105,6 +109,30 @@ class RecordLayout:
             if f.name == name:
                 return f
         raise KeyError(f"{self.name} has no field {name!r}")
+
+
+def lay_out(name: str, fields: Iterable[tuple[str, str, SemType]],
+            earlier: Mapping[str, RecordLayout],
+            fail: Callable[[int, str], Exception]) -> RecordLayout:
+    """Record `name`'s (name, display, sem) fields laid out by the rule:
+    declaration order, no padding, a record field as wide as its record in
+    `earlier` (the records declared before), any other field one word.  A
+    void field, or a record not in `earlier`, raises `fail(index, message)`."""
+    laid: list[FieldLayout] = []
+    offset = 0
+    for i, (fname, display, sem) in enumerate(fields):
+        laid.append(FieldLayout(fname, display, sem, offset))
+        if sem.kind == "record":
+            inner = earlier.get(sem.name)
+            if inner is None:
+                raise fail(i, f"record {sem.name!r} used in {name!r} before its "
+                              f"declaration")
+            offset += inner.size
+        elif sem.kind == "unit":
+            raise fail(i, f"void is not a value type (in {name!r})")
+        else:
+            offset += 1
+    return RecordLayout(name, tuple(laid), offset)
 
 
 @dataclass(frozen=True)

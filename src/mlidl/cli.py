@@ -26,6 +26,7 @@ from mlidl.binding import (
     emit_sig_text,
     load_manifest,
 )
+from mlidl.binding.build import LEVELS, MODES
 from mlidl.idl import IdlError, parse_text, resolve
 from mlidl.winsim.bounce import BounceDemo
 from mlidl.wordmem import Mem
@@ -52,9 +53,8 @@ def _build_parser() -> _Parser:
 
     comp = sub.add_parser("compile", help="compile an IDL file")
     comp.add_argument("input", help="IDL source file")
-    comp.add_argument("--mode", choices=("static", "dynamic", "com"),
-                      default="dynamic")
-    comp.add_argument("--level", choices=("abstract", "auto"), default="auto")
+    comp.add_argument("--mode", choices=MODES, default="dynamic")
+    comp.add_argument("--level", choices=LEVELS, default="auto")
     comp.add_argument("--emit", default="sig,binding",
                       help="comma-separated: sig, binding")
     comp.add_argument("-o", "--out-dir", default=".")

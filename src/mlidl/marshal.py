@@ -17,8 +17,10 @@ codec of its argument words:
                   from the [in] integer argument that size_is names
     out, inout    by reference: a block the callee writes back
 
-Scalars, handles, bools and enums are one word; records are their fields in
-declaration order with no padding; strings and callbacks are an address.
+Scalars, handles, bools and enums are one word; strings and callbacks are an
+address; a record is its fields' codecs end to end, in declaration order with
+no padding, and its unpack reads each field where its pack put it.  That is
+the layout rule of `binding.model.lay_out`, so it agrees with every layout.
 A string's block holds its text (UTF-8 for string8, UTF-16 for string16),
 one NUL unit and zero padding to a whole word.  One function pair packs and
 reads both kinds: a pack is one `alloc` and one `store`, a read is one
@@ -280,9 +282,13 @@ def _enum_codec(enum: EnumMap) -> Codec:
 
 
 def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
+    fields: list[tuple[str, int, Codec]] = []    # name, offset, codec
+    width = 0
     try:
-        fields = [(f.name, f.offset, codec_of(f.sem, desc)) for f in layout.fields]
-    except RecursionError:      # a binding file may nest a record in itself
+        for f in layout.fields:
+            fields.append((f.name, width, codec_of(f.sem, desc)))
+            width += fields[-1][2].width
+    except RecursionError:      # a description built in code may nest a record in itself
         raise MarshalError(f"record {layout.name!r} contains itself") from None
     names = {f.name for f in layout.fields}
 
@@ -301,7 +307,7 @@ def _record_codec(layout: RecordLayout, desc: BindingDesc) -> Codec:
         return {name: codec.unpack(mem, ws, at + off, owned)
                 for name, off, codec in fields}
 
-    return Codec(layout.size, pack, unpack)
+    return Codec(width, pack, unpack)
 
 
 def _ref_codec(codec: Codec) -> Codec:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as hs
 
 from conftest import IDL_DIR, REPO
 from mlidl import marshal
+from mlidl import semtypes as st
 from mlidl.binding import (
     SchemaViolation,
     build_binding,
@@ -17,6 +19,7 @@ from mlidl.binding import (
 )
 from mlidl.binding.bindfile import render_json
 from mlidl.idl import parse_text
+from mlidl.wordmem import Mem, MemFault
 
 
 @pytest.mark.parametrize("fixture", ["win32_desc", "time_desc", "bar_desc"])
@@ -348,6 +351,91 @@ def test_a_missing_flag_is_false(win32_desc):
     assert loaded.params[0].byref is False and loaded.callback is False
 
 
+# -- record layouts: a loaded file must follow the layout rule ----------------
+
+_POINT_IDL = """
+typedef int INT;
+typedef struct { INT x; INT y; } POINT;
+typedef struct { POINT a; INT k; POINT b; } SEGMENT;
+
+[sml_source ("pt.dll")]
+interface Pt {
+  INT Sum ([in,ref] POINT *p);
+  void Get ([out] POINT *p);
+}
+"""
+
+
+def _point_doc():
+    desc = build_binding(parse_text(_POINT_IDL, "pt.idl"), mode="dynamic", level="auto")
+    return json.loads(emit_binding_file(desc))
+
+
+def _offsets(offsets):
+    def mutate(doc):
+        for f, offset in zip(doc["records"][0]["fields"], offsets):
+            f["offset"] = offset
+    return mutate
+
+
+def _swap_records(doc):
+    doc["records"].reverse()
+
+
+def _self_field(doc):
+    doc["records"][0]["fields"][1]["sem"] = {"k": "record", "name": "POINT"}
+
+
+def _void_field(doc):
+    doc["records"][0]["fields"][1]["sem"] = {"k": "unit"}
+
+
+@pytest.mark.parametrize("mutate, path, message", [
+    pytest.param(_set(("records", 0, "size"), 1), "$.records[0].size",
+                 "expected 2 by the layout rule, got 1", id="size-1"),
+    pytest.param(_set(("records", 0, "size"), 3), "$.records[0].size",
+                 "expected 2 by the layout rule, got 3", id="size-3"),
+    pytest.param(_offsets([0, 5]), "$.records[0].fields[1].offset",
+                 "expected 1 by the layout rule, got 5", id="offsets-0-5"),
+    pytest.param(_offsets([0, 0]), "$.records[0].fields[1].offset",
+                 "expected 1 by the layout rule, got 0", id="offsets-0-0"),
+    pytest.param(_set(("records", 1, "fields", 2, "offset"), 4),
+                 "$.records[1].fields[2].offset",
+                 "expected 3 by the layout rule, got 4", id="nested-offset"),
+    pytest.param(_set(("records", 1, "size"), 3), "$.records[1].size",
+                 "expected 5 by the layout rule, got 3", id="nested-size"),
+    pytest.param(_swap_records, "$.records[0].fields[0].sem",
+                 "record 'POINT' used in 'SEGMENT' before its declaration",
+                 id="declared-later"),
+    pytest.param(_self_field, "$.records[0].fields[1].sem",
+                 "record 'POINT' used in 'POINT' before its declaration", id="itself"),
+    pytest.param(_void_field, "$.records[0].fields[1].sem",
+                 "void is not a value type (in 'POINT')", id="void"),
+])
+def test_a_record_layout_that_breaks_the_rule_is_a_schema_violation(mutate, path, message):
+    doc = _point_doc()
+    mutate(doc)
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
+def test_a_record_layout_that_keeps_the_rule_loads_and_binds():
+    desc = load_binding_file(json.dumps(_point_doc()))
+    assert [(r.size, [f.offset for f in r.fields]) for r in desc.records] == \
+        [(2, [0, 1]), (5, [0, 2, 3])]
+    mem = Mem()
+    lib = mem.register_library("pt.dll")
+    for name, impl in (("Sum", lambda p: p["x"] + p["y"]),
+                       ("Get", lambda: {"x": 3, "y": 4})):
+        sig = next(o for o in desc.interface("Pt").ops if o.name == name)
+        mem.register_function(lib, name, marshal.skeleton(sig, impl, mem, desc))
+    pt = marshal.bind(desc, mem)["Pt"]
+    assert pt.Sum({"x": 3, "y": 4}) == 7
+    assert pt.Get() == {"x": 3, "y": 4}
+    assert mem.live_count == 0
+
+
 # -- fuzz gate: one node of an emitted file mutated ----------------------------
 
 _DELETE = object()
@@ -394,6 +482,34 @@ def test_one_mutated_node_loads_or_is_a_schema_violation(win32_desc, time_desc, 
                 marshal.plan_of(op, loaded)
             except marshal.MarshalError:
                 pass
+    for record in loaded.records:
+        sem = st.record_t(record.name)
+        value = _sample(sem, loaded, itertools.count(1))
+        mem = Mem()
+        try:
+            words = marshal.marshal_value(value, sem, mem, loaded)
+            assert marshal.unmarshal_value(words, sem, mem, loaded) == value
+        except (marshal.MarshalError, MemFault):
+            pass
+
+
+def _sample(sem, desc, ints):
+    """A value of type `sem`: a distinct int per integer field, True for a
+    bool, "" for a string, an enum's first variant, None for a callback and
+    [] for an array."""
+    if sem.kind == "record":
+        record = desc.lookup("record", sem.name)
+        return {} if record is None else \
+            {f.name: _sample(f.sem, desc, ints) for f in record.fields}
+    if sem.kind == "enum":
+        enum = desc.lookup("enum", sem.name)
+        return enum.variants[0][0] if enum is not None and enum.variants else ""
+    if sem.kind in _SAMPLES:
+        return _SAMPLES[sem.kind]
+    return next(ints)
+
+
+_SAMPLES = {"bool": True, "string8": "", "string16": "", "callback": None, "array": []}
 
 
 def test_compiler_imports_no_runtime_module():

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from mlidl import marshal
 from mlidl import semtypes as st
-from mlidl.binding import BindingError, MissingIid, build_binding
+from mlidl.binding import (
+    BindingError,
+    MissingIid,
+    build_binding,
+    emit_binding_file,
+    emit_sig_text,
+    load_manifest,
+)
 from mlidl.binding.model import (
     BindingDesc,
     CallbackDef,
@@ -15,6 +25,8 @@ from mlidl.binding.model import (
     RecordLayout,
 )
 from mlidl.idl import parse_text
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def op(desc, iface, name):
@@ -263,3 +275,48 @@ def test_name_lookup_first_declaration_wins_and_errors_unchanged():
 def test_manifest_of_the_wrong_shape_is_a_binding_error(bar_unit, manifest):
     with pytest.raises(BindingError, match="^manifest: "):
         build_binding(bar_unit, "com", "auto", manifest)
+
+
+# sha256 of emit_sig_text + emit_binding_file for each shipped IDL file in
+# every mode and level, or the error class and message where it does not build
+_EMITTED = {
+    ("win32.idl", "static", "abstract"): "a5866dea189bb51ce9a51b0533197fd1c424e2b8f0781e7ec4aaafb69b1d88ea",
+    ("win32.idl", "static", "auto"): "e2fbe6e01cfbfca59ba891fb7eb30ec017a5ea3f36b70ddbf6b9e9a8d393044f",
+    ("win32.idl", "dynamic", "abstract"): "63ef835c2227f25d7a8c2ba4771f6ec1a8d610a98ce512d9b66970bad929a5e9",
+    ("win32.idl", "dynamic", "auto"): "916f01bd0d57596a464f6a6d20d5cab0f100e64b7335812b6d74b6292a3962d1",
+    ("win32.idl", "com", "abstract"): "MissingIid: com-mode interface 'User' has no IID in the manifest",
+    ("win32.idl", "com", "auto"): "MissingIid: com-mode interface 'User' has no IID in the manifest",
+    ("time.idl", "static", "abstract"): "52b94abdbcf239ae81da84f84867ae9fb8ab5b43cb6d5d4be6ca9629bb348ad4",
+    ("time.idl", "static", "auto"): "2260517c0692e1bde971c1fd86d739e4fcb25bed52c70e0a0ee61f0c46a796a1",
+    ("time.idl", "dynamic", "abstract"): "79dff230238586f8831b5b1a7fddb67890a990519185a0ca74e58c9694542c67",
+    ("time.idl", "dynamic", "auto"): "d03bacdad3cf4bff13e78fd71882978463fcff9dcb7e30126c3f10e58a013d00",
+    ("time.idl", "com", "abstract"): "MissingIid: com-mode interface 'Time' has no IID in the manifest",
+    ("time.idl", "com", "auto"): "MissingIid: com-mode interface 'Time' has no IID in the manifest",
+    ("bar.idl", "static", "abstract"): "e5c67d9d4f428b1d07dee906431c3fd7b5bd28df4a51abbc73f787ef03274cfb",
+    ("bar.idl", "static", "auto"): "450f3ba893a800efd760146d189f544591dd67cc6ccfd8747deae9d1a1bda94c",
+    ("bar.idl", "dynamic", "abstract"): "a0cddfd3c0d1e7926639b32fd4a36774538c65584da875f4f68c393831a5f452",
+    ("bar.idl", "dynamic", "auto"): "fdd46ef3a6ebb7a0a68fe0eb12168b6c456ee61de6eea7a55ce593f9fe261336",
+    ("bar.idl", "com", "abstract"): "f60b373cea4425248bce134f8b12843a8507e53259a2d5b01fc8a28f23e51223",
+    ("bar.idl", "com", "auto"): "8ac4612a80413a93215926b794adcd5ded7dd60c54b96bff89b27882a4de48a8",
+    ("win32sim.idl", "static", "abstract"): "b3e9c5f744783eff8e70622a0a35dade4fa57c73c9cede56fe58cb2a58a7cdb0",
+    ("win32sim.idl", "static", "auto"): "0fcd19a42e1b6e25efc68f4ec3894314d90f30ef5e2a7e2515f87d4e13ffe638",
+    ("win32sim.idl", "dynamic", "abstract"): "2b66d6d914866883e6ebc17c5e224375b80c4a2ab9b7c66482cd0b8e48b55a26",
+    ("win32sim.idl", "dynamic", "auto"): "dbcf56400302afa47918401ec2f567a16d091993bae51a1b44194b14888dd078",
+    ("win32sim.idl", "com", "abstract"): "MissingIid: com-mode interface 'User' has no IID in the manifest",
+    ("win32sim.idl", "com", "auto"): "MissingIid: com-mode interface 'User' has no IID in the manifest",
+}
+
+
+@pytest.mark.parametrize("name,mode,level", sorted(_EMITTED))
+def test_emitted_text_is_pinned(name, mode, level):
+    path = (REPO / "src" / "mlidl" / "winsim" / "data" / name if name == "win32sim.idl"
+            else REPO / "idl" / name)
+    manifest = load_manifest(REPO / "idl" / "bar.manifest.json") if name == "bar.idl" else None
+    try:
+        desc = build_binding(parse_text(path.read_text(encoding="utf-8"), name),
+                             mode=mode, level=level, manifest=manifest)
+        text = emit_sig_text(desc) + emit_binding_file(desc)
+        got = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    except BindingError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == _EMITTED[name, mode, level]

@@ -23,6 +23,7 @@ from mlidl.marshal import (
     Unsupported,
     call,
     layout_of,
+    marshal_value,
     plan_of,
     skeleton,
     unmarshal_value,
@@ -210,6 +211,22 @@ def test_record_nested_in_itself_is_a_marshal_error(desc):
     bad = replace(desc, records=desc.records + (loop,))
     with pytest.raises(MarshalError, match="LOOP"):
         layout_of(st.record_t("LOOP"), bad)
+
+
+def test_record_codec_reads_each_field_where_it_packed_it(desc):
+    # the codec lays a record out by its fields' codecs and never reads the
+    # layout's offsets or size, so wrong ones built in code change nothing
+    good = desc.record("LABEL")
+    wrong = replace(good, fields=tuple(replace(f, offset=0) for f in good.fields), size=1)
+    bad = replace(desc, records=tuple(wrong if r is good else r for r in desc.records))
+    value = label("t", 7, "MODE_HIGH")
+    mem = Mem()
+    words = marshal_value(value, st.record_t("LABEL"), mem, bad)
+    assert len(words) == layout_of(st.record_t("LABEL"), bad) == 3
+    assert unmarshal_value(words, st.record_t("LABEL"), mem, bad) == value
+    sig = op(bad, "OutRecord")
+    stub = skeleton(sig, lambda k: (value, k), mem, bad)
+    assert call(sig, stub, [5], mem, bad) == [value, 5]
 
 
 def test_plans_are_shared_through_the_description(monkeypatch):
