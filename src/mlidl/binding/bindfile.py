@@ -257,7 +257,7 @@ def load_binding_file(text: str) -> model.BindingDesc:
 
 def _load_callback(x: Any, path: str, sems: dict) -> model.CallbackDef:
     _need(x, dict, path)
-    return model.CallbackDef(name=_str(x, "name", path),
+    return model.CallbackDef(name=_type_name(x, path),
                              sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig", sems))
 
 
@@ -334,7 +334,7 @@ def _load_enum(x: Any, path: str) -> model.EnumMap:
                 or not isinstance(pair[0], str)):
             raise SchemaViolation(vpath, "expected [name, \"0x...\"]")
         variants.append((pair[0], _word(pair[1], vpath)))
-    return model.EnumMap(name=_str(x, "name", path), variants=tuple(variants))
+    return model.EnumMap(name=_type_name(x, path), variants=tuple(variants))
 
 
 def _load_record(x: Any, path: str, sems: dict,
@@ -354,7 +354,7 @@ def _load_record(x: Any, path: str, sems: dict,
             st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
         ))
     size = _count(x, "size", path)
-    name = _str(x, "name", path)
+    name = _type_name(x, path)
     layout = model.lay_out(name, fields, earlier, lambda i, message:
                            SchemaViolation(f"{path}.fields[{i}].sem", message))
     laid = [(f"{path}.fields[{i}].offset", f.offset, offset)
@@ -411,6 +411,15 @@ def _str(x: dict, key: str, path: str) -> str:
     v = x.get(key)
     if not isinstance(v, str):
         raise SchemaViolation(f"{path}.{key}", "expected a string")
+    return v
+
+
+def _type_name(x: dict, path: str) -> str:
+    """The `name` of an enum, record or callback: a semantic type names it,
+    so it must not be empty."""
+    v = _str(x, "name", path)
+    if not v:
+        raise SchemaViolation(f"{path}.name", "expected a non-empty name")
     return v
 
 

@@ -64,6 +64,16 @@ def test_unknown_semantic_type_is_schema_violation(time_desc):
     assert "$.records[0].fields[0].sem" in str(exc.value)
 
 
+@pytest.mark.parametrize("table", ["records", "enums", "callbacks"])
+def test_an_empty_type_name_is_schema_violation(win32_desc, table):
+    doc = json.loads(emit_binding_file(win32_desc))
+    doc[table][0]["name"] = ""
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        (f"$.{table}[0].name", "expected a non-empty name")
+
+
 def test_missing_key_is_schema_violation(time_desc):
     doc = json.loads(emit_binding_file(time_desc))
     del doc["enums"]
