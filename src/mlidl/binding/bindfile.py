@@ -22,7 +22,10 @@ walk interns semantic types through a table that belongs to one
 `load_binding_file` call (see `semtypes.sem_from_json`), so the loaded
 description, like a built one, holds one object per distinct type.  A
 record's `size` and `offset`s must be those of `model.lay_out`, the layout
-rule the builder uses, given the records before it in the file.
+rule the builder uses, given the records before it in the file.  Every enum,
+record or callback that a semantic type names must be declared in the file,
+except COM's built-in `record IID`; the intern table holds each distinct
+type once, so the check looks at each name once.
 """
 
 from __future__ import annotations
@@ -248,11 +251,40 @@ def load_binding_file(text: str) -> model.BindingDesc:
         _load_alias(x, f"$.aliases[{i}]", sems)
         for i, x in enumerate(_list(doc, "aliases", "$"))
     )
-    return model.BindingDesc(
+    desc = model.BindingDesc(
         module=module, mode=mode, level=level, interfaces=interfaces,
         enums=enums, records=records, consts=consts, callbacks=callbacks,
         aliases=aliases, clsid=clsid,
     )
+    # COM's built-in `record IID` needs no declaration
+    declared = ({("record", "IID")} | {("record", name) for name in earlier}
+                | {("enum", e.name) for e in enums} | {("callback", c.name) for c in callbacks})
+    undeclared = {t for t in sems.values() if t.kind in ("enum", "record", "callback")
+                  and (t.kind, t.name) not in declared}
+    if undeclared:
+        _raise_at_first_use(desc, undeclared)
+    return desc
+
+
+def _raise_at_first_use(desc: model.BindingDesc, undeclared: set[st.SemType]) -> None:
+    """A SchemaViolation at the first `sem` of `desc`, in file order, that
+    names an enum, record or callback in `undeclared`."""
+    sigs = [(f"$.interfaces[{i}].ops[{j}]", op)
+            for i, iface in enumerate(desc.interfaces) for j, op in enumerate(iface.ops)]
+    sigs += [(f"$.callbacks[{i}].sig", c.sig) for i, c in enumerate(desc.callbacks)]
+    sems = []
+    for path, sig in sigs:
+        sems += [(f"{path}.params[{k}].sem", p.sem) for k, p in enumerate(sig.params)]
+        if sig.ret is not None:
+            sems.append((f"{path}.ret.sem", sig.ret.sem))
+    sems += [(f"$.records[{i}].fields[{j}].sem", f.sem)
+             for i, r in enumerate(desc.records) for j, f in enumerate(r.fields)]
+    sems += [(f"$.aliases[{i}].sem", a.sem) for i, a in enumerate(desc.aliases)]
+    for path, t in sems:
+        while t.kind == "array":
+            path, t = f"{path}.elem", t.elem
+        if t in undeclared:
+            raise SchemaViolation(path, f"no {t.kind} named {t.name!r} is declared")
 
 
 def _load_callback(x: Any, path: str, sems: dict) -> model.CallbackDef:

@@ -10,6 +10,8 @@ client-visible signature; interface IIDs come from a companion manifest.
 Each IDL type is lowered to its SML text and interned semantic type in one
 walk (`_Builder.lower`), and each record is laid out by `model.lay_out`, the
 one layout rule, which the binding-file loader checks loaded records against.
+A type name is looked up wherever it stands, behind a pointer or a pointer
+to a pointer too, so a name that is not a type (a const) is refused there.
 """
 
 from __future__ import annotations
@@ -223,18 +225,16 @@ class _Builder:
             inner = t.to
             if isinstance(inner, ast.PtrType):
                 # pointer-to-pointer: an out slot for an address-sized value
-                inner = inner.to
-                sem = st.OPAQUE
-                if isinstance(inner, ast.NamedType):    # shown, never looked up
-                    display = inner.name
-                elif isinstance(inner, ast.BaseType) and inner.name == "void":
-                    display = "Word32.word"
-                else:
-                    display = self.lower(inner)[0]
                 if p.dir == "in":
                     raise BindingError(
                         f"{where}.{p.name}: in-parameters of pointer-to-pointer "
                         f"type are not supported")
+                inner = inner.to
+                sem = st.OPAQUE
+                if isinstance(inner, ast.BaseType) and inner.name == "void":
+                    display = "Word32.word"
+                else:
+                    display = self.lower(inner)[0]
             else:
                 display, sem = self.lower(inner, string=p.string)
                 if p.dir in ("in", "inout") and sem.kind not in ("string8", "string16"):
@@ -286,7 +286,7 @@ class _Builder:
                 return "String.string", (st.STRING16 if inner.name == "wchar_t"
                                          else st.STRING8)
             if isinstance(inner, ast.NamedType):
-                return inner.name, st.OPAQUE
+                return self.lower(inner)[0], st.OPAQUE
             return "Word32.word", st.OPAQUE
         if isinstance(t, ast.ArrayType):
             display, elem = self.lower(t.elem)

@@ -4,9 +4,11 @@ An interface is a one-word heap block holding the address of its vtable
 block; vtable slots are closure addresses with QueryInterface, AddRef and
 Release always in slots 0..2.  Reference counting is per object: all of an
 object's interfaces share one count, and when it reaches zero every block
-the object owns is freed.  QueryInterface for IUnknown returns the same
-interface from any starting interface, which makes its address usable as
-the object's identity.
+the object owns is freed and every slot its vtables registered is released
+(`Mem.release_closure`), so a call through a stale slot raises
+`NotCallable` and the world keeps nothing of the object alive.
+QueryInterface for IUnknown returns the same interface from any starting
+interface, which makes its address usable as the object's identity.
 
 IUnknown is implemented once, by `ComObject.query_interface/add_ref/release`.
 Vtable slots 0..2 only check and decode their words and call them; the
@@ -154,10 +156,18 @@ class ComObject:
         self.alive = True
         self._interfaces: dict[Guid, InterfaceRef] = {}
         self._blocks: list[int] = []
+        self._slot_addrs: list[int] = []     # one per `fun_to_addr` it made
         # one bound method per slot, so every vtable registers the same three
         self._unknown_slots: list[WordFn] = [
             self._raw_query_interface, self._raw_add_ref, self._raw_release]
-        self.identity = self.add_interface(IID_IUNKNOWN, [])
+        self._identity = self.add_interface(IID_IUNKNOWN, []).addr
+
+    @property
+    def identity(self) -> InterfaceRef:
+        """The IUnknown interface, whose address is the object's identity;
+        made on each read, so that a destroyed object holds no reference
+        to itself and is freed without the cycle collector."""
+        return InterfaceRef(self._identity, IID_IUNKNOWN, self)
 
     # -- construction ----------------------------------------------------------
 
@@ -168,14 +178,19 @@ class ComObject:
             raise ComError(f"interface {iid} already present")
         slots = self._unknown_slots + list(methods)
         vtable = self.mem.alloc(len(slots))
-        self.mem.store(vtable, [self.mem.fun_to_addr(fn) for fn in slots])
+        addrs = [self.mem.fun_to_addr(fn) for fn in slots]
+        self.mem.store(vtable, addrs)
         try:
             iface = self.mem.alloc(1)
         except MemFault:
-            self.mem.free(vtable)     # nothing is recorded yet: leave no block
+            # nothing is recorded yet: leave no block and no registration
+            self.mem.free(vtable)
+            for addr in addrs:
+                self.mem.release_closure(addr)
             raise
         self.mem.store(iface, [vtable])
         self._blocks += [vtable, iface]
+        self._slot_addrs += addrs
         ref = InterfaceRef(addr=iface, iid=iid, owner=self)
         self._interfaces[iid.guid] = ref
         return ref
@@ -198,10 +213,16 @@ class ComObject:
         return self._interfaces.get(iid.guid)
 
     def _destroy(self) -> None:
+        """Free every block and release every vtable slot, and drop the
+        references back to this object that the interfaces and slots hold."""
         for addr in self._blocks:
             self.mem.free(addr)
+        for addr in self._slot_addrs:
+            self.mem.release_closure(addr)
         self._blocks.clear()
+        self._slot_addrs.clear()
         self._interfaces.clear()
+        self._unknown_slots.clear()
         self.alive = False
 
     # -- IUnknown, implemented once --------------------------------------------

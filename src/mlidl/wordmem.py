@@ -10,10 +10,24 @@ into three regions:
     [0x8000000, ...)        closure registry ("code")
 
 Heap allocations are page-granular internally so that any address can be
-mapped back to its allocation in O(1); reads and stores are bounds-checked
-against the owning allocation.  `read_rest` reads from an address to the end
-of its allocation, so data of unknown length (a NUL-terminated string) is
-read in one checked step and can never run on into the next block.
+mapped back to its allocation in O(1): the page table is a list indexed by
+page number.  Reads and stores are bounds-checked against the owning
+allocation.  `read_rest` reads from an address to the end of its
+allocation, so data of unknown length (a NUL-terminated string) is read in
+one checked step and can never run on into the next block.
+
+Pages are never reused.  A freed block stays in the page table as a
+tombstone that keeps only its base and size, so a later access still raises
+`UseAfterFree`, `DoubleFree` or `OutOfBounds` exactly as it would on the
+live block, while its words are dropped at `free`.
+
+A closure address is counted per registration: `fun_to_addr` returns one
+address per callable and counts each call, and `release_closure` undoes one
+of them.  The last release unregisters the callable, so the world no longer
+keeps it alive, and a call through the address raises `NotCallable`.
+Closure addresses are never reused, so a stale one can reach no other
+function.  `close` drops every closure at once; a later release of one of
+them does nothing.
 """
 
 from __future__ import annotations
@@ -94,12 +108,11 @@ def region_of(addr: int) -> str:
     return "heap"
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     base: int
-    size: int          # words
-    live: bool
-    cells: list[int]
+    size: int                      # words
+    cells: Optional[list[int]]     # None once freed: the block is a tombstone
 
 
 @dataclass(frozen=True)
@@ -124,14 +137,15 @@ class Mem:
     """
 
     def __init__(self, trace: Optional[Callable[[str], None]] = None) -> None:
-        self._pages: dict[int, Allocation] = {}
-        self._next_page = 0
+        self._pages: list[Allocation] = []     # page number -> allocation
         self._live = 0
         self._closures: dict[int, WordFn] = {}
+        self._closure_refs: dict[int, int] = {}    # addr -> registrations
         # id(fn) -> addr; `_closures` keeps every registered callable alive
-        # for the world's life, so no id() key is reused while it is here
+        # until its last release, so no id() key is reused while it is here
         self._closure_addrs: dict[int, int] = {}
         self._next_closure = CLOSURE_BASE
+        self._dropped_below = CLOSURE_BASE     # addresses `close` dropped
         self._libraries: dict[str, Library] = {}
         self._trace = trace
 
@@ -145,13 +159,10 @@ class Mem:
         if nwords <= 0:
             raise BadSize(f"alloc of {nwords} words")
         npages = (nwords + _PAGE_WORDS - 1) // _PAGE_WORDS
-        base = HEAP_BASE + self._next_page * _PAGE_BYTES
+        base = HEAP_BASE + len(self._pages) * _PAGE_BYTES
         if base + npages * _PAGE_BYTES > CLOSURE_BASE:
             raise BadSize("heap region exhausted")
-        alloc = Allocation(base=base, size=nwords, live=True, cells=[0] * nwords)
-        for i in range(npages):
-            self._pages[self._next_page + i] = alloc
-        self._next_page += npages
+        self._pages += [Allocation(base, nwords, [0] * nwords)] * npages
         self._live += 1
         if self._trace is not None:
             self._trace(f"alloc {nwords} -> {base:#x}")
@@ -164,15 +175,15 @@ class Mem:
         if addr % WORD_BYTES:
             raise OutOfBounds(f"address {addr:#x} is not word-aligned")
         page = (addr - HEAP_BASE) // _PAGE_BYTES
-        alloc = self._pages.get(page)
-        if alloc is None:
+        if not 0 <= page < len(self._pages):
             raise OutOfBounds(f"address {addr:#x} outside any allocation")
+        alloc = self._pages[page]
         idx = (addr - alloc.base) // WORD_BYTES
         if idx >= alloc.size:
             raise OutOfBounds(
                 f"address {addr:#x} past the end of allocation {alloc.base:#x}"
             )
-        if not alloc.live:
+        if alloc.cells is None:
             raise UseAfterFree(f"address {addr:#x} in freed allocation {alloc.base:#x}")
         return alloc, idx
 
@@ -181,12 +192,12 @@ class Mem:
         if reg != "heap":
             raise BadRegion(f"free of {reg} address {addr:#x}")
         page = (addr - HEAP_BASE) // _PAGE_BYTES
-        alloc = self._pages.get(page)
+        alloc = self._pages[page] if 0 <= page < len(self._pages) else None
         if alloc is None or alloc.base != addr:
             raise OutOfBounds(f"free of {addr:#x}, which is not an allocation base")
-        if not alloc.live:
+        if alloc.cells is None:
             raise DoubleFree(f"double free of {addr:#x}")
-        alloc.live = False
+        alloc.cells = None
         self._live -= 1
         if self._trace is not None:
             self._trace(f"free {addr:#x}")
@@ -234,17 +245,39 @@ class Mem:
 
     # -- closures ---------------------------------------------------------
 
+    @property
+    def closure_count(self) -> int:
+        return len(self._closures)
+
     def fun_to_addr(self, fn: WordFn) -> int:
-        """Register a ``word list -> word`` callable; idempotent per identity."""
+        """Register a ``word list -> word`` callable; idempotent per identity,
+        but each call is one registration for `release_closure` to undo."""
         key = id(fn)
         addr = self._closure_addrs.get(key)
-        if addr is not None and self._closures.get(addr) is fn:
+        if addr is not None:
+            self._closure_refs[addr] += 1
             return addr
         addr = self._next_closure
         self._next_closure += WORD_BYTES
         self._closures[addr] = fn
+        self._closure_refs[addr] = 1
         self._closure_addrs[key] = addr
         return addr
+
+    def release_closure(self, addr: int) -> None:
+        """Undo one `fun_to_addr` registration of `addr`; the last one
+        unregisters the callable.  The address is never handed out again.
+        An address that `close` dropped has nothing left to release."""
+        refs = self._closure_refs.get(addr)
+        if refs is None:
+            if CLOSURE_BASE <= addr < self._dropped_below:
+                return
+            raise NotCallable(f"release of {addr:#x}, which is not a registered closure")
+        if refs > 1:
+            self._closure_refs[addr] = refs - 1
+            return
+        del self._closure_refs[addr]
+        del self._closure_addrs[id(self._closures.pop(addr))]
 
     def addr_to_fun(self, addr: int) -> WordFn:
         fn = self._closures.get(addr)
@@ -261,8 +294,12 @@ class Mem:
 
     def close(self) -> None:
         """Drop every registered closure and library, which may refer back
-        to this world; the heap and `live_count` stay readable."""
+        to this world; the heap and `live_count` stay readable, and a later
+        release of a dropped closure (a COM object destroyed after the
+        world is closed) does nothing."""
+        self._dropped_below = self._next_closure
         self._closures.clear()
+        self._closure_refs.clear()
         self._closure_addrs.clear()
         self._libraries.clear()
 

@@ -74,6 +74,46 @@ def test_an_empty_type_name_is_schema_violation(win32_desc, table):
         (f"$.{table}[0].name", "expected a non-empty name")
 
 
+_POINT_SUM = parse_text("typedef struct { int x; int y; } POINT;\n"
+                        "interface I { int Sum ([in,ref] POINT *p, [in] int n); }\n")
+
+
+_SEM_SITES = {    # the node that holds a `sem`, by the path of that `sem`
+    "$.records[0].fields[0].sem": lambda doc: doc["records"][0]["fields"][0],
+    "$.interfaces[0].ops[0].params[1].sem":
+        lambda doc: doc["interfaces"][0]["ops"][0]["params"][1],
+    "$.interfaces[0].ops[0].ret.sem": lambda doc: doc["interfaces"][0]["ops"][0]["ret"],
+}
+
+
+@pytest.mark.parametrize("path", sorted(_SEM_SITES))
+@pytest.mark.parametrize("kind", ["enum", "record", "callback"])
+def test_a_type_that_no_declaration_names_is_schema_violation(path, kind):
+    doc = json.loads(emit_binding_file(build_binding(_POINT_SUM, "dynamic", "auto")))
+    _SEM_SITES[path](doc)["sem"] = {"k": kind, "name": "NOPE"}
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_an_undeclared_array_element_type_is_schema_violation():
+    doc = json.loads(emit_binding_file(build_binding(_POINT_SUM, "dynamic", "auto")))
+    doc["aliases"] = [{"name": "A", "type": "A", "sem": {
+        "k": "array", "len_from": "n", "elem": {"k": "callback", "name": "NOPE"}}}]
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.aliases[0].sem.elem", "no callback named 'NOPE' is declared")
+
+
+def test_the_query_interface_iid_needs_no_declaration(bar_desc):
+    text = emit_binding_file(bar_desc)
+    assert "IID" not in [r["name"] for r in json.loads(text)["records"]]
+    qi = [op for iface in load_binding_file(text).interfaces for op in iface.ops
+          if op.kind == "query_interface"]
+    assert qi and all(op.params[0].sem == st.record_t("IID") for op in qi)
+
+
 def test_missing_key_is_schema_violation(time_desc):
     doc = json.loads(emit_binding_file(time_desc))
     del doc["enums"]

@@ -210,6 +210,17 @@ def test_double_pointer_out_param_is_an_address_slot():
     assert [r.display for r in probe.results] == ["Word32.word", "HRESULT"]
 
 
+@pytest.mark.parametrize("decl", [
+    "interface I { void F ([out] K **p); }",
+    "interface I { void F ([out] K *p); }",
+    "typedef struct { K *p; } R;",
+])
+def test_a_const_is_not_a_type_behind_any_pointer(decl):
+    unit = parse_text("const int K = 3;\n" + decl)
+    with pytest.raises(BindingError, match="^cannot use 'K' as a type$"):
+        build_binding(unit, "dynamic", "auto")
+
+
 def test_out_callback_param_unsupported():
     unit = parse_text("""
         typedef int *CB ([in] int x);

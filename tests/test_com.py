@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mlidl.com import (
     Iid,
     NoInterface,
     Registry,
+    S_OK,
     add_ref,
     co_create_instance,
     co_get_class_object,
@@ -31,7 +34,7 @@ from mlidl.com import (
 from mlidl.automation import make_dual
 from mlidl.binding.model import LiftedSig, RetSig
 from mlidl.semtypes import INT32
-from mlidl.wordmem import BadSize, Mem
+from mlidl.wordmem import BadSize, Mem, NotCallable
 
 CLSID_BAR = Clsid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0001}"), "Bar")
 IID_IX = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0002}"), "IX")
@@ -306,12 +309,76 @@ BUILDS = {
 def test_failed_alloc_leaves_no_block(build, nth):
     mem = FailingMem()
     obj = ComObject(mem)
-    before = mem.live_count
+    before = mem.live_count, mem.closure_count
     mem.fail_in = nth
     with pytest.raises(BadSize, match="injected"):
         BUILDS[build](obj)
-    assert mem.live_count == before
+    assert (mem.live_count, mem.closure_count) == before
     BUILDS[build](obj)      # nothing of the failed attempt was recorded
+
+
+def test_destroy_releases_every_closure_but_shared_ones(mem):
+    shared = lambda ws: 5  # noqa: E731
+    lib = mem.register_library("x.dll")
+    addr = mem.register_function(lib, "Shared", shared).addr
+    before = mem.closure_count
+    obj = ComObject(mem)
+    obj.add_interface(IID_IX, [shared])
+    obj.add_interface(IID_IY, [shared, lambda ws: 6])
+    assert mem.closure_count == before + 4        # qi, addref, release, the lambda
+    release(obj.identity)
+    assert mem.closure_count == before
+    assert mem.call(addr, []) == 5                # the library still holds it
+
+
+def test_an_object_outliving_its_closed_world_is_still_destroyed(mem):
+    obj, _ = build_bar(mem)
+    mem.close()
+    assert release(obj.identity) == 0
+    assert (obj.alive, mem.live_count) == (False, 0)
+    with pytest.raises(NotCallable):
+        mem.release_closure(mem.fun_to_addr(lambda ws: 0) + 4)
+
+
+def test_churn_in_one_world_releases_every_object_and_closure():
+    """CoCreateInstance, QueryInterface through slot 0 and Release through
+    slot 2, 3,000 times in one world: every object is freed without the
+    cycle collector, and no closure or block is left behind."""
+    mem = Mem()
+    reg = Registry()
+
+    def build():
+        obj = ComObject(mem, CLSID_BAR)
+        make_dual([PING], [lambda: 1], obj, IID_IZ)
+        obj.add_interface(IID_IX, [lambda ws: 0])
+        return obj
+
+    co_register_class_object(reg, CLSID_BAR, simple_factory(CLSID_BAR, build))
+    closures, live = mem.closure_count, mem.live_count
+    dead = []
+    gc.disable()
+    try:
+        for _ in range(3_000):
+            ref = co_create_instance(reg, CLSID_BAR, IID_IZ)
+            blk, out = mem.alloc(4), mem.alloc(1)
+            mem.store(blk, IID_IX.guid.to_words())
+            assert mem.call(mem.read(mem.read(ref.addr, 1)[0], 1)[0],
+                            [ref.addr, blk, out]) == S_OK
+            ix = mem.read(out, 1)[0]
+            mem.free(blk)
+            mem.free(out)
+            for iface, left in ((ix, 1), (ref.addr, 0)):
+                vtable = mem.read(iface, 1)[0]
+                stale = mem.read(mem.offset(vtable, 2), 1)[0]
+                assert mem.call(stale, [iface]) == left
+            dead.append(weakref.ref(ref.owner))
+            del ref
+        assert all(w() is None for w in dead)
+    finally:
+        gc.enable()
+    assert (mem.closure_count, mem.live_count) == (closures, live)
+    with pytest.raises(NotCallable):
+        mem.call(stale, [iface])
 
 
 def test_registry_dump_load(mem):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from mlidl.winsim.bounce import BounceDemo
 from mlidl.wordmem import (
@@ -17,6 +22,8 @@ from mlidl.wordmem import (
     UnknownLibrary,
     UnknownSymbol,
     UseAfterFree,
+    WORD_BYTES,
+    WORD_MASK,
     region_of,
     to_signed,
     word,
@@ -317,3 +324,237 @@ def test_trace_lines_pin_format():
     assert demo.gdi.BitBlt(1, 2, 3, 4, 5, 6, 7, 8, -9) is True
     assert lines == [
         f"call {sym.addr:#x} [1, 2, 3, 4, 5, 6, 7, 8, 4294967287] -> 0x1"]
+
+
+# -- counted closure release ----------------------------------------------------
+
+
+def test_release_closure_makes_the_address_not_callable(mem):
+    addr = mem.fun_to_addr(lambda ws: 7)
+    assert mem.closure_count == 1
+    mem.release_closure(addr)
+    assert mem.closure_count == 0
+    with pytest.raises(NotCallable):
+        mem.call(addr, [])
+    with pytest.raises(NotCallable):
+        mem.release_closure(addr)
+
+
+def test_a_shared_closure_lives_until_its_last_release(mem):
+    f = lambda ws: 7  # noqa: E731
+    lib = mem.register_library("x.dll")
+    addr = mem.register_function(lib, "F", f).addr
+    assert mem.fun_to_addr(f) == mem.fun_to_addr(f) == addr   # two vtables
+    for _ in range(2):
+        mem.release_closure(addr)
+        assert mem.call(addr, []) == 7
+    mem.release_closure(addr)                      # the library's own
+    with pytest.raises(NotCallable):
+        mem.call(addr, [])
+
+
+def test_a_released_address_is_never_handed_out_again(mem):
+    f = lambda ws: 1  # noqa: E731
+    old = mem.fun_to_addr(f)
+    mem.release_closure(old)
+    g = lambda ws: 2  # noqa: E731
+    assert mem.fun_to_addr(g) > old
+    assert mem.fun_to_addr(f) > old                # re-registered at a new address
+    with pytest.raises(NotCallable):
+        mem.call(old, [])
+
+
+def test_release_of_a_non_closure_address_is_not_callable(mem):
+    for addr in (0, mem.alloc(1), CLOSURE_BASE):
+        with pytest.raises(NotCallable):
+            mem.release_closure(addr)
+
+
+# -- freed blocks are small tombstones --------------------------------------------
+
+
+def test_a_freed_block_keeps_under_128_bytes():
+    """Machine-independent memory gate: a freed 3-word block stays as a
+    tombstone, which keeps its base and size and drops its words."""
+    mem = Mem()
+    for _ in range(100):        # let the page table and free lists settle
+        a = mem.alloc(3)
+        mem.free(a)
+    gc.collect()
+    rounds = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(rounds):
+            a = mem.alloc(3)
+            mem.store(a, [1, 2, 3])
+            mem.free(a)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert mem.live_count == 0
+    assert kept / rounds < 128, f"{kept / rounds:.1f} bytes kept per freed block"
+    with pytest.raises(UseAfterFree):
+        mem.read(a, 1)
+    with pytest.raises(DoubleFree):
+        mem.free(a)
+    with pytest.raises(OutOfBounds):
+        mem.read(mem.offset(a, 3), 1)
+
+
+# -- Mem against a dict model -------------------------------------------------------
+
+_PAGE_BYTES = 0x1000
+_FNS = [lambda ws, k=k: k * 1000 + sum(ws) - 3 for k in range(4)]
+_SIZES = [1, 2, 3, 7, 1023, 1025]       # offsets up to `size` stay in the block's pages
+
+
+class MemModel(RuleBasedStateMachine):
+    """Every operation of `Mem` against a model of dicts: each fault class is
+    raised exactly where the model predicts it, and nothing else differs."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mem = Mem()
+        self.blocks: dict[int, list[int]] = {}     # base -> words, live blocks
+        self.sizes: dict[int, int] = {}            # base -> size, freed ones too
+        self.next_base = HEAP_BASE
+        self.closures: dict[int, list] = {}        # addr -> [fn, registrations]
+        self.released: list[int] = []
+        self.next_closure = CLOSURE_BASE
+
+    # addresses: (block, word offset) pairs, or ones that belong to no block
+
+    def addr(self, pick: int, offset: int, odd: int) -> tuple[int, object]:
+        """An address and the block it lies in: a base, 'outside' or
+        'misaligned', or the region name of a null or closure address."""
+        bases = list(self.sizes)
+        strange = [(0, "null"), (CLOSURE_BASE, "closure"), (4, "outside"),
+                   (self.next_base, "outside"), (HEAP_BASE + 2, "misaligned")]
+        if not bases or pick % 5 == 4:
+            return strange[odd % len(strange)]
+        base = bases[pick % len(bases)]
+        at = base + WORD_BYTES * (offset % (self.sizes[base] + 1))
+        return (at + 2, "misaligned") if odd % 7 == 6 else (at, base)
+
+    def expect(self, fault, run):
+        if fault is None:
+            return run()
+        with pytest.raises(fault) as exc:
+            run()
+        assert type(exc.value) is fault
+        return None
+
+    def fault_at(self, at: int, where, nwords: int):
+        """The fault a `nwords` access at `at` raises, or None."""
+        if where in ("null", "closure"):
+            return BadRegion
+        if where in ("outside", "misaligned"):
+            return OutOfBounds
+        idx = (at - where) // WORD_BYTES
+        if idx >= self.sizes[where]:
+            return OutOfBounds
+        if where not in self.blocks:
+            return UseAfterFree
+        return OutOfBounds if idx + nwords > self.sizes[where] else None
+
+    @rule(size=st.sampled_from(_SIZES + [0, -2]))
+    def alloc(self, size):
+        if size <= 0:
+            self.expect(BadSize, lambda: self.mem.alloc(size))
+            return
+        base = self.mem.alloc(size)
+        assert base == self.next_base
+        self.next_base += _PAGE_BYTES * -(-size * WORD_BYTES // _PAGE_BYTES)
+        self.blocks[base] = [0] * size
+        self.sizes[base] = size
+
+    @rule(pick=st.integers(0, 99), offset=st.integers(0, 2000), odd=st.integers(0, 99))
+    def free(self, pick, offset, odd):
+        at, where = self.addr(pick, offset, odd)
+        if where in ("null", "closure"):
+            fault = BadRegion
+        elif where != at:
+            fault = OutOfBounds                 # not an allocation base
+        else:
+            fault = None if at in self.blocks else DoubleFree
+        self.expect(fault, lambda: self.mem.free(at))
+        if fault is None:
+            del self.blocks[at]
+
+    @rule(pick=st.integers(0, 99), offset=st.integers(0, 2000), odd=st.integers(0, 99),
+          words=st.lists(st.integers(-2**32, 2**33), max_size=4))
+    def store(self, pick, offset, odd, words):
+        at, where = self.addr(pick, offset, odd)
+        fault = self.fault_at(at, where, len(words)) if words else None
+        self.expect(fault, lambda: self.mem.store(at, words))
+        if fault is None and words:
+            idx = (at - where) // WORD_BYTES
+            self.blocks[where][idx:idx + len(words)] = [w & WORD_MASK for w in words]
+
+    @rule(pick=st.integers(0, 99), offset=st.integers(0, 2000), odd=st.integers(0, 99),
+          nwords=st.integers(-1, 4))
+    def read(self, pick, offset, odd, nwords):
+        at, where = self.addr(pick, offset, odd)
+        if nwords < 0:
+            fault = BadSize
+        else:
+            fault = self.fault_at(at, where, nwords) if nwords else None
+        got = self.expect(fault, lambda: self.mem.read(at, nwords))
+        if fault is None:
+            idx = (at - where) // WORD_BYTES if nwords else 0
+            assert got == ([] if not nwords else self.blocks[where][idx:idx + nwords])
+
+    @rule(pick=st.integers(0, 99), offset=st.integers(0, 2000), odd=st.integers(0, 99))
+    def read_rest(self, pick, offset, odd):
+        at, where = self.addr(pick, offset, odd)
+        fault = self.fault_at(at, where, 1)
+        got = self.expect(fault, lambda: self.mem.read_rest(at))
+        if fault is None:
+            assert got == self.blocks[where][(at - where) // WORD_BYTES:]
+
+    @rule(k=st.integers(0, len(_FNS) - 1))
+    def fun_to_addr(self, k):
+        fn = _FNS[k]
+        addr = self.mem.fun_to_addr(fn)
+        known = [a for a, (f, _) in self.closures.items() if f is fn]
+        if known:
+            assert addr == known[0]
+            self.closures[addr][1] += 1
+        else:
+            assert addr == self.next_closure
+            self.next_closure += WORD_BYTES
+            self.closures[addr] = [fn, 1]
+
+    def closure_addr(self, pick: int) -> int:
+        addrs = list(self.closures) + self.released + [0, HEAP_BASE, self.next_closure]
+        return addrs[pick % len(addrs)]
+
+    @rule(pick=st.integers(0, 99))
+    def release_closure(self, pick):
+        addr = self.closure_addr(pick)
+        fault = None if addr in self.closures else NotCallable
+        self.expect(fault, lambda: self.mem.release_closure(addr))
+        if fault is None:
+            self.closures[addr][1] -= 1
+            if self.closures[addr][1] == 0:
+                del self.closures[addr]
+                self.released.append(addr)
+
+    @rule(pick=st.integers(0, 99), args=st.lists(st.integers(0, WORD_MASK), max_size=3))
+    def call(self, pick, args):
+        addr = self.closure_addr(pick)
+        entry = self.closures.get(addr)
+        got = self.expect(None if entry else NotCallable, lambda: self.mem.call(addr, args))
+        if entry:
+            assert got == word(entry[0](args))
+
+    @invariant()
+    def counts_match(self):
+        assert self.mem.live_count == len(self.blocks)
+        assert self.mem.closure_count == len(self.closures)
+
+
+MemModel.TestCase.settings = settings(max_examples=60, stateful_step_count=40,
+                                      deadline=None, database=None)
+test_mem_matches_its_model = MemModel.TestCase
