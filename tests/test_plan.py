@@ -5,15 +5,18 @@ block behind."""
 from __future__ import annotations
 
 from dataclasses import replace
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import reference_marshal
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
 from mlidl.binding.model import FieldLayout, LiftedSig, ParamSig, RecordLayout, RetSig
+from mlidl import marshal
 from mlidl.idl import parse_text
 from mlidl.marshal import (
     ArityMismatch,
@@ -230,8 +233,6 @@ def test_record_codec_reads_each_field_where_it_packed_it(desc):
 
 
 def test_plans_are_shared_through_the_description(monkeypatch):
-    from mlidl import marshal
-
     built = []
     build = marshal._build_plan
     monkeypatch.setattr(marshal, "_build_plan",
@@ -444,3 +445,92 @@ def test_each_step_has_a_wire_codec_of_the_plan_width(desc, win32_desc, time_des
                 assert (s.wire is s.codec) == inline, f"{sig.name}.{p.name}"
             seen += 1
     assert seen >= 50
+
+
+# -- against the frozen marshaller in reference_marshal.py ---------------------------
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 0x80000000
+
+
+# values no one-word codec of some kind accepts: bools and IntEnum members
+# where an int belongs, integers one past either end of a word, other types,
+# an unknown enum name
+HOSTILE_VALUES = [True, False, Level.LOW, Level.HIGH, -2**31 - 1, 2**32, 2.0,
+                  "7", None, "MODE_MAX", (1, 2)]
+HOSTILE_WORDS = [-1, -2**31 - 1, 2**32, 2**32 + 5, -2**40, 2**63]
+
+
+def _outcome(thunk):
+    """A call's results with their types, or its exception's class and message."""
+    try:
+        return [(type(v), v) for v in thunk()]
+    except Exception as exc:                    # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+def _flat_run(marshal, sig, desc, args, result, words):
+    """Every way a flat call reaches its stub, run by one marshaller in a fresh
+    world: its outcomes, what the implementation saw, the `Mem` trace, and
+    the live blocks at the end."""
+    lines: list[str] = []
+    seen: list[list] = []
+
+    def impl(*values):
+        seen.append([(type(v), v) for v in values])
+        return result
+
+    mem = Mem(trace=lines.append)
+    n = len(sig.params)
+    stub = marshal.skeleton(sig, impl, mem, desc)
+    lib = mem.register_library("flat.dll")
+    sym = mem.register_function(lib, "Flat", stub, arity=n)
+    loose = mem.register_function(lib, "Loose", stub)          # arity unknown
+    targets = [sym, sym.addr, stub, loose, Symbol("Flat", sym.addr, "pascal", n + 1),
+               Symbol("Flat", loose.addr + 4, "pascal", n)]     # stale
+    outcomes = [_outcome(lambda: marshal.call(sig, t, args, mem, desc)) for t in targets]
+    outcomes.append(_outcome(lambda: [stub(list(words))]))
+    return outcomes, seen, lines, mem.live_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_flat_calls_match_the_reference_marshaller(desc, data):
+    kinds = data.draw(hs.lists(hs.sampled_from(sorted(FLAT_KINDS)), max_size=9))
+    ret = data.draw(hs.sampled_from([None, *sorted(FLAT_KINDS)]))
+    sig = LiftedSig("Flat", tuple(ParamSig(f"p{i}", k, FLAT_KINDS[k][0])
+                                  for i, k in enumerate(kinds)),
+                    None if ret is None else RetSig(ret, FLAT_KINDS[ret][0]))
+    hostile = data.draw(hs.booleans())
+
+    def value(kind):
+        valid = FLAT_KINDS[kind][1]
+        return data.draw(valid | hs.sampled_from(HOSTILE_VALUES) if hostile else valid)
+
+    args = [value(k) for k in kinds]
+    if hostile and args and data.draw(hs.booleans()):
+        args.pop()
+    result = None if ret is None else value(ret)
+    words = data.draw(hs.lists(hs.integers(0, 2**32 - 1)
+                               | hs.sampled_from(HOSTILE_WORDS) | hs.integers(-2**40, 2**40),
+                               min_size=len(kinds), max_size=len(kinds) + hostile))
+    got = _flat_run(marshal, sig, desc, args, result, words)
+    assert got == _flat_run(reference_marshal, sig, desc, args, result, words)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_every_shape_matches_the_reference_marshaller(desc, case):
+    name, args, impl = TRACE_CASES[case]
+    sig = op(desc, name)
+    runs = []
+    for m in (marshal, reference_marshal):
+        lines: list[str] = []
+        mem = Mem(trace=lines.append)
+        stub = m.skeleton(sig, impl, mem, desc)
+        sym = mem.register_function(mem.register_library("shapes.dll"), name, stub)
+        runs.append((_outcome(lambda: m.call(sig, sym, args, mem, desc)),
+                     _outcome(lambda: m.call(sig, stub, args, mem, desc)),
+                     lines, mem.live_count))
+    assert runs[0] == runs[1]
