@@ -30,16 +30,29 @@ into the next block.
 A plan is flat when every wire is a one-word value passed inline (int32,
 word32, handle, opaque, bool or enum) and so is the return value, if any:
 the shape of the GDI calls the bounce demo makes on each tick.  Those codecs
-have a `to_word` and a `from_word`, and the plan keeps them in order, so a
-flat `call` converts its arguments in one list comprehension, makes one
-`Mem.call` and converts the returned word, and a flat stub does
-the same in reverse; neither allocates.  Every other plan takes the general
-path below.  Both paths raise the same errors in the same order.
+have a `to_word` and a `from_word`, and the plan keeps them in order.  A
+flat call makes one `Mem.call` and converts the returned word; neither side
+allocates.  Its conversion kernel is picked when the plan is built:
+
+    integer wires only   the client checks and masks every argument in one
+                         comprehension, and goes through each wire's
+                         `to_word` only when a value fails that check (the
+                         first bad value raises there); the stub masks the
+                         words, and sign-extends those of int32 wires from a
+                         sign bit per wire, inline
+    a bool or enum wire  each wire's `to_word`, and in the stub `from_word`
+
+Every other plan takes the general path below.  Both paths raise the same
+errors in the same order.
 
 The caller frees every block it packed when the call returns, and frees the
 strings the callee hands back (out parameters, string fields of out records,
-string return values) once it has decoded them.  Out and in-out arrays and
-record return values are rejected with `Unsupported` when the plan is built.
+string return values) once it has decoded them.  It also releases each
+closure registration its packing made for a host callable (an `[in]`
+callback, or a callback field of a record it passes): a callee that keeps
+the address registers the callable itself, as `SimWorld.SetTimer` and
+`RegisterClassExA` do.  Out and in-out arrays and record return values are
+rejected with `Unsupported` when the plan is built.
 """
 
 from __future__ import annotations
@@ -50,7 +63,16 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
-from mlidl.wordmem import WORD_MASK, Mem, OutOfBounds, Symbol, WordFn, to_signed, word
+from mlidl.wordmem import (
+    CLOSURE_BASE,
+    WORD_MASK,
+    Mem,
+    OutOfBounds,
+    Symbol,
+    WordFn,
+    to_signed,
+    word,
+)
 
 Value = Any
 
@@ -209,10 +231,13 @@ def _string_codec(pack_str: Callable[[Mem, str], int],
 
 
 def _pack_callback(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
+    """A host callable is registered for the call: its address joins `temps`,
+    so the packer releases the registration with the call's blocks."""
     if v is None:
         words.append(0)
     elif callable(v):
-        words.append(mem.fun_to_addr(v))
+        temps.append(mem.fun_to_addr(v))
+        words.append(temps[-1])
     else:
         raise TypeMismatch(f"expected a callable or None, got {v!r}")
 
@@ -401,6 +426,12 @@ class Plan:
     # flat plans only: each wire's to_word, then its from_word
     to_words: Optional[tuple[Callable[[Value], int], ...]] = None
     from_words: Optional[tuple[Callable[[int], Value], ...]] = None
+    # flat plans whose wires are all integers: each wire's sign bit
+    signs: Optional[tuple[int, ...]] = None
+
+
+# the sign bit of each integer kind's word: int32 words are sign-extended
+_SIGN_BITS = {"int32": 0x80000000, "word32": 0, "handle": 0, "opaque": 0}
 
 
 def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
@@ -417,6 +448,7 @@ def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
 def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
     ins = [p for p in sig.params if p.dir != "out"]
     steps: list[Step] = []
+    signs: Optional[list[int]] = []
     arity = 0
     for p in sig.params:
         if p.sem.kind == "array" and p.dir != "in":
@@ -425,6 +457,10 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         wire = _ref_codec(codec) if p.dir != "in" or p.byref else codec
         steps.append(Step(p.name, p.dir, codec, wire, arity))
         arity += wire.width
+        if signs is not None and wire is codec and p.sem.kind in _SIGN_BITS:
+            signs.append(_SIGN_BITS[p.sem.kind])
+        else:
+            signs = None
     for i, p in enumerate(sig.params):
         if p.sem.kind != "array":
             continue
@@ -446,7 +482,8 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         and (ret is None or ret.to_word is not None)
     return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
                 tuple(s.wire.to_word for s in steps) if flat else None,
-                tuple(s.wire.from_word for s in steps) if flat else None)
+                tuple(s.wire.from_word for s in steps) if flat else None,
+                tuple(signs) if flat and signs is not None else None)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -475,14 +512,27 @@ def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
 
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
          mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
-    plan = plan_of(sig, desc)
+    plan = (desc.plans if desc is not None else sig.plans).get(id(sig)) \
+        or plan_of(sig, desc)
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
-    target = _target(f, mem, sig, plan.arity)
+    if type(f) is Symbol and f.arity == plan.arity:
+        target: Union[WordFn, int] = f.addr
+        mem.addr_to_fun(target)   # fail early on a stale address
+    else:
+        target = _target(f, mem, sig, plan.arity)
 
     if plan.to_words is not None:
-        words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
+        # integer wires: check and mask every value in one pass; a value that
+        # pass refuses (a bool, an int subclass, a non-int, an out-of-range
+        # int) sends the whole list through each wire's to_word, which
+        # raises for the first bad value or converts an int subclass
+        words = [v & WORD_MASK for v in ins
+                 if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF] \
+            if plan.signs is not None else None
+        if words is None or len(words) != len(ins):
+            words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
         ret_word = mem.call(target, words) if isinstance(target, int) \
             else word(target(words))
         return [] if plan.ret is None else [plan.ret.from_word(ret_word)]
@@ -516,7 +566,10 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
         return results
     finally:
         for addr in temps:
-            mem.free(addr)
+            if addr >= CLOSURE_BASE:
+                mem.release_closure(addr)
+            else:
+                mem.free(addr)
 
 
 # -- server-side skeleton -----------------------------------------------------
@@ -547,16 +600,13 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     void operation with no outs may return None.
     """
     plan = plan_of(sig, desc)
+    if plan.from_words is not None:
+        return _flat_stub(plan, impl)
 
     def stub(words: list[int]) -> int:
         if len(words) != plan.arity:
             raise ArityMismatch(
                 f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
-        from_words = plan.from_words
-        if from_words is not None:
-            values = _results(plan, impl(*[from_word(w) for from_word, w
-                                           in zip(from_words, words)]))
-            return 0 if plan.ret is None else plan.ret.to_word(values[0])
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
         for _, direction, codec, wire, at, _ in plan.steps:
@@ -576,6 +626,32 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             plan.ret.pack(mem, values[-1], ret, given)
             return ret[0]
         return 0
+
+    return stub
+
+
+def _flat_stub(plan: Plan, impl: Callable[..., Any]) -> WordFn:
+    """The stub of a flat plan.  Words of integer wires are masked, and those
+    of int32 wires sign-extended, inline; other wires go through their
+    from_word.  A single result goes straight to the return's to_word."""
+    arity, name, from_words, signs = plan.arity, plan.sig.name, plan.from_words, plan.signs
+    unsigned = signs is not None and not any(signs)
+    to_word = plan.ret.to_word if plan.ret is not None else None
+
+    def stub(words: list[int]) -> int:
+        if len(words) != arity:
+            raise ArityMismatch(
+                f"{name}: expected {arity} argument words, got {len(words)}")
+        if unsigned:
+            result = impl(*[w & WORD_MASK for w in words])
+        elif signs is not None:
+            result = impl(*[((w & WORD_MASK) ^ s) - s for w, s in zip(words, signs)])
+        else:
+            result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
+        if to_word is not None and result is not None and not isinstance(result, tuple):
+            return to_word(result)
+        values = _results(plan, result)
+        return 0 if to_word is None else to_word(values[0])
 
     return stub
 

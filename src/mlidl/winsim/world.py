@@ -131,7 +131,7 @@ class SimWorld:
         return h
 
     def record(self, op: str, args: list[Any]) -> None:
-        rendered = " ".join([_render_arg(a) for a in args])
+        rendered = " ".join([str(a) if type(a) is int else _render_arg(a) for a in args])
         self.trace.append(f"TICK {self.tick} DRAW {op} {rendered}".rstrip())
 
     def gdi_record(self, op: str, args: list[Any],

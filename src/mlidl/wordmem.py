@@ -170,7 +170,7 @@ class Mem:
 
     def _find(self, addr: int) -> tuple[Allocation, int]:
         """Map an address to (allocation, word index); check liveness."""
-        if region_of(addr) != "heap":
+        if addr == NULL_ADDR or addr >= CLOSURE_BASE:     # region_of, inline
             raise BadRegion(f"address {addr:#x} is not a heap address")
         if addr % WORD_BYTES:
             raise OutOfBounds(f"address {addr:#x} is not word-aligned")
@@ -287,7 +287,10 @@ class Mem:
 
     def call(self, addr: int, args: list[int]) -> int:
         """Invoke a closure address with raw word arguments."""
-        result = word(self.addr_to_fun(addr)(list(args)))
+        fn = self._closures.get(addr)      # addr_to_fun, inline
+        if fn is None:
+            raise NotCallable(f"address {addr:#x} is not a registered closure")
+        result = fn(list(args)) & WORD_MASK
         if self._trace is not None:
             self._trace(f"call {addr:#x} {args} -> {result:#x}")
         return result

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -156,11 +157,101 @@ def test_byref_callback_travels_in_a_block(desc):
     seen = []
 
     def spy(words):
-        seen.append(mem.read(words[0], 1)[0])
+        seen.append(mem.addr_to_fun(mem.read(words[0], 1)[0]))
         return 0
 
     call(sig, spy, [mix, 1], mem, desc)
-    assert mem.addr_to_fun(seen[0]) is mix
+    assert seen == [mix]
+    assert mem.closure_count == 0       # the caller's registration ends with the call
+
+
+
+# -- who releases a callback's registration ---------------------------------------
+
+HOOKS_IDL = """
+sml_name ("Hooks");
+
+typedef int INT;
+typedef int *CB ([in] INT a, [in] INT b);
+
+typedef struct tagHOOK {
+    CB  cb;
+    INT k;
+} HOOK;
+
+[sml_source ("hooks.dll")]
+interface Hooks {
+  INT Call ([in] CB cb, [in] INT k);
+  INT ByValue ([in] HOOK h);
+  INT ByRef ([in,ref] HOOK *h);
+  INT Twice ([in] CB a, [in] CB b, [in] INT k);
+}
+"""
+
+HOOK_CALLS = {
+    "Call": (lambda cb: [cb, 3], lambda cb, k: cb([k, 4])),
+    "ByValue": (lambda cb: [{"cb": cb, "k": 3}], lambda h: h["cb"]([h["k"], 4])),
+    "ByRef": (lambda cb: [{"cb": cb, "k": 3}], lambda h: h["cb"]([h["k"], 4])),
+    "Twice": (lambda cb: [cb, cb, 3], lambda a, b, k: a([k, 4]) + b([k, 4])),
+}
+
+
+@pytest.fixture(scope="module")
+def hooks():
+    return build_binding(parse_text(HOOKS_IDL, "hooks.idl"), mode="dynamic", level="auto")
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_CALLS))
+def test_a_call_releases_the_callbacks_it_registered(hooks, name):
+    args_of, impl = HOOK_CALLS[name]
+    sig = op(hooks, name)
+    mem = Mem()
+    sym = mem.register_function(mem.register_library("hooks.dll"), name,
+                                skeleton(sig, impl, mem, hooks))
+    closures = mem.closure_count
+    for i in range(1000):
+        assert call(sig, sym, args_of(lambda ws, i=i: ws[0] * ws[1] + i), mem, hooks) \
+            == [(12 + i) * (2 if name == "Twice" else 1)]
+    assert mem.closure_count == closures
+    assert mem.live_count == 0
+
+
+def test_a_callback_registered_before_the_call_stays_registered(hooks):
+    sig = op(hooks, "Twice")
+    mem = Mem()
+    addr = mem.fun_to_addr(mix)
+    assert call(sig, skeleton(sig, HOOK_CALLS["Twice"][1], mem, hooks), [mix, mix, 1],
+                mem, hooks) == [28]
+    assert mem.addr_to_fun(addr) is mix
+    mem.release_closure(addr)
+    assert mem.closure_count == 0
+
+
+def test_a_callee_that_keeps_a_callback_registers_it_itself(hooks):
+    sig = op(hooks, "Call")
+    mem = Mem()
+    kept = []
+
+    def keep(cb, k):
+        kept.append(mem.fun_to_addr(cb))
+        return k
+
+    stub = skeleton(sig, keep, mem, hooks)
+    assert call(sig, stub, [mix, 5], mem, hooks) == [5]
+    assert mem.call(kept[0], [2, 3]) == 23
+    assert mem.closure_count == 1
+
+
+def test_a_failed_call_releases_the_callbacks_it_registered(hooks):
+    sig = op(hooks, "Twice")
+    mem = Mem()
+    hits = []
+    with pytest.raises(TypeMismatch):
+        call(sig, lambda ws: hits.append(ws) or 0, [mix, mix, "x"], mem, hooks)
+    with pytest.raises(TypeMismatch):
+        call(op(hooks, "ByRef"), lambda ws: hits.append(ws) or 0,
+             [{"cb": mix, "k": None}], mem, hooks)
+    assert hits == [] and mem.closure_count == 0 and mem.live_count == 0
 
 
 @pytest.mark.parametrize("name, where", [
@@ -455,6 +546,11 @@ class Level(IntEnum):
     HIGH = 0x80000000
 
 
+class Pair(NamedTuple):       # a tuple subclass: one result per field
+    a: int
+    b: int = 0
+
+
 # values no one-word codec of some kind accepts: bools and IntEnum members
 # where an int belongs, integers one past either end of a word, other types,
 # an unknown enum name
@@ -503,19 +599,20 @@ def test_flat_calls_match_the_reference_marshaller(desc, data):
     sig = LiftedSig("Flat", tuple(ParamSig(f"p{i}", k, FLAT_KINDS[k][0])
                                   for i, k in enumerate(kinds)),
                     None if ret is None else RetSig(ret, FLAT_KINDS[ret][0]))
-    hostile = data.draw(hs.booleans())
-
-    def value(kind):
-        valid = FLAT_KINDS[kind][1]
-        return data.draw(valid | hs.sampled_from(HOSTILE_VALUES) if hostile else valid)
-
-    args = [value(k) for k in kinds]
-    if hostile and args and data.draw(hs.booleans()):
+    args = [data.draw(FLAT_KINDS[k][1]) for k in kinds]
+    result = None if ret is None else data.draw(FLAT_KINDS[ret][1])
+    # at most one hostile value, so that no other error hides it
+    hostile = data.draw(hs.sampled_from(["none", "arg", "result", "arity"]))
+    if hostile == "arg" and args:
+        args[data.draw(hs.integers(0, len(args) - 1))] = \
+            data.draw(hs.sampled_from(HOSTILE_VALUES))
+    elif hostile == "result":
+        result = data.draw(hs.sampled_from(HOSTILE_VALUES + [Pair(1, 2), Pair(1)]))
+    elif hostile == "arity" and args:
         args.pop()
-    result = None if ret is None else value(ret)
     words = data.draw(hs.lists(hs.integers(0, 2**32 - 1)
                                | hs.sampled_from(HOSTILE_WORDS) | hs.integers(-2**40, 2**40),
-                               min_size=len(kinds), max_size=len(kinds) + hostile))
+                               min_size=len(kinds), max_size=len(kinds) + 1))
     got = _flat_run(marshal, sig, desc, args, result, words)
     assert got == _flat_run(reference_marshal, sig, desc, args, result, words)
 
@@ -526,11 +623,12 @@ def test_every_shape_matches_the_reference_marshaller(desc, case):
     sig = op(desc, name)
     runs = []
     for m in (marshal, reference_marshal):
-        lines: list[str] = []
-        mem = Mem(trace=lines.append)
-        stub = m.skeleton(sig, impl, mem, desc)
-        sym = mem.register_function(mem.register_library("shapes.dll"), name, stub)
-        runs.append((_outcome(lambda: m.call(sig, sym, args, mem, desc)),
-                     _outcome(lambda: m.call(sig, stub, args, mem, desc)),
-                     lines, mem.live_count))
-    assert runs[0] == runs[1]
+        for through_symbol in (True, False):    # one world each: no address is reused
+            lines: list[str] = []
+            mem = Mem(trace=lines.append)
+            stub = m.skeleton(sig, impl, mem, desc)
+            sym = mem.register_function(mem.register_library("shapes.dll"), name, stub)
+            target = sym if through_symbol else stub
+            runs.append((_outcome(lambda: m.call(sig, target, args, mem, desc)),
+                         lines, mem.live_count))
+    assert runs[:2] == runs[2:]
