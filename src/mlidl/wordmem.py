@@ -170,7 +170,7 @@ class Mem:
 
     def _find(self, addr: int) -> tuple[Allocation, int]:
         """Map an address to (allocation, word index); check liveness."""
-        if addr == NULL_ADDR or addr >= CLOSURE_BASE:     # region_of, inline
+        if addr == NULL_ADDR or addr >= CLOSURE_BASE:     # not heap, as in region_of
             raise BadRegion(f"address {addr:#x} is not a heap address")
         if addr % WORD_BYTES:
             raise OutOfBounds(f"address {addr:#x} is not word-aligned")
@@ -287,7 +287,7 @@ class Mem:
 
     def call(self, addr: int, args: list[int]) -> int:
         """Invoke a closure address with raw word arguments."""
-        fn = self._closures.get(addr)      # addr_to_fun, inline
+        fn = self._closures.get(addr)      # as addr_to_fun, without the call
         if fn is None:
             raise NotCallable(f"address {addr:#x} is not a registered closure")
         result = fn(list(args)) & WORD_MASK

@@ -4,6 +4,7 @@ block behind."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from enum import IntEnum
 from pathlib import Path
@@ -14,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference_marshal
+from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
 from mlidl.binding.model import FieldLayout, LiftedSig, ParamSig, RecordLayout, RetSig
-from mlidl import marshal
 from mlidl.idl import parse_text
 from mlidl.marshal import (
     ArityMismatch,
@@ -163,7 +164,6 @@ def test_byref_callback_travels_in_a_block(desc):
     call(sig, spy, [mix, 1], mem, desc)
     assert seen == [mix]
     assert mem.closure_count == 0       # the caller's registration ends with the call
-
 
 
 # -- who releases a callback's registration ---------------------------------------
@@ -546,9 +546,8 @@ class Level(IntEnum):
     HIGH = 0x80000000
 
 
-class Pair(NamedTuple):       # a tuple subclass: one result per field
-    a: int
-    b: int = 0
+class Single(NamedTuple):     # a tuple subclass: one result per field
+    value: int
 
 
 # values no one-word codec of some kind accepts: bools and IntEnum members
@@ -567,8 +566,8 @@ def _outcome(thunk):
         return type(exc), str(exc)
 
 
-def _flat_run(marshal, sig, desc, args, result, words):
-    """Every way a flat call reaches its stub, run by one marshaller in a fresh
+def _flat_run(m, sig, desc, args, result, words):
+    """Every way a flat call reaches its stub, run by marshaller `m` in a fresh
     world: its outcomes, what the implementation saw, the `Mem` trace, and
     the live blocks at the end."""
     lines: list[str] = []
@@ -580,13 +579,13 @@ def _flat_run(marshal, sig, desc, args, result, words):
 
     mem = Mem(trace=lines.append)
     n = len(sig.params)
-    stub = marshal.skeleton(sig, impl, mem, desc)
+    stub = m.skeleton(sig, impl, mem, desc)
     lib = mem.register_library("flat.dll")
     sym = mem.register_function(lib, "Flat", stub, arity=n)
     loose = mem.register_function(lib, "Loose", stub)          # arity unknown
     targets = [sym, sym.addr, stub, loose, Symbol("Flat", sym.addr, "pascal", n + 1),
                Symbol("Flat", loose.addr + 4, "pascal", n)]     # stale
-    outcomes = [_outcome(lambda: marshal.call(sig, t, args, mem, desc)) for t in targets]
+    outcomes = [_outcome(lambda: m.call(sig, t, args, mem, desc)) for t in targets]
     outcomes.append(_outcome(lambda: [stub(list(words))]))
     return outcomes, seen, lines, mem.live_count
 
@@ -607,7 +606,8 @@ def test_flat_calls_match_the_reference_marshaller(desc, data):
         args[data.draw(hs.integers(0, len(args) - 1))] = \
             data.draw(hs.sampled_from(HOSTILE_VALUES))
     elif hostile == "result":
-        result = data.draw(hs.sampled_from(HOSTILE_VALUES + [Pair(1, 2), Pair(1)]))
+        result = data.draw(hs.sampled_from(HOSTILE_VALUES)
+                           | (hs.builds(Single, FLAT_KINDS[ret][1]) if ret else hs.nothing()))
     elif hostile == "arity" and args:
         args.pop()
     words = data.draw(hs.lists(hs.integers(0, 2**32 - 1)
@@ -615,6 +615,24 @@ def test_flat_calls_match_the_reference_marshaller(desc, data):
                                min_size=len(kinds), max_size=len(kinds) + 1))
     got = _flat_run(marshal, sig, desc, args, result, words)
     assert got == _flat_run(reference_marshal, sig, desc, args, result, words)
+
+
+def test_every_hostile_value_of_every_kind_matches_the_reference_marshaller(desc):
+    # the hypothesis test above draws these; this sweep makes sure each one
+    # reaches each kind, as an argument and as a result
+    valid = {"int32": -5, "word32": 0xFFFFFFFF, "handle": 7, "opaque": 0,
+             "bool": True, "enum": "MODE_HIGH"}
+    words = [0xFFFFFFFF, 2**32 + 1]
+    for kind, ret in itertools.product(sorted(FLAT_KINDS), [None, *sorted(FLAT_KINDS)]):
+        sig = LiftedSig("Flat", (ParamSig("p0", "int32", st.INT32),
+                                 ParamSig("p1", kind, FLAT_KINDS[kind][0])),
+                        None if ret is None else RetSig(ret, FLAT_KINDS[ret][0]))
+        result = None if ret is None else valid[ret]
+        cases = [([-1, bad], result) for bad in HOSTILE_VALUES]
+        cases += [([-1, valid[kind]], bad) for bad in HOSTILE_VALUES + [Single(result)]]
+        for args, res in cases:
+            assert _flat_run(marshal, sig, desc, args, res, words) == \
+                _flat_run(reference_marshal, sig, desc, args, res, words), (kind, ret, args, res)
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))
