@@ -63,16 +63,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
-from mlidl.wordmem import (
-    CLOSURE_BASE,
-    WORD_MASK,
-    Mem,
-    OutOfBounds,
-    Symbol,
-    WordFn,
-    to_signed,
-    word,
-)
+from mlidl.wordmem import (WORD_MASK, Mem, OutOfBounds, Symbol, WordFn, region_of,
+                           to_signed, word)
 
 Value = Any
 
@@ -430,10 +422,6 @@ class Plan:
     signs: Optional[tuple[int, ...]] = None
 
 
-# the sign bit of each integer kind's word: int32 words are sign-extended
-_SIGN_BITS = {"int32": 0x80000000, "word32": 0, "handle": 0, "opaque": 0}
-
-
 def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
     """The plan of `sig`, built once per binding description (or once per
     signature when there is none)."""
@@ -448,7 +436,6 @@ def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
 def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
     ins = [p for p in sig.params if p.dir != "out"]
     steps: list[Step] = []
-    signs: Optional[list[int]] = []
     arity = 0
     for p in sig.params:
         if p.sem.kind == "array" and p.dir != "in":
@@ -457,10 +444,6 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         wire = _ref_codec(codec) if p.dir != "in" or p.byref else codec
         steps.append(Step(p.name, p.dir, codec, wire, arity))
         arity += wire.width
-        if signs is not None and wire is codec and p.sem.kind in _SIGN_BITS:
-            signs.append(_SIGN_BITS[p.sem.kind])
-        else:
-            signs = None
     for i, p in enumerate(sig.params):
         if p.sem.kind != "array":
             continue
@@ -480,10 +463,13 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         ret = codec_of(sig.ret.sem, desc)
     flat = all(s.wire.to_word is not None for s in steps) \
         and (ret is None or ret.to_word is not None)
+    # an integer wire decodes with to_signed (int32: sign bit 31) or word
+    ints = flat and all(s.wire.from_word in (to_signed, word) for s in steps)
     return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
                 tuple(s.wire.to_word for s in steps) if flat else None,
                 tuple(s.wire.from_word for s in steps) if flat else None,
-                tuple(signs) if flat and signs is not None else None)
+                tuple(0x80000000 if s.wire.from_word is to_signed else 0
+                      for s in steps) if ints else None)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -512,12 +498,11 @@ def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
 
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
          mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
-    plan = (desc.plans if desc is not None else sig.plans).get(id(sig)) \
-        or plan_of(sig, desc)
+    plan = plan_of(sig, desc)
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
-    if type(f) is Symbol and f.arity == plan.arity:
+    if type(f) is Symbol and f.arity == plan.arity:   # _target's common case
         target: Union[WordFn, int] = f.addr
         mem.addr_to_fun(target)   # fail early on a stale address
     else:
@@ -566,7 +551,7 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
         return results
     finally:
         for addr in temps:
-            if addr >= CLOSURE_BASE:
+            if region_of(addr) == "closure":
                 mem.release_closure(addr)
             else:
                 mem.free(addr)
@@ -600,13 +585,26 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     void operation with no outs may return None.
     """
     plan = plan_of(sig, desc)
-    if plan.from_words is not None:
-        return _flat_stub(plan, impl)
 
     def stub(words: list[int]) -> int:
         if len(words) != plan.arity:
             raise ArityMismatch(
                 f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
+        from_words = plan.from_words
+        if from_words is not None:
+            # integer wires are masked inline, and `^ s) - s` sign-extends a
+            # word whose sign bit s is set (int32); one result that is not a
+            # tuple goes straight to the return's to_word
+            signs = plan.signs
+            result = impl(*[((w & WORD_MASK) ^ s) - s for w, s in zip(words, signs)]
+                          if signs is not None else
+                          [from_word(w) for from_word, w in zip(from_words, words)])
+            if plan.ret is None:
+                _results(plan, result)
+                return 0
+            if result is None or isinstance(result, tuple):
+                result = _results(plan, result)[0]
+            return plan.ret.to_word(result)
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
         for _, direction, codec, wire, at, _ in plan.steps:
@@ -626,32 +624,6 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             plan.ret.pack(mem, values[-1], ret, given)
             return ret[0]
         return 0
-
-    return stub
-
-
-def _flat_stub(plan: Plan, impl: Callable[..., Any]) -> WordFn:
-    """The stub of a flat plan.  Words of integer wires are masked, and those
-    of int32 wires sign-extended, inline; other wires go through their
-    from_word.  A single result goes straight to the return's to_word."""
-    arity, name, from_words, signs = plan.arity, plan.sig.name, plan.from_words, plan.signs
-    unsigned = signs is not None and not any(signs)
-    to_word = plan.ret.to_word if plan.ret is not None else None
-
-    def stub(words: list[int]) -> int:
-        if len(words) != arity:
-            raise ArityMismatch(
-                f"{name}: expected {arity} argument words, got {len(words)}")
-        if unsigned:
-            result = impl(*[w & WORD_MASK for w in words])
-        elif signs is not None:
-            result = impl(*[((w & WORD_MASK) ^ s) - s for w, s in zip(words, signs)])
-        else:
-            result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
-        if to_word is not None and result is not None and not isinstance(result, tuple):
-            return to_word(result)
-        values = _results(plan, result)
-        return 0 if to_word is None else to_word(values[0])
 
     return stub
 

@@ -108,6 +108,13 @@ def region_of(addr: int) -> str:
     return "heap"
 
 
+class _Closures(dict):
+    """Closure address -> callable; a missing address is NotCallable."""
+
+    def __missing__(self, addr: int) -> WordFn:
+        raise NotCallable(f"address {addr:#x} is not a registered closure")
+
+
 @dataclass(slots=True)
 class Allocation:
     base: int
@@ -139,7 +146,7 @@ class Mem:
     def __init__(self, trace: Optional[Callable[[str], None]] = None) -> None:
         self._pages: list[Allocation] = []     # page number -> allocation
         self._live = 0
-        self._closures: dict[int, WordFn] = {}
+        self._closures: dict[int, WordFn] = _Closures()
         self._closure_refs: dict[int, int] = {}    # addr -> registrations
         # id(fn) -> addr; `_closures` keeps every registered callable alive
         # until its last release, so no id() key is reused while it is here
@@ -170,7 +177,7 @@ class Mem:
 
     def _find(self, addr: int) -> tuple[Allocation, int]:
         """Map an address to (allocation, word index); check liveness."""
-        if addr == NULL_ADDR or addr >= CLOSURE_BASE:     # not heap, as in region_of
+        if region_of(addr) != "heap":
             raise BadRegion(f"address {addr:#x} is not a heap address")
         if addr % WORD_BYTES:
             raise OutOfBounds(f"address {addr:#x} is not word-aligned")
@@ -280,17 +287,11 @@ class Mem:
         del self._closure_addrs[id(self._closures.pop(addr))]
 
     def addr_to_fun(self, addr: int) -> WordFn:
-        fn = self._closures.get(addr)
-        if fn is None:
-            raise NotCallable(f"address {addr:#x} is not a registered closure")
-        return fn
+        return self._closures[addr]
 
     def call(self, addr: int, args: list[int]) -> int:
         """Invoke a closure address with raw word arguments."""
-        fn = self._closures.get(addr)      # as addr_to_fun, without the call
-        if fn is None:
-            raise NotCallable(f"address {addr:#x} is not a registered closure")
-        result = fn(list(args)) & WORD_MASK
+        result = self._closures[addr](list(args)) & WORD_MASK
         if self._trace is not None:
             self._trace(f"call {addr:#x} {args} -> {result:#x}")
         return result

@@ -191,6 +191,31 @@ def test_closure_region_is_not_data(mem):
         mem.store(a, [1])
 
 
+def test_every_data_access_outside_the_heap_is_one_bad_region(mem):
+    closure = mem.fun_to_addr(lambda ws: 0)
+    for addr in (0, closure, CLOSURE_BASE + 0x1000):
+        assert region_of(addr) != "heap"
+        for access in (lambda: mem.read(addr, 1), lambda: mem.store(addr, [1]),
+                       lambda: mem.read_rest(addr)):
+            with pytest.raises(BadRegion) as err:
+                access()
+            assert str(err.value) == f"address {addr:#x} is not a heap address"
+
+
+def test_call_and_addr_to_fun_refuse_an_address_with_one_message():
+    lines: list[str] = []
+    mem = Mem(trace=lines.append)
+    released = mem.fun_to_addr(lambda ws: 0)
+    mem.release_closure(released)
+    for addr in (0, mem.alloc(1), released, CLOSURE_BASE + 0x1000):
+        for use in (lambda: mem.addr_to_fun(addr), lambda: mem.call(addr, [1])):
+            with pytest.raises(NotCallable) as err:
+                use()
+            assert str(err.value) == f"address {addr:#x} is not a registered closure"
+    assert mem.closure_count == 0
+    assert not [line for line in lines if line.startswith("call")]
+
+
 def test_libraries(mem):
     lib = mem.register_library("user32.dll")
     mem.register_function(lib, "ShowWindow", lambda ws: 1)
