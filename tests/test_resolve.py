@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from mlidl.idl import (
     BadAttrTarget,
+    IdlError,
     InheritanceCycle,
     UnresolvedType,
     parse_text,
     resolve,
 )
+from mlidl.idl import ast
 
 
 def test_time_unit_resolves_unchanged(time_unit):
@@ -78,3 +82,76 @@ def test_hresult_accepted_without_typedef():
 def test_hresult_accepted_with_typedef(win32_unit):
     # the win32 corpus typedefs HRESULT itself
     resolve(win32_unit)
+
+
+@dataclass(frozen=True)
+class _Opaque(ast.IdlType):
+    """A type node that no parser makes."""
+
+
+_ERROR_CASES = [
+    ("typedef", "typedef BOGUS T;",
+     UnresolvedType, "unresolved type 'BOGUS'", 1, 1),
+    ("record_field", "typedef struct { int a;\n  BOGUS b; } R;",
+     UnresolvedType, "unresolved type 'BOGUS'", 2, 9),
+    ("const", "\nconst BOGUS X = 1;",
+     UnresolvedType, "unresolved type 'BOGUS'", 2, 1),
+    ("callback_param", "typedef int *CB ([in] int a,\n   [in] BOGUS b);",
+     UnresolvedType, "unresolved type 'BOGUS'", 2, 9),
+    ("op_return", "interface I {\n  BOGUS f (); }",
+     UnresolvedType, "unresolved type 'BOGUS'", 2, 3),
+    ("size_is_missing", "interface I { void f ([in,size_is (n)] int *a); }",
+     BadAttrTarget, "size_is target 'n' is not a parameter of this operation",
+     1, 40),
+    ("size_is_not_integer",
+     "typedef [string] char *STRING;\n"
+     "interface I { void f ([in,size_is (s)] int *a, [in] STRING s); }",
+     BadAttrTarget, "size_is target 's' is not an integer parameter", 2, 40),
+    ("iid_is_later",
+     "interface I { void f ([out,iid_is (iid)] void **ppv,\n"
+     " [in] const IID& iid); }",
+     BadAttrTarget, "iid_is target 'iid' must name an earlier parameter", 1, 42),
+    ("iid_is_not_iid",
+     "interface I { void f ([in] int iid, [out,iid_is (iid)] void **ppv); }",
+     BadAttrTarget, "iid_is target 'iid' is not an IID parameter", 1, 56),
+    ("undefined_parent", "\ninterface A : B { }",
+     UnresolvedType, "interface 'A' inherits from undefined interface 'B'",
+     2, 1),
+    ("inheritance_cycle", "interface A : B { }\ninterface B : A { }",
+     InheritanceCycle, "interface inheritance cycle: A -> B -> A", 1, 1),
+    ("type_error_before_inheritance_error",
+     "interface A : B { }\ninterface B : A { }\ntypedef BOGUS T;",
+     UnresolvedType, "unresolved type 'BOGUS'", 3, 1),
+    ("first_type_error_in_declaration_order",
+     "typedef struct { NOPE a; } R;\ntypedef BOGUS T;",
+     UnresolvedType, "unresolved type 'NOPE'", 1, 23),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,line,col",
+                         [c[1:] for c in _ERROR_CASES],
+                         ids=[c[0] for c in _ERROR_CASES])
+def test_resolve_error_is_pinned(text, cls, message, line, col):
+    with pytest.raises(IdlError) as info:
+        resolve(parse_text(text, "t.idl"))
+    e = info.value
+    assert (type(e), e.message, e.line, e.col, e.source) == \
+        (cls, message, line, col, "t.idl")
+    assert str(e) == f"t.idl:{line}:{col}: {message}"
+
+
+def test_unknown_type_node_is_pinned():
+    unit = ast.IdlUnit((ast.Typedef("T", _Opaque(), loc=ast.Loc(3, 4)),), "h.idl")
+    with pytest.raises(IdlError) as info:
+        resolve(unit)
+    e = info.value
+    assert (type(e), e.message, e.line, e.col, e.source) == \
+        (UnresolvedType, "unknown type node _Opaque()", 3, 4, "h.idl")
+
+
+def test_unlocated_error_reports_line_zero():
+    unit = ast.IdlUnit((ast.Typedef("T", ast.NamedType("BOGUS")),), "h.idl")
+    with pytest.raises(UnresolvedType) as info:
+        resolve(unit)
+    assert (info.value.line, info.value.col) == (0, 0)
+    assert str(info.value) == "h.idl: unresolved type 'BOGUS'"
