@@ -264,9 +264,7 @@ class _Builder:
                     return t.name, st.interned(self.sems, "record", "IID")
                 if t.name == "HRESULT":
                     return t.name, st.INT32
-                if t.name == "IUnknown":
-                    return t.name, st.OPAQUE
-                raise BindingError(f"unresolved type {t.name!r}")
+                return t.name, st.OPAQUE         # IUnknown, the one name left
             if isinstance(d, ast.Typedef):
                 if isinstance(d.type, ast.FuncType):
                     return t.name, st.interned(self.sems, "callback", d.name)

@@ -157,10 +157,13 @@ class ComObject:
         self._interfaces: dict[Guid, InterfaceRef] = {}
         self._blocks: list[int] = []
         self._slot_addrs: list[int] = []     # one per `fun_to_addr` it made
-        # one bound method per slot, so every vtable registers the same three
-        self._unknown_slots: list[WordFn] = [
-            self._raw_query_interface, self._raw_add_ref, self._raw_release]
-        self._identity = self.add_interface(IID_IUNKNOWN, []).addr
+        # one bound method per slot, so every vtable registers the same three;
+        # kept only once the IUnknown vtable exists, so an object whose first
+        # `add_interface` fails holds no reference to itself
+        self._unknown_slots: list[WordFn] = []
+        unknown = [self._raw_query_interface, self._raw_add_ref, self._raw_release]
+        self._identity = self.add_interface(IID_IUNKNOWN, unknown).addr
+        self._unknown_slots = unknown
 
     @property
     def identity(self) -> InterfaceRef:

@@ -3,7 +3,9 @@
 Predeclared names: the root interface IUnknown, the IID identifier type, and
 HRESULT (an int alias unless the unit typedefs it, which Win32 headers do).
 Resolution validates every type reference, size_is/iid_is attribute targets,
-and interface inheritance; the unit itself is returned unchanged.
+and interface inheritance; the unit itself is returned unchanged.  The checks
+are module-level functions of the symbol table and the unit, so no closure
+refers back to the unit and reference counting alone frees it.
 """
 
 from __future__ import annotations
@@ -30,98 +32,94 @@ def symbol_table(unit: ast.IdlUnit) -> dict[str, ast.Decl]:
 
 def resolve(unit: ast.IdlUnit) -> ast.IdlUnit:
     table = symbol_table(unit)
-
-    def err(cls: type, msg: str, loc: Optional[ast.Loc]) -> Exception:
-        line = loc.line if loc else 0
-        col = loc.col if loc else 0
-        return cls(msg, line, col, unit.source_name)
-
-    def check_type(t: ast.IdlType, loc: Optional[ast.Loc]) -> None:
-        if isinstance(t, ast.BaseType):
-            return
-        if isinstance(t, ast.NamedType):
-            if t.name in table or t.name in PREDECLARED_TYPES \
-                    or t.name in PREDECLARED_INTERFACES:
-                return
-            raise err(UnresolvedType, f"unresolved type {t.name!r}", loc)
-        if isinstance(t, ast.PtrType):
-            check_type(t.to, loc)
-            return
-        if isinstance(t, ast.ArrayType):
-            check_type(t.elem, loc)
-            return
-        if isinstance(t, ast.FuncType):
-            check_type(t.ret, loc)
-            for p in t.params:
-                check_type(p.type, p.loc)
-            return
-        raise err(UnresolvedType, f"unknown type node {t!r}", loc)
-
-    def is_integer(t: ast.IdlType) -> bool:
-        t = strip_aliases(t)
-        return isinstance(t, ast.BaseType) and t.name in _INTEGER_BASES
-
-    def is_iid(t: ast.IdlType) -> bool:
-        while isinstance(t, ast.PtrType):
-            t = t.to
-        t = strip_aliases(t)
-        return isinstance(t, ast.NamedType) and t.name == "IID"
-
-    def strip_aliases(t: ast.IdlType) -> ast.IdlType:
-        seen: set[str] = set()
-        while isinstance(t, ast.NamedType):
-            if t.name in seen:
-                break
-            seen.add(t.name)
-            d = table.get(t.name)
-            if isinstance(d, ast.Typedef) and not isinstance(d.type, ast.FuncType):
-                t = d.type
-            else:
-                break
-        return t
-
-    def check_params(params: tuple[ast.ParamDecl, ...]) -> None:
-        index = {p.name: i for i, p in enumerate(params)}
-        for i, p in enumerate(params):
-            check_type(p.type, p.loc)
-            if p.size_is is not None:
-                j = index.get(p.size_is)
-                if j is None:
-                    raise err(BadAttrTarget,
-                              f"size_is target {p.size_is!r} is not a parameter "
-                              f"of this operation", p.loc)
-                if not is_integer(params[j].type):
-                    raise err(BadAttrTarget,
-                              f"size_is target {p.size_is!r} is not an integer "
-                              f"parameter", p.loc)
-            if p.iid_is is not None:
-                j = index.get(p.iid_is)
-                if j is None or j >= i:
-                    raise err(BadAttrTarget,
-                              f"iid_is target {p.iid_is!r} must name an earlier "
-                              f"parameter", p.loc)
-                if not is_iid(params[j].type):
-                    raise err(BadAttrTarget,
-                              f"iid_is target {p.iid_is!r} is not an IID "
-                              f"parameter", p.loc)
-
     for d in unit.decls:
         if isinstance(d, ast.Typedef):
-            check_type(d.type, d.loc)
+            _check_type(d.type, d.loc, table, unit)
             if isinstance(d.type, ast.FuncType):
-                check_params(d.type.params)
+                _check_params(d.type.params, table, unit)
         elif isinstance(d, ast.RecordDecl):
             for f in d.fields:
-                check_type(f.type, f.loc)
+                _check_type(f.type, f.loc, table, unit)
         elif isinstance(d, ast.Const):
-            check_type(d.type, d.loc)
+            _check_type(d.type, d.loc, table, unit)
         elif isinstance(d, ast.Interface):
             for op in d.ops:
-                check_type(op.ret, op.loc)
-                check_params(op.params)
+                _check_type(op.ret, op.loc, table, unit)
+                _check_params(op.params, table, unit)
 
     _check_inheritance(unit, table)
     return unit
+
+
+def _error(cls: type, msg: str, loc: Optional[ast.Loc], unit: ast.IdlUnit) -> Exception:
+    return cls(msg, loc.line if loc else 0, loc.col if loc else 0, unit.source_name)
+
+
+def _check_type(t: ast.IdlType, loc: Optional[ast.Loc], table: dict[str, ast.Decl],
+                unit: ast.IdlUnit) -> None:
+    if isinstance(t, ast.NamedType):
+        if t.name not in table and t.name not in PREDECLARED_TYPES \
+                and t.name not in PREDECLARED_INTERFACES:
+            raise _error(UnresolvedType, f"unresolved type {t.name!r}", loc, unit)
+    elif isinstance(t, ast.PtrType):
+        _check_type(t.to, loc, table, unit)
+    elif isinstance(t, ast.ArrayType):
+        _check_type(t.elem, loc, table, unit)
+    elif isinstance(t, ast.FuncType):
+        _check_type(t.ret, loc, table, unit)
+        for p in t.params:
+            _check_type(p.type, p.loc, table, unit)
+    elif not isinstance(t, ast.BaseType):
+        raise _error(UnresolvedType, f"unknown type node {t!r}", loc, unit)
+
+
+def _strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:
+    seen: set[str] = set()
+    while isinstance(t, ast.NamedType):
+        if t.name in seen:
+            break
+        seen.add(t.name)
+        d = table.get(t.name)
+        if isinstance(d, ast.Typedef) and not isinstance(d.type, ast.FuncType):
+            t = d.type
+        else:
+            break
+    return t
+
+
+def _is_integer(t: ast.IdlType, table: dict[str, ast.Decl]) -> bool:
+    t = _strip_aliases(t, table)
+    return isinstance(t, ast.BaseType) and t.name in _INTEGER_BASES
+
+
+def _is_iid(t: ast.IdlType, table: dict[str, ast.Decl]) -> bool:
+    while isinstance(t, ast.PtrType):
+        t = t.to
+    t = _strip_aliases(t, table)
+    return isinstance(t, ast.NamedType) and t.name == "IID"
+
+
+def _check_params(params: tuple[ast.ParamDecl, ...], table: dict[str, ast.Decl],
+                  unit: ast.IdlUnit) -> None:
+    index = {p.name: i for i, p in enumerate(params)}
+    for i, p in enumerate(params):
+        _check_type(p.type, p.loc, table, unit)
+        if p.size_is is not None:
+            j = index.get(p.size_is)
+            if j is None:
+                raise _error(BadAttrTarget, f"size_is target {p.size_is!r} is not a "
+                             f"parameter of this operation", p.loc, unit)
+            if not _is_integer(params[j].type, table):
+                raise _error(BadAttrTarget, f"size_is target {p.size_is!r} is not an "
+                             f"integer parameter", p.loc, unit)
+        if p.iid_is is not None:
+            j = index.get(p.iid_is)
+            if j is None or j >= i:
+                raise _error(BadAttrTarget, f"iid_is target {p.iid_is!r} must name an "
+                             f"earlier parameter", p.loc, unit)
+            if not _is_iid(params[j].type, table):
+                raise _error(BadAttrTarget, f"iid_is target {p.iid_is!r} is not an IID "
+                             f"parameter", p.loc, unit)
 
 
 def _check_inheritance(unit: ast.IdlUnit, table: dict[str, ast.Decl]) -> None:
@@ -133,20 +131,10 @@ def _check_inheritance(unit: ast.IdlUnit, table: dict[str, ast.Decl]) -> None:
                 break
             d = table.get(parent)
             if not isinstance(d, ast.Interface):
-                raise UnresolvedType(
-                    f"interface {iface.name!r} inherits from undefined "
-                    f"interface {parent!r}",
-                    iface.loc.line if iface.loc else 0,
-                    iface.loc.col if iface.loc else 0,
-                    unit.source_name,
-                )
+                raise _error(UnresolvedType, f"interface {iface.name!r} inherits from "
+                             f"undefined interface {parent!r}", iface.loc, unit)
             if parent in seen:
-                cycle = " -> ".join(seen + [parent])
-                raise InheritanceCycle(
-                    f"interface inheritance cycle: {cycle}",
-                    iface.loc.line if iface.loc else 0,
-                    iface.loc.col if iface.loc else 0,
-                    unit.source_name,
-                )
+                raise _error(InheritanceCycle, "interface inheritance cycle: "
+                             + " -> ".join(seen + [parent]), iface.loc, unit)
             seen.append(parent)
             parent = d.parent

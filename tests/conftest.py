@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,26 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 def read_idl(name: str) -> str:
     return (IDL_DIR / name).read_text(encoding="utf-8")
+
+
+@contextmanager
+def nothing_for_the_cycle_collector():
+    """Run the body with the cycle collector off, then require that a
+    collection finds nothing unreachable: reference counting alone freed
+    everything the body made and dropped."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+        found = gc.collect()
+        kinds = sorted({type(o).__name__ for o in gc.garbage})
+        assert found == 0, f"{found} objects left for the cycle collector: {kinds[:12]}"
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

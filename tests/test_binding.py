@@ -13,6 +13,7 @@ from mlidl.binding import (
     build_binding,
     emit_binding_file,
     emit_sig_text,
+    load_binding_file,
     load_manifest,
 )
 from mlidl.binding.model import (
@@ -24,6 +25,7 @@ from mlidl.binding.model import (
     LiftedSig,
     RecordLayout,
 )
+from conftest import nothing_for_the_cycle_collector
 from mlidl.idl import parse_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -318,11 +320,16 @@ _EMITTED = {
 }
 
 
-@pytest.mark.parametrize("name,mode,level", sorted(_EMITTED))
-def test_emitted_text_is_pinned(name, mode, level):
+def _shipped(name):
     path = (REPO / "src" / "mlidl" / "winsim" / "data" / name if name == "win32sim.idl"
             else REPO / "idl" / name)
     manifest = load_manifest(REPO / "idl" / "bar.manifest.json") if name == "bar.idl" else None
+    return path, manifest
+
+
+@pytest.mark.parametrize("name,mode,level", sorted(_EMITTED))
+def test_emitted_text_is_pinned(name, mode, level):
+    path, manifest = _shipped(name)
     try:
         desc = build_binding(parse_text(path.read_text(encoding="utf-8"), name),
                              mode=mode, level=level, manifest=manifest)
@@ -331,3 +338,16 @@ def test_emitted_text_is_pinned(name, mode, level):
     except BindingError as exc:
         got = f"{type(exc).__name__}: {exc}"
     assert got == _EMITTED[name, mode, level]
+
+
+@pytest.mark.parametrize("name,mode,level",
+                         sorted(k for k, v in _EMITTED.items() if ":" not in v))
+def test_compiling_leaves_nothing_for_the_cycle_collector(name, mode, level):
+    path, manifest = _shipped(name)
+    text = path.read_text(encoding="utf-8")
+    with nothing_for_the_cycle_collector():
+        desc = build_binding(parse_text(text, name), mode=mode, level=level,
+                             manifest=manifest)
+        emit_sig_text(desc)
+        load_binding_file(emit_binding_file(desc))
+        del desc

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import nothing_for_the_cycle_collector
 from reference_bounce import reference_trace
 from mlidl.winsim.bounce import BounceDemo, run_bounce
 from mlidl.wordmem import Mem
@@ -161,6 +162,15 @@ def test_finished_demo_is_freed_without_the_cycle_collector(adapter):
         assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("adapter", [False, True], ids=["direct", "adapter"])
+def test_a_demo_leaves_nothing_for_the_cycle_collector(adapter):
+    # set-up compiles win32sim.idl; its resolved unit must die with it
+    with nothing_for_the_cycle_collector():
+        demo = BounceDemo(adapter=adapter)
+        assert demo.run(50) == 0
+        del demo
 
 
 def test_python_calls_of_a_run_are_gated():

@@ -31,6 +31,7 @@ from mlidl.com import (
     release,
     simple_factory,
 )
+from conftest import nothing_for_the_cycle_collector
 from mlidl.automation import make_dual
 from mlidl.binding.model import LiftedSig, RetSig
 from mlidl.semtypes import INT32
@@ -315,6 +316,20 @@ def test_failed_alloc_leaves_no_block(build, nth):
         BUILDS[build](obj)
     assert (mem.live_count, mem.closure_count) == before
     BUILDS[build](obj)      # nothing of the failed attempt was recorded
+
+
+@pytest.mark.parametrize("free_pages", [0, 1], ids=["first_alloc", "second_alloc"])
+def test_an_object_that_failed_to_build_leaves_nothing_for_the_cycle_collector(free_pages):
+    # a heap with no page left fails the vtable's allocation; one page
+    # left fails the interface word's
+    mem = Mem()
+    for _ in range(32_767 - free_pages):
+        mem.alloc(1)
+    before = mem.live_count, mem.closure_count
+    with nothing_for_the_cycle_collector():
+        with pytest.raises(BadSize, match="^heap region exhausted$"):
+            ComObject(mem)
+    assert (mem.live_count, mem.closure_count) == before
 
 
 def test_destroy_releases_every_closure_but_shared_ones(mem):
