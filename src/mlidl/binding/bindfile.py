@@ -269,22 +269,25 @@ def load_binding_file(text: str) -> model.BindingDesc:
 def _raise_at_first_use(desc: model.BindingDesc, undeclared: set[st.SemType]) -> None:
     """A SchemaViolation at the first `sem` of `desc`, in file order, that
     names an enum, record or callback in `undeclared`."""
-    sigs = [(f"$.interfaces[{i}].ops[{j}]", op)
-            for i, iface in enumerate(desc.interfaces) for j, op in enumerate(iface.ops)]
-    sigs += [(f"$.callbacks[{i}].sig", c.sig) for i, c in enumerate(desc.callbacks)]
-    sems = []
-    for path, sig in sigs:
-        sems += [(f"{path}.params[{k}].sem", p.sem) for k, p in enumerate(sig.params)]
-        if sig.ret is not None:
-            sems.append((f"{path}.ret.sem", sig.ret.sem))
+    sems = [s for i, iface in enumerate(desc.interfaces) for j, op in enumerate(iface.ops)
+            for s in _sig_sems(f"$.interfaces[{i}].ops[{j}]", op)]
     sems += [(f"$.records[{i}].fields[{j}].sem", f.sem)
              for i, r in enumerate(desc.records) for j, f in enumerate(r.fields)]
+    sems += [s for i, c in enumerate(desc.callbacks)
+             for s in _sig_sems(f"$.callbacks[{i}].sig", c.sig)]
     sems += [(f"$.aliases[{i}].sem", a.sem) for i, a in enumerate(desc.aliases)]
     for path, t in sems:
         while t.kind == "array":
             path, t = f"{path}.elem", t.elem
         if t in undeclared:
             raise SchemaViolation(path, f"no {t.kind} named {t.name!r} is declared")
+
+
+def _sig_sems(path: str, sig: model.LiftedSig) -> list[tuple[str, st.SemType]]:
+    sems = [(f"{path}.params[{k}].sem", p.sem) for k, p in enumerate(sig.params)]
+    if sig.ret is not None:
+        sems.append((f"{path}.ret.sem", sig.ret.sem))
+    return sems
 
 
 def _load_callback(x: Any, path: str, sems: dict) -> model.CallbackDef:

@@ -106,6 +106,21 @@ def test_an_undeclared_array_element_type_is_schema_violation():
         ("$.aliases[0].sem.elem", "no callback named 'NOPE' is declared")
 
 
+def test_the_first_undeclared_type_is_reported_in_file_order():
+    # records come before callbacks in the file, so the field is first
+    unit = parse_text("typedef enum { A = 0 } E;\n"
+                      "typedef struct { E e; } R;\n"
+                      "typedef int *CB ([in] E e);\n")
+    doc = json.loads(emit_binding_file(build_binding(unit, "dynamic", "auto")))
+    assert doc["records"][0]["fields"][0]["sem"] == \
+        doc["callbacks"][0]["sig"]["params"][0]["sem"] == {"k": "enum", "name": "E"}
+    doc["enums"] = []
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.records[0].fields[0].sem", "no enum named 'E' is declared")
+
+
 def test_the_query_interface_iid_needs_no_declaration(bar_desc):
     text = emit_binding_file(bar_desc)
     assert "IID" not in [r["name"] for r in json.loads(text)["records"]]
