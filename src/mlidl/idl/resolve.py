@@ -3,9 +3,10 @@
 Predeclared names: the root interface IUnknown, the IID identifier type, and
 HRESULT (an int alias unless the unit typedefs it, which Win32 headers do).
 Resolution validates every type reference, size_is/iid_is attribute targets,
-and interface inheritance; the unit itself is returned unchanged.  The checks
-are module-level functions of the symbol table and the unit, so no closure
-refers back to the unit and reference counting alone frees it.
+typedef cycles and interface inheritance; the unit itself is returned
+unchanged.  The checks are module-level functions of the symbol table and the
+unit, so no closure refers back to the unit and reference counting alone
+frees it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def resolve(unit: ast.IdlUnit) -> ast.IdlUnit:
             _check_type(d.type, d.loc, table, unit)
             if isinstance(d.type, ast.FuncType):
                 _check_params(d.type.params, table, unit)
+            else:
+                _check_alias_cycle(d, table, unit)
         elif isinstance(d, ast.RecordDecl):
             for f in d.fields:
                 _check_type(f.type, f.loc, table, unit)
@@ -71,6 +74,31 @@ def _check_type(t: ast.IdlType, loc: Optional[ast.Loc], table: dict[str, ast.Dec
             _check_type(p.type, p.loc, table, unit)
     elif not isinstance(t, ast.BaseType):
         raise _error(UnresolvedType, f"unknown type node {t!r}", loc, unit)
+
+
+def _check_alias_cycle(d: ast.Typedef, table: dict[str, ast.Decl],
+                       unit: ast.IdlUnit) -> None:
+    """Refuse a typedef that reaches itself through aliases, pointers or
+    arrays.  A record or a callback typedef ends the walk, so either may
+    refer to itself."""
+    chain = [d.name]
+    t = d.type
+    while True:
+        if isinstance(t, ast.PtrType):
+            t = t.to
+        elif isinstance(t, ast.ArrayType):
+            t = t.elem
+        elif not isinstance(t, ast.NamedType) or t.name in chain[1:]:
+            return
+        elif t.name == d.name:
+            raise _error(UnresolvedType, "typedef cycle: " + " -> ".join(chain + [t.name]),
+                         d.loc, unit)
+        else:
+            alias = table.get(t.name)
+            if not isinstance(alias, ast.Typedef) or isinstance(alias.type, ast.FuncType):
+                return
+            chain.append(t.name)
+            t = alias.type
 
 
 def _strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:

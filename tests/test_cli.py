@@ -128,6 +128,21 @@ def test_check_resolve_error(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+@pytest.mark.parametrize("text, cycle", [
+    ("typedef A B;\ntypedef B A;\n", "B -> A -> B"),
+    ("typedef A A;\n", "A -> A"),
+    ("typedef B *A;\ntypedef A *B;\n", "A -> B -> A"),
+], ids=["two_aliases", "self", "pointers"])
+def test_a_typedef_cycle_exits_2(tmp_path, capsys, command, text, cycle):
+    bad = tmp_path / "cyc.idl"
+    bad.write_text(text)
+    assert main([command, str(bad), "-o", str(tmp_path)] if command == "compile"
+                else [command, str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:1:1: typedef cycle: {cycle}\n"
+    assert not (tmp_path / "cyc.sig").exists()
+
+
 def test_run_demo_writes_deterministic_trace(tmp_path):
     t1 = tmp_path / "t1.log"
     t2 = tmp_path / "t2.log"

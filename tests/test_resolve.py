@@ -12,6 +12,7 @@ from mlidl.idl import (
     parse_text,
     resolve,
 )
+from mlidl.binding import build_binding
 from mlidl.idl import ast
 
 
@@ -155,3 +156,35 @@ def test_unlocated_error_reports_line_zero():
         resolve(unit)
     assert (info.value.line, info.value.col) == (0, 0)
     assert str(info.value) == "h.idl: unresolved type 'BOGUS'"
+
+
+_TYPEDEF_CYCLES = {    # reported at the first typedef of the cycle
+    "two_aliases": ("typedef A B;\ntypedef B A;", "t.idl:1:1: typedef cycle: B -> A -> B"),
+    "self": ("\ntypedef A A;", "t.idl:2:1: typedef cycle: A -> A"),
+    "pointers": ("typedef B *A;\ntypedef A *B;", "t.idl:1:1: typedef cycle: A -> B -> A"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPEDEF_CYCLES))
+@pytest.mark.parametrize("entry", [resolve, build_binding], ids=["resolve", "build"])
+def test_a_typedef_cycle_is_an_unresolved_type(name, entry):
+    text, message = _TYPEDEF_CYCLES[name]
+    with pytest.raises(UnresolvedType) as info:
+        entry(parse_text(text, "t.idl"))
+    assert str(info.value) == message
+
+
+def test_only_a_typedef_on_the_cycle_reports_it():
+    with pytest.raises(UnresolvedType) as info:
+        resolve(parse_text("typedef B D;\ntypedef A B;\ntypedef B A;", "t.idl"))
+    assert str(info.value) == "t.idl:2:1: typedef cycle: B -> A -> B"
+
+
+@pytest.mark.parametrize("text", [
+    "typedef struct tagN { N *next; int v; } N;",
+    "typedef int *CB ([in] CB x);",
+    "typedef int X;\ntypedef X *Y;\ntypedef Y Z;",
+], ids=["record", "callback", "chain"])
+def test_a_record_or_callback_may_refer_to_itself(text):
+    desc = build_binding(parse_text(text, "t.idl"))
+    assert (desc.records, desc.callbacks, desc.aliases) != ((), (), ())
