@@ -221,9 +221,9 @@ class _Builder:
             if sem.elem.kind == "callback":
                 raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
                                    f"not supported")
-        elif isinstance(t, ast.PtrType):
+        elif isinstance(t, ast.PtrType) and not _is_string(p, t):
             inner = t.to
-            if isinstance(inner, ast.PtrType):
+            if isinstance(inner, ast.PtrType) and not _is_string(p, inner):
                 # pointer-to-pointer: an out slot for an address-sized value
                 if p.dir == "in":
                     raise BindingError(
@@ -291,6 +291,12 @@ class _Builder:
             return f"{display} list", st.interned(self.sems, "array", elem=elem,
                                                   len_from=t.len_param)
         raise BindingError(f"cannot map type {t!r}")
+
+
+def _is_string(p: ast.ParamDecl, t: ast.PtrType) -> bool:
+    """Whether `t` is the `char *` that `p`'s `[string]` makes one string
+    value, as `[string]` on a typedef does."""
+    return p.string and isinstance(t.to, ast.BaseType)
 
 
 def _check_guid(value: object, what: str) -> None:

@@ -278,6 +278,59 @@ def test_size_is_must_name_an_in_integer(desc):
         plan_of(bad, desc)
 
 
+# -- `[string]` on a parameter means what it means on a typedef --------------------
+
+STRING_PARAMS_IDL = """
+typedef int INT;
+typedef [string] char *STRING;
+typedef [string] wchar_t *WSTRING;
+
+[sml_source ("strings.dll")]
+interface Direct {
+  INT In8 ([in,string] char *s);
+  INT In16 ([in,string] wchar_t *s);
+  void Out8 ([in] INT k, [out,string] char **s);
+  void Out16 ([in] INT k, [out,string] wchar_t **s);
+  void Inout8 ([in,out,string] char **s);
+}
+
+[sml_source ("strings.dll")]
+interface Typedef {
+  INT In8 ([in] STRING s);
+  INT In16 ([in] WSTRING s);
+  void Out8 ([in] INT k, [out] STRING *s);
+  void Out16 ([in] INT k, [out] WSTRING *s);
+  void Inout8 ([in,out] STRING *s);
+}
+"""
+
+STRING_CALLS = {
+    "In8": (["héllo"], len, [5]),
+    "In16": (["wörld!"], len, [6]),
+    "Out8": ([3], lambda k: "x" * k, ["xxx"]),
+    "Out16": ([2], lambda k: "ü" * k, ["üü"]),
+    "Inout8": (["ab"], lambda s: s + "!", ["ab!"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_CALLS))
+def test_a_string_parameter_lowers_as_its_typedef_form(name):
+    strings = build_binding(parse_text(STRING_PARAMS_IDL, "strings.idl"))
+    direct, typed = (next(o for o in strings.interface(i).ops if o.name == name)
+                     for i in ("Direct", "Typedef"))
+    assert [(p.sem, p.dir, p.byref) for p in direct.params] == \
+        [(p.sem, p.dir, p.byref) for p in typed.params]
+    args, impl, results = STRING_CALLS[name]
+    traces = []
+    for sig in (direct, typed):
+        trace = []
+        mem = Mem(trace=trace.append)
+        assert call(sig, skeleton(sig, impl, mem, strings), args, mem, strings) == results
+        assert mem.live_count == 0
+        traces.append(trace)
+    assert traces[0] == traces[1]
+
+
 @pytest.mark.parametrize("name, args, impl", [
     ("Name", [4], lambda k: "x" * k),
     ("OutString", [4], lambda k: "y" * k),
