@@ -88,8 +88,6 @@ _ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
 
 
 def _render_arg(v: Any) -> str:
-    if type(v) is int:      # nearly every argument
-        return str(v)
     if isinstance(v, bool):
         return "1" if v else "0"
     if v is None:

@@ -4,7 +4,16 @@ import pytest
 
 from mlidl.marshal import BoundInterface
 from mlidl.winsim.api import install_libraries, sim_binding, sim_idl_text
-from mlidl.winsim.world import SimWorld, WM_TIMER
+from mlidl.winsim.world import (
+    Msg,
+    PumpError,
+    SimWorld,
+    WM_CREATE,
+    WM_DESTROY,
+    WM_PAINT,
+    WM_SIZE,
+    WM_TIMER,
+)
 from mlidl.wordmem import Mem, UnknownSymbol
 
 
@@ -118,3 +127,65 @@ def test_unknown_symbol_surfaces_from_binder():
     desc = sim_binding()
     with pytest.raises(UnknownSymbol):
         BoundInterface(desc, "User", mem)
+
+
+def _painting_world(wndproc):
+    mem = Mem()
+    world = SimWorld(mem)
+    desc = install_libraries(world)
+    user, gdi = BoundInterface(desc, "User", mem), BoundInterface(desc, "Gdi", mem)
+    start = mem.live_count
+    user.RegisterClassExA({
+        "cbSize": 48, "style": 0, "lpfnWndProc": wndproc,
+        "cbClsExtra": 0, "cbWndExtra": 0, "hInstance": 0, "hIcon": 0,
+        "hCursor": 0, "hbrBackground": 0, "lpszMenuName": "",
+        "lpszClassName": "P", "hIconSm": 0})
+    hwnd = user.CreateWindowExA(0, "P", "t", 0, 5, 6, 64, 32, 0, 0, 0, 0)
+    return mem, world, user, gdi, hwnd, start
+
+
+def test_paint_calls_render_records_and_arrays_in_their_trace_lines():
+    mem, world, user, gdi, hwnd, start = _painting_world(lambda ws: 0)
+    ps, hdc = user.BeginPaint(hwnd)
+    assert (hwnd, hdc) == (2, 3)        # the class atom took handle 1
+    assert ps == {"hdc": 3, "fErase": False,
+                  "rcPaint": {"left": 0, "top": 0, "right": 64, "bottom": 32}}
+    assert user.EndPaint(hwnd, ps) is True
+    assert gdi.PolyLineTo(hdc, [{"x": 1, "y": 2}, {"x": -3, "y": 4}], 2) is True
+    assert world.trace[-3:] == [
+        "TICK 0 DRAW BeginPaint 2",
+        "TICK 0 DRAW EndPaint 2 {hdc=3,fErase=0,rcPaint={left=0,top=0,right=64,bottom=32}}",
+        "TICK 0 DRAW PolyLineTo 3 [{x=1,y=2},{x=-3,y=4}] 2",
+    ]
+    assert mem.live_count == start
+
+
+def test_a_wndproc_that_raises_surfaces_as_a_pump_error():
+    boom = RuntimeError("boom")
+
+    def wndproc(words):
+        if words[1] == WM_PAINT:
+            raise boom
+        return 0
+
+    mem, world, user, _, hwnd, start = _painting_world(wndproc)
+    assert user.PostMessageA(hwnd, WM_PAINT, 7, 8) is True
+    with pytest.raises(PumpError) as info:
+        world.pump(1)
+    assert info.value.msg == Msg(hwnd, WM_PAINT, 7, 8, 0)
+    assert info.value.cause is boom and info.value.__cause__ is boom
+    assert str(info.value) == f"wndproc failed on {info.value.msg}: boom"
+    assert mem.live_count == start
+
+
+def test_def_window_proc_destroys_the_window():
+    seen = []
+    mem, world, user, _, hwnd, start = _painting_world(
+        lambda ws: seen.append(ws[1]) or 0)
+    assert user.DefWindowProcA(hwnd, WM_DESTROY, 0, 0) == 0
+    assert world.windows[hwnd].destroyed
+    assert world.trace[-1] == f"TICK 0 DRAW DefWindowProcA {hwnd} {WM_DESTROY} 0 0"
+    user.PostMessageA(hwnd, WM_PAINT, 0, 0)
+    world.pump(1)
+    assert seen == [WM_CREATE, WM_SIZE]     # nothing reaches a destroyed window
+    assert mem.live_count == start

@@ -36,6 +36,18 @@ def test_alloc_zero_initialized(mem):
     assert mem.read(a, 1) == [0]
 
 
+def test_an_exhausted_heap_refuses_the_next_block(mem):
+    # one page per block: 32,767 one-word blocks fill the heap region
+    blocks = []
+    for i in range(32_767):
+        blocks.append(mem.alloc(1))
+        mem.store(blocks[-1], [i])
+    with pytest.raises(BadSize, match="^heap region exhausted$"):
+        mem.alloc(1)
+    assert mem.live_count == 32_767
+    assert [mem.read(b, 1)[0] for b in blocks] == list(range(32_767))
+
+
 def test_alloc_twelve_words(mem):
     a = mem.alloc(12)
     assert mem.read(a, 12) == [0] * 12
