@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -18,6 +20,24 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 def read_idl(name: str) -> str:
     return (IDL_DIR / name).read_text(encoding="utf-8")
+
+
+def count_mlidl_calls(fn: Callable[..., Any], *args: Any) -> tuple[Any, int]:
+    """`fn(*args)` and the number of Python `call` events in `mlidl.*`
+    frames that it made, counted with `sys.setprofile`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("mlidl."):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @contextmanager

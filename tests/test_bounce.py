@@ -3,13 +3,12 @@ from __future__ import annotations
 import gc
 import hashlib
 import re
-import sys
 import weakref
 from collections import Counter
 
 import pytest
 
-from conftest import nothing_for_the_cycle_collector
+from conftest import count_mlidl_calls, nothing_for_the_cycle_collector
 from reference_bounce import reference_trace
 from mlidl.winsim.bounce import BounceDemo, run_bounce
 from mlidl.wordmem import Mem
@@ -178,17 +177,6 @@ def test_python_calls_of_a_run_are_gated():
     # 500-tick run (ticks, pump, stubs, simulation); each bound call of the
     # run converts its integer arguments and words inline, on both sides
     demo = BounceDemo(width=640, height=480)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("mlidl."):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        code = demo.run(500)
-    finally:
-        sys.setprofile(None)
+    code, calls = count_mlidl_calls(demo.run, 500)
     assert code == 0
     assert calls <= 50_500          # 49,147 on CPython 3.11; 85,251 before the kernels

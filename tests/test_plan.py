@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference_marshal
+from conftest import count_mlidl_calls
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
@@ -150,6 +151,34 @@ def test_client_and_server_agree(desc, case):
     before = mem.live_count
     assert call(sig, stub, args, mem, desc) == as_results(impl(*args))
     assert mem.live_count == before
+
+
+# Python calls into mlidl of one warm call per shape, stub passed as a host
+# callable (`sys.setprofile`, CPython 3.11).  A change that must raise a cap
+# says so in CHANGES.md.
+PYTHON_CALL_CAPS = {
+    "scalar": 9, "bool": 11, "enum": 15, "string8": 34, "string16": 34,
+    "callback": 22, "callback_ref": 36, "record_by_value": 26, "record_ref": 61,
+    "out_scalar": 23, "out_record": 63, "inout_scalar": 36, "inout_record": 100,
+    "int_array": 44, "record_array": 104, "empty_array": 27, "string_return": 34,
+    "out_string": 46,
+}
+
+
+def test_every_shape_has_a_python_call_cap():
+    assert sorted(PYTHON_CALL_CAPS) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_python_calls_of_a_shape_are_capped(desc, case):
+    name, args, impl = CASES[case]
+    sig = op(desc, name)
+    mem = Mem()
+    stub = skeleton(sig, impl, mem, desc)
+    call(sig, stub, args, mem, desc)
+    results, calls = count_mlidl_calls(call, sig, stub, args, mem, desc)
+    assert results == as_results(impl(*args))
+    assert calls <= PYTHON_CALL_CAPS[case]
 
 
 def test_byref_callback_travels_in_a_block(desc):
