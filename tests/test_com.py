@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nothing_for_the_cycle_collector
 from mlidl.com import (
     ClassNotRegistered,
     Clsid,
@@ -31,7 +32,6 @@ from mlidl.com import (
     release,
     simple_factory,
 )
-from conftest import nothing_for_the_cycle_collector
 from mlidl.automation import make_dual
 from mlidl.binding.model import LiftedSig, RetSig
 from mlidl.semtypes import INT32
