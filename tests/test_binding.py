@@ -25,8 +25,9 @@ from mlidl.binding.model import (
     LiftedSig,
     RecordLayout,
 )
-from conftest import nothing_for_the_cycle_collector
-from mlidl.idl import parse_text
+from conftest import count_mlidl_calls, nothing_for_the_cycle_collector
+from mlidl.binding.bindfile import render_binding_file
+from mlidl.idl import parse_text, parse_unit, resolve, tokenize
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -351,3 +352,35 @@ def test_compiling_leaves_nothing_for_the_cycle_collector(name, mode, level):
         emit_sig_text(desc)
         load_binding_file(emit_binding_file(desc))
         del desc
+
+
+# Python calls into mlidl of each compile phase of each shipped file, in its
+# perfbench mode (`sys.setprofile`, CPython 3.11).  "emit binding" is the
+# render itself: `emit_binding_file` returns the text `emit_sig_text` cached.
+# A change that must raise a cap says so in CHANGES.md.
+_PHASES = ("tokenize", "parse", "resolve", "build", "emit sig", "emit binding", "load")
+COMPILE_CALL_CAPS = {
+    ("win32.idl", "dynamic"): (595, 3446, 141, 571, 700, 458, 900),
+    ("win32sim.idl", "dynamic"): (965, 5728, 243, 1013, 1052, 559, 1542),
+    ("time.idl", "static"): (54, 330, 21, 81, 91, 41, 111),
+    ("bar.idl", "com"): (25, 151, 11, 40, 60, 30, 101),
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(COMPILE_CALL_CAPS))
+def test_python_calls_of_each_compile_phase_are_capped(name, mode):
+    path, manifest = _shipped(name)
+    text = path.read_text(encoding="utf-8")
+    tokens, tokenize_calls = count_mlidl_calls(tokenize, text, name)
+    unit, parse_calls = count_mlidl_calls(parse_unit, tokens, name)
+    _, resolve_calls = count_mlidl_calls(resolve, unit)
+    desc, build_calls = count_mlidl_calls(build_binding, unit, mode, "auto", manifest)
+    _, sig_calls = count_mlidl_calls(emit_sig_text, desc)
+    bfile, render_calls = count_mlidl_calls(render_binding_file, desc)
+    loaded, load_calls = count_mlidl_calls(load_binding_file, bfile)
+    assert emit_binding_file(loaded) == bfile
+    calls = (tokenize_calls, parse_calls, resolve_calls, build_calls, sig_calls,
+             render_calls, load_calls)
+    over = {phase: (n, cap) for phase, n, cap
+            in zip(_PHASES, calls, COMPILE_CALL_CAPS[name, mode]) if n > cap}
+    assert not over, f"phases over their cap (calls, cap): {over}"
