@@ -27,7 +27,7 @@ from mlidl.binding.model import (
 )
 from conftest import count_mlidl_calls, nothing_for_the_cycle_collector
 from mlidl.binding.bindfile import render_binding_file
-from mlidl.idl import parse_text, parse_unit, resolve, tokenize
+from mlidl.idl import ast, parse_text, parse_unit, resolve, tokenize
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -384,3 +384,47 @@ def test_python_calls_of_each_compile_phase_are_capped(name, mode):
     over = {phase: (n, cap) for phase, n, cap
             in zip(_PHASES, calls, COMPILE_CALL_CAPS[name, mode]) if n > cap}
     assert not over, f"phases over their cap (calls, cap): {over}"
+
+
+@pytest.mark.parametrize("param,message", [
+    ("[in,size_is (n)] CB *a, [in] int n", "I.F.a: arrays of callbacks are not supported"),
+    ("[in] int **p", "I.F.p: in-parameters of pointer-to-pointer type are not supported"),
+    ("[out] int p", "I.F.p: out parameters must be pointers"),
+    ("[in,out] POINT p", "I.F.p: out parameters must be pointers"),
+    ("[in,out] CB *cb", "I.F.cb: out parameters of callback type are not supported"),
+], ids=["callback_array", "in_pointer_to_pointer", "out_value", "inout_value",
+        "inout_callback"])
+def test_unsupported_parameter_shape_is_pinned(param, message):
+    unit = parse_text("typedef int *CB ([in] int x);\n"
+                      "typedef struct { int x; } POINT;\n"
+                      f"interface I {{ void F ({param}); }}")
+    with pytest.raises(BindingError) as info:
+        build_binding(unit, "dynamic", "auto")
+    assert str(info.value) == message
+
+
+def test_a_type_node_with_no_lowering_is_a_binding_error():
+    # the parser makes a FuncType only inside a callback typedef
+    fn = ast.FuncType((), ast.BaseType("int"))
+    op_decl = ast.OpDecl("F", ast.BaseType("void"), (ast.ParamDecl("p", fn),))
+    unit = ast.IdlUnit((ast.Interface("I", (op_decl,)),), "h.idl")
+    with pytest.raises(BindingError) as info:
+        build_binding(unit, "dynamic", "auto")
+    assert str(info.value) == f"cannot map type {fn!r}"
+
+
+def test_unsigned_consts_are_words():
+    desc = build_binding(parse_text("const unsigned long K = 0wx80000000;\n"
+                                    "const UINT U = 7;\nconst long L = 5;"))
+    assert [(c.name, c.display, c.value, c.form) for c in desc.consts] == [
+        ("K", "Word32.word", 0x80000000, "word"), ("U", "Word32.word", 7, "word"),
+        ("L", "Int32.int", 5, "int")]
+
+
+def test_an_interface_name_lowers_to_an_opaque_word():
+    desc = build_binding(parse_text(
+        "interface J { }\ninterface I { void F ([in] J p, [in] J *q, [out] IUnknown **r); }"))
+    assert [(p.display, p.sem.kind, p.dir, p.byref)
+            for p in op(desc, "I", "F").params] == [
+        ("J", "opaque", "in", False), ("J", "opaque", "in", True),
+        ("IUnknown", "opaque", "out", False)]

@@ -188,3 +188,33 @@ def test_only_a_typedef_on_the_cycle_reports_it():
 def test_a_record_or_callback_may_refer_to_itself(text):
     desc = build_binding(parse_text(text, "t.idl"))
     assert (desc.records, desc.callbacks, desc.aliases) != ((), (), ())
+
+
+def test_a_typedef_cycle_through_an_array_is_an_unresolved_type():
+    # the parser makes an ArrayType only for a size_is parameter
+    unit = ast.IdlUnit((
+        ast.Typedef("A", ast.ArrayType(ast.NamedType("B"), "n"), loc=ast.Loc(1, 1)),
+        ast.Typedef("B", ast.PtrType(ast.NamedType("A")), loc=ast.Loc(2, 1)),
+    ), "h.idl")
+    with pytest.raises(UnresolvedType) as info:
+        resolve(unit)
+    assert str(info.value) == "h.idl:1:1: typedef cycle: A -> B -> A"
+
+
+@pytest.mark.xfail(strict=True, reason="the walk stops at the name IUnknown")
+def test_a_cycle_through_a_declared_iunknown_is_an_inheritance_cycle():
+    unit = parse_text("interface IUnknown : IFoo { }\ninterface IFoo : IUnknown { }", "t.idl")
+    with pytest.raises(InheritanceCycle) as info:
+        resolve(unit)
+    assert str(info.value) == \
+        "t.idl:1:1: interface inheritance cycle: IUnknown -> IFoo -> IUnknown"
+
+
+@pytest.mark.parametrize("text", [
+    "interface A : IUnknown { }",
+    "interface IUnknown { }\ninterface A : IUnknown { }",
+    "typedef int HRESULT;\ninterface A { HRESULT f ([in] IID *iid); }",
+    "typedef struct { int a; } IID;\ninterface A { void f ([in] IID *iid); }",
+], ids=["predeclared", "declared_iunknown", "declared_hresult", "declared_iid"])
+def test_the_predeclared_names_resolve_or_are_replaced(text):
+    resolve(parse_text(text))
