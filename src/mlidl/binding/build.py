@@ -2,11 +2,13 @@
 
 Lifting rules: out parameters disappear from the in-side and reappear as
 results (declaration order), with the function result last when the return
-type is not void.  `[in,ref]` record parameters stay in-parameters and are
-shown as plain values; at the ABI they travel as the address of a packed
-block.  In com mode every interface implicitly derives from IUnknown, a
-QueryInterface signature is synthesized, and AddRef/Release never reach the
-client-visible signature; interface IIDs come from a companion manifest.
+type is not void.  An `in` or `in,out` pointer to a value, a string
+included, travels as the address of a block holding the value; an `in` one
+stays an in-parameter shown as the plain value.  A pointer to a pointer is
+an out slot for an address-sized value.  In com mode every interface
+implicitly derives from IUnknown, a QueryInterface signature is synthesized,
+and AddRef/Release never reach the client-visible signature; interface IIDs
+come from a companion manifest.
 Each IDL type is lowered to its SML text and interned semantic type in one
 walk (`_Builder.lower`), and each record is laid out by `model.lay_out`, the
 one layout rule, which the binding-file loader checks loaded records against.
@@ -237,8 +239,7 @@ class _Builder:
                     display = self.lower(inner)[0]
             else:
                 display, sem = self.lower(inner, string=p.string)
-                if p.dir in ("in", "inout") and sem.kind not in ("string8", "string16"):
-                    byref = True
+                byref = p.dir != "out"
         else:
             display, sem = self.lower(t, string=p.string)
             if p.dir in ("out", "inout"):
@@ -259,12 +260,6 @@ class _Builder:
             return _BASE[t.name]
         if isinstance(t, ast.NamedType):
             d = self.table.get(t.name)
-            if d is None:
-                if t.name == "IID":
-                    return t.name, st.interned(self.sems, "record", "IID")
-                if t.name == "HRESULT":
-                    return t.name, st.INT32
-                return t.name, st.OPAQUE         # IUnknown, the one name left
             if isinstance(d, ast.Typedef):
                 if isinstance(d.type, ast.FuncType):
                     return t.name, st.interned(self.sems, "callback", d.name)

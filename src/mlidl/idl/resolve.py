@@ -1,7 +1,8 @@
 """Name and attribute resolution over a parsed unit.
 
-Predeclared names: the root interface IUnknown, the IID identifier type, and
-HRESULT (an int alias unless the unit typedefs it, which Win32 headers do).
+Every symbol table starts from a prelude of the predeclared COM names, as
+ordinary declarations: HRESULT is an int typedef, IID an empty record and
+IUnknown a parentless interface; a unit's own declaration replaces one.
 Resolution validates every type reference, size_is/iid_is attribute targets,
 typedef cycles and interface inheritance; the unit itself is returned
 unchanged.  The checks are module-level functions of the symbol table and the
@@ -16,18 +17,20 @@ from typing import Optional
 from mlidl.idl import ast
 from mlidl.idl.errors import BadAttrTarget, InheritanceCycle, UnresolvedType
 
-PREDECLARED_INTERFACES = ("IUnknown",)
-PREDECLARED_TYPES = ("IID", "HRESULT")
+_PRELUDE = {
+    "HRESULT": ast.Typedef("HRESULT", ast.BaseType("int")),
+    "IID": ast.RecordDecl("IID", ()),
+    "IUnknown": ast.Interface("IUnknown", ()),
+}
 
 _INTEGER_BASES = frozenset({"int", "long", "unsigned long", "UINT"})
 
 
 def symbol_table(unit: ast.IdlUnit) -> dict[str, ast.Decl]:
-    table: dict[str, ast.Decl] = {}
+    table: dict[str, ast.Decl] = dict(_PRELUDE)
     for d in unit.decls:
-        if isinstance(d, ast.SmlName):
-            continue
-        table[d.name] = d
+        if not isinstance(d, ast.SmlName):
+            table[d.name] = d
     return table
 
 
@@ -61,8 +64,7 @@ def _error(cls: type, msg: str, loc: Optional[ast.Loc], unit: ast.IdlUnit) -> Ex
 def _check_type(t: ast.IdlType, loc: Optional[ast.Loc], table: dict[str, ast.Decl],
                 unit: ast.IdlUnit) -> None:
     if isinstance(t, ast.NamedType):
-        if t.name not in table and t.name not in PREDECLARED_TYPES \
-                and t.name not in PREDECLARED_INTERFACES:
+        if t.name not in table:
             raise _error(UnresolvedType, f"unresolved type {t.name!r}", loc, unit)
     elif isinstance(t, ast.PtrType):
         _check_type(t.to, loc, table, unit)
@@ -155,8 +157,6 @@ def _check_inheritance(unit: ast.IdlUnit, table: dict[str, ast.Decl]) -> None:
         seen = [iface.name]
         parent = iface.parent
         while parent is not None:
-            if parent in PREDECLARED_INTERFACES:
-                break
             d = table.get(parent)
             if not isinstance(d, ast.Interface):
                 raise _error(UnresolvedType, f"interface {iface.name!r} inherits from "

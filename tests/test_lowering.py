@@ -39,19 +39,7 @@ def lowered(text, index=0):
     return ref.Lowered(p.dir, p.sem.kind, p.byref, p.display), desc
 
 
-# Forms that lower otherwise at this commit (CHANGES.md's FOUND lines on a
-# string pointer passed by value and on an HRESULT size_is target).
-def _found(form):
-    want = ref.lowering(form)
-    return isinstance(want, ref.Lowered) and want.kind == "string8" and want.byref
-
-
-def _params(forms, found, ident):
-    return [pytest.param(f, id=ident(f), marks=[pytest.mark.xfail(strict=True)]
-                         if found(f) else []) for f in forms]
-
-
-@pytest.mark.parametrize("form", _params(ref.FORMS, _found, lambda f: f.id))
+@pytest.mark.parametrize("form", ref.FORMS, ids=lambda f: f.id)
 def test_form_lowers_as_the_table_says(form):
     got, desc = lowered(ref.unit_text(form))
     want = ref.lowering(form)
@@ -80,11 +68,8 @@ def test_form_lowers_as_the_table_says(form):
     assert mem.closure_count == 0
 
 
-@pytest.mark.parametrize("target", _params(
-    ref.SIZE_TARGETS, lambda t: t[0] == "HRESULT",
-    lambda t: f"{t[0].replace(' ', '_')}-{'typedef' if t[1] else 'direct'}"))
-def test_size_is_target_is_checked_as_the_table_says(target):
-    base, typedef = target
+@pytest.mark.parametrize("base,typedef", ref.SIZE_TARGETS)
+def test_size_is_target_is_checked_as_the_table_says(base, typedef):
     got, desc = lowered(ref.size_target_text(base, typedef), index=1)
     want = ref.size_target(base)
     assert (got.kind if desc is not None else got) == want
