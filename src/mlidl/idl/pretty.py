@@ -16,7 +16,7 @@ def pretty(unit: ast.IdlUnit) -> str:
 
 def _decl(d: ast.Decl) -> str:
     if isinstance(d, ast.SmlName):
-        return f'sml_name ("{d.value}");\n'
+        return f"sml_name ({_literal(d.value)});\n"
     if isinstance(d, ast.Typedef):
         attrs = "[string] " if d.string else ""
         if isinstance(d.type, ast.FuncType):
@@ -46,7 +46,7 @@ def _decl(d: ast.Decl) -> str:
     if isinstance(d, ast.Interface):
         lines = []
         if d.sml_source is not None:
-            lines.append(f'[sml_source ("{d.sml_source}")]')
+            lines.append(f"[sml_source ({_literal(d.sml_source)})]")
         parent = f" : {d.parent}" if d.parent else ""
         lines.append(f"interface {d.name}{parent} {{")
         for op in d.ops:
@@ -104,7 +104,14 @@ def _type_prefix(t: ast.IdlType) -> str:
     return f"{base} {stars}" if stars else f"{base} "
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                          "\t": "\\t", "\0": "\\0"})
+
+
 def _literal(v: Union[int, str]) -> str:
+    """`v` as IDL text: every string pretty writes (an `sml_name`, an
+    `sml_source`, a string const) with its backslashes, double quotes,
+    newlines, CRs, tabs and NULs escaped as the lexer reads them back."""
     if isinstance(v, int):
         return str(v)
-    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + v.translate(_ESCAPES) + '"'

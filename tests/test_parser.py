@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import read_idl
 from mlidl.idl import (
     BaseType,
+    Const,
     DuplicateName,
     FuncType,
+    IdlUnit,
     Interface,
     NamedType,
     ParseError,
     PtrType,
     RecordDecl,
+    SmlName,
     Typedef,
     parse_text,
     pretty,
@@ -237,3 +242,29 @@ def test_idispatch_style_declaration_parses():
 def test_size_is_on_non_pointer_rejected():
     with pytest.raises(ParseError):
         parse_text("interface I { void f ([in,size_is (n)] int a, [in] int n); }")
+
+
+_AWKWARD = hs.text(alphabet=hs.sampled_from('\\"\n\r\t\x00a\'é'), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=_AWKWARD, source=hs.one_of(hs.none(), _AWKWARD), value=_AWKWARD,
+       other=hs.text(max_size=8))
+def test_pretty_round_trips_strings_the_lexer_must_unescape(name, source, value, other):
+    unit = IdlUnit((
+        SmlName(name),
+        Const("X", PtrType(BaseType("char")), value + other),
+        Interface("I", (), sml_source=source),
+    ), "s.idl")
+    text = pretty(unit)
+    assert parse_text(text, "s.idl").decls == unit.decls
+    assert pretty(parse_text(text, "s.idl")) == text
+
+
+@pytest.mark.parametrize("decl", [
+    'const char *X = "a\\nb";', 'sml_name ("a\\"b");',
+    '[sml_source ("x\\\\y")] interface I { }',
+])
+def test_pretty_escapes_what_it_writes(decl):
+    unit = parse_text(decl)
+    assert parse_text(pretty(unit)).decls == unit.decls
