@@ -19,7 +19,8 @@ from conftest import count_mlidl_calls
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
-from mlidl.binding.model import FieldLayout, LiftedSig, ParamSig, RecordLayout, RetSig
+from mlidl.binding.model import (BindingDesc, FieldLayout, InterfaceDesc, LiftedSig,
+                                 ParamSig, RecordLayout, RetSig)
 from mlidl.idl import parse_text
 from mlidl.marshal import (
     ArityMismatch,
@@ -732,3 +733,51 @@ def test_every_shape_matches_the_reference_marshaller(desc, case):
             runs.append((_outcome(lambda: m.call(sig, target, args, mem, desc)),
                          lines, mem.live_count))
     assert runs[:2] == runs[2:]
+
+
+# -- failure paths: a value of the wrong type, an interface that cannot bind -------
+
+@pytest.mark.parametrize("name,args,message", [
+    ("Str8", [5], "expected a string, got 5"),
+    ("Callback", [5, 3], "expected a callable or None, got 5"),
+    ("ByValue", [[2, -3], 7], "expected a field map for POINT, got [2, -3]"),
+    ("IntArray", ["abc", 3], "expected a list for array, got 'abc'"),
+    ("ByRef", [{"text": 5, "id": 1, "mode": "MODE_ON"}], "expected a string, got 5"),
+    # each after the call packed the first record's string
+    ("RecordArray", [2, [label("a", 1), 5]], "expected a field map for LABEL, got 5"),
+    ("RecordArray", [2, [label("a", 1), label(b"b", 2)]], "expected a string, got b'b'"),
+], ids=["string", "callback", "record", "array", "string_in_record",
+        "record_in_array", "string_in_second_record"])
+def test_a_value_of_the_wrong_type_is_refused_and_leaves_nothing(desc, name, args, message):
+    sig = op(desc, name)
+    mem = Mem()
+    called = []
+    stub = skeleton(sig, lambda *a: called.append(a) or 0, mem, desc)
+    before = (mem.live_count, mem.closure_count)
+    with pytest.raises(TypeMismatch) as info:
+        call(sig, stub, args, mem, desc)
+    assert str(info.value) == message
+    assert (mem.live_count, mem.closure_count) == before
+    assert called == []
+
+
+def test_an_interface_with_no_source_library_cannot_be_bound():
+    unit = parse_text("interface I { void F (); }")
+    with pytest.raises(MarshalError) as info:
+        marshal.BoundInterface(build_binding(unit, "dynamic", "auto"), "I", Mem())
+    assert str(info.value) == "interface 'I' has no source library"
+
+
+def test_binding_skips_an_op_that_is_not_a_method():
+    f = LiftedSig("F", (ParamSig("k", "Int32.int", st.INT32),), RetSig("Int32.int", st.INT32))
+    qi = LiftedSig("QueryInterface",
+                   (ParamSig("iid", "'a Com.IID", st.record_t("IID"), byref=True),),
+                   RetSig("'a Com.interface", st.OPAQUE), kind="query_interface")
+    desc = BindingDesc("M", "dynamic", "auto",
+                       interfaces=(InterfaceDesc("I", (qi, f), source="m.dll"),))
+    mem = Mem()
+    lib = mem.register_library("m.dll")     # no QueryInterface symbol in it
+    mem.register_function(lib, "F", skeleton(f, lambda k: k + 1, mem, desc))
+    bound = marshal.BoundInterface(desc, "I", mem)
+    assert bound.F(41) == 42
+    assert not hasattr(bound, "QueryInterface")
