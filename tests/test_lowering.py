@@ -1,13 +1,13 @@
 """`build_binding` lowers every parameter form as `tests/reference_lowering.py`
-says, and every form that builds carries a value through `call` and
-`skeleton` and leaves no block behind."""
+says, and every form that builds survives its binding file and carries a
+value through `call` and `skeleton`, leaving no block behind."""
 
 from __future__ import annotations
 
 import pytest
 
 import reference_lowering as ref
-from mlidl.binding import BindingError, build_binding
+from mlidl.binding import BindingError, build_binding, emit_binding_file, load_binding_file
 from mlidl.idl import IdlError, parse_text
 from mlidl.marshal import MarshalError, call, skeleton
 from mlidl.wordmem import Mem
@@ -47,6 +47,7 @@ def test_form_lowers_as_the_table_says(form):
     if desc is None:
         return
     sig = desc.interfaces[0].ops[0]
+    assert load_binding_file(emit_binding_file(desc)).interfaces[0].ops[0] == sig
     mem = Mem()
     sent, back = VALUES[want.kind]
     seen = []
