@@ -10,9 +10,9 @@ class it must raise.
 
 The rules:
 
-- `[string]` on a pointer to a base type makes that pointer one string
-  value: string16 for `wchar_t`, string8 otherwise.  The rest of the form
-  then applies to the string value.
+- `[string]` on a pointer to a base type (`int` or `char` here) makes that
+  pointer one string8 value.  The rest of the form then applies to the
+  string value.
 - A value (depth 0) is an `in` parameter passed inline; `out` or `in,out`
   raises.
 - A pointer to a value (depth 1) is by reference unless it is `out`,
@@ -112,8 +112,8 @@ def _text_pointer(form: Form) -> bool:
     return form.string and form.depth >= 1 and BASES[form.base].base_type
 
 
-def param_text(form: Form) -> tuple[str, str]:
-    """The declarations the form needs and its parameter `p`, as IDL text."""
+def unit_text(form: Form) -> str:
+    """A unit whose one op takes the form as its parameter `p`."""
     base = BASES[form.base]
     attrs = [DIRS[form.dir]]
     stars = form.depth
@@ -130,11 +130,7 @@ def param_text(form: Form) -> tuple[str, str]:
         if form.string:
             attrs.append("string")
         spelling = "ALIAS"
-    return decls, f"[{','.join(attrs)}] {spelling} {'*' * stars}p"
-
-
-def unit_text(form: Form) -> str:
-    decls, param = param_text(form)
+    param = f"[{','.join(attrs)}] {spelling} {'*' * stars}p"
     return f"{PREAMBLE}{decls}\ninterface I {{\n  void F ({param});\n}}\n"
 
 
