@@ -4,15 +4,17 @@ A table stated as rules of the dialect, not derived from
 `mlidl.binding.build`, so that tests can check `build_binding` against it
 form for form.  A form is a direction, a pointer depth of 0-2, the
 parameter's own `[string]` attribute and a base; it is written either
-directly or through a typedef.  A form lowers to a `Lowered` (the
+directly or through a typedef, each over the base itself or over an alias
+of it.  A form lowers to a `Lowered` (the
 parameter's `dir`, sem kind, `byref` and SML display) or to the diagnostic
 class it must raise.
 
 The rules:
 
-- `[string]` on a pointer to a base type (`int` or `char` here) makes that
-  pointer one string8 value.  The rest of the form then applies to the
-  string value.
+- `[string]` makes a pointer one string value exactly when the pointer's
+  target is `char` (string8) or `wchar_t` (string16), directly or through
+  typedefs.  The rest of the form then applies to the string value.  On
+  any other pointer, and on a value, `[string]` has no effect.
 - A value (depth 0) is an `in` parameter passed inline; `out` or `in,out`
   raises.
 - A pointer to a value (depth 1) is by reference unless it is `out`,
@@ -21,8 +23,13 @@ The rules:
   address-sized value (opaque, not by reference); `in` raises.
 - A form written through a typedef lowers like its direct form and shows
   the typedef's name.  Its typedef holds the base, or, for a `[string]`
-  pointer to a base type, the base, the innermost pointer and `[string]`:
-  `typedef [string] char *ALIAS; [in] ALIAS *s` is `[in,string] char **s`.
+  pointer to `char` or `wchar_t`, the base, the innermost pointer and
+  `[string]`: `typedef [string] char *ALIAS; [in] ALIAS *s` is
+  `[in,string] char **s`.
+- Each of those two spellings is also written over an alias of its base,
+  `typedef <base> BASE;`, which lowers as the base does and shows as
+  `BASE`: `typedef char BASE; [in,string] BASE *s` is a string8, and so is
+  `typedef char BASE; typedef [string] BASE *ALIAS; [in] ALIAS s`.
 - The predeclared `HRESULT` is an int alias, `IID` a record and `IUnknown`
   an interface, which lowers to an opaque word; a unit may declare its own
   `HRESULT`.
@@ -61,21 +68,22 @@ class Base(NamedTuple):
     spelling: str
     kind: str           # sem kind of a value of this base
     display: str        # SML display of a value of this base
-    base_type: bool     # a dialect base type, which `[string]` can make a string
+    text: str           # the string kind `[string]` makes of a pointer to it, or ""
     unit_decl: str = ""     # a declaration the unit adds to the preamble
 
 
 BASES = {
-    "int": Base("int", "int32", "Int32.int", True),
-    "char": Base("char", "int32", "Char.char", True),
-    "STRING": Base("STRING", "string8", "STRING", False),
-    "record": Base("POINT", "record", "POINT", False),
-    "enum": Base("MODE", "enum", "MODE", False),
-    "callback": Base("CB", "callback", "CB", False),
-    "HRESULT": Base("HRESULT", "int32", "HRESULT", False),
-    "IID": Base("IID", "record", "IID", False),
-    "IUnknown": Base("IUnknown", "opaque", "IUnknown", False),
-    "unit HRESULT": Base("HRESULT", "int32", "HRESULT", False, "typedef int HRESULT;\n"),
+    "int": Base("int", "int32", "Int32.int", ""),
+    "char": Base("char", "int32", "Char.char", "string8"),
+    "wchar_t": Base("wchar_t", "int32", "Word32.word", "string16"),
+    "STRING": Base("STRING", "string8", "STRING", ""),
+    "record": Base("POINT", "record", "POINT", ""),
+    "enum": Base("MODE", "enum", "MODE", ""),
+    "callback": Base("CB", "callback", "CB", ""),
+    "HRESULT": Base("HRESULT", "int32", "HRESULT", ""),
+    "IID": Base("IID", "record", "IID", ""),
+    "IUnknown": Base("IUnknown", "opaque", "IUnknown", ""),
+    "unit HRESULT": Base("HRESULT", "int32", "HRESULT", "", "typedef int HRESULT;\n"),
 }
 
 DIRS = {"in": "in", "out": "out", "inout": "in,out"}
@@ -87,12 +95,14 @@ class Form(NamedTuple):
     string: bool        # the parameter's own [string]
     base: str           # a key of BASES
     typedef: bool       # written through a typedef
+    alias: bool         # the base spelled through `typedef <base> BASE;`
 
     @property
     def id(self) -> str:
         return "-".join([self.dir, f"depth{self.depth}", "string" if self.string else "plain",
                          self.base.replace(" ", "_"),
-                         "typedef" if self.typedef else "direct"])
+                         "typedef" if self.typedef else "direct"]
+                        + (["alias"] if self.alias else []))
 
 
 class Lowered(NamedTuple):
@@ -103,13 +113,13 @@ class Lowered(NamedTuple):
 
 
 FORMS = [Form(*f) for f in itertools.product(DIRS, (0, 1, 2), (False, True), BASES,
-                                             (False, True))]
+                                             (False, True), (False, True))]
 
 
 def _text_pointer(form: Form) -> bool:
-    """Whether the form's innermost pointer is a `[string]` pointer to a base
-    type, that is one string value."""
-    return form.string and form.depth >= 1 and BASES[form.base].base_type
+    """Whether the form's innermost pointer is a `[string]` pointer to `char`
+    or `wchar_t`, that is one string value."""
+    return form.string and form.depth >= 1 and bool(BASES[form.base].text)
 
 
 def unit_text(form: Form) -> str:
@@ -118,18 +128,19 @@ def unit_text(form: Form) -> str:
     attrs = [DIRS[form.dir]]
     stars = form.depth
     decls = base.unit_decl
-    if not form.typedef:
-        if form.string:
-            attrs.append("string")
-        spelling = base.spelling
-    elif _text_pointer(form):
-        decls += f"typedef [string] {base.spelling} *ALIAS;\n"
+    spelling = base.spelling
+    if form.alias:
+        decls += f"typedef {spelling} BASE;\n"
+        spelling = "BASE"
+    if form.typedef and _text_pointer(form):
+        decls += f"typedef [string] {spelling} *ALIAS;\n"
         spelling, stars = "ALIAS", stars - 1
     else:
-        decls += f"typedef {base.spelling} ALIAS;\n"
+        if form.typedef:
+            decls += f"typedef {spelling} ALIAS;\n"
+            spelling = "ALIAS"
         if form.string:
             attrs.append("string")
-        spelling = "ALIAS"
     param = f"[{','.join(attrs)}] {spelling} {'*' * stars}p"
     return f"{PREAMBLE}{decls}\ninterface I {{\n  void F ({param});\n}}\n"
 
@@ -137,8 +148,10 @@ def unit_text(form: Form) -> str:
 def lowering(form: Form) -> Union[Lowered, type[Exception]]:
     base = BASES[form.base]
     kind, display, depth = base.kind, base.display, form.depth
+    if form.alias:
+        display = "BASE"
     if _text_pointer(form):
-        kind, display, depth = "string8", "String.string", depth - 1
+        kind, display, depth = base.text, "String.string", depth - 1
     if form.typedef:
         display = "ALIAS"
     if depth == 0:

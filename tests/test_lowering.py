@@ -21,6 +21,7 @@ def mix(ws):
 VALUES = {
     "int32": (-7, 41),
     "string8": ("héllo", "wörld"),
+    "string16": ("héllo", "wörld"),
     "record": ({"x": 2, "y": -3}, {"x": 5, "y": 6}),
     "enum": ("MODE_ON", "MODE_OFF"),
     "opaque": (0x1234, 0xBEEF),
@@ -39,7 +40,22 @@ def lowered(text, index=0):
     return ref.Lowered(p.dir, p.sem.kind, p.byref, p.display), desc
 
 
-@pytest.mark.parametrize("form", ref.FORMS, ids=lambda f: f.id)
+# Forms that lower otherwise at this commit (CHANGES.md's FOUND lines on
+# `[string]` through an alias of `char`, and on `[string]` on a pointer to
+# any base type).  An `out` or `in,out` typedef form of depth 1 has no
+# pointer left on the parameter, so it raises either way.
+def _found(form):
+    if not (form.string and form.depth >= 1):
+        return False
+    if form.base == "int":
+        return not (form.typedef or form.alias)
+    return bool(ref.BASES[form.base].text) and form.alias \
+        and not (form.typedef and form.depth == 1 and form.dir != "in")
+
+
+@pytest.mark.parametrize("form", [
+    pytest.param(f, id=f.id, marks=[pytest.mark.xfail(strict=True)] if _found(f) else [])
+    for f in ref.FORMS])
 def test_form_lowers_as_the_table_says(form):
     got, desc = lowered(ref.unit_text(form))
     want = ref.lowering(form)
@@ -85,5 +101,5 @@ def test_size_is_target_is_checked_as_the_table_says(base, typedef):
 
 
 def test_the_table_covers_every_form():
-    assert len(ref.FORMS) == len(set(ref.FORMS)) == 3 * 3 * 2 * 10 * 2
+    assert len(ref.FORMS) == len(set(ref.FORMS)) == 3 * 3 * 2 * 11 * 2 * 2
     assert len({f.id for f in ref.FORMS}) == len(ref.FORMS)
