@@ -2,10 +2,14 @@
 
 Lifting rules: out parameters disappear from the in-side and reappear as
 results (declaration order), with the function result last when the return
-type is not void.  An `in` or `in,out` pointer to a value, a string
-included, travels as the address of a block holding the value; an `in` one
-stays an in-parameter shown as the plain value.  A pointer to a pointer is
-an out slot for an address-sized value.  In com mode every interface
+type is not void.  `param_sig` counts a parameter's pointers in one walk.
+An `in` or `in,out` pointer to a value, a string included, travels as the
+address of a block holding the value; an `in` one stays an in-parameter
+shown as the plain value.  A pointer to a pointer is an out slot for an
+address-sized value.  `[string]`, on a parameter or a typedef, makes a
+pointer to `char` or `wchar_t`, directly or through typedefs, one string8
+or string16 value, which the walk takes as the value (`string_of`); on any
+other pointer it has no effect.  In com mode every interface
 implicitly derives from IUnknown, a QueryInterface signature is synthesized,
 and AddRef/Release never reach the client-visible signature; interface IIDs
 come from a companion manifest.
@@ -25,7 +29,7 @@ from typing import Any, Optional, Union
 
 from mlidl import semtypes as st
 from mlidl.idl import ast
-from mlidl.idl.resolve import resolve, symbol_table
+from mlidl.idl.resolve import resolve, strip_aliases, symbol_table
 from mlidl.binding import model
 
 MODES = ("static", "dynamic", "com")
@@ -42,6 +46,9 @@ _BASE = {
     "wchar_t": ("Word32.word", st.INT32),
     "void": ("unit", st.UNIT),
 }
+
+# the string `[string]` makes of a pointer to each base type it applies to
+_TEXT = {"char": st.STRING8, "wchar_t": st.STRING16}
 
 
 # The one braced GUID grammar: the compiler and the binding loader check
@@ -216,33 +223,28 @@ class _Builder:
         return model.RetSig(*self.lower(t))
 
     def param_sig(self, p: ast.ParamDecl, where: str) -> model.ParamSig:
-        t = p.type
-        byref = False
-        if isinstance(t, ast.ArrayType):
-            display, sem = self.lower(t)
-            if sem.elem.kind == "callback":
-                raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
-                                   f"not supported")
-        elif isinstance(t, ast.PtrType) and not _is_string(p, t):
-            inner = t.to
-            if isinstance(inner, ast.PtrType) and not _is_string(p, inner):
-                # pointer-to-pointer: an out slot for an address-sized value
-                if p.dir == "in":
-                    raise BindingError(
-                        f"{where}.{p.name}: in-parameters of pointer-to-pointer "
-                        f"type are not supported")
-                inner = inner.to
-                sem = st.OPAQUE
-                if isinstance(inner, ast.BaseType) and inner.name == "void":
-                    display = "Word32.word"
-                else:
-                    display = self.lower(inner)[0]
-            else:
-                display, sem = self.lower(inner, string=p.string)
-                byref = p.dir != "out"
+        # one walk down the pointers above the value; a pointer that the
+        # parameter's `[string]` makes a string is the value
+        t, depth = p.type, 0
+        while depth < 2 and isinstance(t, ast.PtrType) \
+                and not (p.string and self.string_of(t)):
+            t, depth = t.to, depth + 1
+        if depth == 2:
+            # pointer-to-pointer: an out slot for an address-sized value
+            if p.dir == "in":
+                raise BindingError(
+                    f"{where}.{p.name}: in-parameters of pointer-to-pointer "
+                    f"type are not supported")
+            sem = st.OPAQUE
+            display = ("Word32.word" if isinstance(t, ast.BaseType) and t.name == "void"
+                       else self.lower(t)[0])
         else:
             display, sem = self.lower(t, string=p.string)
-            if p.dir in ("out", "inout"):
+            if isinstance(t, ast.ArrayType):
+                if sem.elem.kind == "callback":
+                    raise BindingError(f"{where}.{p.name}: arrays of callbacks are "
+                                       f"not supported")
+            elif depth == 0 and p.dir != "in":
                 raise BindingError(
                     f"{where}.{p.name}: out parameters must be pointers")
         if p.dir in ("out", "inout") and sem.kind == "callback":
@@ -250,7 +252,13 @@ class _Builder:
                 f"{where}.{p.name}: out parameters of callback type are not "
                 f"supported")
         return model.ParamSig(name=p.name, display=display, sem=sem,
-                              dir=p.dir, byref=byref)
+                              dir=p.dir, byref=depth == 1 and p.dir != "out")
+
+    def string_of(self, t: ast.PtrType) -> Optional[st.SemType]:
+        """What `[string]` makes of pointer `t`: string8 if it points to `char`,
+        string16 if to `wchar_t`, through typedefs too; otherwise None."""
+        to = strip_aliases(t.to, self.table)
+        return _TEXT.get(to.name) if isinstance(to, ast.BaseType) else None
 
     # -- type mapping -----------------------------------------------------------
 
@@ -275,9 +283,12 @@ class _Builder:
             raise BindingError(f"cannot use {t.name!r} as a type")
         if isinstance(t, ast.PtrType):
             inner = t.to
-            if string and isinstance(inner, ast.BaseType):
-                return "String.string", (st.STRING16 if inner.name == "wchar_t"
-                                         else st.STRING8)
+            if string:
+                # a plain `char *` is looked up here, without the alias walk
+                sem = _TEXT.get(inner.name) if isinstance(inner, ast.BaseType) \
+                    else self.string_of(t)
+                if sem is not None:
+                    return "String.string", sem
             if isinstance(inner, ast.NamedType):
                 return self.lower(inner)[0], st.OPAQUE
             return "Word32.word", st.OPAQUE
@@ -286,12 +297,6 @@ class _Builder:
             return f"{display} list", st.interned(self.sems, "array", elem=elem,
                                                   len_from=t.len_param)
         raise BindingError(f"cannot map type {t!r}")
-
-
-def _is_string(p: ast.ParamDecl, t: ast.PtrType) -> bool:
-    """Whether `t` is the `char *` that `p`'s `[string]` makes one string
-    value, as `[string]` on a typedef does."""
-    return p.string and isinstance(t.to, ast.BaseType)
 
 
 def _check_guid(value: object, what: str) -> None:

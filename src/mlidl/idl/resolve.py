@@ -103,7 +103,8 @@ def _check_alias_cycle(d: ast.Typedef, table: dict[str, ast.Decl],
             t = alias.type
 
 
-def _strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:
+def strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:
+    """What `t` names once every typedef that is not a callback is followed."""
     seen: set[str] = set()
     while isinstance(t, ast.NamedType):
         if t.name in seen:
@@ -118,14 +119,14 @@ def _strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:
 
 
 def _is_integer(t: ast.IdlType, table: dict[str, ast.Decl]) -> bool:
-    t = _strip_aliases(t, table)
+    t = strip_aliases(t, table)
     return isinstance(t, ast.BaseType) and t.name in _INTEGER_BASES
 
 
 def _is_iid(t: ast.IdlType, table: dict[str, ast.Decl]) -> bool:
     while isinstance(t, ast.PtrType):
         t = t.to
-    t = _strip_aliases(t, table)
+    t = strip_aliases(t, table)
     return isinstance(t, ast.NamedType) and t.name == "IID"
 
 

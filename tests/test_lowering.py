@@ -40,22 +40,7 @@ def lowered(text, index=0):
     return ref.Lowered(p.dir, p.sem.kind, p.byref, p.display), desc
 
 
-# Forms that lower otherwise at this commit (CHANGES.md's FOUND lines on
-# `[string]` through an alias of `char`, and on `[string]` on a pointer to
-# any base type).  An `out` or `in,out` typedef form of depth 1 has no
-# pointer left on the parameter, so it raises either way.
-def _found(form):
-    if not (form.string and form.depth >= 1):
-        return False
-    if form.base == "int":
-        return not (form.typedef or form.alias)
-    return bool(ref.BASES[form.base].text) and form.alias \
-        and not (form.typedef and form.depth == 1 and form.dir != "in")
-
-
-@pytest.mark.parametrize("form", [
-    pytest.param(f, id=f.id, marks=[pytest.mark.xfail(strict=True)] if _found(f) else [])
-    for f in ref.FORMS])
+@pytest.mark.parametrize("form", ref.FORMS, ids=lambda f: f.id)
 def test_form_lowers_as_the_table_says(form):
     got, desc = lowered(ref.unit_text(form))
     want = ref.lowering(form)
