@@ -479,34 +479,24 @@ def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
 # -- client call driver ---------------------------------------------------------
 
 
-def _target(f: Union[WordFn, Symbol, int], mem: Mem, sig: LiftedSig,
-            nwords: int) -> Union[WordFn, int]:
-    """A host callable as given, or a checked closure address for `Mem.call`."""
-    if isinstance(f, Symbol):
-        if f.arity is not None and f.arity != nwords:
-            raise ArityMismatch(
-                f"{sig.name}: symbol expects {f.arity} argument words "
-                f"({f.convention} convention), got {nwords}")
-        f = f.addr
-    if isinstance(f, int):
-        mem.addr_to_fun(f)   # fail early on a stale address
-        return f
-    if callable(f):
-        return f
-    raise TypeMismatch(f"not callable: {f!r}")
-
-
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
          mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
     plan = plan_of(sig, desc)
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
-    if type(f) is Symbol and f.arity == plan.arity:   # _target's common case
-        target: Union[WordFn, int] = f.addr
+    # the target: a host callable as given, or a checked closure address
+    target = f
+    if isinstance(f, Symbol):
+        if f.arity is not None and f.arity != plan.arity:
+            raise ArityMismatch(
+                f"{sig.name}: symbol expects {f.arity} argument words "
+                f"({f.convention} convention), got {plan.arity}")
+        target = f.addr
+    if isinstance(target, int):
         mem.addr_to_fun(target)   # fail early on a stale address
-    else:
-        target = _target(f, mem, sig, plan.arity)
+    elif not callable(target):
+        raise TypeMismatch(f"not callable: {target!r}")
 
     if plan.to_words is not None:
         # integer wires: check and mask every value in one pass; a value that

@@ -158,11 +158,11 @@ def test_client_and_server_agree(desc, case):
 # callable (`sys.setprofile`, CPython 3.11).  A change that must raise a cap
 # says so in CHANGES.md.
 PYTHON_CALL_CAPS = {
-    "scalar": 9, "bool": 11, "enum": 15, "string8": 34, "string16": 34,
-    "callback": 22, "callback_ref": 36, "record_by_value": 26, "record_ref": 61,
-    "out_scalar": 23, "out_record": 63, "inout_scalar": 36, "inout_record": 100,
-    "int_array": 44, "record_array": 104, "empty_array": 27, "string_return": 34,
-    "out_string": 46,
+    "scalar": 8, "bool": 10, "enum": 14, "string8": 33, "string16": 33,
+    "callback": 21, "callback_ref": 35, "record_by_value": 25, "record_ref": 60,
+    "out_scalar": 22, "out_record": 62, "inout_scalar": 35, "inout_record": 99,
+    "int_array": 43, "record_array": 103, "empty_array": 26, "string_return": 33,
+    "out_string": 45,
 }
 
 
