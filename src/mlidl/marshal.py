@@ -45,14 +45,17 @@ allocates.  Its conversion kernel is picked when the plan is built:
 Every other plan takes the general path below.  Both paths raise the same
 errors in the same order.
 
-The caller frees every block it packed when the call returns, and frees the
-strings the callee hands back (out parameters, string fields of out records,
-string return values) once it has decoded them.  It also releases each
-closure registration its packing made for a host callable (an `[in]`
+When the call returns, the caller frees every block it packed and releases
+each closure registration its packing made for a host callable (an `[in]`
 callback, or a callback field of a record it passes): a callee that keeps
 the address registers the callable itself, as `SimWorld.SetTimer` and
-`RegisterClassExA` do.  Out and in-out arrays and record return values are
-rejected with `Unsupported` when the plan is built.
+`RegisterClassExA` do.  Each string and callback the callee hands back (in
+an out parameter, an out record's field or the return value) comes with a
+block or a registration of its own, which the caller frees or releases once
+it has decoded it; the stub makes them as it packs the results, and gives
+them back itself if a later result fails to pack.  Out and in-out arrays
+and record return values are rejected with `Unsupported` when the plan is
+built.
 """
 
 from __future__ import annotations
@@ -237,7 +240,10 @@ def _pack_callback(mem: Mem, v: Value, words: list[int], temps: list[int]) -> No
 def _unpack_callback(mem: Mem, ws: Sequence[int], at: int,
                      owned: Optional[list[int]]) -> Value:
     w = word(ws[at])
-    return None if w == 0 else mem.addr_to_fun(w)
+    fn = None if w == 0 else mem.addr_to_fun(w)
+    if w and owned is not None:
+        owned.append(w)     # a result's registration, for the caller to release
+    return fn
 
 
 def _no_iid(*_: Any) -> Value:
@@ -485,8 +491,7 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
-    # the target: a host callable as given, or a checked closure address
-    target = f
+    target = f      # a host callable as given, or a checked closure address
     if isinstance(f, Symbol):
         if f.arity is not None and f.arity != plan.arity:
             raise ArityMismatch(
@@ -519,7 +524,7 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
         args = iter(ins)
         for name, direction, codec, wire, _, count in plan.steps:
             if direction == "out":
-                temps.append(mem.alloc(codec.width))
+                temps.append(mem.alloc(max(codec.width, 1)))     # as `_ref_codec`'s block
                 words.append(temps[-1])
             else:
                 v = next(args)
@@ -605,15 +610,23 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
 
         values = _results(plan, impl(*args))
         given: list[int] = []    # blocks packed here now belong to the caller
-        for (codec, addr), v in zip(outs, values):
-            block: list[int] = []
-            codec.pack(mem, v, block, given)
-            mem.store(addr, block)
-        if plan.ret is not None:
+        try:
+            for (codec, addr), v in zip(outs, values):
+                block: list[int] = []
+                codec.pack(mem, v, block, given)
+                mem.store(addr, block)
+            if plan.ret is None:
+                return 0
             ret: list[int] = []
             plan.ret.pack(mem, values[-1], ret, given)
             return ret[0]
-        return 0
+        except BaseException:
+            for addr in given:      # a failed call hands the caller nothing
+                if region_of(addr) == "closure":
+                    mem.release_closure(addr)
+                else:
+                    mem.free(addr)
+            raise
 
     return stub
 

@@ -284,6 +284,102 @@ def test_a_failed_call_releases_the_callbacks_it_registered(hooks):
     assert hits == [] and mem.closure_count == 0 and mem.live_count == 0
 
 
+# -- what comes back in results ----------------------------------------------------
+
+RESULTS_IDL = """
+typedef int INT;
+typedef [string] char *STRING;
+typedef int *CB ([in] INT a, [in] INT b);
+
+typedef struct tagEMPTY { } EMPTY;
+
+typedef struct tagNAMED {
+    STRING name;
+    INT    id;
+} NAMED;
+
+typedef struct tagHOOKED {
+    CB  cb;
+    INT k;
+} HOOKED;
+
+interface Results {
+  void GetEmpty ([out] EMPTY *e);
+  void BumpEmpty ([in,out] EMPTY *e);
+  void Two ([out] STRING *a, [out] INT *b);
+  INT Named ([out] NAMED *r);
+  INT Hooked ([out] HOOKED *r);
+  void GetHook ([out] HOOKED *r);
+  void Rehook ([in,out] HOOKED *r);
+  CB Hook ([in] INT k);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def results_desc():
+    return build_binding(parse_text(RESULTS_IDL, "results.idl"), mode="dynamic",
+                         level="auto")
+
+
+def test_an_empty_record_comes_back_from_an_out_parameter(results_desc):
+    mem = Mem()
+    for name, args in (("GetEmpty", []), ("BumpEmpty", [{}])):
+        sig = op(results_desc, name)
+        assert call(sig, skeleton(sig, lambda *a: {}, mem, results_desc), args, mem,
+                    results_desc) == [{}]
+    assert mem.live_count == 0
+
+
+@pytest.mark.parametrize("name, back", [
+    ("Two", ("x", "notint")),
+    ("Named", ({"name": "n", "id": 1}, "notint")),
+    ("Hooked", ({"cb": mix, "k": 1}, "notint")),
+])
+def test_a_stub_gives_back_what_it_packed_when_a_later_result_is_bad(results_desc, name,
+                                                                     back):
+    sig = op(results_desc, name)
+    mem = Mem()
+    stub = skeleton(sig, lambda: back, mem, results_desc)
+    with pytest.raises(TypeMismatch, match="expected an integer for int32, got 'notint'"):
+        call(sig, stub, [], mem, results_desc)
+    assert mem.live_count == 0
+    assert mem.closure_count == 0
+
+
+def fresh_hook(i):
+    return lambda ws: ws[0] * ws[1] + i
+
+
+@pytest.mark.parametrize("name, args, impl, want", [
+    ("GetHook", [], lambda i: {"cb": fresh_hook(i), "k": i}, lambda i: 6 + i),
+    ("Rehook", [{"cb": mix, "k": 0}], lambda i, h: {"cb": fresh_hook(i), "k": i},
+     lambda i: 6 + i),
+    ("Rehook", [{"cb": mix, "k": 0}], lambda i, h: dict(h, k=i), lambda i: 23),
+    ("Hook", [0], lambda i, k: fresh_hook(i), lambda i: 6 + i),
+], ids=["out_field", "inout_field", "inout_field_unchanged", "return"])
+def test_a_caller_releases_each_callback_that_comes_back(results_desc, name, args, impl,
+                                                         want):
+    sig = op(results_desc, name)
+    mem = Mem()
+    for i in range(100):
+        stub = skeleton(sig, lambda *a, i=i: impl(i, *a), mem, results_desc)
+        [back] = call(sig, stub, args, mem, results_desc)
+        assert (back if name == "Hook" else back["cb"])([2, 3]) == want(i)
+        assert mem.closure_count == 0
+    assert mem.live_count == 0
+
+
+def test_a_raw_callee_hands_back_a_callback_with_a_registration_of_its_own(results_desc):
+    mem = Mem()
+    kept = mem.fun_to_addr(mix)
+    assert call(op(results_desc, "Hook"), lambda ws: mem.fun_to_addr(mix), [0], mem,
+                results_desc) == [mix]
+    assert mem.addr_to_fun(kept) is mix     # the callee's own registration stays
+    mem.release_closure(kept)
+    assert mem.closure_count == 0
+
+
 @pytest.mark.parametrize("name, where", [
     ("OutArray", "OutArray.a"),
     ("InoutArray", "InoutArray.a"),
