@@ -2,16 +2,14 @@
 
 Lifting rules: out parameters disappear from the in-side and reappear as
 results (declaration order), with the function result last when the return
-type is not void.  `param_sig` counts a parameter's pointers in one walk.
-An `in` or `in,out` pointer to a value, a string included, travels as the
-address of a block holding the value; an `in` one stays an in-parameter
-shown as the plain value.  A pointer to a pointer is an out slot for an
-address-sized value.  `[string]`, on a parameter or a typedef, makes a
-pointer to `char` or `wchar_t`, directly or through typedefs, one string8
-or string16 value, which the walk takes as the value (`string_of`); on any
-other pointer it has no effect.  In com mode every interface
-implicitly derives from IUnknown, a QueryInterface signature is synthesized,
-and AddRef/Release never reach the client-visible signature; interface IIDs
+type is not void.  An `in` or `in,out` pointer to a value, a string
+included, is passed by reference; an `in` one is shown as the plain value.
+A pointer to a pointer is an out slot for an address-sized value.
+`[string]`, on a parameter or a typedef, makes a pointer to `char` or
+`wchar_t`, directly or through typedefs, one string8 or string16 value, and
+does nothing to any other pointer.  In com mode every interface implicitly
+derives from IUnknown, a QueryInterface signature is synthesized, and
+AddRef/Release never reach the client-visible signature; interface IIDs
 come from a companion manifest.
 Each IDL type is lowered to its SML text and interned semantic type in one
 walk (`_Builder.lower`), and each record is laid out by `model.lay_out`, the
@@ -223,8 +221,7 @@ class _Builder:
         return model.RetSig(*self.lower(t))
 
     def param_sig(self, p: ast.ParamDecl, where: str) -> model.ParamSig:
-        # one walk down the pointers above the value; a pointer that the
-        # parameter's `[string]` makes a string is the value
+        # one walk down the pointers above the value; a `[string]` one is the value
         t, depth = p.type, 0
         while depth < 2 and isinstance(t, ast.PtrType) \
                 and not (p.string and self.string_of(t)):

@@ -95,15 +95,8 @@ def _alias_chunk(a: model.AliasDef, level: str) -> list[str]:
 
 
 def _callback_line(cb: model.CallbackDef) -> str:
-    sig = cb.sig
-    if sig.ins:
-        args = " * ".join(p.display for p in sig.ins)
-        if len(sig.ins) > 1:
-            args = f"({args})"
-    else:
-        args = "unit"
-    ret = sig.ret.display if sig.ret is not None else "unit"
-    return f"    type {cb.name} = ({args} -> {ret})"
+    ret = cb.sig.ret.display if cb.sig.ret is not None else "unit"
+    return f"    type {cb.name} = ({_group([p.display for p in cb.sig.ins])} -> {ret})"
 
 
 def _fields_text(rec: model.RecordLayout) -> str:
