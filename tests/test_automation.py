@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from conftest import count_mlidl_calls
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.automation import (
@@ -42,6 +43,7 @@ from mlidl.com import (
     IID_IDISPATCH,
     Iid,
     Registry,
+    add_ref,
     co_create_instance,
     co_register_class_object,
     get_method,
@@ -748,3 +750,64 @@ def test_invoke_result_from_an_out_or_inout_parameter(mem):
     assert invoke(dual, 2, [Variant.i4(-2)]) == Variant.ui4(0xFFFFFFFF)
     assert raw_invoke(mem, dual, 2, [VT_UI4, 41]) == (0, VT_UI4, 42)
     assert mem.live_count == live
+
+
+# -- Python-call budgets ------------------------------------------------------------
+
+
+def _typed_invoke(mem, dual):
+    return invoke, (dual, 1, (Variant.i4(20), Variant.i4(22))), Variant.i4(42)
+
+
+def _raw_invoke(mem, dual):
+    args = mem.alloc(4)
+    mem.store(args, [VT_I4, 20, VT_I4, 22])
+    dp = mem.alloc(2)
+    mem.store(dp, [2, args])
+    return get_method(dual, 6), ([dual.addr, 1, 0, 0, 0, dp, mem.alloc(2), 0, 0],), 0
+
+
+def _get_ids_of_names(mem, dual):
+    return get_ids_of_names, (dual, "negate"), 2
+
+
+def _query_interface(mem, dual):
+    iid = mem.alloc(4)
+    mem.store(iid, IID_ICALC.guid.to_words())
+    return get_method(dual, 0), ([dual.addr, iid, mem.alloc(1)],), 0
+
+
+def _release(mem, dual):
+    add_ref(dual)
+    add_ref(dual)       # neither Release below destroys the object
+    return get_method(dual, 2), ([dual.addr],), 1
+
+
+def _co_create_instance(mem, dual):
+    reg = Registry()
+    co_register_class_object(reg, CLSID_CALC,
+                             simple_factory(CLSID_CALC, lambda: make_calc(mem)[0]))
+    return co_create_instance, (reg, CLSID_CALC, IID_ICALC), None
+
+
+# operation: (its set-up on make_calc's object, Python calls of one warm call
+# on CPython 3.11, counted with conftest.count_mlidl_calls)
+COM_CALL_CAPS = {
+    "typed_invoke": (_typed_invoke, 44),
+    "raw_invoke": (_raw_invoke, 54),
+    "get_ids_of_names": (_get_ids_of_names, 12),
+    "query_interface_slot0": (_query_interface, 15),
+    "release_slot2": (_release, 4),
+    "co_create_instance": (_co_create_instance, 163),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COM_CALL_CAPS))
+def test_python_calls_of_a_com_operation_are_capped(mem, name):
+    set_up, cap = COM_CALL_CAPS[name]
+    fn, args, want = set_up(mem, make_calc(mem)[1])
+    fn(*args)
+    result, calls = count_mlidl_calls(fn, *args)
+    if want is not None:
+        assert result == want
+    assert calls <= cap
