@@ -221,7 +221,7 @@ class _Builder:
         return model.RetSig(*self.lower(t))
 
     def param_sig(self, p: ast.ParamDecl, where: str) -> model.ParamSig:
-        # one walk down the pointers above the value; a `[string]` one is the value
+        # one walk down at most two pointers above the value; a `[string]` one is the value
         t, depth = p.type, 0
         while depth < 2 and isinstance(t, ast.PtrType) \
                 and not (p.string and self.string_of(t)):
@@ -281,7 +281,7 @@ class _Builder:
         if isinstance(t, ast.PtrType):
             inner = t.to
             if string:
-                # a plain `char *` is looked up here, without the alias walk
+                # a plain `char *` skips the alias walk: one call fewer per string typedef
                 sem = _TEXT.get(inner.name) if isinstance(inner, ast.BaseType) \
                     else self.string_of(t)
                 if sem is not None:

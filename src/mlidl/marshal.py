@@ -621,7 +621,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             plan.ret.pack(mem, values[-1], ret, given)
             return ret[0]
         except BaseException:
-            for addr in given:      # a failed call hands the caller nothing
+            for addr in given:      # as `call` gives back its temps; the caller gets none
                 if region_of(addr) == "closure":
                     mem.release_closure(addr)
                 else:
