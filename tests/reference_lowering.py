@@ -5,9 +5,8 @@ A table stated as rules of the dialect, not derived from
 form for form.  A form is a direction, a pointer depth of 0-2, the
 parameter's own `[string]` attribute and a base; it is written either
 directly or through a typedef, each over the base itself or over an alias
-of it.  A form lowers to a `Lowered` (the
-parameter's `dir`, sem kind, `byref` and SML display) or to the diagnostic
-class it must raise.
+of it.  A form lowers to a `Lowered` (the parameter's `dir`, sem kind,
+`byref` and SML display) or to the diagnostic class it must raise.
 
 The rules:
 
