@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
@@ -19,8 +22,10 @@ from mlidl.idl import (
     SmlName,
     Typedef,
     parse_text,
+    parse_unit,
     pretty,
     resolve,
+    tokenize,
 )
 from mlidl.idl.ast import ArrayType
 
@@ -261,3 +266,115 @@ def test_pretty_round_trips_strings_the_lexer_must_unescape(name, source, value,
     assert parse_text(text, "s.idl").decls == unit.decls
     assert pretty(parse_text(text, "s.idl")) == text
 
+
+
+# one input for each way the parser refuses a text: class, message, line,
+# column and expected set
+_PARSE_ERRORS = [
+    ("duplicate_sml_name", 'sml_name ("A");\nsml_name ("B");\ntypedef int T;',
+     ParseError, "duplicate sml_name annotation", 3, 1, set()),
+    ("not_a_declaration", 'frobnicate ("A");',
+     ParseError, "expected a declaration, found 'frobnicate'", 1, 1,
+     {"const", "interface", "sml_name", "typedef"}),
+    ("duplicate_name", "typedef int A;\ntypedef long A;",
+     DuplicateName, "duplicate name 'A' (already declared as typedef)", 2, 14, set()),
+    ("duplicate_name_of_variant", "typedef enum { A = 1 } E;\nconst int A = 2;",
+     DuplicateName, "duplicate name 'A' (already declared as enum variant)", 2, 11, set()),
+    ("function_typedef_without_star", "typedef int F ([in] int a);",
+     ParseError, "function typedef requires the `*NAME` spelling", 1, 13, set()),
+    ("function_typedef_with_amp", "typedef int &F ([in] int a);",
+     ParseError, "function typedef requires the `*NAME` spelling", 1, 14, set()),
+    ("duplicate_field", "typedef struct {\n  int a;\n  long a; } R;",
+     DuplicateName, "duplicate field 'a'", 3, 8, set()),
+    ("enum_value_too_wide", "typedef enum { A = 4294967296 } E;",
+     ParseError, "enum value 4294967296 does not fit in 32 bits", 1, 20, set()),
+    ("enum_value_not_literal", "typedef enum { A = B } E;",
+     ParseError, "expected an integer or 0wx word literal", 1, 20, {"int", "word"}),
+    ("const_value_not_literal", "const int X = Y;",
+     ParseError, "expected a literal", 1, 15, {"char", "int", "string", "word"}),
+    ("duplicate_operation", "interface I {\n  void f ();\n  int f (); }",
+     DuplicateName, "duplicate operation 'f'", 3, 3, set()),
+    ("duplicate_parameter", "interface I { void f ([in] int a,\n  [in] long a); }",
+     DuplicateName, "duplicate parameter 'a'", 2, 8, set()),
+    ("size_is_on_non_pointer",
+     "interface I { void f ([in,size_is (n)] int a, [in] int n); }",
+     ParseError, "size_is requires a pointer parameter", 1, 44, set()),
+    ("attribute_name_missing", "interface I { void f ([in, 3] int a); }",
+     ParseError, "expected an attribute name", 1, 28, set()),
+    ("attribute_argument_missing", "interface I { void f ([size_is (3)] int *a); }",
+     ParseError, "expected an attribute argument", 1, 33, set()),
+    ("rpc_only_attribute", '[uuid ("123")] interface I { }',
+     ParseError, "attribute 'uuid' is RPC-distribution IDL and is not part of this dialect",
+     1, 2, set()),
+    ("param_attribute_on_typedef", "typedef [in] int A;",
+     ParseError, "attribute 'in' not allowed on a typedef", 1, 10, set()),
+    ("param_attribute_on_interface", "[in] interface I { }",
+     ParseError, "attribute 'in' not allowed on a interface", 1, 2, set()),
+    ("interface_attribute_on_param", 'interface I { void f ([sml_source ("x")] int a); }',
+     ParseError, "attribute 'sml_source' not allowed on a param", 1, 24, set()),
+    ("duplicate_attribute", "interface I { void f ([in,in] int a); }",
+     ParseError, "duplicate attribute 'in'", 1, 27, set()),
+    ("not_a_type", "interface I { void f ([in] 3 a); }",
+     ParseError, "expected a type, found '3'", 1, 28, {"type"}),
+    ("pointer_depth", "interface I { void f ([out] int ***p); }",
+     ParseError, "pointer depth greater than 2 is not supported", 1, 35, set()),
+    ("expect_ident", "typedef int ;",
+     ParseError, "expected 'ident', found ';'", 1, 13, {"ident"}),
+    ("expect_at_eof", "typedef int A",
+     ParseError, "expected ';', found 'eof'", 1, 14, {";"}),
+    ("expect_keyword", '[sml_source ("x")] typedef int A;',
+     ParseError, "expected 'interface', found 'typedef'", 1, 20, {"interface"}),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,line,col,expected",
+                         [c[1:] for c in _PARSE_ERRORS],
+                         ids=[c[0] for c in _PARSE_ERRORS])
+def test_parse_error_is_pinned(text, cls, message, line, col, expected):
+    with pytest.raises(ParseError) as info:
+        parse_text(text, "t.idl")
+    e = info.value
+    assert (type(e), e.message, e.line, e.col, e.source, e.expected) == \
+        (cls, message, line, col, "t.idl", expected)
+
+
+def _dump(x):
+    """A dataclass tree as nested tuples of every field, locations and the
+    fields that equality leaves out included."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(_dump(getattr(x, f.name))
+                                           for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(_dump(y) for y in x)
+    return x
+
+
+def _mutants(toks):
+    """Each token deleted, duplicated, and swapped with the next; eof stays."""
+    body, eof = toks[:-1], toks[-1:]
+    for i in range(len(body)):
+        yield body[:i] + body[i + 1:] + eof
+        yield body[:i + 1] + body[i:] + eof
+        if i + 1 < len(body):
+            yield body[:i] + [body[i + 1], body[i]] + body[i + 2:] + eof
+
+
+# sha256 over the outcome of every mutant, in order: the unit as `_dump`
+# gives it, or the error's class, message, line, column and expected set
+_MUTANT_DIGESTS = {
+    "win32.idl": "7fac16af773e95a89373a68f1d6fe9d0f6eaa65fb315dd4153858f19284e0984",
+    "time.idl": "c4052f737b15948a795b0b531d4794bb2b5a9c8a8973901365a38bc65a756721",
+    "bar.idl": "d89482dee1e165e958108db512d4fe4fc38c6cc162daca17ff359d23bad15386",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANT_DIGESTS))
+def test_token_mutants_parse_as_pinned(name):
+    digest = hashlib.sha256()
+    for toks in _mutants(tokenize(read_idl(name), name)):
+        try:
+            outcome = _dump(parse_unit(toks, name))
+        except ParseError as e:
+            outcome = (type(e).__name__, e.message, e.line, e.col, sorted(e.expected))
+        digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == _MUTANT_DIGESTS[name]
