@@ -296,8 +296,7 @@ class _Dispatch:
             try:
                 mem.store(result_addr, words)
             except MemFault:
-                for addr in packed:
-                    mem.free(addr)
+                mem.give_back(packed)
                 raise
         return S_OK
 

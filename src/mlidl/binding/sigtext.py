@@ -151,10 +151,10 @@ def _enum_chunk(enum: model.EnumMap) -> list[str]:
     return lines
 
 
-def _group(parts: list[str], parenthesize_single: bool = False) -> str:
+def _group(parts: list[str]) -> str:
     if not parts:
         return "unit"
-    if len(parts) == 1 and not parenthesize_single:
+    if len(parts) == 1:
         return parts[0]
     return "(" + " * ".join(parts) + ")"
 

@@ -187,9 +187,7 @@ class ComObject:
             iface = self.mem.alloc(1)
         except MemFault:
             # nothing is recorded yet: leave no block and no registration
-            self.mem.free(vtable)
-            for addr in addrs:
-                self.mem.release_closure(addr)
+            self.mem.give_back([vtable] + addrs)
             raise
         self.mem.store(iface, [vtable])
         self._blocks += [vtable, iface]
@@ -218,10 +216,8 @@ class ComObject:
     def _destroy(self) -> None:
         """Free every block and release every vtable slot, and drop the
         references back to this object that the interfaces and slots hold."""
-        for addr in self._blocks:
-            self.mem.free(addr)
-        for addr in self._slot_addrs:
-            self.mem.release_closure(addr)
+        self.mem.give_back(self._blocks)
+        self.mem.give_back(self._slot_addrs)
         self._blocks.clear()
         self._slot_addrs.clear()
         self._interfaces.clear()

@@ -18,8 +18,12 @@ from mlidl.idl import ast
 from mlidl.idl.errors import DuplicateName, ParseError
 from mlidl.idl.lexer import Token, tokenize
 
-_PARAM_ATTRS = frozenset({"in", "out", "ref", "string", "size_is", "iid_is"})
-_IFACE_ATTRS = frozenset({"sml_source"})
+# Where an attribute list stands -> the attributes allowed there.
+_ATTRS = {
+    "typedef": frozenset({"string"}),
+    "interface": frozenset({"sml_source"}),
+    "param": frozenset({"in", "out", "ref", "string", "size_is", "iid_is"}),
+}
 
 # Full-DCE attributes for RPC distribution; not part of this dialect.
 _RPC_ONLY_ATTRS = frozenset({
@@ -50,9 +54,6 @@ class _Parser:
 
     # `advance` never moves past the final eof token, so `self.i` is always
     # a valid index and lookahead needs no clamp.
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
     def advance(self) -> Token:
         tok = self.toks[self.i]
         if tok.kind != "eof":
@@ -71,7 +72,7 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         if self.at(kind, text):
             return self.advance()
-        tok = self.peek()
+        tok = self.toks[self.i]
         want = text if text is not None else kind
         raise ParseError(
             f"expected {want!r}, found {tok.text or tok.kind!r}",
@@ -80,11 +81,8 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[Token] = None,
              expected: Optional[set[str]] = None) -> ParseError:
-        tok = tok or self.peek()
+        tok = tok or self.toks[self.i]
         return ParseError(message, tok.line, tok.col, self.source, expected=expected)
-
-    def loc(self, tok: Token) -> ast.Loc:
-        return ast.Loc(tok.line, tok.col)
 
     # -- declarations --------------------------------------------------------
 
@@ -101,7 +99,7 @@ class _Parser:
         return ast.IdlUnit(tuple(decls), self.source)
 
     def decl(self) -> list[ast.Decl]:
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind == "ident" and tok.text == "sml_name":
             return [self.annotation()]
         if tok.kind == "keyword" and tok.text == "typedef":
@@ -116,14 +114,12 @@ class _Parser:
         )
 
     def annotation(self) -> ast.SmlName:
-        name_tok = self.expect("ident")
-        if name_tok.text != "sml_name":
-            raise self.fail(f"unknown annotation {name_tok.text!r}", name_tok)
+        name_tok = self.advance()     # `decl` saw `sml_name`
         self.expect("punct", "(")
         value = self.expect("string")
         self.expect("punct", ")")
         self.expect("punct", ";")
-        return ast.SmlName(str(value.value), loc=self.loc(name_tok))
+        return ast.SmlName(str(value.value), loc=ast.Loc(name_tok.line, name_tok.col))
 
     def _declare(self, name: str, kind: str, tok: Token) -> None:
         prev = self.global_names.get(name)
@@ -136,65 +132,53 @@ class _Parser:
 
     def typedef(self) -> Union[ast.Typedef, ast.RecordDecl, ast.EnumDecl]:
         kw = self.expect("keyword", "typedef")
-        attrs = self.attr_list(context="typedef")
-        string_attr = "string" in attrs
-        if self.at("keyword", "struct"):
-            return self.struct_typedef(kw)
-        if self.at("keyword", "enum"):
-            return self.enum_typedef(kw)
-        base = self.type_expr()
-        stars = self._stars(limit=2)
-        name_tok = self.expect("ident")
+        loc = ast.Loc(kw.line, kw.col)
+        attrs = self.attr_list("typedef")
+        tok = self.toks[self.i]
+        if tok.kind == "keyword" and tok.text in ("struct", "enum"):
+            # typedef struct|enum [TAG] { ... } NAME;
+            self.advance()
+            tag = self.advance().text if self.at("ident") else None
+            self.expect("punct", "{")
+            if tok.text == "struct":
+                return self.struct_body(tag, loc)
+            return self.enum_body(tag, loc)
+        t, stars, name_tok = self.declarator()
         if self.at("punct", "("):
             # typedef RET *NAME (params);  -- function-pointer typedef
             if stars < 1:
                 raise self.fail("function typedef requires the `*NAME` spelling", name_tok)
-            ret = self._wrap_ptr(base, stars - 1)
             params = self.param_list()
             self.expect("punct", ";")
             self._declare(name_tok.text, "callback typedef", name_tok)
-            return ast.Typedef(name_tok.text, ast.FuncType(tuple(params), ret),
-                               string=string_attr, loc=self.loc(kw))
+            return ast.Typedef(name_tok.text, ast.FuncType(tuple(params), t.to),
+                               string="string" in attrs, loc=loc)
         self.expect("punct", ";")
         self._declare(name_tok.text, "typedef", name_tok)
-        return ast.Typedef(name_tok.text, self._wrap_ptr(base, stars),
-                           string=string_attr, loc=self.loc(kw))
+        return ast.Typedef(name_tok.text, t, string="string" in attrs, loc=loc)
 
-    def struct_typedef(self, kw: Token) -> ast.RecordDecl:
-        self.expect("keyword", "struct")
-        tag = None
-        if self.at("ident"):
-            tag = self.advance().text
-        self.expect("punct", "{")
+    def struct_body(self, tag: Optional[str], loc: ast.Loc) -> ast.RecordDecl:
         fields: list[ast.FieldDecl] = []
         names: set[str] = set()
         while not self.accept("punct", "}"):
-            base = self.type_expr()
-            stars = self._stars(limit=2)
-            fname = self.expect("ident")
+            t, _, fname = self.declarator()
             self.expect("punct", ";")
             if fname.text in names:
                 raise DuplicateName(f"duplicate field {fname.text!r}",
                                     fname.line, fname.col, self.source)
             names.add(fname.text)
-            fields.append(ast.FieldDecl(fname.text, self._wrap_ptr(base, stars),
-                                        loc=self.loc(fname)))
+            fields.append(ast.FieldDecl(fname.text, t, loc=ast.Loc(fname.line, fname.col)))
         name_tok = self.expect("ident")
         self.expect("punct", ";")
         self._declare(name_tok.text, "struct typedef", name_tok)
-        return ast.RecordDecl(name_tok.text, tuple(fields), tag=tag, loc=self.loc(kw))
+        return ast.RecordDecl(name_tok.text, tuple(fields), tag=tag, loc=loc)
 
-    def enum_typedef(self, kw: Token) -> ast.EnumDecl:
-        self.expect("keyword", "enum")
-        tag = None
-        if self.at("ident"):
-            tag = self.advance().text
-        self.expect("punct", "{")
+    def enum_body(self, tag: Optional[str], loc: ast.Loc) -> ast.EnumDecl:
         variants: list[ast.EnumVariant] = []
         while not self.at("punct", "}"):
             vname = self.expect("ident")
             self.expect("punct", "=")
-            vtok = self.peek()
+            vtok = self.toks[self.i]
             if vtok.kind == "int":
                 self.advance()
                 value = int(vtok.value)  # type: ignore[arg-type]
@@ -210,22 +194,20 @@ class _Parser:
                                 expected={"int", "word"})
             self._declare(vname.text, "enum variant", vname)
             variants.append(ast.EnumVariant(vname.text, value, hex=is_hex,
-                                            loc=self.loc(vname)))
+                                            loc=ast.Loc(vname.line, vname.col)))
             if not self.accept("punct", ","):
                 break
         self.expect("punct", "}")
         name_tok = self.expect("ident")
         self.expect("punct", ";")
         self._declare(name_tok.text, "enum typedef", name_tok)
-        return ast.EnumDecl(name_tok.text, tuple(variants), tag=tag, loc=self.loc(kw))
+        return ast.EnumDecl(name_tok.text, tuple(variants), tag=tag, loc=loc)
 
     def const_decl(self) -> ast.Const:
         kw = self.expect("keyword", "const")
-        base = self.type_expr()
-        stars = self._stars(limit=2)
-        name_tok = self.expect("ident")
+        t, _, name_tok = self.declarator()
         self.expect("punct", "=")
-        vtok = self.peek()
+        vtok = self.toks[self.i]
         if vtok.kind in ("int", "word", "string", "char"):
             self.advance()
         else:
@@ -233,11 +215,10 @@ class _Parser:
                             expected={"int", "word", "string", "char"})
         self.expect("punct", ";")
         self._declare(name_tok.text, "const", name_tok)
-        return ast.Const(name_tok.text, self._wrap_ptr(base, stars), vtok.value,
-                         loc=self.loc(kw))
+        return ast.Const(name_tok.text, t, vtok.value, loc=ast.Loc(kw.line, kw.col))
 
     def interface(self) -> list[ast.Decl]:
-        attrs = self.attr_list(context="interface")
+        attrs = self.attr_list("interface")
         kw = self.expect("keyword", "interface")
         name_tok = self.expect("ident")
         parent = None
@@ -264,18 +245,15 @@ class _Parser:
         self._declare(name_tok.text, "interface", name_tok)
         iface = ast.Interface(name_tok.text, tuple(ops), parent=parent,
                               sml_source=attrs.get("sml_source"),
-                              loc=self.loc(kw))
+                              loc=ast.Loc(kw.line, kw.col))
         return hoisted + [iface]
 
     def op_decl(self) -> ast.OpDecl:
-        start = self.peek()
-        base = self.type_expr()
-        stars = self._stars(limit=2)
-        name_tok = self.expect("ident")
+        start = self.toks[self.i]
+        t, _, name_tok = self.declarator()
         params = self.param_list()
         self.expect("punct", ";")
-        return ast.OpDecl(name_tok.text, self._wrap_ptr(base, stars), tuple(params),
-                          loc=self.loc(start))
+        return ast.OpDecl(name_tok.text, t, tuple(params), loc=ast.Loc(start.line, start.col))
 
     def param_list(self) -> list[ast.ParamDecl]:
         self.expect("punct", "(")
@@ -295,17 +273,14 @@ class _Parser:
         return params
 
     def param(self) -> ast.ParamDecl:
-        attrs = self.attr_list(context="param")
-        start = self.peek()
-        base = self.type_expr()
-        stars = self._stars(limit=2)
-        name_tok = self.expect("ident")
+        attrs = self.attr_list("param")
+        start = self.toks[self.i]
+        ptype, _, name_tok = self.declarator()
 
         has_in = "in" in attrs
         has_out = "out" in attrs
         direction = "inout" if (has_in and has_out) else "out" if has_out else "in"
 
-        ptype = self._wrap_ptr(base, stars)
         size_is = attrs.get("size_is")
         if size_is is not None:
             if not isinstance(ptype, ast.PtrType):
@@ -320,7 +295,7 @@ class _Parser:
             string="string" in attrs,
             size_is=size_is,
             iid_is=attrs.get("iid_is"),
-            loc=self.loc(start),
+            loc=ast.Loc(start.line, start.col),
         )
 
     # -- attributes and types -----------------------------------------------
@@ -329,15 +304,16 @@ class _Parser:
         attrs: dict[str, Optional[str]] = {}
         if not self.accept("punct", "["):
             return attrs
+        allowed = _ATTRS[context]
         while True:
-            tok = self.peek()
+            tok = self.toks[self.i]
             if tok.kind not in ("ident", "keyword"):
                 raise self.fail("expected an attribute name", tok)
             self.advance()
             name = tok.text
             arg: Optional[str] = None
             if self.accept("punct", "("):
-                atok = self.peek()
+                atok = self.toks[self.i]
                 if atok.kind in ("ident", "string"):
                     self.advance()
                     arg = str(atok.value)
@@ -348,11 +324,6 @@ class _Parser:
                 raise self.fail(
                     f"attribute {name!r} is RPC-distribution IDL and is not part "
                     f"of this dialect", tok)
-            allowed = {
-                "typedef": {"string"},
-                "interface": _IFACE_ATTRS,
-                "param": _PARAM_ATTRS,
-            }[context]
             if name not in allowed:
                 raise self.fail(f"attribute {name!r} not allowed on a {context}", tok)
             if name in attrs:
@@ -363,10 +334,24 @@ class _Parser:
         self.expect("punct", "]")
         return attrs
 
+    def declarator(self) -> tuple[ast.IdlType, int, Token]:
+        """`type *... name`, the one spelling of a typedef, field, const,
+        operation and parameter: the type with its pointers (at most two
+        `*`s), the number of `*`s and the name token."""
+        t = self.type_expr()
+        stars = 0
+        while self.at("punct", "*"):
+            tok = self.advance()
+            stars += 1
+            if stars > 2:
+                raise self.fail("pointer depth greater than 2 is not supported", tok)
+            t = ast.PtrType(t)
+        return t, stars, self.expect("ident")
+
     def type_expr(self) -> ast.IdlType:
         """Base or named type, with optional `const` and C++-style `&`."""
         is_const = bool(self.accept("keyword", "const"))
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok.kind == "keyword" and tok.text == "unsigned":
             self.advance()
             self.expect("keyword", "long")
@@ -382,20 +367,4 @@ class _Parser:
                             expected={"type"})
         if self.accept("punct", "&"):
             t = ast.PtrType(t, amp=True)
-        return t
-
-    def _stars(self, limit: int) -> int:
-        stars = 0
-        while self.at("punct", "*"):
-            tok = self.advance()
-            stars += 1
-            if stars > limit:
-                raise self.fail(
-                    f"pointer depth greater than {limit} is not supported", tok)
-        return stars
-
-    @staticmethod
-    def _wrap_ptr(t: ast.IdlType, depth: int) -> ast.IdlType:
-        for _ in range(depth):
-            t = ast.PtrType(t)
         return t

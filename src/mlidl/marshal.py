@@ -66,8 +66,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from mlidl.binding.model import BindingDesc, EnumMap, LiftedSig, RecordLayout
 from mlidl.semtypes import SemType
-from mlidl.wordmem import (WORD_MASK, Mem, OutOfBounds, Symbol, WordFn, region_of,
-                           to_signed, word)
+from mlidl.wordmem import WORD_MASK, Mem, OutOfBounds, Symbol, WordFn, to_signed, word
 
 Value = Any
 
@@ -545,11 +544,8 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
             results.append(plan.ret.unpack(mem, (ret_word,), 0, temps))
         return results
     finally:
-        for addr in temps:
-            if region_of(addr) == "closure":
-                mem.release_closure(addr)
-            else:
-                mem.free(addr)
+        if temps:
+            mem.give_back(temps)
 
 
 # -- server-side skeleton -----------------------------------------------------
@@ -621,11 +617,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             plan.ret.pack(mem, values[-1], ret, given)
             return ret[0]
         except BaseException:
-            for addr in given:      # as `call` gives back its temps; the caller gets none
-                if region_of(addr) == "closure":
-                    mem.release_closure(addr)
-                else:
-                    mem.free(addr)
+            mem.give_back(given)    # as `call` gives back its temps; the caller gets none
             raise
 
     return stub

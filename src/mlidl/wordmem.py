@@ -28,6 +28,9 @@ keeps it alive, and a call through the address raises `NotCallable`.
 Closure addresses are never reused, so a stale one can reach no other
 function.  `close` drops every closure at once; a later release of one of
 them does nothing.
+
+`give_back` is the one rule for handing back addresses that crossed a call:
+it frees a heap block and releases a closure registration.
 """
 
 from __future__ import annotations
@@ -285,6 +288,16 @@ class Mem:
             return
         del self._closure_refs[addr]
         del self._closure_addrs[id(self._closures.pop(addr))]
+
+    def give_back(self, addrs: list[int]) -> None:
+        """Hand back each address in order: release a closure registration,
+        free anything else (a heap block; any other address faults as
+        `free` does)."""
+        for addr in addrs:
+            if addr >= CLOSURE_BASE:
+                self.release_closure(addr)
+            else:
+                self.free(addr)
 
     def addr_to_fun(self, addr: int) -> WordFn:
         return self._closures[addr]

@@ -179,4 +179,4 @@ def test_python_calls_of_a_run_are_gated():
     demo = BounceDemo(width=640, height=480)
     code, calls = count_mlidl_calls(demo.run, 500)
     assert code == 0
-    assert calls <= 50_500          # 49,147 on CPython 3.11; 85,251 before the kernels
+    assert calls <= 50_500          # 49,143 on CPython 3.11; 85,251 before the kernels

@@ -159,10 +159,10 @@ def test_client_and_server_agree(desc, case):
 # says so in CHANGES.md.
 PYTHON_CALL_CAPS = {
     "scalar": 8, "bool": 10, "enum": 14, "string8": 33, "string16": 33,
-    "callback": 21, "callback_ref": 35, "record_by_value": 25, "record_ref": 60,
-    "out_scalar": 22, "out_record": 62, "inout_scalar": 35, "inout_record": 99,
-    "int_array": 43, "record_array": 103, "empty_array": 26, "string_return": 33,
-    "out_string": 45,
+    "callback": 21, "callback_ref": 34, "record_by_value": 25, "record_ref": 59,
+    "out_scalar": 22, "out_record": 61, "inout_scalar": 35, "inout_record": 97,
+    "int_array": 43, "record_array": 101, "empty_array": 26, "string_return": 33,
+    "out_string": 44,
 }
 
 
