@@ -14,6 +14,11 @@ The rules:
   target is `char` (string8) or `wchar_t` (string16), directly or through
   typedefs.  The rest of the form then applies to the string value.  On
   any other pointer, and on a value, `[string]` has no effect.
+- `void` is no value: a `void` parameter raises.  A pointer to `void` is an
+  opaque word, as `typedef void *LPVOID` is, so the rest of the form
+  applies to that word with one pointer fewer: `[in] void *p` is an opaque
+  word passed inline, and `[out] void *p` raises.  A pointer to a pointer
+  to `void` follows the pointer-to-pointer rule below.
 - A value (depth 0) is an `in` parameter passed inline; `out` or `in,out`
   raises.
 - A pointer to a value (depth 1) is by reference unless it is `out`,
@@ -66,7 +71,7 @@ typedef enum {
 class Base(NamedTuple):
     spelling: str
     kind: str           # sem kind of a value of this base
-    display: str        # SML display of a value of this base
+    display: str        # SML display of a value of this base (of a pointer to void)
     text: str           # the string kind `[string]` makes of a pointer to it, or ""
     unit_decl: str = ""     # a declaration the unit adds to the preamble
 
@@ -83,6 +88,7 @@ BASES = {
     "IID": Base("IID", "record", "IID", ""),
     "IUnknown": Base("IUnknown", "opaque", "IUnknown", ""),
     "unit HRESULT": Base("HRESULT", "int32", "HRESULT", "", "typedef int HRESULT;\n"),
+    "void": Base("void", "unit", "Word32.word", ""),
 }
 
 DIRS = {"in": "in", "out": "out", "inout": "in,out"}
@@ -153,6 +159,11 @@ def lowering(form: Form) -> Union[Lowered, type[Exception]]:
         kind, display, depth = base.text, "String.string", depth - 1
     if form.typedef:
         display = "ALIAS"
+    if kind == "unit":
+        if depth == 0:
+            return BindingError         # void is not a value type
+        if depth == 1:
+            kind, depth = "opaque", 0   # a pointer to void is an opaque word
     if depth == 0:
         if form.dir != "in":
             return BindingError         # out parameters must be pointers
