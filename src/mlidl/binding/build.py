@@ -5,6 +5,8 @@ results (declaration order), with the function result last when the return
 type is not void.  An `in` or `in,out` pointer to a value, a string
 included, is passed by reference; an `in` one is shown as the plain value.
 A pointer to a pointer is an out slot for an address-sized value.
+`void` is no value, and a pointer to `void` is an opaque word: `[in] void
+*p` lowers as `[in] LPVOID p` does.
 `[string]`, on a parameter or a typedef, makes a pointer to `char` or
 `wchar_t`, directly or through typedefs, one string8 or string16 value, and
 does nothing to any other pointer.  In com mode every interface implicitly
@@ -237,6 +239,12 @@ class _Builder:
                        else self.lower(t)[0])
         else:
             display, sem = self.lower(t, string=p.string)
+            if sem.kind == "unit":      # void, directly or through typedefs
+                if depth == 0:
+                    raise BindingError(f"{where}.{p.name}: void is not a value type")
+                # a pointer to void is an opaque word, as `typedef void *LPVOID` is
+                display = "Word32.word" if isinstance(t, ast.BaseType) else display
+                sem, depth = st.OPAQUE, 0
             if isinstance(t, ast.ArrayType):
                 if sem.elem.kind == "callback":
                     raise BindingError(f"{where}.{p.name}: arrays of callbacks are "

@@ -392,8 +392,9 @@ def test_python_calls_of_each_compile_phase_are_capped(name, mode):
     ("[out] int p", "I.F.p: out parameters must be pointers"),
     ("[in,out] POINT p", "I.F.p: out parameters must be pointers"),
     ("[in,out] CB *cb", "I.F.cb: out parameters of callback type are not supported"),
+    ("[in] void v", "I.F.v: void is not a value type"),
 ], ids=["callback_array", "in_pointer_to_pointer", "out_value", "inout_value",
-        "inout_callback"])
+        "inout_callback", "void_value"])
 def test_unsupported_parameter_shape_is_pinned(param, message):
     unit = parse_text("typedef int *CB ([in] int x);\n"
                       "typedef struct { int x; } POINT;\n"

@@ -40,14 +40,7 @@ def lowered(text, index=0):
     return ref.Lowered(p.dir, p.sem.kind, p.byref, p.display), desc
 
 
-def _void_not_yet(form):
-    # the compiler lowers a void value and a pointer to void to sem unit
-    return form.base == "void" and form.depth < 2 and (form.depth or form.dir == "in")
-
-
-@pytest.mark.parametrize("form", [
-    pytest.param(f, marks=pytest.mark.xfail(strict=True)) if _void_not_yet(f) else f
-    for f in ref.FORMS], ids=lambda f: f.id)
+@pytest.mark.parametrize("form", ref.FORMS, ids=lambda f: f.id)
 def test_form_lowers_as_the_table_says(form):
     got, desc = lowered(ref.unit_text(form))
     want = ref.lowering(form)
