@@ -34,6 +34,7 @@ from mlidl.automation import (
     make_dual,
     variant_of,
 )
+from mlidl.binding import build_binding
 from mlidl.binding.model import LiftedSig, ParamSig, RetSig
 from mlidl.com import (
     Clsid,
@@ -51,6 +52,7 @@ from mlidl.com import (
     release,
     simple_factory,
 )
+from mlidl.idl import parse_text
 from mlidl.wordmem import BadRegion, to_signed, word
 
 IID_ICALC = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0020}"), "ICalc")
@@ -811,3 +813,60 @@ def test_python_calls_of_a_com_operation_are_capped(mem, name):
     if want is not None:
         assert result == want
     assert calls <= cap
+
+
+# -- failure paths, pinned by message ----------------------------------------------
+
+
+SHAPES_IDL = """
+typedef struct { int x; int y; } POINT;
+interface IShapes {
+  void Origin ([out] POINT *p);
+  int Two ([out] int *a);
+}
+"""
+IID_ISHAPES = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0030}"), "IShapes")
+
+
+@pytest.mark.parametrize("dispid,error,message", [
+    (1, ComError, "cannot wrap a record result as a VARIANT"),
+    (2, AutomationError, "Two has 2 results; Invoke carries at most one"),
+], ids=["record_result", "two_results"])
+def test_a_result_invoke_cannot_carry_is_pinned(mem, dispid, error, message):
+    desc = build_binding(parse_text(SHAPES_IDL, "shapes.idl"), "dynamic", "auto")
+    ref = make_dual(desc.interfaces[0].ops, [lambda: {"x": 1, "y": 2}, lambda: (3, 4)],
+                    ComObject(mem), IID_ISHAPES, desc)
+    counts = (mem.live_count, mem.closure_count)
+    with pytest.raises(error) as info:
+        invoke(ref, dispid, [])
+    assert str(info.value) == message
+    assert (mem.live_count, mem.closure_count) == counts
+
+
+@pytest.mark.parametrize("value,t,message", [
+    (2 ** 40, st.INT32, "cannot wrap 1099511627776 as a int32 VARIANT: "
+                        "integer 1099511627776 does not fit in 32 bits"),
+    (3, st.STRING8, "cannot wrap 3 as a string8 VARIANT: expected a string, got 3"),
+], ids=["int32", "string8"])
+def test_a_value_that_cannot_be_wrapped_is_pinned(value, t, message):
+    with pytest.raises(ComError) as info:
+        variant_of(value, t)
+    assert str(info.value) == message
+
+
+def _renamed(sigs, i, name):
+    return sigs[:i] + [LiftedSig(name, sigs[i].params, sigs[i].ret)] + sigs[i + 1:]
+
+
+@pytest.mark.parametrize("sigs,n_impls,message", [
+    (calc_sigs(), 3, "signature and implementation lists are not aligned"),
+    (_renamed(calc_sigs(), 1, "ADD"), 4, "dispatch name clash on 'ADD'"),
+], ids=["not_aligned", "name_clash"])
+def test_a_dual_that_cannot_be_built_is_pinned(mem, sigs, n_impls, message):
+    obj = ComObject(mem)
+    counts = (mem.live_count, mem.closure_count)
+    with pytest.raises(ComError) as info:
+        make_dual(sigs, [lambda *a: 0] * n_impls, obj, IID_ICALC)
+    assert str(info.value) == message
+    assert (mem.live_count, mem.closure_count) == counts
+    assert obj.find_interface(IID_ICALC) is None

@@ -407,6 +407,33 @@ def test_registry_dump_load(mem):
     assert again.dump() == text
 
 
+@pytest.mark.parametrize("text,message", [
+    (f"{CLSID_BAR.guid} Nope\n", "no factory for label 'Nope'"),
+    (f"{IID_IX.guid} Bar\n",
+     f"factory 'Bar' has CLSID {CLSID_BAR.guid}, registry says {IID_IX.guid}"),
+], ids=["unknown_label", "clsid_mismatch"])
+def test_a_registry_that_cannot_be_loaded_is_pinned(mem, text, message):
+    factory = simple_factory(CLSID_BAR, lambda: build_bar(mem)[0], label="Bar")
+    with pytest.raises(ComError) as info:
+        Registry.load(text, {"Bar": factory})
+    assert str(info.value) == message
+
+
+def test_unregistering_an_unknown_class_is_pinned():
+    with pytest.raises(ClassNotRegistered) as info:
+        co_unregister_class_object(Registry(), CLSID_BAR)
+    assert str(info.value) == f"class {CLSID_BAR.guid} is not registered"
+
+
+def test_adding_a_present_interface_is_pinned(mem):
+    obj, _ = build_bar(mem)
+    counts = (mem.live_count, mem.closure_count, obj.block_count)
+    with pytest.raises(ComError) as info:
+        obj.add_interface(IID_IX, [lambda ws: 0])
+    assert str(info.value) == f"interface {IID_IX} already present"
+    assert (mem.live_count, mem.closure_count, obj.block_count) == counts
+
+
 # -- raw ABI ---------------------------------------------------------------------
 
 

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from mlidl.marshal import BoundInterface
+from conftest import read_idl
+from mlidl.binding import build_binding, emit_binding_file, load_binding_file
+from mlidl.idl import parse_text
+from mlidl.marshal import BoundInterface, bind
 from mlidl.winsim.api import install_libraries, sim_binding, sim_idl_text
 from mlidl.winsim.world import (
     Msg,
@@ -37,8 +40,6 @@ def test_packaged_corpus_parses_and_builds():
 
 
 def test_packaged_corpus_is_a_superset_of_the_golden_corpus():
-    from conftest import read_idl
-
     text = sim_idl_text()
     for op in ("RegisterClassExA", "UnregisterClassA", "CreateWindowExA",
                "ShowWindow", "UpdateWindow", "BeginPaint", "EndPaint",
@@ -188,4 +189,48 @@ def test_def_window_proc_destroys_the_window():
     user.PostMessageA(hwnd, WM_PAINT, 0, 0)
     world.pump(1)
     assert seen == [WM_CREATE, WM_SIZE]     # nothing reaches a destroyed window
+    assert mem.live_count == start
+
+
+def _win32_session(user, gdi, wndproc):
+    """Every operation of idl/win32.idl once, in an order that makes each
+    meaningful; each call's result in order."""
+    results = [user.RegisterClassExA({
+        "cbSize": 48, "style": 3, "lpfnWndProc": wndproc,
+        "cbClsExtra": 0, "cbWndExtra": 0, "hInstance": 0, "hIcon": 0,
+        "hCursor": 0, "hbrBackground": 0, "lpszMenuName": "",
+        "lpszClassName": "W", "hIconSm": 0})]
+    hwnd = user.CreateWindowExA(0, "W", "title", 0x10000000, 5, 6, 64, 32, 0, 0, 0, 0)
+    results += [hwnd, user.ShowWindow(hwnd, 1), user.UpdateWindow(hwnd)]
+    ps, hdc = user.BeginPaint(hwnd)
+    results += [ps, hdc, user.EndPaint(hwnd, ps), user.LoadIconA(0, "#32512"),
+                gdi.LineTo(hdc, 10, -20),
+                gdi.PolyLineTo(hdc, [{"x": 1, "y": 2}, {"x": -3, "y": 4}], 2),
+                user.UnregisterClassA("W", 0)]
+    return results
+
+
+def test_the_paper_idl_binds_and_calls_the_simulated_libraries():
+    # the paper's pipeline, end to end: compile idl/win32.idl, emit its binding
+    # file, load it back, bind it to the simulated user32 and gdi32, and call
+    # each of its ten operations; each must do what a direct call does
+    built = build_binding(parse_text(read_idl("win32.idl"), "win32.idl"), "dynamic", "auto")
+    desc = load_binding_file(emit_binding_file(built))
+    assert sum(len(i.ops) for i in desc.interfaces) == 10
+    mem = Mem()
+    world = SimWorld(mem)
+    install_libraries(world)
+    bound = bind(desc, mem)
+    start = mem.live_count
+    seen = []
+    got = _win32_session(bound["User"], bound["Gdi"],
+                         lambda ws: seen.append(tuple(ws)) or 0)
+
+    direct = SimWorld(Mem())
+    direct_seen = []
+    want = _win32_session(direct, direct,
+                          lambda ws: direct_seen.append(tuple(ws)) or 0)
+    assert got == want
+    assert world.trace == direct.trace and len(world.trace) == 9
+    assert seen == direct_seen and len(seen) == 2       # WM_CREATE and WM_SIZE
     assert mem.live_count == start
