@@ -544,7 +544,7 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
             results.append(plan.ret.unpack(mem, (ret_word,), 0, temps))
         return results
     finally:
-        if temps:
+        if temps:       # a plan that packed nothing pays for no call here
             mem.give_back(temps)
 
 

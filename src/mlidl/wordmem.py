@@ -290,9 +290,8 @@ class Mem:
         del self._closure_addrs[id(self._closures.pop(addr))]
 
     def give_back(self, addrs: list[int]) -> None:
-        """Hand back each address in order: release a closure registration,
-        free anything else (a heap block; any other address faults as
-        `free` does)."""
+        """Hand back each address in order: release a closure address, and
+        free any other (a heap block) as `free` does."""
         for addr in addrs:
             if addr >= CLOSURE_BASE:
                 self.release_closure(addr)

@@ -377,6 +377,22 @@ def test_release_closure_makes_the_address_not_callable(mem):
         mem.release_closure(addr)
 
 
+def test_give_back_frees_blocks_and_releases_closures_in_order(mem):
+    f = lambda ws: 7  # noqa: E731
+    addrs = [mem.alloc(2), mem.fun_to_addr(f), mem.alloc(1), mem.fun_to_addr(f)]
+    assert (mem.live_count, mem.closure_count) == (2, 1)
+    mem.give_back(addrs)
+    assert (mem.live_count, mem.closure_count) == (0, 0)
+    with pytest.raises(DoubleFree):
+        mem.give_back(addrs[:1])
+    with pytest.raises(BadRegion):
+        mem.give_back([0])
+    block = mem.alloc(1)
+    with pytest.raises(NotCallable):    # faults at the closure, after the block
+        mem.give_back([block, addrs[1]])
+    assert mem.live_count == 0
+
+
 def test_a_shared_closure_lives_until_its_last_release(mem):
     f = lambda ws: 7  # noqa: E731
     lib = mem.register_library("x.dll")
