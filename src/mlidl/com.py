@@ -5,7 +5,7 @@ block; vtable slots are closure addresses with QueryInterface, AddRef and
 Release always in slots 0..2.  Reference counting is per object: all of an
 object's interfaces share one count, and when it reaches zero every block
 the object owns is freed and every slot its vtables registered is released
-(`Mem.release_closure`), so a call through a stale slot raises
+(`Mem.give_back`), so a call through a stale slot raises
 `NotCallable` and the world keeps nothing of the object alive.
 QueryInterface for IUnknown returns the same interface from any starting
 interface, which makes its address usable as the object's identity.
