@@ -124,6 +124,14 @@ _ZOO = ("typedef struct _s { int a; } S; const char *T = \"a\\\"b\\n\";\n"
         "const char C = 'x'; const char E = '\\0'; /* block\n */ // line\n"
         "enum { A = 0wxFFFFFFFF, B = 42 } [in, size_is(n)] & : *\n")
 
+# Column and line edge cases the zoo does not reach: a `//` comment that ends
+# the text (eof stands at the comment's first column), a token on the closing
+# line of a multi-line block comment, CRLF line ends and tabs.
+_EDGES = ("int x; // no newline at the end",
+          "int a; /* one\n two\n */ int b; /* x */ c",
+          "typedef int T;\r\nconst int X = 0wx1F;\r\n",
+          "\tint\tx;\n\t\t/* tab */\tT y;")
+
 # Characters that open, close or continue a lexeme, plus some that no rule takes.
 _EDIT_CHARS = "azAZ_09wx/*\"'\\\n\t {};,=$@é€"
 
@@ -154,17 +162,29 @@ def test_one_character_edits_tokenize_as_the_reference(name, at, op, ch):
     assert _lexed(tokenize, text) == _lexed(reference_lexer.tokenize, text)
 
 
+@pytest.mark.parametrize("text", _EDGES)
+def test_edge_cases_tokenize_as_the_reference(text):
+    got = _lexed(tokenize, text)
+    assert isinstance(got, list) and got == _lexed(reference_lexer.tokenize, text)
+
+
+def test_a_line_comment_at_the_end_leaves_eof_at_its_start():
+    eof = tokenize(_EDGES[0])[-1]
+    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 8)
+
+
 def test_every_one_character_edit_of_the_zoo_tokenizes_as_the_reference():
-    edits = [(i, "delete", "") for i in range(len(_ZOO))] + [
-        (i, op, ch) for i in range(len(_ZOO)) for op in ("insert", "replace")
-        for ch in _EDIT_CHARS]
     errors = set()
-    for i, op, ch in edits:
-        text = _edited(_ZOO, i, op, ch)
-        got = _lexed(tokenize, text)
-        assert got == _lexed(reference_lexer.tokenize, text), (i, op, ch)
-        if isinstance(got, tuple):
-            errors.add(re.sub(r"'.*'|0wx\w+", "_", got[1]))
+    for base in (_ZOO,) + _EDGES:
+        edits = [(i, "delete", "") for i in range(len(base))] + [
+            (i, op, ch) for i in range(len(base)) for op in ("insert", "replace")
+            for ch in _EDIT_CHARS]
+        for i, op, ch in edits:
+            text = _edited(base, i, op, ch)
+            got = _lexed(tokenize, text)
+            assert got == _lexed(reference_lexer.tokenize, text), (base, i, op, ch)
+            if isinstance(got, tuple):
+                errors.add(re.sub(r"'.*'|0wx\w+", "_", got[1]))
     # every LexError message the scanner has, reached by one edit
     assert len(errors) == 9, sorted(errors)
 
