@@ -2,25 +2,31 @@
 
 Token texts are exact source lexemes: joining them with whitespace recovers
 the input minus comments.  Word literals use the `0wx` hex spelling; both
-`//` line comments and `/* */` block comments are skipped.
+`//` line comments and `/* */` block comments are skipped.  A column counts
+characters from the start of its line, so a tab is one column.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
+from mlidl.idl.ast import BASE_TYPES
 from mlidl.idl.errors import LexError
 
-KEYWORDS = frozenset({
-    "typedef", "struct", "enum", "const", "interface",
-    "unsigned", "void", "int", "long", "boolean", "char", "wchar_t", "UINT",
-})
+KEYWORDS = frozenset({"typedef", "struct", "enum", "const", "interface"}.union(
+    *(name.split() for name in BASE_TYPES)))
 
 PUNCT = frozenset("{}()[];,*=:&")
 
-_HEX = "0123456789abcdefABCDEF"
-
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "\\": "\\", '"': '"', "'": "'", "0": "\0"}
+
+# Where a lexeme ends, given where it starts.  `\w` is `str.isalnum()` or
+# `_` and `\d` is `str.isdecimal()`, character for character.
+_WORD_REST = re.compile(r"\w*")
+_DIGITS = re.compile(r"\d*")
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]*")
+_STRING_RUN = re.compile(r'[^"\\\n]*')     # up to a quote, backslash or newline
 
 
 class Token:
@@ -55,138 +61,105 @@ def tokenize(text: str, source: str = "<idl>") -> list[Token]:
     toks: list[Token] = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0          # index of the first character of `line`
     n = len(text)
-
-    def err(msg: str, l: int, c: int) -> LexError:
-        return LexError(msg, l, c, source)
 
     while i < n:
         ch = text[i]
         if ch == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
+        if ch == "/" and text.startswith("/", i + 1):
+            end = text.find("\n", i + 2)
+            if end < 0:
+                break           # eof stands at the comment's first column
+            i = end
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            while True:
-                if i >= n:
-                    raise err("unterminated block comment", start_line, start_col)
-                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
-                    i += 2
-                    col += 2
-                    break
-                if text[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
+        if ch == "/" and text.startswith("*", i + 1):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                raise LexError("unterminated block comment", line, i - line_start + 1,
+                               source)
+            newlines = text.count("\n", i + 2, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", i + 2, end) + 1
+            i = end + 2
             continue
-        if ch == "0" and text[i:i + 3] == "0wx":
-            start = i
-            start_col = col
-            i += 3
-            col += 3
-            digits = ""
-            while i < n and text[i] in _HEX:
-                digits += text[i]
-                i += 1
-                col += 1
+        col = i - line_start + 1
+        if ch == "0" and text.startswith("wx", i + 1):
+            end = _HEX_DIGITS.match(text, i + 3).end()
+            digits = text[i + 3:end]
             if not digits:
-                raise err("malformed word literal: expected hex digits after 0wx",
-                          line, start_col)
+                raise LexError("malformed word literal: expected hex digits after 0wx",
+                               line, col, source)
             value = int(digits, 16)
             if value > 0xFFFFFFFF:
-                raise err(f"word literal 0wx{digits} does not fit in 32 bits",
-                          line, start_col)
-            toks.append(Token("word", text[start:i], line, start_col, value))
+                raise LexError(f"word literal 0wx{digits} does not fit in 32 bits",
+                               line, col, source)
+            toks.append(Token("word", text[i:end], line, col, value))
+            i = end
             continue
         if ch.isdecimal():      # isdigit() also takes "²" or "①", which int() rejects
-            start = i
-            start_col = col
-            while i < n and text[i].isdecimal():
-                i += 1
-                col += 1
-            lit = text[start:i]
-            toks.append(Token("int", lit, line, start_col, int(lit)))
+            end = _DIGITS.match(text, i + 1).end()
+            lit = text[i:end]
+            toks.append(Token("int", lit, line, col, int(lit)))
+            i = end
             continue
         if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            word = text[start:i]
+            end = _WORD_REST.match(text, i + 1).end()
+            word = text[i:end]
             kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, start_col, word))
+            toks.append(Token(kind, word, line, col, word))
+            i = end
             continue
         if ch == '"':
-            start = i
-            start_line, start_col = line, col
-            i += 1
-            col += 1
             out = []
+            end = i + 1
             while True:
-                if i >= n or text[i] == "\n":
-                    raise err("unterminated string literal", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
+                run_end = _STRING_RUN.match(text, end).end()
+                out.append(text[end:run_end])
+                end = run_end
+                if end >= n or text[end] == "\n":
+                    raise LexError("unterminated string literal", line, col, source)
+                if text[end] == '"':
+                    end += 1
                     break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise err("bad escape in string literal", line, col)
-                    out.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            toks.append(Token("string", text[start:i], start_line, start_col, "".join(out)))
+                if end + 1 >= n or text[end + 1] not in _ESCAPES:
+                    raise LexError("bad escape in string literal", line, col + end - i, source)
+                out.append(_ESCAPES[text[end + 1]])
+                end += 2
+            toks.append(Token("string", text[i:end], line, col, "".join(out)))
+            i = end
             continue
         if ch == "'":
-            start = i
-            start_col = col
-            i += 1
-            col += 1
-            if i < n and text[i] == "\\":
-                if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                    raise err("bad escape in char literal", line, col)
-                value = _ESCAPES[text[i + 1]]
-                i += 2
-                col += 2
-            elif i < n and text[i] not in ("'", "\n"):
-                value = text[i]
-                i += 1
-                col += 1
+            end = i + 1
+            if end < n and text[end] == "\\":
+                if end + 1 >= n or text[end + 1] not in _ESCAPES:
+                    raise LexError("bad escape in char literal", line, col + 1, source)
+                value = _ESCAPES[text[end + 1]]
+                end += 2
+            elif end < n and text[end] not in ("'", "\n"):
+                value = text[end]
+                end += 1
             else:
-                raise err("empty char literal", line, start_col)
-            if i >= n or text[i] != "'":
-                raise err("unterminated char literal", line, start_col)
-            i += 1
-            col += 1
-            toks.append(Token("char", text[start:i], line, start_col, value))
+                raise LexError("empty char literal", line, col, source)
+            if end >= n or text[end] != "'":
+                raise LexError("unterminated char literal", line, col, source)
+            end += 1
+            toks.append(Token("char", text[i:end], line, col, value))
+            i = end
             continue
         if ch in PUNCT:
             toks.append(Token("punct", ch, line, col, ch))
             i += 1
-            col += 1
             continue
-        raise err(f"stray character {ch!r}", line, col)
+        raise LexError(f"stray character {ch!r}", line, col, source)
 
-    toks.append(Token("eof", "", line, col))
+    toks.append(Token("eof", "", line, i - line_start + 1))
     return toks

@@ -32,9 +32,6 @@ _RPC_ONLY_ATTRS = frozenset({
     "maybe", "transmit_as", "handle", "callback",
 })
 
-_BASE_KEYWORDS = frozenset({"void", "int", "long", "boolean", "char", "wchar_t", "UINT"})
-
-
 def parse_text(text: str, source: str = "<idl>") -> ast.IdlUnit:
     return parse_unit(tokenize(text, source), source)
 
@@ -356,7 +353,7 @@ class _Parser:
             self.advance()
             self.expect("keyword", "long")
             t: ast.IdlType = ast.BaseType("unsigned long")
-        elif tok.kind == "keyword" and tok.text in _BASE_KEYWORDS:
+        elif tok.kind == "keyword" and tok.text in ast.BASE_TYPES:
             self.advance()
             t = ast.BaseType(tok.text)
         elif tok.kind == "ident":
