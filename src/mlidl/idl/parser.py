@@ -46,6 +46,7 @@ class _Parser:
         self.i = 0
         self.source = source
         self.global_names: dict[str, str] = {}   # name -> kind, for diagnostics
+        self.saw_sml_name = False
 
     # -- token plumbing ----------------------------------------------------
 
@@ -85,19 +86,16 @@ class _Parser:
 
     def unit(self) -> ast.IdlUnit:
         decls: list[ast.Decl] = []
-        saw_sml_name = False
         while not self.at("eof"):
-            for d in self.decl():
-                if isinstance(d, ast.SmlName):
-                    if saw_sml_name:
-                        raise self.fail("duplicate sml_name annotation")
-                    saw_sml_name = True
-                decls.append(d)
+            decls += self.decl()
         return ast.IdlUnit(tuple(decls), self.source)
 
     def decl(self) -> list[ast.Decl]:
         tok = self.toks[self.i]
         if tok.kind == "ident" and tok.text == "sml_name":
+            if self.saw_sml_name:
+                raise self.fail("duplicate sml_name annotation")
+            self.saw_sml_name = True
             return [self.annotation()]
         if tok.kind == "keyword" and tok.text == "typedef":
             return [self.typedef()]

@@ -272,7 +272,9 @@ def test_pretty_round_trips_strings_the_lexer_must_unescape(name, source, value,
 # column and expected set
 _PARSE_ERRORS = [
     ("duplicate_sml_name", 'sml_name ("A");\nsml_name ("B");\ntypedef int T;',
-     ParseError, "duplicate sml_name annotation", 3, 1, set()),
+     ParseError, "duplicate sml_name annotation", 2, 1, set()),
+    ("duplicate_sml_name_at_end", 'sml_name ("A");\nsml_name ("B");',
+     ParseError, "duplicate sml_name annotation", 2, 1, set()),
     ("not_a_declaration", 'frobnicate ("A");',
      ParseError, "expected a declaration, found 'frobnicate'", 1, 1,
      {"const", "interface", "sml_name", "typedef"}),
