@@ -220,7 +220,10 @@ class _Builder:
             return None
         if isinstance(t, ast.PtrType):
             raise BindingError(f"{where}: pointer return types are not supported")
-        return model.RetSig(*self.lower(t))
+        display, sem = self.lower(t)
+        if sem.kind == "unit":          # void through typedefs
+            return None
+        return model.RetSig(display, sem)
 
     def param_sig(self, p: ast.ParamDecl, where: str) -> model.ParamSig:
         # one walk down at most two pointers above the value; a `[string]` one is the value
