@@ -193,12 +193,14 @@ def variant_of(value: Any, t: st.SemType, desc: Optional[BindingDesc] = None) ->
 def _variant_of(value: Any, kind: str, codec: marshal.Codec) -> Variant:
     tag = _KINDS.get(kind, ((), None))[1]
     if tag is None:
-        raise ComError(f"cannot wrap a {kind} result as a VARIANT")
+        raise AutomationError(f"cannot wrap a {kind} result as a VARIANT",
+                              DISP_E_TYPEMISMATCH)
     try:
         return Variant(tag, _PAYLOAD[tag].from_word(codec.to_word(value))
                        if codec.to_word else _text(value))
     except marshal.MarshalError as exc:
-        raise ComError(f"cannot wrap {value!r} as a {kind} VARIANT: {exc}") from None
+        raise AutomationError(f"cannot wrap {value!r} as a {kind} VARIANT: {exc}",
+                              DISP_E_TYPEMISMATCH) from None
 
 
 # -- dual interface construction ---------------------------------------------
