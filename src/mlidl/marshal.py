@@ -367,9 +367,9 @@ def _array_codec(elem: Codec, where: str = "", count: Optional[Step] = None) -> 
         n = count.codec.unpack(mem, ws, count.at, None)
         if n < 0:
             raise TypeMismatch(f"{where}: bad element count {n}")
-        block = mem.read(ws[at], n * elem.width)
-        return [elem.unpack(mem, block, k, owned)
-                for k in range(0, len(block), elem.width)]
+        width = elem.width
+        block = mem.read(ws[at], n * width)
+        return [elem.unpack(mem, block, k * width, owned) for k in range(n)]
 
     return Codec(1, pack, unpack)
 

@@ -446,6 +446,21 @@ def test_skeleton_unpacks_strings_and_arrays(mem, win32_desc):
     assert results == [True]
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_skeleton_unpacks_an_array_of_empty_records(mem, n):
+    from mlidl.binding import build_binding
+    from mlidl.idl import parse_text
+    desc = build_binding(parse_text("typedef struct tagE { } E;\ninterface I {\n"
+                                    "  void Take ([in] int n, [in, size_is(n)] E *a);\n}"),
+                         "dynamic", "auto")
+    take = sig_of(desc, "I", "Take")
+    got = []
+    stub = skeleton(take, lambda count, a: got.append((count, a)), mem, desc)
+    assert call(take, stub, [n, [{}] * n], mem, desc) == []
+    assert got == [(n, [{}] * n)]
+    assert mem.live_count == 0
+
+
 def test_skeleton_arity_check(mem, time_desc):
     gettime = sig_of(time_desc, "Time", "gettime")
     stub = skeleton(gettime, lambda: ({}, {}, {}), mem, time_desc)
