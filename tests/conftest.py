@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable
@@ -38,6 +42,34 @@ def count_mlidl_calls(fn: Callable[..., Any], *args: Any) -> tuple[Any, int]:
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def peak_mb(fn: Callable[..., Any], *args: Any) -> float:
+    """The peak of the memory `fn(*args)` held at once, in MB, as tracemalloc
+    counts it: bytes, not time, so the same on any machine with this Python.
+    Free lists left by earlier work move it by a few kB, so a budget
+    measures it with `in_a_fresh_interpreter`, after one warm-up call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def in_a_fresh_interpreter(module: str, fn: str) -> Any:
+    """`module.fn()`, a function of a test module that returns JSON data,
+    run in a new interpreter with a fixed hash seed: the same steps in the
+    same state on every run, whatever tests ran before."""
+    code = f"import json, {module}; print(json.dumps({module}.{fn}()))"
+    path = os.pathsep.join([str(REPO / "tests"), str(REPO / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0"),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 @contextmanager

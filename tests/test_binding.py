@@ -25,9 +25,11 @@ from mlidl.binding.model import (
     LiftedSig,
     RecordLayout,
 )
-from conftest import count_mlidl_calls, nothing_for_the_cycle_collector
+from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
+                      nothing_for_the_cycle_collector, peak_mb)
 from mlidl.binding.bindfile import render_binding_file
 from mlidl.idl import ast, parse_text, parse_unit, resolve, tokenize
+from mlidl.wordmem import Mem
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -386,6 +388,47 @@ def test_python_calls_of_each_compile_phase_are_capped(name, mode):
     assert not over, f"phases over their cap (calls, cap): {over}"
 
 
+# tracemalloc peak, in MB, of one whole compile (parse, build, emit sig, emit
+# binding, load) of each shipped IDL file in its perfbench mode, a little
+# above its peak in `compile_peaks` on CPython 3.11: win32 0.1299, win32sim
+# 0.2125, time 0.0196, bar 0.0185.  Keeping one extra Token per token breaks
+# each.  A change that must raise a budget says so in CHANGES.md.
+COMPILE_PEAK_MB = {
+    ("win32.idl", "dynamic"): 0.14,
+    ("win32sim.idl", "dynamic"): 0.23,
+    ("time.idl", "static"): 0.021,
+    ("bar.idl", "com"): 0.0195,
+}
+
+
+def compile_peaks() -> dict[str, float]:
+    """The peak of each budgeted compile, by file name, each after one
+    compile of that file to warm up."""
+    peaks = {}
+    for name, mode in sorted(COMPILE_PEAK_MB):
+        path, manifest = _shipped(name)
+        text = path.read_text(encoding="utf-8")
+
+        def compile_():
+            desc = build_binding(parse_text(text, name), mode, "auto", manifest)
+            load_binding_file(emit_binding_file(desc))
+            emit_sig_text(desc)
+
+        compile_()
+        peaks[name] = peak_mb(compile_)
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def compile_peak():
+    return in_a_fresh_interpreter("test_binding", "compile_peaks")
+
+
+@pytest.mark.parametrize("name,mode", sorted(COMPILE_PEAK_MB))
+def test_memory_peak_of_a_compile_is_budgeted(compile_peak, name, mode):
+    assert compile_peak[name] <= COMPILE_PEAK_MB[name, mode], f"{compile_peak[name]:.4f} MB"
+
+
 @pytest.mark.parametrize("param,message", [
     ("[in,size_is (n)] CB *a, [in] int n", "I.F.a: arrays of callbacks are not supported"),
     ("[in] int **p", "I.F.p: in-parameters of pointer-to-pointer type are not supported"),
@@ -402,6 +445,22 @@ def test_unsupported_parameter_shape_is_pinned(param, message):
     with pytest.raises(BindingError) as info:
         build_binding(unit, "dynamic", "auto")
     assert str(info.value) == message
+
+
+def test_a_void_return_through_a_typedef_is_no_result():
+    desc = build_binding(parse_text("typedef void V;\ntypedef V W;\n"
+                                    "interface I { V F ([in] int n); W G (); };"),
+                         "dynamic", "auto")
+    assert [op.ret for op in desc.interfaces[0].ops] == [None, None]
+    assert "val F : Int32.int -> unit\n" in emit_sig_text(desc)
+    assert "val G : unit -> unit\n" in emit_sig_text(desc)
+    mem = Mem()
+    seen = []
+    for sig, args in zip(desc.interfaces[0].ops, ([5], [])):
+        stub = marshal.skeleton(sig, lambda *a: seen.append(a), mem, desc)
+        assert marshal.call(sig, stub, args, mem, desc) == []
+    assert seen == [(5,), ()]
+    assert mem.live_count == 0
 
 
 def test_a_type_node_with_no_lowering_is_a_binding_error():

@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import count_mlidl_calls, nothing_for_the_cycle_collector
+from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
+                      nothing_for_the_cycle_collector, peak_mb)
 from reference_bounce import reference_trace
 from mlidl.winsim.bounce import BounceDemo, run_bounce
 from mlidl.wordmem import Mem
@@ -180,3 +181,29 @@ def test_python_calls_of_a_run_are_gated():
     code, calls = count_mlidl_calls(demo.run, 500)
     assert code == 0
     assert calls <= 50_500          # 49,143 on CPython 3.11; 85,251 before the kernels
+
+
+def run_peaks() -> dict[str, float]:
+    """The peak of a set-up plus a 500-tick run, direct and with the
+    adapter, each after one such run to warm up."""
+    peaks = {}
+    for adapter in (False, True):
+        def run():
+            assert BounceDemo(adapter=adapter).run(500) == 0
+
+        run()
+        peaks["adapter" if adapter else "direct"] = peak_mb(run)
+    return peaks
+
+
+@pytest.fixture(scope="module")
+def run_peak():
+    return in_a_fresh_interpreter("test_bounce", "run_peaks")
+
+
+@pytest.mark.parametrize("how", ["direct", "adapter"])
+def test_memory_peak_of_a_run_is_budgeted(run_peak, how):
+    # tracemalloc peak of a set-up plus a 500-tick run: 0.4998 MB direct and
+    # 0.5035 with the adapter on CPython 3.11.  A run keeps nothing per
+    # tick; keeping one extra four-word list per tick breaks the budget.
+    assert run_peak[how] <= 0.53, f"{run_peak[how]:.4f} MB"
