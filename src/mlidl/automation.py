@@ -20,11 +20,12 @@ reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly,
 nothing is bridged between strings, numbers and bools, and a BSTR holding a
 NUL or a lone surrogate is refused as a string pack refuses it
 (DISP_E_TYPEMISMATCH with the argument's index).  `variant_of` runs the
-same way back, and raw Invoke reads and writes payloads with the codecs'
-unpack and pack (a tag it does not know is DISP_E_BADVARTYPE, with the
-argument's index).  Type
-libraries, locales and named arguments are out of scope (GetTypeInfoCount
-reports 0, GetTypeInfo is not implemented, riid/lcid are ignored).
+same way back; a result it cannot wrap, such as a record, is
+DISP_E_TYPEMISMATCH on both Invoke paths.  Raw Invoke reads and writes
+payloads with the codecs' unpack and pack (a tag it does not know is
+DISP_E_BADVARTYPE, with the argument's index).  Type libraries, locales and
+named arguments are out of scope (GetTypeInfoCount reports 0, GetTypeInfo
+is not implemented, riid/lcid are ignored).
 """
 
 from __future__ import annotations

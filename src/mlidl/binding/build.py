@@ -2,8 +2,9 @@
 
 Lifting rules: out parameters disappear from the in-side and reappear as
 results (declaration order), with the function result last when the return
-type is not void.  An `in` or `in,out` pointer to a value, a string
-included, is passed by reference; an `in` one is shown as the plain value.
+type is not void, directly or through typedefs.  An `in` or `in,out` pointer
+to a value, a string included, is passed by reference; an `in` one is shown
+as the plain value.
 A pointer to a pointer is an out slot for an address-sized value.
 `void` is no value, and a pointer to `void` is an opaque word: `[in] void
 *p` lowers as `[in] LPVOID p` does.

@@ -168,11 +168,6 @@ def test_edge_cases_tokenize_as_the_reference(text):
     assert isinstance(got, list) and got == _lexed(reference_lexer.tokenize, text)
 
 
-def test_a_line_comment_at_the_end_leaves_eof_at_its_start():
-    eof = tokenize(_EDGES[0])[-1]
-    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 8)
-
-
 def test_every_one_character_edit_of_the_zoo_tokenizes_as_the_reference():
     errors = set()
     for base in (_ZOO,) + _EDGES:
