@@ -63,8 +63,8 @@ def in_a_fresh_interpreter(module: str, fn: str) -> Any:
     run in a new interpreter with a fixed hash seed: the same steps in the
     same state on every run, whatever tests ran before."""
     code = f"import json, {module}; print(json.dumps({module}.{fn}()))"
-    path = os.pathsep.join([str(REPO / "tests"), str(REPO / "src"),
-                            os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join(filter(None, [str(REPO / "tests"), str(REPO / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0"),
                           timeout=300)

@@ -452,8 +452,8 @@ def test_a_void_return_through_a_typedef_is_no_result():
                                     "interface I { V F ([in] int n); W G (); };"),
                          "dynamic", "auto")
     assert [op.ret for op in desc.interfaces[0].ops] == [None, None]
-    assert "val F : Int32.int -> unit\n" in emit_sig_text(desc)
-    assert "val G : unit -> unit\n" in emit_sig_text(desc)
+    sig_text = emit_sig_text(desc)
+    assert "val F : Int32.int -> unit\n" in sig_text and "val G : unit -> unit\n" in sig_text
     mem = Mem()
     seen = []
     for sig, args in zip(desc.interfaces[0].ops, ([5], [])):
