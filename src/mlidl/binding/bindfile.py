@@ -420,12 +420,17 @@ def _load_const(x: Any, path: str) -> model.ConstDef:
 
 
 def _word(value: Any, path: str) -> int:
+    """A word in the one spelling the emitter writes, `f"0x{n:x}"`, so that
+    a loaded word re-emits byte for byte: `int` alone would also take
+    underscores, spaces, other scripts' digits and leading zeros."""
     if not isinstance(value, str) or not value.startswith("0x"):
         raise SchemaViolation(path, 'expected a word as "0x..."')
     try:
-        n = int(value, 16)
+        n: Optional[int] = int(value, 16)
     except ValueError:
-        raise SchemaViolation(path, f"bad hex word {value!r}") from None
+        n = None
+    if n is None or value != f"0x{n:x}":
+        raise SchemaViolation(path, f"bad hex word {value!r}")
     if n > 0xFFFFFFFF:
         raise SchemaViolation(path, f"word {value} does not fit in 32 bits")
     return n

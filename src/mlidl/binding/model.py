@@ -8,6 +8,15 @@ then the function result last if the operation is not void).
 `lay_out` holds the one record layout rule: the builder makes every
 RecordLayout through it, and the binding-file loader checks each loaded
 record's size and offsets against it.
+
+Every class here, like `SemType`, stays a frozen dataclass, although the
+IDL AST is a plain one.  The model carries caches that hold only while it
+cannot change: `LiftedSig.plans` and `BindingDesc.plans` key marshalling
+plans by the identity of a signature and derive them from its parameters,
+`BindingDesc.binding_text` renders the description once, and the intern
+table and the binding-file writer's fragments key semantic types by
+identity.  An assignment to any of these objects would leave a stale plan
+or text behind; freezing makes it raise instead.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""IDL frontend: lexer, parser, resolver, pretty-printer."""
+"""IDL frontend: lexer, parser, resolver."""
 
 from mlidl.idl.ast import (
     BaseType,
@@ -31,7 +31,6 @@ from mlidl.idl.errors import (
 )
 from mlidl.idl.lexer import Token, tokenize
 from mlidl.idl.parser import parse_text, parse_unit
-from mlidl.idl.pretty import pretty
 from mlidl.idl.resolve import resolve
 
 __all__ = [
@@ -40,5 +39,5 @@ __all__ = [
     "InheritanceCycle", "Interface", "LexError", "NamedType", "OpDecl",
     "ParamDecl", "ParseError", "PtrType", "RecordDecl", "ResolveError",
     "SmlName", "Token", "Typedef", "UnresolvedType", "parse_text",
-    "parse_unit", "pretty", "resolve", "tokenize",
+    "parse_unit", "resolve", "tokenize",
 ]

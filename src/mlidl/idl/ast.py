@@ -1,9 +1,21 @@
 """AST for the reduced IDL dialect.
 
 Source locations and purely lexical details (hex vs decimal literals, the
-`&` reference spelling) are carried for diagnostics and pretty-printing but
-excluded from structural equality, so that parse -> pretty -> parse is an
-identity on the comparable part of the tree.
+`&` reference spelling, `const` on a named type) are carried for diagnostics
+and pretty-printing but excluded from equality and hash, so that parse ->
+pretty -> parse is an identity on the comparable part of the tree.
+
+The nodes are plain dataclasses with `unsafe_hash=True`, not frozen ones:
+a frozen dataclass's `__init__` sets every field through
+`object.__setattr__`, which made an 8-field `ParamDecl` cost about four
+times as much to build on CPython 3.11, and the parser builds a node every
+few tokens.
+They keep the hash over their compared fields, and no stage assigns to a
+node after the parser has built it: the resolver, the builder, both
+emitters and the loader only read the tree, and the resolver's prelude is
+shared by every unit.  `tests/test_parser.py`
+(`test_no_stage_mutates_the_ast`) pins that.  The AST carries no cache;
+the binding model, which does, stays frozen.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from typing import Optional, Union
 BASE_TYPES = ("void", "int", "long", "boolean", "char", "wchar_t", "unsigned long", "UINT")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Loc:
     line: int
     col: int
@@ -28,7 +40,7 @@ class IdlType:
     """Base class for type expressions."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BaseType(IdlType):
     name: str  # one of BASE_TYPES
 
@@ -37,19 +49,19 @@ class BaseType(IdlType):
             raise ValueError(f"not a base type: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NamedType(IdlType):
     name: str
     const: bool = field(default=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PtrType(IdlType):
     to: IdlType
     amp: bool = field(default=False, compare=False)  # spelled `&` rather than `*`
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ArrayType(IdlType):
     """Conformant array: a pointer param with a size_is attribute."""
 
@@ -57,13 +69,13 @@ class ArrayType(IdlType):
     len_param: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FuncType(IdlType):
     params: tuple["ParamDecl", ...]
     ret: IdlType
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ParamDecl:
     name: str
     type: IdlType
@@ -75,14 +87,14 @@ class ParamDecl:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldDecl:
     name: str
     type: IdlType
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Typedef:
     name: str
     type: IdlType
@@ -90,7 +102,7 @@ class Typedef:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RecordDecl:
     name: str
     fields: tuple[FieldDecl, ...]
@@ -98,7 +110,7 @@ class RecordDecl:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EnumVariant:
     name: str
     value: int                           # 32-bit word
@@ -106,7 +118,7 @@ class EnumVariant:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EnumDecl:
     name: str
     variants: tuple[EnumVariant, ...]
@@ -114,7 +126,7 @@ class EnumDecl:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Const:
     name: str
     type: IdlType
@@ -122,7 +134,7 @@ class Const:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class OpDecl:
     name: str
     ret: IdlType
@@ -130,7 +142,7 @@ class OpDecl:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Interface:
     name: str
     ops: tuple[OpDecl, ...]
@@ -139,7 +151,7 @@ class Interface:
     loc: Loc = _loc_field()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SmlName:
     """Top-level `sml_name ("...")` annotation."""
 
@@ -150,7 +162,7 @@ class SmlName:
 Decl = Union[Typedef, RecordDecl, EnumDecl, Const, Interface, SmlName]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IdlUnit:
     decls: tuple[Decl, ...]
     source_name: str = "<idl>"

@@ -25,6 +25,9 @@ _ATTRS = {
     "param": frozenset({"in", "out", "ref", "string", "size_is", "iid_is"}),
 }
 
+# The base types spelled as one keyword; `unsigned long` is two.
+_BASE_KEYWORDS = frozenset(name for name in ast.BASE_TYPES if " " not in name)
+
 # Full-DCE attributes for RPC distribution; not part of this dialect.
 _RPC_ONLY_ATTRS = frozenset({
     "uuid", "version", "endpoint", "local", "object", "pointer_default",
@@ -50,29 +53,41 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    # `advance` never moves past the final eof token, so `self.i` is always
-    # a valid index and lookahead needs no clamp.
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
+    # The one lookahead token is `self.toks[self.i]`, and each rule tests it
+    # in line, as Wirth's recursive-descent parsers do (N. Wirth, *Compiler
+    # Construction*, 1996).  A punctuation mark or a keyword is known by its
+    # text alone, because the lexer spells no other lexeme the same; an
+    # identifier or a literal is known by its kind.  The cursor moves only
+    # past a token that was tested and is not the final eof token, so
+    # `self.i` is always a valid index and lookahead needs no clamp.
+
+    def accept(self, text: str) -> bool:
+        """Move past the punctuation mark or keyword `text` if it is next."""
+        if self.toks[self.i].text == text:
             self.i += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> Token:
+        """The next token, which must be the punctuation mark or keyword
+        `text`."""
+        tok = self.toks[self.i]
+        if tok.text != text:
+            raise self.missing(text)
+        self.i += 1
         return tok
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
+    def expect_kind(self, kind: str) -> Token:
+        """The next token, which must be an `ident` or a `string`."""
         tok = self.toks[self.i]
-        return tok.kind == kind and (text is None or tok.text == text)
+        if tok.kind != kind:
+            raise self.missing(kind)
+        self.i += 1
+        return tok
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
+    def missing(self, want: str) -> ParseError:
         tok = self.toks[self.i]
-        want = text if text is not None else kind
-        raise ParseError(
+        return ParseError(
             f"expected {want!r}, found {tok.text or tok.kind!r}",
             tok.line, tok.col, self.source, expected={want},
         )
@@ -86,22 +101,23 @@ class _Parser:
 
     def unit(self) -> ast.IdlUnit:
         decls: list[ast.Decl] = []
-        while not self.at("eof"):
+        while self.toks[self.i].kind != "eof":
             decls += self.decl()
         return ast.IdlUnit(tuple(decls), self.source)
 
     def decl(self) -> list[ast.Decl]:
         tok = self.toks[self.i]
-        if tok.kind == "ident" and tok.text == "sml_name":
+        text = tok.text
+        if text == "sml_name":
             if self.saw_sml_name:
                 raise self.fail("duplicate sml_name annotation")
             self.saw_sml_name = True
             return [self.annotation()]
-        if tok.kind == "keyword" and tok.text == "typedef":
+        if text == "typedef":
             return [self.typedef()]
-        if tok.kind == "keyword" and tok.text == "const":
+        if text == "const":
             return [self.const_decl()]
-        if (tok.kind == "keyword" and tok.text == "interface") or self.at("punct", "["):
+        if text == "interface" or text == "[":
             return self.interface()
         raise self.fail(
             f"expected a declaration, found {tok.text or tok.kind!r}",
@@ -109,11 +125,12 @@ class _Parser:
         )
 
     def annotation(self) -> ast.SmlName:
-        name_tok = self.advance()     # `decl` saw `sml_name`
-        self.expect("punct", "(")
-        value = self.expect("string")
-        self.expect("punct", ")")
-        self.expect("punct", ";")
+        name_tok = self.toks[self.i]     # `decl` saw `sml_name`
+        self.i += 1
+        self.expect("(")
+        value = self.expect_kind("string")
+        self.expect(")")
+        self.expect(";")
         return ast.SmlName(str(value.value), loc=ast.Loc(name_tok.line, name_tok.col))
 
     def _declare(self, name: str, kind: str, tok: Token) -> None:
@@ -126,62 +143,74 @@ class _Parser:
         self.global_names[name] = kind
 
     def typedef(self) -> Union[ast.Typedef, ast.RecordDecl, ast.EnumDecl]:
-        kw = self.expect("keyword", "typedef")
+        toks = self.toks
+        kw = toks[self.i]                # the caller saw `typedef`
+        self.i += 1
         loc = ast.Loc(kw.line, kw.col)
-        attrs = self.attr_list("typedef")
-        tok = self.toks[self.i]
-        if tok.kind == "keyword" and tok.text in ("struct", "enum"):
+        attrs = self.attr_list("typedef") if toks[self.i].text == "[" else {}
+        tok = toks[self.i]
+        if tok.text == "struct" or tok.text == "enum":
             # typedef struct|enum [TAG] { ... } NAME;
-            self.advance()
-            tag = self.advance().text if self.at("ident") else None
-            self.expect("punct", "{")
+            self.i += 1
+            tag = None
+            if toks[self.i].kind == "ident":
+                tag = toks[self.i].text
+                self.i += 1
+            self.expect("{")
             if tok.text == "struct":
                 return self.struct_body(tag, loc)
             return self.enum_body(tag, loc)
         t, stars, name_tok = self.declarator()
-        if self.at("punct", "("):
+        if toks[self.i].text == "(":
             # typedef RET *NAME (params);  -- function-pointer typedef
             if stars < 1:
                 raise self.fail("function typedef requires the `*NAME` spelling", name_tok)
             params = self.param_list()
-            self.expect("punct", ";")
+            self.expect(";")
             self._declare(name_tok.text, "callback typedef", name_tok)
             return ast.Typedef(name_tok.text, ast.FuncType(tuple(params), t.to),
                                string="string" in attrs, loc=loc)
-        self.expect("punct", ";")
+        self.expect(";")
         self._declare(name_tok.text, "typedef", name_tok)
         return ast.Typedef(name_tok.text, t, string="string" in attrs, loc=loc)
 
     def struct_body(self, tag: Optional[str], loc: ast.Loc) -> ast.RecordDecl:
+        toks = self.toks
         fields: list[ast.FieldDecl] = []
         names: set[str] = set()
-        while not self.accept("punct", "}"):
+        while toks[self.i].text != "}":
             t, _, fname = self.declarator()
-            self.expect("punct", ";")
+            if toks[self.i].text != ";":
+                raise self.missing(";")
+            self.i += 1
             if fname.text in names:
                 raise DuplicateName(f"duplicate field {fname.text!r}",
                                     fname.line, fname.col, self.source)
             names.add(fname.text)
             fields.append(ast.FieldDecl(fname.text, t, loc=ast.Loc(fname.line, fname.col)))
-        name_tok = self.expect("ident")
-        self.expect("punct", ";")
+        self.i += 1
+        name_tok = self.expect_kind("ident")
+        self.expect(";")
         self._declare(name_tok.text, "struct typedef", name_tok)
         return ast.RecordDecl(name_tok.text, tuple(fields), tag=tag, loc=loc)
 
     def enum_body(self, tag: Optional[str], loc: ast.Loc) -> ast.EnumDecl:
+        toks = self.toks
         variants: list[ast.EnumVariant] = []
-        while not self.at("punct", "}"):
-            vname = self.expect("ident")
-            self.expect("punct", "=")
-            vtok = self.toks[self.i]
+        while toks[self.i].text != "}":
+            vname = self.expect_kind("ident")
+            if toks[self.i].text != "=":
+                raise self.missing("=")
+            self.i += 1
+            vtok = toks[self.i]
             if vtok.kind == "int":
-                self.advance()
+                self.i += 1
                 value = int(vtok.value)  # type: ignore[arg-type]
                 if value > 0xFFFFFFFF:
                     raise self.fail(f"enum value {value} does not fit in 32 bits", vtok)
                 is_hex = False
             elif vtok.kind == "word":
-                self.advance()
+                self.i += 1
                 value = int(vtok.value)  # type: ignore[arg-type]
                 is_hex = True
             else:
@@ -190,71 +219,75 @@ class _Parser:
             self._declare(vname.text, "enum variant", vname)
             variants.append(ast.EnumVariant(vname.text, value, hex=is_hex,
                                             loc=ast.Loc(vname.line, vname.col)))
-            if not self.accept("punct", ","):
+            if toks[self.i].text != ",":
                 break
-        self.expect("punct", "}")
-        name_tok = self.expect("ident")
-        self.expect("punct", ";")
+            self.i += 1
+        self.expect("}")
+        name_tok = self.expect_kind("ident")
+        self.expect(";")
         self._declare(name_tok.text, "enum typedef", name_tok)
         return ast.EnumDecl(name_tok.text, tuple(variants), tag=tag, loc=loc)
 
     def const_decl(self) -> ast.Const:
-        kw = self.expect("keyword", "const")
+        kw = self.toks[self.i]           # the caller saw `const`
+        self.i += 1
         t, _, name_tok = self.declarator()
-        self.expect("punct", "=")
+        self.expect("=")
         vtok = self.toks[self.i]
         if vtok.kind in ("int", "word", "string", "char"):
-            self.advance()
+            self.i += 1
         else:
             raise self.fail("expected a literal", vtok,
                             expected={"int", "word", "string", "char"})
-        self.expect("punct", ";")
+        self.expect(";")
         self._declare(name_tok.text, "const", name_tok)
         return ast.Const(name_tok.text, t, vtok.value, loc=ast.Loc(kw.line, kw.col))
 
     def interface(self) -> list[ast.Decl]:
-        attrs = self.attr_list("interface")
-        kw = self.expect("keyword", "interface")
-        name_tok = self.expect("ident")
+        toks = self.toks
+        attrs = self.attr_list("interface") if toks[self.i].text == "[" else {}
+        kw = self.expect("interface")
+        name_tok = self.expect_kind("ident")
         parent = None
-        if self.accept("punct", ":"):
-            parent = self.expect("ident").text
-        self.expect("punct", "{")
+        if self.accept(":"):
+            parent = self.expect_kind("ident").text
+        self.expect("{")
         hoisted: list[ast.Decl] = []
         ops: list[ast.OpDecl] = []
         op_names: set[str] = set()
-        while not self.accept("punct", "}"):
-            if self.at("keyword", "typedef"):
+        while True:
+            start = toks[self.i]
+            if start.text == "}":
+                self.i += 1
+                break
+            if start.text == "typedef":
                 hoisted.append(self.typedef())
                 continue
-            if self.at("keyword", "const"):
+            if start.text == "const":
                 hoisted.append(self.const_decl())
                 continue
-            op = self.op_decl()
-            if op.name in op_names:
-                raise DuplicateName(f"duplicate operation {op.name!r}",
-                                    op.loc.line, op.loc.col, self.source)
-            op_names.add(op.name)
-            ops.append(op)
-        self.accept("punct", ";")
+            t, _, op_tok = self.declarator()
+            params = self.param_list()
+            self.expect(";")
+            if op_tok.text in op_names:
+                raise DuplicateName(f"duplicate operation {op_tok.text!r}",
+                                    start.line, start.col, self.source)
+            op_names.add(op_tok.text)
+            ops.append(ast.OpDecl(op_tok.text, t, tuple(params),
+                                  loc=ast.Loc(start.line, start.col)))
+        self.accept(";")
         self._declare(name_tok.text, "interface", name_tok)
         iface = ast.Interface(name_tok.text, tuple(ops), parent=parent,
                               sml_source=attrs.get("sml_source"),
                               loc=ast.Loc(kw.line, kw.col))
         return hoisted + [iface]
 
-    def op_decl(self) -> ast.OpDecl:
-        start = self.toks[self.i]
-        t, _, name_tok = self.declarator()
-        params = self.param_list()
-        self.expect("punct", ";")
-        return ast.OpDecl(name_tok.text, t, tuple(params), loc=ast.Loc(start.line, start.col))
-
     def param_list(self) -> list[ast.ParamDecl]:
-        self.expect("punct", "(")
+        toks = self.toks
+        self.expect("(")
         params: list[ast.ParamDecl] = []
         names: set[str] = set()
-        if not self.at("punct", ")"):
+        if toks[self.i].text != ")":
             while True:
                 p = self.param()
                 if p.name in names:
@@ -262,14 +295,18 @@ class _Parser:
                                         p.loc.line, p.loc.col, self.source)
                 names.add(p.name)
                 params.append(p)
-                if not self.accept("punct", ","):
+                if toks[self.i].text != ",":
                     break
-        self.expect("punct", ")")
+                self.i += 1
+        if toks[self.i].text != ")":
+            raise self.missing(")")
+        self.i += 1
         return params
 
     def param(self) -> ast.ParamDecl:
-        attrs = self.attr_list("param")
-        start = self.toks[self.i]
+        toks = self.toks
+        attrs = self.attr_list("param") if toks[self.i].text == "[" else {}
+        start = toks[self.i]
         ptype, _, name_tok = self.declarator()
 
         has_in = "in" in attrs
@@ -296,25 +333,26 @@ class _Parser:
     # -- attributes and types -----------------------------------------------
 
     def attr_list(self, context: str) -> dict[str, Optional[str]]:
-        attrs: dict[str, Optional[str]] = {}
-        if not self.accept("punct", "["):
-            return attrs
+        """`[name, name (arg), ...]`, whose `[` the caller saw."""
+        toks = self.toks
         allowed = _ATTRS[context]
+        attrs: dict[str, Optional[str]] = {}
+        self.i += 1
         while True:
-            tok = self.toks[self.i]
+            tok = toks[self.i]
             if tok.kind not in ("ident", "keyword"):
                 raise self.fail("expected an attribute name", tok)
-            self.advance()
+            self.i += 1
             name = tok.text
             arg: Optional[str] = None
-            if self.accept("punct", "("):
-                atok = self.toks[self.i]
-                if atok.kind in ("ident", "string"):
-                    self.advance()
-                    arg = str(atok.value)
-                else:
+            if toks[self.i].text == "(":
+                self.i += 1
+                atok = toks[self.i]
+                if atok.kind not in ("ident", "string"):
                     raise self.fail("expected an attribute argument", atok)
-                self.expect("punct", ")")
+                self.i += 1
+                arg = str(atok.value)
+                self.expect(")")
             if name in _RPC_ONLY_ATTRS:
                 raise self.fail(
                     f"attribute {name!r} is RPC-distribution IDL and is not part "
@@ -324,42 +362,52 @@ class _Parser:
             if name in attrs:
                 raise self.fail(f"duplicate attribute {name!r}", tok)
             attrs[name] = arg
-            if not self.accept("punct", ","):
+            if toks[self.i].text != ",":
                 break
-        self.expect("punct", "]")
+            self.i += 1
+        if toks[self.i].text != "]":
+            raise self.missing("]")
+        self.i += 1
         return attrs
 
     def declarator(self) -> tuple[ast.IdlType, int, Token]:
-        """`type *... name`, the one spelling of a typedef, field, const,
-        operation and parameter: the type with its pointers (at most two
-        `*`s), the number of `*`s and the name token."""
-        t = self.type_expr()
-        stars = 0
-        while self.at("punct", "*"):
-            tok = self.advance()
-            stars += 1
-            if stars > 2:
-                raise self.fail("pointer depth greater than 2 is not supported", tok)
-            t = ast.PtrType(t)
-        return t, stars, self.expect("ident")
-
-    def type_expr(self) -> ast.IdlType:
-        """Base or named type, with optional `const` and C++-style `&`."""
-        is_const = bool(self.accept("keyword", "const"))
-        tok = self.toks[self.i]
-        if tok.kind == "keyword" and tok.text == "unsigned":
-            self.advance()
-            self.expect("keyword", "long")
+        """`[const] type [&] *... name`, the one spelling of a typedef,
+        field, const, operation and parameter: the base or named type with
+        its pointers (a C++-style `&`, then at most two `*`s), the number of
+        `*`s and the name token.  `const` is kept on a named type only."""
+        toks = self.toks
+        tok = toks[self.i]
+        is_const = tok.text == "const"
+        if is_const:
+            self.i += 1
+            tok = toks[self.i]
+        if tok.text == "unsigned":
+            self.i += 1
+            self.expect("long")
             t: ast.IdlType = ast.BaseType("unsigned long")
-        elif tok.kind == "keyword" and tok.text in ast.BASE_TYPES:
-            self.advance()
+        elif tok.text in _BASE_KEYWORDS:
+            self.i += 1
             t = ast.BaseType(tok.text)
         elif tok.kind == "ident":
-            self.advance()
+            self.i += 1
             t = ast.NamedType(tok.text, const=is_const)
         else:
             raise self.fail(f"expected a type, found {tok.text or tok.kind!r}", tok,
                             expected={"type"})
-        if self.accept("punct", "&"):
+        tok = toks[self.i]
+        if tok.text == "&":
+            self.i += 1
             t = ast.PtrType(t, amp=True)
-        return t
+            tok = toks[self.i]
+        stars = 0
+        while tok.text == "*":
+            self.i += 1
+            stars += 1
+            if stars > 2:
+                raise self.fail("pointer depth greater than 2 is not supported", tok)
+            t = ast.PtrType(t)
+            tok = toks[self.i]
+        if tok.kind != "ident":
+            raise self.missing("ident")
+        self.i += 1
+        return t, stars, tok

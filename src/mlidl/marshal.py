@@ -53,9 +53,12 @@ the address registers the callable itself, as `SimWorld.SetTimer` and
 an out parameter, an out record's field or the return value) comes with a
 block or a registration of its own, which the caller frees or releases once
 it has decoded it; the stub makes them as it packs the results, and gives
-them back itself if a later result fails to pack.  Out and in-out arrays
-and record return values are rejected with `Unsupported` when the plan is
-built.
+them back itself if a later result fails to pack.  Out and in-out arrays,
+arrays of zero-width records and record return values are rejected with
+`Unsupported` when the plan is built.  An array's count comes from the
+caller's words, and the block its address names bounds it: `Mem.read` of
+count times width words faults past the block's end.  Elements that take no
+words would leave the count unbounded.
 """
 
 from __future__ import annotations
@@ -457,8 +460,12 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
                 or n.sem.kind not in ("int32", "word32", "handle"):
             raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
                               f"is not an [in] integer parameter")
-        wire = _array_codec(codec_of(p.sem.elem, desc), f"{sig.name}.{p.name}",
-                            steps[sig.params.index(n)])
+        elem = codec_of(p.sem.elem, desc)
+        if elem.width == 0:
+            # no block bounds the count of elements that take no words
+            raise Unsupported(f"{sig.name}.{p.name}: an array of zero-width "
+                              f"elements is not supported")
+        wire = _array_codec(elem, f"{sig.name}.{p.name}", steps[sig.params.index(n)])
         steps[i] = steps[i]._replace(wire=wire, count=ins.index(n))
     ret = None
     if sig.ret is not None:

@@ -1,4 +1,6 @@
-"""Canonical IDL formatter; parse(pretty(unit)) equals unit structurally."""
+"""Canonical IDL formatter, an oracle for the parser: parse(pretty(unit))
+equals unit structurally, and pretty is a fixed point of that round trip.
+Nothing in the pipeline prints IDL, so it lives with the tests."""
 
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ from mlidl.marshal import (
     BadString,
     DecodeError,
     TypeMismatch,
+    Unsupported,
     abi_arity,
     call,
     layout_of,
@@ -446,18 +447,37 @@ def test_skeleton_unpacks_strings_and_arrays(mem, win32_desc):
     assert results == [True]
 
 
-@pytest.mark.parametrize("n", [0, 2])
-def test_skeleton_unpacks_an_array_of_empty_records(mem, n):
+def test_an_array_of_empty_records_is_refused_when_the_plan_is_built(mem):
+    # elements that take no words leave the caller's count unbounded: a raw
+    # [100000, a] would hand the implementation 100,000 dicts
     from mlidl.binding import build_binding
     from mlidl.idl import parse_text
     desc = build_binding(parse_text("typedef struct tagE { } E;\ninterface I {\n"
                                     "  void Take ([in] int n, [in, size_is(n)] E *a);\n}"),
                          "dynamic", "auto")
     take = sig_of(desc, "I", "Take")
+    message = "^Take.a: an array of zero-width elements is not supported$"
+    with pytest.raises(Unsupported, match=message):
+        skeleton(take, lambda count, a: None, mem, desc)
+    with pytest.raises(Unsupported, match=message):
+        call(take, lambda words: 0, [2, [{}, {}]], mem, desc)
+    assert mem.live_count == 0
+
+
+@pytest.mark.parametrize("count", [2, 100000, 0x7FFFFFFF])
+def test_a_raw_array_count_is_bounded_by_its_block(mem, count):
+    from mlidl.binding import build_binding
+    from mlidl.idl import parse_text
+    desc = build_binding(parse_text("typedef struct tagP { int x; } P;\ninterface I {\n"
+                                    "  void Take ([in] int n, [in, size_is(n)] P *a);\n}"),
+                         "dynamic", "auto")
     got = []
-    stub = skeleton(take, lambda count, a: got.append((count, a)), mem, desc)
-    assert call(take, stub, [n, [{}] * n], mem, desc) == []
-    assert got == [(n, [{}] * n)]
+    stub = skeleton(sig_of(desc, "I", "Take"), lambda n, a: got.append(a), mem, desc)
+    a = mem.alloc(1)
+    with pytest.raises(OutOfBounds):
+        stub([count, a])
+    assert got == []
+    mem.free(a)
     assert mem.live_count == 0
 
 

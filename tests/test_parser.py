@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import read_idl
+from pretty import pretty
 from mlidl.idl import (
     BaseType,
     Const,
@@ -23,7 +24,6 @@ from mlidl.idl import (
     Typedef,
     parse_text,
     parse_unit,
-    pretty,
     resolve,
     tokenize,
 )
