@@ -25,9 +25,6 @@ _ATTRS = {
     "param": frozenset({"in", "out", "ref", "string", "size_is", "iid_is"}),
 }
 
-# The base types spelled as one keyword; `unsigned long` is two.
-_BASE_KEYWORDS = frozenset(name for name in ast.BASE_TYPES if " " not in name)
-
 # Full-DCE attributes for RPC distribution; not part of this dialect.
 _RPC_ONLY_ATTRS = frozenset({
     "uuid", "version", "endpoint", "local", "object", "pointer_default",
@@ -180,9 +177,7 @@ class _Parser:
         names: set[str] = set()
         while toks[self.i].text != "}":
             t, _, fname = self.declarator()
-            if toks[self.i].text != ";":
-                raise self.missing(";")
-            self.i += 1
+            self.expect(";")
             if fname.text in names:
                 raise DuplicateName(f"duplicate field {fname.text!r}",
                                     fname.line, fname.col, self.source)
@@ -199,9 +194,7 @@ class _Parser:
         variants: list[ast.EnumVariant] = []
         while toks[self.i].text != "}":
             vname = self.expect_kind("ident")
-            if toks[self.i].text != "=":
-                raise self.missing("=")
-            self.i += 1
+            self.expect("=")
             vtok = toks[self.i]
             if vtok.kind == "int":
                 self.i += 1
@@ -298,9 +291,7 @@ class _Parser:
                 if toks[self.i].text != ",":
                     break
                 self.i += 1
-        if toks[self.i].text != ")":
-            raise self.missing(")")
-        self.i += 1
+        self.expect(")")
         return params
 
     def param(self) -> ast.ParamDecl:
@@ -365,9 +356,7 @@ class _Parser:
             if toks[self.i].text != ",":
                 break
             self.i += 1
-        if toks[self.i].text != "]":
-            raise self.missing("]")
-        self.i += 1
+        self.expect("]")
         return attrs
 
     def declarator(self) -> tuple[ast.IdlType, int, Token]:
@@ -385,7 +374,7 @@ class _Parser:
             self.i += 1
             self.expect("long")
             t: ast.IdlType = ast.BaseType("unsigned long")
-        elif tok.text in _BASE_KEYWORDS:
+        elif tok.text in ast.BASE_TYPES:
             self.i += 1
             t = ast.BaseType(tok.text)
         elif tok.kind == "ident":

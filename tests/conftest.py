@@ -20,6 +20,9 @@ from mlidl.wordmem import Mem
 REPO = Path(__file__).resolve().parents[1]
 IDL_DIR = REPO / "idl"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# every IDL file the project ships
+SHIPPED_IDL = [IDL_DIR / "win32.idl", IDL_DIR / "time.idl", IDL_DIR / "bar.idl",
+               REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl"]
 
 
 def read_idl(name: str) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from conftest import IDL_DIR, REPO
+from conftest import IDL_DIR, REPO, SHIPPED_IDL
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import (
@@ -152,6 +153,87 @@ def test_bad_word_spelling_is_schema_violation(time_desc):
     assert "$.enums[0].variants[0]" in str(exc.value)
 
 
+# words written as the emitter writes them, f"0x{n:x}", in an enum variant
+# and in a word const
+_WORDS_TEXT = ("const unsigned long W = 0wx80000000;\nconst UINT Z = 0;\n"
+               "typedef enum { A = 0wx10, B = 7 } E;\n"
+               "interface I { void f ([in] E e); }")
+
+
+@functools.cache
+def _words_file():
+    return emit_binding_file(build_binding(parse_text(_WORDS_TEXT, "w.idl"),
+                                           "dynamic", "auto"))
+
+
+@pytest.fixture
+def words_doc():
+    return json.loads(_words_file())
+
+
+def test_a_word_const_loads_and_re_emits_byte_for_byte(words_doc):
+    text = json.dumps(words_doc, indent=2) + "\n"
+    desc = load_binding_file(text)
+    assert [(c.name, c.form, c.value) for c in desc.consts] == \
+        [("W", "word", 0x80000000), ("Z", "word", 0)]
+    assert desc.enum("E").variants == (("A", 0x10), ("B", 7))
+    assert emit_binding_file(desc) == text
+
+
+def test_an_unknown_const_form_is_schema_violation(words_doc):
+    words_doc["consts"][0]["form"] = "float"
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(words_doc))
+    assert str(exc.value) == "$.consts[0].form: unknown const form 'float'"
+
+
+_NOT_A_WORD = 'expected a word as "0x..."'
+
+
+@pytest.mark.parametrize("value,message", [
+    (16, _NOT_A_WORD),
+    ("16", _NOT_A_WORD),
+    ("0X10", _NOT_A_WORD),
+    ("0x", "bad hex word '0x'"),
+    ("0xg", "bad hex word '0xg'"),
+    ("0x-1", "bad hex word '0x-1'"),
+    # int(value, 16) takes each of these as 16, or 1; the emitter writes none
+    ("0x1_0", "bad hex word '0x1_0'"),
+    ("0x10 ", "bad hex word '0x10 '"),
+    ("0x\u0661\u0660", "bad hex word '0x\u0661\u0660'"),   # Arabic-Indic 1, 0
+    ("0x\u0660\u0661", "bad hex word '0x\u0660\u0661'"),
+    ("0x010", "bad hex word '0x010'"),
+    ("0x00", "bad hex word '0x00'"),
+    ("0xA", "bad hex word '0xA'"),
+    ("0x100000000", "word 0x100000000 does not fit in 32 bits"),
+])
+@pytest.mark.parametrize("where", ["const", "variant"])
+def test_a_word_not_spelled_as_emitted_is_schema_violation(words_doc, value, message, where):
+    if where == "const":
+        words_doc["consts"][1]["value"] = value
+        path = "$.consts[1].value"
+    else:
+        words_doc["enums"][0]["variants"][1][1] = value
+        path = "$.enums[0].variants[1]"
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(words_doc))
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=hs.one_of(hs.integers(0, 0xFFFFFFFF).map(lambda n: f"0x{n:x}"),
+                       hs.text(max_size=12).map(lambda t: "0x" + t)))
+def test_a_word_that_loads_re_emits_as_the_same_string(value):
+    words_doc = json.loads(_words_file())
+    words_doc["consts"][0]["value"] = value
+    try:
+        desc = load_binding_file(json.dumps(words_doc))
+    except SchemaViolation:
+        return
+    assert f"0x{desc.consts[0].value:x}" == value
+    assert json.loads(emit_binding_file(desc))["consts"][0]["value"] == value
+
+
 def test_not_json_is_schema_violation():
     with pytest.raises(SchemaViolation):
         load_binding_file("not json at all {")
@@ -204,12 +286,8 @@ def test_non_object_entry_is_schema_violation(win32_desc, key, entry):
 
 # -- the writer is json.dumps(doc, indent=2), byte for byte -------------------
 
-_SHIPPED = [IDL_DIR / "win32.idl", IDL_DIR / "time.idl", IDL_DIR / "bar.idl",
-            REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl"]
-
-
 @pytest.mark.parametrize("path, mode", [
-    (path, mode) for path in _SHIPPED for mode in ("static", "dynamic")
+    (path, mode) for path in SHIPPED_IDL for mode in ("static", "dynamic")
 ] + [(IDL_DIR / "bar.idl", "com")], ids=lambda x: getattr(x, "name", x))
 @pytest.mark.parametrize("level", ["auto", "abstract"])
 def test_shipped_files_emit_as_json_dumps_indent_2(path, mode, level):
@@ -263,7 +341,7 @@ def _one_object_per_type(desc):
     return sems
 
 
-@pytest.mark.parametrize("path", _SHIPPED, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SHIPPED_IDL, ids=lambda p: p.name)
 @pytest.mark.parametrize("mode", ["static", "dynamic", "com"])
 @pytest.mark.parametrize("level", ["auto", "abstract"])
 def test_every_shipped_file_in_every_mode_writes_loads_and_interns(path, mode, level):

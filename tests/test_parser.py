@@ -2,21 +2,34 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from conftest import read_idl
+import reference_lowering
+from conftest import IDL_DIR, SHIPPED_IDL, read_idl
 from pretty import pretty
+from mlidl.binding import (
+    BindingError,
+    build_binding,
+    emit_binding_file,
+    emit_sig_text,
+    load_binding_file,
+    load_manifest,
+)
 from mlidl.idl import (
     BaseType,
     Const,
     DuplicateName,
     FuncType,
+    IdlError,
     IdlUnit,
     Interface,
     NamedType,
+    OpDecl,
+    ParamDecl,
     ParseError,
     PtrType,
     RecordDecl,
@@ -27,7 +40,9 @@ from mlidl.idl import (
     resolve,
     tokenize,
 )
-from mlidl.idl.ast import ArrayType
+from mlidl.idl import ast
+from mlidl.idl.ast import BASE_TYPES, ArrayType
+from mlidl.idl.resolve import _PRELUDE
 
 
 def test_time_unit_shape(time_unit):
@@ -268,6 +283,65 @@ def test_pretty_round_trips_strings_the_lexer_must_unescape(name, source, value,
 
 
 
+# parameters with every attribute pretty writes, types with `const`, `*`,
+# `**` and `&`, and int consts; parse reads neither the names nor the types
+# against a declaration, so any of them will do
+_NAMES = hs.sampled_from(["a", "b", "n", "riid", "T", "HWND"])
+
+
+@hs.composite
+def _types(draw, const=True):
+    """A type; an operation's result is never `const`, which would start a
+    const declaration inside the interface."""
+    t = draw(hs.one_of(hs.sampled_from(BASE_TYPES).map(BaseType),
+                       hs.builds(NamedType, _NAMES, const=hs.booleans() if const
+                                 else hs.just(False))))
+    spelling = draw(hs.sampled_from(["", "*", "**", "&"]))
+    if spelling == "&":
+        return PtrType(t, amp=True)
+    for _ in spelling:
+        t = PtrType(t)
+    return t
+
+
+@hs.composite
+def _params(draw, name):
+    t = draw(_types())
+    size_is = draw(hs.none() | _NAMES) if isinstance(t, PtrType) else None
+    return ParamDecl(name, ArrayType(t.to, size_is) if size_is else t,
+                     dir=draw(hs.sampled_from(["in", "out", "inout"])),
+                     ref=draw(hs.booleans()), string=draw(hs.booleans()),
+                     size_is=size_is, iid_is=draw(hs.none() | _NAMES))
+
+
+@hs.composite
+def _units(draw):
+    ops = []
+    for op in draw(hs.lists(hs.sampled_from(["f", "g", "h"]), unique=True, max_size=3)):
+        names = draw(hs.lists(_NAMES, unique=True, max_size=4))
+        ops.append(OpDecl(op, draw(_types(const=False)), tuple(draw(_params(n)) for n in names)))
+    return IdlUnit((
+        Const("N", BaseType(draw(hs.sampled_from(["int", "unsigned long"]))),
+              draw(hs.integers(0, 0xFFFFFFFF))),
+        Interface("I", tuple(ops)),
+    ), "g.idl")
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit=_units())
+def test_pretty_round_trips_every_attribute_and_spelling(unit):
+    text = pretty(unit)
+    assert parse_text(text, "g.idl").decls == unit.decls
+    assert pretty(parse_text(text, "g.idl")) == text
+
+
+def test_pretty_refuses_what_no_declaration_spells():
+    with pytest.raises(TypeError, match="^not a declaration: ParamDecl"):
+        pretty(IdlUnit((ParamDecl("a", BaseType("int")),)))
+    with pytest.raises(TypeError, match="^cannot format type ArrayType"):
+        pretty(IdlUnit((Typedef("T", ArrayType(BaseType("int"), "n")),)))
+
+
 # one input for each way the parser refuses a text: class, message, line,
 # column and expected set
 _PARSE_ERRORS = [
@@ -380,3 +454,74 @@ def test_token_mutants_parse_as_pinned(name):
             outcome = (type(e).__name__, e.message, e.line, e.col, sorted(e.expected))
         digest.update(repr(outcome).encode())
     assert digest.hexdigest() == _MUTANT_DIGESTS[name]
+
+
+# -- the nodes are plain dataclasses, and no stage changes one ----------------
+
+
+def _compiled_units():
+    """Each shipped file in every mode and level, and the unit of every
+    form of `tests/reference_lowering.py`, as (unit, mode, level, manifest)."""
+    bar = load_manifest(IDL_DIR / "bar.manifest.json")
+    for path in SHIPPED_IDL:
+        for mode, level in itertools.product(("static", "dynamic", "com"),
+                                             ("auto", "abstract")):
+            yield (parse_text(path.read_text(encoding="utf-8"), path.name), mode, level,
+                   bar if path.name == "bar.idl" else None)
+    for form in reference_lowering.FORMS:
+        try:
+            yield parse_text(reference_lowering.unit_text(form), "form.idl"), \
+                "dynamic", "auto", None
+        except IdlError:
+            pass
+
+
+def test_no_stage_mutates_the_ast():
+    prelude = _dump(tuple(_PRELUDE.items()))
+    for unit, mode, level, manifest in _compiled_units():
+        before = _dump(unit)
+        try:
+            resolve(unit)
+            desc = build_binding(unit, mode, level, manifest)
+            emit_sig_text(desc)
+            load_binding_file(emit_binding_file(desc))
+        except (IdlError, BindingError):
+            pass
+        assert _dump(unit) == before, (unit.source_name, mode, level)
+    assert _dump(tuple(_PRELUDE.items())) == prelude
+
+
+# one node of each class; `_UNCOMPARED` gives two values of each field that
+# equality leaves out
+_NODES = [
+    ast.Loc(1, 2), BaseType("int"), NamedType("T"), PtrType(BaseType("int")),
+    ArrayType(BaseType("int"), "n"), FuncType((ParamDecl("a", BaseType("int")),), NamedType("T")),
+    ParamDecl("a", PtrType(NamedType("T")), "inout", True, True, None, "riid"),
+    ast.FieldDecl("x", BaseType("long")), Typedef("T", BaseType("int"), string=True),
+    RecordDecl("R", (ast.FieldDecl("x", BaseType("long")),), tag="tagR"),
+    ast.EnumVariant("A", 16), ast.EnumDecl("E", (ast.EnumVariant("A", 16),)),
+    Const("C", BaseType("int"), 3), OpDecl("f", BaseType("void"), ()),
+    Interface("I", (OpDecl("f", BaseType("void"), ()),), parent="IUnknown", sml_source="s"),
+    SmlName("m"), IdlUnit((SmlName("m"),), "u.idl"),
+]
+_UNCOMPARED = {"loc": (None, ast.Loc(3, 4)), "const": (False, True), "amp": (False, True),
+               "hex": (False, True)}
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda n: type(n).__name__)
+def test_equality_and_hash_cover_the_compared_fields_only(node):
+    fields = dataclasses.fields(node)
+    assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields if f.compare))
+    for f in fields:
+        if not f.compare:
+            a, b = (dataclasses.replace(node, **{f.name: v}) for v in _UNCOMPARED[f.name])
+            assert _dump(a) != _dump(b)
+            assert a == b and hash(a) == hash(b)
+
+
+def test_every_node_class_and_uncompared_field_is_checked():
+    classes = {c for c in vars(ast).values()
+               if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert {type(n) for n in _NODES} == classes
+    assert {f.name for c in classes for f in dataclasses.fields(c) if not f.compare} \
+        == set(_UNCOMPARED)
