@@ -196,21 +196,15 @@ class _Parser:
             vname = self.expect_kind("ident")
             self.expect("=")
             vtok = toks[self.i]
-            if vtok.kind == "int":
-                self.i += 1
-                value = int(vtok.value)  # type: ignore[arg-type]
-                if value > 0xFFFFFFFF:
-                    raise self.fail(f"enum value {value} does not fit in 32 bits", vtok)
-                is_hex = False
-            elif vtok.kind == "word":
-                self.i += 1
-                value = int(vtok.value)  # type: ignore[arg-type]
-                is_hex = True
-            else:
+            if vtok.kind not in ("int", "word"):
                 raise self.fail("expected an integer or 0wx word literal", vtok,
                                 expected={"int", "word"})
+            self.i += 1
+            value = int(vtok.value)  # type: ignore[arg-type]
+            if value > 0xFFFFFFFF:      # only a decimal: the lexer bounds a 0wx word
+                raise self.fail(f"enum value {value} does not fit in 32 bits", vtok)
             self._declare(vname.text, "enum variant", vname)
-            variants.append(ast.EnumVariant(vname.text, value, hex=is_hex,
+            variants.append(ast.EnumVariant(vname.text, value, hex=vtok.kind == "word",
                                             loc=ast.Loc(vname.line, vname.col)))
             if toks[self.i].text != ",":
                 break
@@ -227,11 +221,10 @@ class _Parser:
         t, _, name_tok = self.declarator()
         self.expect("=")
         vtok = self.toks[self.i]
-        if vtok.kind in ("int", "word", "string", "char"):
-            self.i += 1
-        else:
+        if vtok.kind not in ("int", "word", "string", "char"):
             raise self.fail("expected a literal", vtok,
                             expected={"int", "word", "string", "char"})
+        self.i += 1
         self.expect(";")
         self._declare(name_tok.text, "const", name_tok)
         return ast.Const(name_tok.text, t, vtok.value, loc=ast.Loc(kw.line, kw.col))
