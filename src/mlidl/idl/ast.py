@@ -9,13 +9,12 @@ The nodes are plain dataclasses with `unsafe_hash=True`, not frozen ones:
 a frozen dataclass's `__init__` sets every field through
 `object.__setattr__`, which made an 8-field `ParamDecl` cost about four
 times as much to build on CPython 3.11, and the parser builds a node every
-few tokens.
-They keep the hash over their compared fields, and no stage assigns to a
-node after the parser has built it: the resolver, the builder, both
-emitters and the loader only read the tree, and the resolver's prelude is
-shared by every unit.  `tests/test_parser.py`
-(`test_no_stage_mutates_the_ast`) pins that.  The AST carries no cache;
-the binding model, which does, stays frozen.
+few tokens.  They keep the hash over their compared fields, and no stage
+assigns to a node after the parser has built it: the resolver, the
+builder, both emitters and the loader only read the tree, and the
+resolver's prelude is shared by every unit.  `test_no_stage_mutates_the_ast`
+in `tests/test_parser.py` pins that.  The AST carries no cache; the binding
+model, which does, stays frozen.
 """
 
 from __future__ import annotations
