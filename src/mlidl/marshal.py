@@ -53,12 +53,13 @@ the address registers the callable itself, as `SimWorld.SetTimer` and
 an out parameter, an out record's field or the return value) comes with a
 block or a registration of its own, which the caller frees or releases once
 it has decoded it; the stub makes them as it packs the results, and gives
-them back itself if a later result fails to pack.  Out and in-out arrays,
-arrays of zero-width records and record return values are rejected with
-`Unsupported` when the plan is built.  An array's count comes from the
-caller's words, and the block its address names bounds it: `Mem.read` of
-count times width words faults past the block's end.  Elements that take no
-words would leave the count unbounded.
+them back itself if a later result fails to pack.  Out and in-out arrays
+and record return values are rejected with `Unsupported` when the plan is
+built.  An array's count comes from the caller's words, and the block its
+address names bounds it: `Mem.read` of count times stride words faults past
+the block's end.  The stride is the element's width, or one unused word for
+an element that takes none (a record with no fields), so that no element
+count goes unbounded.
 """
 
 from __future__ import annotations
@@ -352,13 +353,19 @@ def _ref_codec(codec: Codec) -> Codec:
 
 def _array_codec(elem: Codec, where: str = "", count: Optional[Step] = None) -> Codec:
     """One word: the address of a block of elements.  Unpack reads how many
-    through `count`, the plan step of the count of parameter `where`."""
+    through `count`, the plan step of the count of parameter `where`.  An
+    element that takes no words holds one unused word of the block, so the
+    block bounds the count of any array."""
+    stride = max(elem.width, 1)
+
     def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, list):
             raise TypeMismatch(f"expected a list for array, got {v!r}")
         elems: list[int] = []
         for item in v:
             elem.pack(mem, item, elems, temps)
+        if stride != elem.width:
+            elems = [0] * len(v)
         temps.append(mem.alloc(max(len(elems), 1)))
         mem.store(temps[-1], elems)
         words.append(temps[-1])
@@ -370,9 +377,8 @@ def _array_codec(elem: Codec, where: str = "", count: Optional[Step] = None) -> 
         n = count.codec.unpack(mem, ws, count.at, None)
         if n < 0:
             raise TypeMismatch(f"{where}: bad element count {n}")
-        width = elem.width
-        block = mem.read(ws[at], n * width)
-        return [elem.unpack(mem, block, k * width, owned) for k in range(n)]
+        block = mem.read(ws[at], n * stride)
+        return [elem.unpack(mem, block, k * stride, owned) for k in range(n)]
 
     return Codec(1, pack, unpack)
 
@@ -460,12 +466,8 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
                 or n.sem.kind not in ("int32", "word32", "handle"):
             raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
                               f"is not an [in] integer parameter")
-        elem = codec_of(p.sem.elem, desc)
-        if elem.width == 0:
-            # no block bounds the count of elements that take no words
-            raise Unsupported(f"{sig.name}.{p.name}: an array of zero-width "
-                              f"elements is not supported")
-        wire = _array_codec(elem, f"{sig.name}.{p.name}", steps[sig.params.index(n)])
+        wire = _array_codec(codec_of(p.sem.elem, desc), f"{sig.name}.{p.name}",
+                            steps[sig.params.index(n)])
         steps[i] = steps[i]._replace(wire=wire, count=ins.index(n))
     ret = None
     if sig.ret is not None:

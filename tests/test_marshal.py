@@ -447,20 +447,39 @@ def test_skeleton_unpacks_strings_and_arrays(mem, win32_desc):
     assert results == [True]
 
 
-def test_an_array_of_empty_records_is_refused_when_the_plan_is_built(mem):
-    # elements that take no words leave the caller's count unbounded: a raw
-    # [100000, a] would hand the implementation 100,000 dicts
+EMPTY_ARRAY_IDL = ("typedef struct tagE { } E;\ninterface I {\n"
+                   "  void Take ([in] int n, [in, size_is(n)] E *a);\n}")
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_skeleton_unpacks_an_array_of_empty_records(mem, n):
     from mlidl.binding import build_binding
     from mlidl.idl import parse_text
-    desc = build_binding(parse_text("typedef struct tagE { } E;\ninterface I {\n"
-                                    "  void Take ([in] int n, [in, size_is(n)] E *a);\n}"),
-                         "dynamic", "auto")
+    desc = build_binding(parse_text(EMPTY_ARRAY_IDL), "dynamic", "auto")
     take = sig_of(desc, "I", "Take")
-    message = "^Take.a: an array of zero-width elements is not supported$"
-    with pytest.raises(Unsupported, match=message):
-        skeleton(take, lambda count, a: None, mem, desc)
-    with pytest.raises(Unsupported, match=message):
-        call(take, lambda words: 0, [2, [{}, {}]], mem, desc)
+    got = []
+    stub = skeleton(take, lambda count, a: got.append((count, a)), mem, desc)
+    assert call(take, stub, [n, [{}] * n], mem, desc) == []
+    assert got == [(n, [{}] * n)]
+    assert mem.live_count == 0
+
+
+@pytest.mark.parametrize("count", [2, 100000, 0x7FFFFFFF])
+def test_a_raw_count_of_empty_records_is_bounded_by_its_block(mem, count):
+    # an element that takes no words holds one word of the block: without
+    # it, a raw [100000, a] would hand the implementation 100,000 dicts
+    from mlidl.binding import build_binding
+    from mlidl.idl import parse_text
+    desc = build_binding(parse_text(EMPTY_ARRAY_IDL), "dynamic", "auto")
+    got = []
+    stub = skeleton(sig_of(desc, "I", "Take"), lambda n, a: got.append(a), mem, desc)
+    a = mem.alloc(1)
+    stub([1, a])
+    assert got == [[{}]]
+    with pytest.raises(OutOfBounds):
+        stub([count, a])
+    assert got == [[{}]]
+    mem.free(a)
     assert mem.live_count == 0
 
 
