@@ -6,7 +6,8 @@ Release always in slots 0..2.  Reference counting is per object: all of an
 object's interfaces share one count, and when it reaches zero every block
 the object owns is freed and every slot its vtables registered is released
 (`Mem.give_back`), so a call through a stale slot raises
-`NotCallable` and the world keeps nothing of the object alive.
+`NotCallable` and the world keeps nothing of the object alive.  An object
+whose construction raises holds no block and no slot, and is not `alive`.
 QueryInterface for IUnknown returns the same interface from any starting
 interface, which makes its address usable as the object's identity.
 
@@ -162,7 +163,11 @@ class ComObject:
         # `add_interface` fails holds no reference to itself
         self._unknown_slots: list[WordFn] = []
         unknown = [self._raw_query_interface, self._raw_add_ref, self._raw_release]
-        self._identity = self.add_interface(IID_IUNKNOWN, unknown).addr
+        try:
+            self._identity = self.add_interface(IID_IUNKNOWN, unknown).addr
+        except BaseException:
+            self.alive = False      # nothing was built, so nothing is alive
+            raise
         self._unknown_slots = unknown
 
     @property

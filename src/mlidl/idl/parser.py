@@ -250,8 +250,16 @@ class _Parser:
                 hoisted.append(self.typedef())
                 continue
             if start.text == "const":
-                hoisted.append(self.const_decl())
-                continue
+                # a const declaration, unless an operation's `(` follows the
+                # declarator: a result type may start with `const` too
+                at = self.i
+                self.i += 1
+                self.declarator()
+                is_op = toks[self.i].text == "("
+                self.i = at
+                if not is_op:
+                    hoisted.append(self.const_decl())
+                    continue
             t, _, op_tok = self.declarator()
             params = self.param_list()
             self.expect(";")

@@ -32,17 +32,24 @@ word32, handle, opaque, bool or enum) and so is the return value, if any:
 the shape of the GDI calls the bounce demo makes on each tick.  Those codecs
 have a `to_word` and a `from_word`, and the plan keeps them in order.  A
 flat call makes one `Mem.call` and converts the returned word; neither side
-allocates.  Its conversion kernel is picked when the plan is built:
+allocates.  How it converts is decided when the plan is built:
 
-    integer wires only   the client checks and masks every argument in one
-                         comprehension, and goes through each wire's
-                         `to_word` only when a value fails that check (the
-                         first bad value raises there); the stub masks the
-                         words, and sign-extends those of int32 wires from a
-                         sign bit per wire, inline
+    integer wires only   the plan is compiled into its own client and stub
+                         maker, closures that hold what they read of it.
+                         `call` checks the target and hands the client the
+                         arguments, which it checks and masks in one
+                         comprehension, going through each wire's `to_word`
+                         only when a value fails that check (the first bad
+                         value raises there).  The stub masks the words in
+                         one comprehension and, if any wire is int32, takes
+                         them as signed through one shared `struct.Struct`
+                         pack and unpack.  Both sides encode or decode an
+                         int or bool return inline; any other return, and a
+                         result that is not one plain value, goes through
+                         its codec and the result count check.
     a bool or enum wire  each wire's `to_word`, and in the stub `from_word`
 
-Every other plan takes the general path below.  Both paths raise the same
+Every other plan takes the general path below.  All paths raise the same
 errors in the same order.
 
 When the call returns, the caller frees every block it packed and releases
@@ -432,8 +439,16 @@ class Plan:
     # flat plans only: each wire's to_word, then its from_word
     to_words: Optional[tuple[Callable[[Value], int], ...]] = None
     from_words: Optional[tuple[Callable[[int], Value], ...]] = None
-    # flat plans whose wires are all integers: each wire's sign bit
-    signs: Optional[tuple[int, ...]] = None
+    # flat plans whose wires are all integers: the client, which `call`
+    # hands a checked target, the in-arguments and the world, and the stub
+    # maker, which `skeleton` hands the implementation
+    client: Optional[Callable[[Union[WordFn, int], Sequence[Value], Mem],
+                              list[Value]]] = None
+    stub: Optional[Callable[[Callable[..., Any]], WordFn]] = None
+
+
+# one reinterpreting Struct per format, shared by every plan that uses it
+_STRUCTS: dict[str, struct.Struct] = {}
 
 
 def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
@@ -475,15 +490,85 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
             raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
                               f"values are not supported")
         ret = codec_of(sig.ret.sem, desc)
-    flat = all(s.wire.to_word is not None for s in steps) \
+    flat = all([s.wire.to_word is not None for s in steps]) \
         and (ret is None or ret.to_word is not None)
-    # an integer wire decodes with to_signed (int32: sign bit 31) or word
-    ints = flat and all(s.wire.from_word in (to_signed, word) for s in steps)
+    if not flat:
+        return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
+    to_words = tuple([s.wire.to_word for s in steps])
+    from_words = tuple([s.wire.from_word for s in steps])
+    # an integer wire decodes with to_signed (int32) or word; any other flat
+    # wire (a bool or an enum) keeps the per-wire kernel of `call` and `skeleton`
+    codes = "".join(["i" if f is to_signed else "I" if f is word else "?"
+                     for f in from_words])
+    if "?" in codes:
+        return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
+                    to_words, from_words)
+
+    # The integer kernels, built here once per plan.  They close over what
+    # they read of the plan, never over the plan or a world, so nothing a
+    # plan keeps refers back to it.
+    name = sig.name
+    # the return: an integer's sign bit (int32: bit 31, word32: none), or
+    # a bool, or any other one-word kind through its codec
+    rsign = None if ret is None or ret.from_word not in (to_signed, word) \
+        else 0x80000000 if ret.from_word is to_signed else 0
+    rbool = ret is not None and ret.from_word is _bool_from_word
+    # int32 words are reinterpreted as signed in one pack and unpack
+    pack = unpack = None
+    if "i" in codes:
+        fmt = "<" + "I" * arity
+        pack = (_STRUCTS.get(fmt) or _STRUCTS.setdefault(fmt, struct.Struct(fmt))).pack
+        fmt = "<" + codes
+        unpack = (_STRUCTS.get(fmt) or _STRUCTS.setdefault(fmt, struct.Struct(fmt))).unpack
+
+    def client(target: Union[WordFn, int], values: Sequence[Value],
+               mem: Mem) -> list[Value]:
+        # check and mask every value in one pass; a value that pass refuses
+        # (a bool, an int subclass, a non-int, an out-of-range int) sends the
+        # whole list through each wire's to_word, which raises for the first
+        # bad value or converts an int subclass
+        words = [v & WORD_MASK for v in values
+                 if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF]
+        if len(words) != len(values):
+            words = [to_word(v) for to_word, v in zip(to_words, values)]
+        w = mem.call(target, words) if isinstance(target, int) \
+            else target(words) & WORD_MASK
+        if rsign is not None:
+            return [(w ^ rsign) - rsign]
+        if ret is None:
+            return []
+        return [w != 0] if rbool else [ret.from_word(w)]
+
+    def make_stub(impl: Callable[..., Any]) -> WordFn:
+        def stub(words: list[int]) -> int:
+            if len(words) != arity:
+                raise ArityMismatch(
+                    f"{name}: expected {arity} argument words, got {len(words)}")
+            masked = [w & WORD_MASK for w in words]
+            result = impl(*unpack(pack(*masked))) if unpack is not None \
+                else impl(*masked)
+            # a plain int or bool result is encoded here; anything else goes
+            # through the result count check and the return's to_word
+            if rsign is not None:
+                if type(result) is int and -0x80000000 <= result <= 0xFFFFFFFF:
+                    return result & WORD_MASK
+            elif rbool:
+                if result is True:
+                    return 1
+                if result is False:
+                    return 0
+            elif ret is None:
+                if result is not None:
+                    _results(name, 0, result)
+                return 0
+            if result is None or isinstance(result, tuple):
+                result = _results(name, 1, result)[0]
+            return ret.to_word(result)
+
+        return stub
+
     return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
-                tuple(s.wire.to_word for s in steps) if flat else None,
-                tuple(s.wire.from_word for s in steps) if flat else None,
-                tuple(0x80000000 if s.wire.from_word is to_signed else 0
-                      for s in steps) if ints else None)
+                to_words, from_words, client, make_stub)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -495,7 +580,8 @@ def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
 
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
          mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
-    plan = plan_of(sig, desc)
+    plan = (desc.plans if desc is not None else sig.plans).get(id(sig)) \
+        or plan_of(sig, desc)
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
@@ -511,16 +597,11 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
     elif not callable(target):
         raise TypeMismatch(f"not callable: {target!r}")
 
+    client = plan.client
+    if client is not None:
+        return client(target, ins, mem)
     if plan.to_words is not None:
-        # integer wires: check and mask every value in one pass; a value that
-        # pass refuses (a bool, an int subclass, a non-int, an out-of-range
-        # int) sends the whole list through each wire's to_word, which
-        # raises for the first bad value or converts an int subclass
-        words = [v & WORD_MASK for v in ins
-                 if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF] \
-            if plan.signs is not None else None
-        if words is None or len(words) != len(ins):
-            words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
+        words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
         ret_word = mem.call(target, words) if isinstance(target, int) \
             else word(target(words))
         return [] if plan.ret is None else [plan.ret.from_word(ret_word)]
@@ -560,18 +641,19 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
 # -- server-side skeleton -----------------------------------------------------
 
 
-def _results(plan: Plan, result: Any) -> tuple[Value, ...]:
-    """An implementation's result as the tuple of its signature's results."""
+def _results(name: str, n_results: int, result: Any) -> tuple[Value, ...]:
+    """An implementation's result as the tuple of the `n_results` results of
+    operation `name`."""
     if result is None:
         values: tuple[Value, ...] = ()
     elif isinstance(result, tuple):
         values = result
     else:
         values = (result,)
-    if len(values) != plan.n_results:
+    if len(values) != n_results:
         raise ArityMismatch(
-            f"{plan.sig.name}: implementation returned {len(values)} values, "
-            f"signature has {plan.n_results} results")
+            f"{name}: implementation returned {len(values)} values, "
+            f"signature has {n_results} results")
     return values
 
 
@@ -585,6 +667,8 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     void operation with no outs may return None.
     """
     plan = plan_of(sig, desc)
+    if plan.stub is not None:
+        return plan.stub(impl)
 
     def stub(words: list[int]) -> int:
         if len(words) != plan.arity:
@@ -592,18 +676,13 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
                 f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
         from_words = plan.from_words
         if from_words is not None:
-            # integer wires are masked inline, and `^ s) - s` sign-extends a
-            # word whose sign bit s is set (int32); one result that is not a
-            # tuple goes straight to the return's to_word
-            signs = plan.signs
-            result = impl(*[((w & WORD_MASK) ^ s) - s for w, s in zip(words, signs)]
-                          if signs is not None else
-                          [from_word(w) for from_word, w in zip(from_words, words)])
+            # one result that is not a tuple goes straight to the return's to_word
+            result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
             if plan.ret is None:
-                _results(plan, result)
+                _results(sig.name, plan.n_results, result)
                 return 0
             if result is None or isinstance(result, tuple):
-                result = _results(plan, result)[0]
+                result = _results(sig.name, plan.n_results, result)[0]
             return plan.ret.to_word(result)
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
@@ -613,7 +692,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
             if direction != "in":
                 outs.append((codec, words[at]))
 
-        values = _results(plan, impl(*args))
+        values = _results(sig.name, plan.n_results, impl(*args))
         given: list[int] = []    # blocks packed here now belong to the caller
         try:
             for (codec, addr), v in zip(outs, values):

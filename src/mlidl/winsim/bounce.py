@@ -34,6 +34,12 @@ LOGO_W = 158
 LOGO_H = 131
 
 
+class DemoError(Exception):
+    """The demo cannot run to its end: a constant its program names is not
+    declared, its window is not created, or it never reaches the quit
+    message."""
+
+
 class BounceState(NamedTuple):
     hbitmap: int = 0
     cxclient: int = 0
@@ -67,7 +73,7 @@ class BounceDemo:
         for c in self.desc.consts:
             if c.name == name:
                 return str(c.value)
-        raise KeyError(name)
+        raise DemoError(f"the simulated API declares no const {name!r}")
 
     # -- message handling -------------------------------------------------------
 
@@ -189,7 +195,7 @@ class BounceDemo:
                 util_or([self.opts.to_int("CW_USEDEFAULT")]),
                 self.width, self.height, 0, 0, hinstance, 0)
             if hwnd == 0:
-                raise RuntimeError("window creation failed")
+                raise DemoError("window creation failed")
             user.ShowWindow(hwnd, 1)
             user.UpdateWindow(hwnd)
             user.SetForegroundWindow(hwnd)
@@ -199,7 +205,7 @@ class BounceDemo:
                 code = world.pump(4)
             user.UnregisterClassA(APP_NAME, hinstance)
             if code is None:
-                raise RuntimeError("demo did not reach the quit message")
+                raise DemoError("demo did not reach the quit message")
             return code
         finally:
             # the worker's handler and the registered wndproc and stubs

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Optional
 
-from mlidl.wordmem import Mem, word
+from mlidl.wordmem import WORD_MASK, Mem, word
 
 WM_NULL = 0x0
 WM_CREATE = 0x1
@@ -148,13 +148,12 @@ class SimWorld:
         wndproc_addr = self.classes.get(window.class_name)
         if wndproc_addr is None:
             return None
+        wparam, lparam = msg.wparam & WORD_MASK, msg.lparam & WORD_MASK
         self.trace.append(
-            f"TICK {self.tick} MSG {msg.hwnd} {msg.code} "
-            f"{word(msg.wparam)} {word(msg.lparam)}")
+            f"TICK {self.tick} MSG {msg.hwnd} {msg.code} {wparam} {lparam}")
         fn = self.mem.addr_to_fun(wndproc_addr)
         try:
-            ret = fn([word(msg.hwnd), word(msg.code),
-                      word(msg.wparam), word(msg.lparam)])
+            ret = fn([msg.hwnd & WORD_MASK, msg.code & WORD_MASK, wparam, lparam])
         except PumpError:
             raise
         except BaseException as exc:

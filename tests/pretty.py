@@ -85,15 +85,15 @@ def _type(t: ast.IdlType) -> str:
 
 
 def _type_prefix(t: ast.IdlType) -> str:
-    """Type as a declaration prefix, e.g. ``int `` or ``char *``."""
+    """Type as a declaration prefix, e.g. ``int ``, ``char *`` or
+    ``IID& *``: the parser reads a `&` first and the `*`s after it."""
     stars = ""
-    amp = ""
-    while isinstance(t, ast.PtrType):
-        if t.amp:
-            amp = "&"
-            t = t.to
-            break
+    while isinstance(t, ast.PtrType) and not t.amp:
         stars += "*"
+        t = t.to
+    amp = ""
+    if isinstance(t, ast.PtrType):
+        amp = "&"
         t = t.to
     if isinstance(t, ast.BaseType):
         base = t.name
@@ -101,9 +101,7 @@ def _type_prefix(t: ast.IdlType) -> str:
         base = ("const " if t.const else "") + t.name
     else:
         raise TypeError(f"cannot format type {t!r}")
-    if amp:
-        return f"{base}{amp} "
-    return f"{base} {stars}" if stars else f"{base} "
+    return f"{base}{amp} {stars}"
 
 
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",

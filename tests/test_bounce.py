@@ -11,7 +11,8 @@ import pytest
 from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
                       nothing_for_the_cycle_collector, peak_mb)
 from reference_bounce import reference_trace
-from mlidl.winsim.bounce import BounceDemo, run_bounce
+from mlidl.winsim.bounce import BounceDemo, DemoError, run_bounce
+from mlidl.winsim.world import SimWorld
 from mlidl.wordmem import Mem
 
 LOGO_HALF_W = 158 // 2
@@ -180,7 +181,8 @@ def test_python_calls_of_a_run_are_gated():
     demo = BounceDemo(width=640, height=480)
     code, calls = count_mlidl_calls(demo.run, 500)
     assert code == 0
-    assert calls <= 50_500          # 49,143 on CPython 3.11; 85,251 before the kernels
+    assert calls <= 42_000          # 40,099 on CPython 3.11; 49,143 before the
+                                    # per-plan kernels, 85,251 before any kernel
 
 
 def run_peaks() -> dict[str, float]:
@@ -203,7 +205,28 @@ def run_peak():
 
 @pytest.mark.parametrize("how", ["direct", "adapter"])
 def test_memory_peak_of_a_run_is_budgeted(run_peak, how):
-    # tracemalloc peak of a set-up plus a 500-tick run: 0.4998 MB direct and
-    # 0.5035 with the adapter on CPython 3.11.  A run keeps nothing per
+    # tracemalloc peak of a set-up plus a 500-tick run: 0.5241 MB direct and
+    # 0.5249 with the adapter on CPython 3.11.  A run keeps nothing per
     # tick; keeping one extra four-word list per tick breaks the budget.
     assert run_peak[how] <= 0.53, f"{run_peak[how]:.4f} MB"
+
+
+@pytest.mark.parametrize("patch, message", [
+    # the simulation refuses the window
+    (("CreateWindowExA", lambda self, *args: 0), "window creation failed"),
+    # the program's PostQuitMessage is lost, so no tick ends the demo
+    (("PostQuitMessage", lambda self, code: None), "demo did not reach the quit message"),
+], ids=["no_window", "no_quit"])
+def test_a_demo_that_cannot_finish_raises_demo_error(monkeypatch, patch, message):
+    monkeypatch.setattr(SimWorld, *patch)     # before the demo installs its stubs
+    demo = BounceDemo()
+    with pytest.raises(DemoError) as info:
+        demo.run(5)
+    assert str(info.value) == message
+    assert demo.mem.live_count == 0
+
+
+def test_an_undeclared_const_is_demo_error():
+    with pytest.raises(DemoError) as info:
+        BounceDemo()._const("IDI_NOPE")
+    assert str(info.value) == "the simulated API declares no const 'IDI_NOPE'"

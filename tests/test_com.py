@@ -329,6 +329,12 @@ def test_an_object_that_failed_to_build_leaves_nothing_for_the_cycle_collector(f
     with nothing_for_the_cycle_collector():
         with pytest.raises(BadSize, match="^heap region exhausted$"):
             ComObject(mem)
+        # the object itself, as a caller that wraps `__init__` holds it
+        obj = ComObject.__new__(ComObject)
+        with pytest.raises(BadSize, match="^heap region exhausted$"):
+            obj.__init__(mem)
+        assert obj.alive is False
+        del obj
     assert (mem.live_count, mem.closure_count) == before
 
 

@@ -127,6 +127,24 @@ def test_func_typedef():
     assert [p.name for p in td.type.params] == ["hwnd", "msg"]
 
 
+def test_an_operation_result_may_start_with_const():
+    # inside an interface, `const` starts a const declaration or an
+    # operation; the token after the declarator tells them apart
+    unit = parse_text("""
+        typedef int T;
+        interface I {
+          const T f ();
+          const int K = 3;
+          const unsigned long g ([in] int a);
+        }
+    """)
+    assert unit.decls[1] == Const("K", BaseType("int"), 3)
+    f, g = unit.decls[2].ops
+    assert f == OpDecl("f", NamedType("T", const=True), ())
+    assert g.ret == BaseType("unsigned long") and [p.name for p in g.params] == ["a"]
+    resolve(unit)
+
+
 def test_iunknown_style_declaration_parses():
     unit = parse_text("""
         interface IFoo {
@@ -283,24 +301,21 @@ def test_pretty_round_trips_strings_the_lexer_must_unescape(name, source, value,
 
 
 
-# parameters with every attribute pretty writes, types with `const`, `*`,
-# `**` and `&`, and int consts; parse reads neither the names nor the types
-# against a declaration, so any of them will do
+# parameters with every attribute pretty writes; types with `const`, `*`,
+# `**`, `&` and a `&` under `*`s, as parameters and as operation results;
+# and int consts.  Parse reads neither the names nor the types against a
+# declaration, so any of them will do
 _NAMES = hs.sampled_from(["a", "b", "n", "riid", "T", "HWND"])
 
 
 @hs.composite
-def _types(draw, const=True):
-    """A type; an operation's result is never `const`, which would start a
-    const declaration inside the interface."""
+def _types(draw):
+    """A type: a `&` binds first, then up to two `*`s."""
     t = draw(hs.one_of(hs.sampled_from(BASE_TYPES).map(BaseType),
-                       hs.builds(NamedType, _NAMES, const=hs.booleans() if const
-                                 else hs.just(False))))
-    spelling = draw(hs.sampled_from(["", "*", "**", "&"]))
-    if spelling == "&":
-        return PtrType(t, amp=True)
-    for _ in spelling:
-        t = PtrType(t)
+                       hs.builds(NamedType, _NAMES, const=hs.booleans())))
+    spelling = draw(hs.sampled_from(["", "*", "**", "&", "&*", "&**"]))
+    for c in spelling:
+        t = PtrType(t, amp=c == "&")
     return t
 
 
@@ -319,7 +334,7 @@ def _units(draw):
     ops = []
     for op in draw(hs.lists(hs.sampled_from(["f", "g", "h"]), unique=True, max_size=3)):
         names = draw(hs.lists(_NAMES, unique=True, max_size=4))
-        ops.append(OpDecl(op, draw(_types(const=False)), tuple(draw(_params(n)) for n in names)))
+        ops.append(OpDecl(op, draw(_types()), tuple(draw(_params(n)) for n in names)))
     return IdlUnit((
         Const("N", BaseType(draw(hs.sampled_from(["int", "unsigned long"]))),
               draw(hs.integers(0, 0xFFFFFFFF))),
