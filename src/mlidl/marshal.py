@@ -30,27 +30,28 @@ into the next block.
 A plan is flat when every wire is a one-word value passed inline (int32,
 word32, handle, opaque, bool or enum) and so is the return value, if any:
 the shape of the GDI calls the bounce demo makes on each tick.  Those codecs
-have a `to_word` and a `from_word`, and the plan keeps them in order.  A
-flat call makes one `Mem.call` and converts the returned word; neither side
-allocates.  How it converts is decided when the plan is built:
+have a `to_word` and a `from_word`.  A flat plan is compiled, when it is
+built, into its own client and stub maker: closures that hold what they read
+of the plan.  A flat call makes one `Mem.call` and converts the returned
+word; neither side allocates.  `call` checks the target and hands the client
+the arguments; `skeleton` hands the stub maker the implementation.  What the
+closures do differs by the plan's wires, chosen once per plan:
 
-    integer wires only   the plan is compiled into its own client and stub
-                         maker, closures that hold what they read of it.
-                         `call` checks the target and hands the client the
-                         arguments, which it checks and masks in one
+    integer wires only   the client checks and masks the arguments in one
                          comprehension, going through each wire's `to_word`
                          only when a value fails that check (the first bad
                          value raises there).  The stub masks the words in
                          one comprehension and, if any wire is int32, takes
                          them as signed through one shared `struct.Struct`
-                         pack and unpack.  Both sides encode or decode an
-                         int or bool return inline; any other return, and a
-                         result that is not one plain value, goes through
-                         its codec and the result count check.
-    a bool or enum wire  each wire's `to_word`, and in the stub `from_word`
+                         pack and unpack.
+    a bool or enum wire  the client converts each argument through its
+                         wire's `to_word`, and the stub decodes each word
+                         through its `from_word`.
 
-Every other plan takes the general path below.  All paths raise the same
-errors in the same order.
+Both sides encode or decode an int or bool return inline; any other return,
+and a result that is not one plain value, goes through its codec and the
+result count check.  Every other plan takes the general path below.  Both
+paths raise the same errors in the same order.
 
 When the call returns, the caller frees every block it packed and releases
 each closure registration its packing made for a host callable (an `[in]`
@@ -390,32 +391,6 @@ def _array_codec(elem: Codec, where: str = "", count: Optional[Step] = None) -> 
     return Codec(1, pack, unpack)
 
 
-def layout_of(t: SemType, desc: Optional[BindingDesc] = None) -> int:
-    """Width of a value of type `t`, in words."""
-    return codec_of(t, desc).width
-
-
-def marshal_value(v: Value, t: SemType, mem: Mem,
-                  desc: Optional[BindingDesc] = None) -> list[int]:
-    """Value to words.  Blocks referenced from the words (strings, arrays)
-    are fresh allocations owned by the caller."""
-    words: list[int] = []
-    codec_of(t, desc).pack(mem, v, words, [])
-    return words
-
-
-def unmarshal_value(data: Union[int, Sequence[int]], t: SemType, mem: Mem,
-                    desc: Optional[BindingDesc] = None) -> Value:
-    """Words (or a record's block address) back to a value; inverse of
-    marshal_value."""
-    codec = codec_of(t, desc)
-    if isinstance(data, int):
-        data = mem.read(data, codec.width) if t.kind == "record" else [data]
-    if len(data) != codec.width:
-        raise DecodeError(f"{t.name or t.kind} is {codec.width} words, got {len(data)}")
-    return codec.unpack(mem, data, 0, None)
-
-
 # -- plans ----------------------------------------------------------------------
 
 
@@ -436,12 +411,9 @@ class Plan:
     n_ins: int
     n_results: int
     ret: Optional[Codec]
-    # flat plans only: each wire's to_word, then its from_word
-    to_words: Optional[tuple[Callable[[Value], int], ...]] = None
-    from_words: Optional[tuple[Callable[[int], Value], ...]] = None
-    # flat plans whose wires are all integers: the client, which `call`
-    # hands a checked target, the in-arguments and the world, and the stub
-    # maker, which `skeleton` hands the implementation
+    # flat plans only: the client, which `call` hands a checked target, the
+    # in-arguments and the world, and the stub maker, which `skeleton` hands
+    # the implementation
     client: Optional[Callable[[Union[WordFn, int], Sequence[Value], Mem],
                               list[Value]]] = None
     stub: Optional[Callable[[Callable[..., Any]], WordFn]] = None
@@ -494,20 +466,19 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         and (ret is None or ret.to_word is not None)
     if not flat:
         return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
-    to_words = tuple([s.wire.to_word for s in steps])
-    from_words = tuple([s.wire.from_word for s in steps])
-    # an integer wire decodes with to_signed (int32) or word; any other flat
-    # wire (a bool or an enum) keeps the per-wire kernel of `call` and `skeleton`
-    codes = "".join(["i" if f is to_signed else "I" if f is word else "?"
-                     for f in from_words])
-    if "?" in codes:
-        return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
-                    to_words, from_words)
 
-    # The integer kernels, built here once per plan.  They close over what
+    # The flat kernels, built here once per plan.  They close over what
     # they read of the plan, never over the plan or a world, so nothing a
     # plan keeps refers back to it.
     name = sig.name
+    to_words = tuple([s.wire.to_word for s in steps])
+    from_words = tuple([s.wire.from_word for s in steps])
+    # an integer wire decodes with to_signed (int32) or word; a plan with
+    # any other wire (a bool or an enum) converts every value through its
+    # codec, since a plain 1 on a bool wire is a TypeMismatch
+    codes = "".join(["i" if f is to_signed else "I" if f is word else "?"
+                     for f in from_words])
+    masks = "?" not in codes
     # the return: an integer's sign bit (int32: bit 31, word32: none), or
     # a bool, or any other one-word kind through its codec
     rsign = None if ret is None or ret.from_word not in (to_signed, word) \
@@ -515,7 +486,7 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
     rbool = ret is not None and ret.from_word is _bool_from_word
     # int32 words are reinterpreted as signed in one pack and unpack
     pack = unpack = None
-    if "i" in codes:
+    if masks and "i" in codes:
         fmt = "<" + "I" * arity
         pack = (_STRUCTS.get(fmt) or _STRUCTS.setdefault(fmt, struct.Struct(fmt))).pack
         fmt = "<" + codes
@@ -523,13 +494,15 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
 
     def client(target: Union[WordFn, int], values: Sequence[Value],
                mem: Mem) -> list[Value]:
-        # check and mask every value in one pass; a value that pass refuses
-        # (a bool, an int subclass, a non-int, an out-of-range int) sends the
-        # whole list through each wire's to_word, which raises for the first
-        # bad value or converts an int subclass
-        words = [v & WORD_MASK for v in values
-                 if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF]
-        if len(words) != len(values):
+        # an integer plan checks and masks every value in one pass; a value
+        # that pass refuses (a bool, an int subclass, a non-int, an
+        # out-of-range int) sends the whole list through each wire's
+        # to_word, which raises for the first bad value or converts an int
+        # subclass.  Any other plan's values always go that way.
+        if masks:
+            words = [v & WORD_MASK for v in values
+                     if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF]
+        if not masks or len(words) != len(values):
             words = [to_word(v) for to_word, v in zip(to_words, values)]
         w = mem.call(target, words) if isinstance(target, int) \
             else target(words) & WORD_MASK
@@ -544,9 +517,12 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
             if len(words) != arity:
                 raise ArityMismatch(
                     f"{name}: expected {arity} argument words, got {len(words)}")
-            masked = [w & WORD_MASK for w in words]
-            result = impl(*unpack(pack(*masked))) if unpack is not None \
-                else impl(*masked)
+            if masks:
+                masked = [w & WORD_MASK for w in words]
+                result = impl(*unpack(pack(*masked))) if unpack is not None \
+                    else impl(*masked)
+            else:
+                result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
             # a plain int or bool result is encoded here; anything else goes
             # through the result count check and the return's to_word
             if rsign is not None:
@@ -568,7 +544,7 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         return stub
 
     return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
-                to_words, from_words, client, make_stub)
+                client, make_stub)
 
 
 def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
@@ -600,11 +576,6 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
     client = plan.client
     if client is not None:
         return client(target, ins, mem)
-    if plan.to_words is not None:
-        words = [to_word(v) for to_word, v in zip(plan.to_words, ins)]
-        ret_word = mem.call(target, words) if isinstance(target, int) \
-            else word(target(words))
-        return [] if plan.ret is None else [plan.ret.from_word(ret_word)]
 
     temps: list[int] = []
     outs: list[tuple[Codec, int]] = []
@@ -674,16 +645,6 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
         if len(words) != plan.arity:
             raise ArityMismatch(
                 f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
-        from_words = plan.from_words
-        if from_words is not None:
-            # one result that is not a tuple goes straight to the return's to_word
-            result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
-            if plan.ret is None:
-                _results(sig.name, plan.n_results, result)
-                return 0
-            if result is None or isinstance(result, tuple):
-                result = _results(sig.name, plan.n_results, result)[0]
-            return plan.ret.to_word(result)
         args: list[Value] = []
         outs: list[tuple[Codec, int]] = []
         for _, direction, codec, wire, at, _ in plan.steps:

@@ -29,16 +29,14 @@ def sim_binding() -> BindingDesc:
 
 
 def install_libraries(world: SimWorld) -> BindingDesc:
-    """Register every simulated operation as a callable library symbol."""
+    """Register every simulated operation as a callable library symbol.  The
+    simulated corpus binds in dynamic mode, so every operation is a method,
+    and each of its interfaces names its source library."""
     desc = sim_binding()
     mem = world.mem
     for iface in desc.interfaces:
-        if iface.source is None:
-            continue
         lib = mem.register_library(iface.source)
         for op in iface.ops:
-            if op.kind != "method":
-                continue
             impl = getattr(world, op.name, None)
             if impl is None:
                 raise marshal.MarshalError(

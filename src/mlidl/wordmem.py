@@ -302,8 +302,11 @@ class Mem:
         return self._closures[addr]
 
     def call(self, addr: int, args: list[int]) -> int:
-        """Invoke a closure address with raw word arguments."""
-        result = self._closures[addr](list(args)) & WORD_MASK
+        """Invoke a closure address with raw word arguments.
+
+        The callee gets `args` itself, not a copy: a caller passes a list it
+        built for this call and does not use again."""
+        result = self._closures[addr](args) & WORD_MASK
         if self._trace is not None:
             self._trace(f"call {addr:#x} {args} -> {result:#x}")
         return result

@@ -112,14 +112,14 @@ def test_criterion_03_layout_against_byte_oracle():
         unit = resolve(parse_text(read_idl("win32.idl"), "win32.idl"))
         table = symbol_table(unit)
         desc = build_binding(unit, "dynamic", "auto")
-        assert marshal.layout_of(st.record_t("WNDCLASSEX"), desc) == 12
+        assert marshal.codec_of(st.record_t("WNDCLASSEX"), desc).width == 12
         assert _oracle_byte_size(ast.NamedType("WNDCLASSEX"), table) == 48
-        assert marshal.layout_of(st.record_t("POINT"), desc) == 2
+        assert marshal.codec_of(st.record_t("POINT"), desc).width == 2
         assert _oracle_byte_size(ast.NamedType("POINT"), table) == 8
         for rec in desc.records:
             oracle_bytes = _oracle_byte_size(ast.NamedType(rec.name), table)
             assert oracle_bytes == 4 * rec.size == \
-                4 * marshal.layout_of(st.record_t(rec.name), desc)
+                4 * marshal.codec_of(st.record_t(rec.name), desc).width
 
 
 def test_criterion_04_wordmem_properties():

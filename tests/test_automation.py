@@ -131,8 +131,10 @@ def test_coerce_enum(win32_desc):
 
 def test_coerce_marshal_round_trip(mem, win32_desc):
     v = coerce(Variant.i4(-5), st.INT32)
-    words = marshal.marshal_value(v, st.INT32, mem, win32_desc)
-    assert marshal.unmarshal_value(words, st.INT32, mem, win32_desc) == v
+    codec = marshal.codec_of(st.INT32, win32_desc)
+    words: list[int] = []
+    codec.pack(mem, v, words, [])
+    assert codec.unpack(mem, words, 0, None) == v
 
 
 def test_variant_of_inverse():

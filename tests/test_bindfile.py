@@ -630,8 +630,11 @@ def test_one_mutated_node_loads_or_is_a_schema_violation(win32_desc, time_desc, 
         value = _sample(sem, loaded, itertools.count(1))
         mem = Mem()
         try:
-            words = marshal.marshal_value(value, sem, mem, loaded)
-            assert marshal.unmarshal_value(words, sem, mem, loaded) == value
+            codec = marshal.codec_of(sem, loaded)
+            words: list[int] = []
+            codec.pack(mem, value, words, [])
+            assert len(words) == codec.width
+            assert codec.unpack(mem, words, 0, None) == value
         except (marshal.MarshalError, MemFault):
             pass
 

@@ -11,8 +11,8 @@ import pytest
 from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
                       nothing_for_the_cycle_collector, peak_mb)
 from reference_bounce import reference_trace
-from mlidl.winsim.bounce import BounceDemo, DemoError, run_bounce
-from mlidl.winsim.world import SimWorld
+from mlidl.winsim.bounce import BALL_TIMER, BounceDemo, BounceState, DemoError, run_bounce
+from mlidl.winsim.world import WM_SIZE, WM_TIMER, SimWorld
 from mlidl.wordmem import Mem
 
 LOGO_HALF_W = 158 // 2
@@ -230,3 +230,33 @@ def test_an_undeclared_const_is_demo_error():
     with pytest.raises(DemoError) as info:
         BounceDemo()._const("IDI_NOPE")
     assert str(info.value) == "the simulated API declares no const 'IDI_NOPE'"
+
+
+# -- the handler's branches that a run does not reach -----------------------------
+
+def test_a_timer_other_than_the_balls_changes_nothing():
+    demo = BounceDemo()
+    state = BounceState(hbitmap=1, cxclient=300, cyclient=200)
+    assert demo.handle(state, (1, WM_TIMER, BALL_TIMER + 1, 0)) == (state, 0)
+    assert demo.world.trace == []
+
+
+def test_a_second_size_deletes_the_old_bitmap():
+    demo = BounceDemo()
+    first, ret = demo.handle(BounceState(), (1, WM_SIZE, 0, (200 << 16) | 300))
+    assert ret == 0 and first.hbitmap == 1
+    second, ret = demo.handle(first, (1, WM_SIZE, 0, (100 << 16) | 400))
+    assert ret == 0
+    assert second == first._replace(hbitmap=2, cxclient=400, cyclient=100,
+                                    xcenter=200, ycenter=50)
+    assert demo.world.trace == [
+        'TICK 0 DRAW LoadImageA 0 "smlnj.bmp" 0 0 0 16',
+        "TICK 0 DRAW DeleteObject 1",
+        'TICK 0 DRAW LoadImageA 0 "smlnj.bmp" 0 0 0 16',
+    ]
+
+
+def test_a_ball_tick_before_any_bitmap_draws_nothing():
+    demo = BounceDemo()
+    assert demo.handle(BounceState(), (1, WM_TIMER, BALL_TIMER, 0)) == (BounceState(), 0)
+    assert demo.world.trace == []

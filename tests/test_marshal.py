@@ -16,14 +16,12 @@ from mlidl.marshal import (
     Unsupported,
     abi_arity,
     call,
-    layout_of,
-    marshal_value,
+    codec_of,
     pack_string8,
     read_string8,
     read_string16,
     pack_string16,
     skeleton,
-    unmarshal_value,
 )
 from mlidl.wordmem import Mem, OutOfBounds
 
@@ -32,74 +30,88 @@ def sig_of(desc, iface, name):
     return next(o for o in desc.interface(iface).ops if o.name == name)
 
 
+def packed(v, t, mem, desc=None):
+    """The words of `v` under the codec of `t`."""
+    words: list[int] = []
+    codec_of(t, desc).pack(mem, v, words, [])
+    return words
+
+
+def unpacked(words, t, mem, desc=None):
+    """The value of `words`, as many as `t` takes, under the codec of `t`."""
+    codec = codec_of(t, desc)
+    assert len(words) == codec.width
+    return codec.unpack(mem, words, 0, None)
+
+
 # -- layout ---------------------------------------------------------------------
 
 
 def test_layout_examples(win32_desc):
-    assert layout_of(st.record_t("POINT"), win32_desc) == 2
-    assert layout_of(st.record_t("WNDCLASSEX"), win32_desc) == 12
-    assert layout_of(st.BOOL) == 1
-    assert layout_of(st.INT32) == 1
-    assert layout_of(st.STRING8) == 1
-    assert layout_of(st.callback_t("WNDPROC")) == 1
-    assert layout_of(st.array_t(st.INT32, "n")) == 1
-    assert layout_of(st.record_t("IID")) == 4
+    assert codec_of(st.record_t("POINT"), win32_desc).width == 2
+    assert codec_of(st.record_t("WNDCLASSEX"), win32_desc).width == 12
+    assert codec_of(st.BOOL).width == 1
+    assert codec_of(st.INT32).width == 1
+    assert codec_of(st.STRING8).width == 1
+    assert codec_of(st.callback_t("WNDPROC")).width == 1
+    assert codec_of(st.array_t(st.INT32, "n")).width == 1
+    assert codec_of(st.record_t("IID")).width == 4
 
 
 def test_layout_unknown_record(win32_desc):
     from mlidl.marshal import MarshalError
     with pytest.raises(MarshalError):
-        layout_of(st.record_t("NOPE"), win32_desc)
+        codec_of(st.record_t("NOPE"), win32_desc)
 
 
 # -- scalar and record marshalling ---------------------------------------------
 
 
 def test_bool_marshals_to_one_word(mem):
-    assert marshal_value(True, st.BOOL, mem) == [1]
-    assert marshal_value(False, st.BOOL, mem) == [0]
+    assert packed(True, st.BOOL, mem) == [1]
+    assert packed(False, st.BOOL, mem) == [0]
 
 
 def test_any_nonzero_unmarshals_true(mem):
-    assert unmarshal_value([2], st.BOOL, mem) is True
-    assert unmarshal_value([0], st.BOOL, mem) is False
+    assert unpacked([2], st.BOOL, mem) is True
+    assert unpacked([0], st.BOOL, mem) is False
 
 
 def test_point_field_order(mem, win32_desc):
-    words = marshal_value({"x": 3, "y": 4}, st.record_t("POINT"), mem, win32_desc)
+    words = packed({"x": 3, "y": 4}, st.record_t("POINT"), mem, win32_desc)
     assert words == [3, 4]
 
 
 def test_record_field_set_must_match(mem, win32_desc):
     with pytest.raises(TypeMismatch):
-        marshal_value({"x": 3}, st.record_t("POINT"), mem, win32_desc)
+        packed({"x": 3}, st.record_t("POINT"), mem, win32_desc)
     with pytest.raises(TypeMismatch):
-        marshal_value({"x": 3, "y": 4, "z": 5}, st.record_t("POINT"), mem, win32_desc)
+        packed({"x": 3, "y": 4, "z": 5}, st.record_t("POINT"), mem, win32_desc)
 
 
 def test_int32_range(mem):
-    assert marshal_value(-1, st.INT32, mem) == [0xFFFFFFFF]
-    assert marshal_value(0x80000000, st.INT32, mem) == [0x80000000]
+    assert packed(-1, st.INT32, mem) == [0xFFFFFFFF]
+    assert packed(0x80000000, st.INT32, mem) == [0x80000000]
     with pytest.raises(TypeMismatch):
-        marshal_value(2**32, st.INT32, mem)
+        packed(2**32, st.INT32, mem)
     with pytest.raises(TypeMismatch):
-        marshal_value(True, st.INT32, mem)
-    assert unmarshal_value([0xFFFFFFFF], st.INT32, mem) == -1
-    assert unmarshal_value([0xFFFFFFFF], st.WORD32, mem) == 0xFFFFFFFF
+        packed(True, st.INT32, mem)
+    assert unpacked([0xFFFFFFFF], st.INT32, mem) == -1
+    assert unpacked([0xFFFFFFFF], st.WORD32, mem) == 0xFFFFFFFF
 
 
 def test_enum_marshal_through_map(mem, win32_desc):
     opts = st.enum_t("OPTS")
-    assert marshal_value("CS_HREDRAW", opts, mem, win32_desc) == [2]
-    assert unmarshal_value([2], opts, mem, win32_desc) == "CS_HREDRAW"
+    assert packed("CS_HREDRAW", opts, mem, win32_desc) == [2]
+    assert unpacked([2], opts, mem, win32_desc) == "CS_HREDRAW"
     with pytest.raises(DecodeError):
-        unmarshal_value([0x12345], opts, mem, win32_desc)
+        unpacked([0x12345], opts, mem, win32_desc)
     with pytest.raises(TypeMismatch):
-        marshal_value("NOPE", opts, mem, win32_desc)
+        packed("NOPE", opts, mem, win32_desc)
 
 
 def test_string_pack_little_endian(mem):
-    words = marshal_value("ab", st.STRING8, mem)
+    words = packed("ab", st.STRING8, mem)
     addr = words[0]
     assert mem.read(addr, 1)[0] == 0x00006261
     assert read_string8(mem, addr) == "ab"
@@ -227,10 +239,10 @@ def test_bad_string_bytes_raise_decode_error(mem, sem, reader, bad):
 
 def test_callback_identity(mem):
     fn = lambda ws: 7  # noqa: E731
-    words = marshal_value(fn, st.callback_t("CB"), mem)
-    assert unmarshal_value(words, st.callback_t("CB"), mem) is fn
-    assert marshal_value(None, st.callback_t("CB"), mem) == [0]
-    assert unmarshal_value([0], st.callback_t("CB"), mem) is None
+    words = packed(fn, st.callback_t("CB"), mem)
+    assert unpacked(words, st.callback_t("CB"), mem) is fn
+    assert packed(None, st.callback_t("CB"), mem) == [0]
+    assert unpacked([0], st.callback_t("CB"), mem) is None
 
 
 def test_record_round_trip_random(mem, win32_desc):
@@ -241,8 +253,7 @@ def test_record_round_trip_random(mem, win32_desc):
              "right": rng.randint(-2**31, 2**31 - 1),
              "bottom": rng.randint(-2**31, 2**31 - 1)}
         t = st.record_t("RECT")
-        assert unmarshal_value(marshal_value(v, t, mem, win32_desc),
-                               t, mem, win32_desc) == v
+        assert unpacked(packed(v, t, mem, win32_desc), t, mem, win32_desc) == v
 
 
 def test_scalar_round_trip_random(mem, win32_desc):
@@ -256,19 +267,18 @@ def test_scalar_round_trip_random(mem, win32_desc):
             v = rng.randint(-2**31, 2**31 - 1)
         else:
             v = rng.getrandbits(32)
-        assert unmarshal_value(marshal_value(v, t, mem, win32_desc),
-                               t, mem, win32_desc) == v
+        assert unpacked(packed(v, t, mem, win32_desc), t, mem, win32_desc) == v
 
 
 def test_packed_record_fields_match_layout_offsets(mem, win32_desc):
     layout = win32_desc.record("PAINTSTRUCT")
     ps = {"hdc": 9, "fErase": True,
           "rcPaint": {"left": 1, "top": 2, "right": 3, "bottom": 4}}
-    words = marshal_value(ps, st.record_t("PAINTSTRUCT"), mem, win32_desc)
+    words = packed(ps, st.record_t("PAINTSTRUCT"), mem, win32_desc)
     addr = mem.alloc(layout.size)
     mem.store(addr, words)
     for f in layout.fields:
-        width = layout_of(f.sem, win32_desc)
+        width = codec_of(f.sem, win32_desc).width
         got = mem.read(mem.offset(addr, f.offset), width)
         assert got == words[f.offset:f.offset + width]
     mem.free(addr)

@@ -5,7 +5,7 @@ import pytest
 from conftest import read_idl
 from mlidl.binding import build_binding, emit_binding_file, load_binding_file
 from mlidl.idl import parse_text
-from mlidl.marshal import BoundInterface, bind
+from mlidl.marshal import BoundInterface, MarshalError, bind
 from mlidl.winsim.api import install_libraries, sim_binding, sim_idl_text
 from mlidl.winsim.world import (
     Msg,
@@ -55,6 +55,15 @@ def test_every_op_has_a_simulation_implementation():
         lib = mem.open_library(iface.source)
         for op in iface.ops:
             assert mem.get_function(lib, op.name)
+
+
+def test_an_op_the_simulation_lacks_is_a_marshal_error():
+    class Partial(SimWorld):
+        BitBlt = None
+
+    with pytest.raises(MarshalError) as info:
+        install_libraries(Partial(Mem()))
+    assert str(info.value) == "simulation has no implementation for Gdi.BitBlt"
 
 
 def test_begin_paint_through_the_full_pipeline():
