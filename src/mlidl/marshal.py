@@ -38,12 +38,14 @@ the arguments; `skeleton` hands the stub maker the implementation.  What the
 closures do differs by the plan's wires, chosen once per plan:
 
     integer wires only   the client checks and masks the arguments in one
-                         comprehension, going through each wire's `to_word`
-                         only when a value fails that check (the first bad
-                         value raises there).  The stub masks the words in
-                         one comprehension and, if any wire is int32, takes
-                         them as signed through one shared `struct.Struct`
-                         pack and unpack.
+                         loop, going through each wire's `to_word` only when
+                         a value fails that check (the first bad value
+                         raises there).  The stub masks the words in one
+                         loop and, if any wire is int32, takes them as
+                         signed through one shared `struct.Struct` pack and
+                         unpack.  Both loops run in the closure's own frame:
+                         on CPython 3.11 that is cheaper than a
+                         comprehension, and than `map` over a builtin.
     a bool or enum wire  the client converts each argument through its
                          wire's `to_word`, and the stub decodes each word
                          through its `from_word`.
@@ -499,11 +501,13 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
         # out-of-range int) sends the whole list through each wire's
         # to_word, which raises for the first bad value or converts an int
         # subclass.  Any other plan's values always go that way.
-        if masks:
-            words = [v & WORD_MASK for v in values
-                     if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF]
-        if not masks or len(words) != len(values):
-            words = [to_word(v) for to_word, v in zip(to_words, values)]
+        words = []
+        for v in values:
+            if masks and type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF:
+                words.append(v & WORD_MASK)
+            else:
+                words = [to_word(v) for to_word, v in zip(to_words, values)]
+                break
         w = mem.call(target, words) if isinstance(target, int) \
             else target(words) & WORD_MASK
         if rsign is not None:
@@ -518,7 +522,9 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
                 raise ArityMismatch(
                     f"{name}: expected {arity} argument words, got {len(words)}")
             if masks:
-                masked = [w & WORD_MASK for w in words]
+                masked = []
+                for w in words:
+                    masked.append(w & WORD_MASK)
                 result = impl(*unpack(pack(*masked))) if unpack is not None \
                     else impl(*masked)
             else:
@@ -569,7 +575,8 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
                 f"({f.convention} convention), got {plan.arity}")
         target = f.addr
     if isinstance(target, int):
-        mem.addr_to_fun(target)   # fail early on a stale address
+        if target not in mem._closures:
+            mem.addr_to_fun(target)   # fail early on a stale address: NotCallable
     elif not callable(target):
         raise TypeMismatch(f"not callable: {target!r}")
 

@@ -37,16 +37,19 @@ class AdapterWorker:
         self.replies: SimpleQueue = SimpleQueue()   # a return word or the failure
         self.state = initial_state
         self.messages_handled = 0
+        self.running = False    # set by `start`, cleared by `stop`
         self._handler = handler
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="wndproc-worker")
 
     def start(self) -> "AdapterWorker":
         self._thread.start()
+        self.running = True
         return self
 
     def stop(self) -> None:
-        if self._thread.is_alive():
+        if self.running:
+            self.running = False
             self.requests.put(_STOP)
             self._thread.join()
 
@@ -72,7 +75,7 @@ def wndproc_queue_adapter(handler: Handler,
     def wndproc(words: list[int]) -> int:
         if len(words) != 4:
             raise AdapterError(f"wndproc takes 4 words, got {len(words)}")
-        if not worker._thread.is_alive():
+        if not worker.running:
             raise AdapterError("wndproc worker is not running")
         worker.requests.put((words[0], words[1], words[2], words[3]))
         reply = worker.replies.get()

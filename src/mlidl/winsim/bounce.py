@@ -64,6 +64,7 @@ class BounceDemo:
         self.gdi = BoundInterface(self.desc, "Gdi", self.mem)
         self.opts = self.desc.enum("OPTS")
         self.consts = self.desc.enum("CONSTS")
+        self.srccopy = self.consts.to_int("SRCCOPY")    # every tick's raster op
         self.width = width
         self.height = height
         self.adapter = adapter
@@ -125,8 +126,7 @@ class BounceDemo:
                         state.xcenter - state.cxtotal // 2,
                         state.ycenter - state.cytotal // 2,
                         state.cxtotal, state.cytotal,
-                        hdcmem, 0, 0,
-                        self.consts.to_int("SRCCOPY"))
+                        hdcmem, 0, 0, self.srccopy)
         self.user.ReleaseDC(hwnd, hdc)
         self.gdi.DeleteDC(hdcmem)
         xcenter = state.xcenter + state.cxmove
@@ -139,8 +139,9 @@ class BounceDemo:
         if ycenter + state.cyradius >= state.cyclient or \
                 ycenter - state.cyradius <= 0:
             cymove = -cymove
-        return state._replace(xcenter=xcenter, ycenter=ycenter,
-                              cxmove=cxmove, cymove=cymove), 0
+        return BounceState(state.hbitmap, state.cxclient, state.cyclient,
+                           xcenter, ycenter, state.cxtotal, state.cytotal,
+                           state.cxradius, state.cyradius, cxmove, cymove), 0
 
     def _destroy(self, state: BounceState, hwnd: int) -> tuple[BounceState, int]:
         self.user.KillTimer(hwnd, BALL_TIMER)

@@ -129,14 +129,19 @@ class SimWorld:
         return h
 
     def record(self, op: str, args: list[Any]) -> None:
-        rendered = " ".join([str(a) if type(a) is int else _render_arg(a) for a in args])
-        self.trace.append(f"TICK {self.tick} DRAW {op} {rendered}".rstrip())
+        parts = [f"TICK {self.tick} DRAW {op}"]
+        for a in args:
+            parts.append(str(a) if type(a) is int else _render_arg(a))
+        self.trace.append(" ".join(parts).rstrip())
 
     def gdi_record(self, op: str, args: list[Any],
                    ret: Optional[int] = None) -> int:
         """Record a never-failing call; fresh nonzero handle unless given."""
         self.record(op, args)
-        return self.fresh_handle() if ret is None else ret
+        if ret is None:
+            ret = self._next_handle
+            self._next_handle += 1
+        return ret
 
     def trace_text(self) -> str:
         return "\n".join(self.trace) + ("\n" if self.trace else "")
@@ -151,7 +156,7 @@ class SimWorld:
         wparam, lparam = msg.wparam & WORD_MASK, msg.lparam & WORD_MASK
         self.trace.append(
             f"TICK {self.tick} MSG {msg.hwnd} {msg.code} {wparam} {lparam}")
-        fn = self.mem.addr_to_fun(wndproc_addr)
+        fn = self.mem._closures[wndproc_addr]     # a stale address is NotCallable
         try:
             ret = fn([msg.hwnd & WORD_MASK, msg.code & WORD_MASK, wparam, lparam])
         except PumpError:

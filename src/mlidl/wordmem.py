@@ -27,7 +27,10 @@ of them.  The last release unregisters the callable, so the world no longer
 keeps it alive, and a call through the address raises `NotCallable`.
 Closure addresses are never reused, so a stale one can reach no other
 function.  `close` drops every closure at once; a later release of one of
-them does nothing.
+them does nothing.  The closure table, `Mem._closures`, is a dict whose
+missing key raises `NotCallable`: `marshal.call` tests an address against it
+and `SimWorld._dispatch` subscripts it, on paths every bound call and every
+message take, where `addr_to_fun` would cost a Python call.
 
 `give_back` is the one rule for handing back addresses that crossed a call:
 it frees a heap block and releases a closure registration.

@@ -181,8 +181,10 @@ def test_python_calls_of_a_run_are_gated():
     demo = BounceDemo(width=640, height=480)
     code, calls = count_mlidl_calls(demo.run, 500)
     assert code == 0
-    assert calls <= 42_000          # 40,099 on CPython 3.11; 49,143 before the
-                                    # per-plan kernels, 85,251 before any kernel
+    assert calls <= 26_000          # 25,539 on CPython 3.11; 40,099 before the
+                                    # flat kernels and the recorder looped in their
+                                    # own frames, 49,143 before the per-plan
+                                    # kernels, 85,251 before any kernel
 
 
 def run_peaks() -> dict[str, float]:
@@ -205,10 +207,12 @@ def run_peak():
 
 @pytest.mark.parametrize("how", ["direct", "adapter"])
 def test_memory_peak_of_a_run_is_budgeted(run_peak, how):
-    # tracemalloc peak of a set-up plus a 500-tick run: 0.5241 MB direct and
-    # 0.5249 with the adapter on CPython 3.11.  A run keeps nothing per
+    # tracemalloc peak of a set-up plus a 500-tick run: 0.4616 MB direct and
+    # 0.4625 with the adapter on CPython 3.11.  It was 0.5255 and 0.5263
+    # while each tick built its state through `_replace`, whose `_make`
+    # fills the tuple free list from a `map`.  A run keeps nothing per
     # tick; keeping one extra four-word list per tick breaks the budget.
-    assert run_peak[how] <= 0.53, f"{run_peak[how]:.4f} MB"
+    assert run_peak[how] <= 0.47, f"{run_peak[how]:.4f} MB"
 
 
 @pytest.mark.parametrize("patch, message", [

@@ -1,12 +1,14 @@
 """Fuzz gates on the input boundaries: a mutated manifest and a one-character
 edit of a shipped IDL file fail only with the compiler's own error classes,
 and raw Invoke and GetIDsOfNames words fail only with an HRESULT or the
-runtime's own error classes, leaving no block behind."""
+runtime's own error classes, leaving no block behind, and so do the raw
+words of the stub of every shipped operation."""
 
 from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
@@ -26,7 +28,7 @@ from mlidl.binding import (
 from mlidl.binding.model import LiftedSig, ParamSig, RetSig
 from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
 from mlidl.idl import IdlError, parse_text
-from mlidl.marshal import MarshalError, pack_string8
+from mlidl.marshal import MarshalError, abi_arity, pack_string8, pack_string16, skeleton
 from mlidl.wordmem import Mem, MemFault
 
 _GUID = "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D00FF}"
@@ -216,3 +218,79 @@ def test_raw_invoke_words_fail_only_with_an_hresult_or_runtime_errors(words, dp,
 @example(words=("this", 0, "names", 2, 0, "out"), names=("text", "name"))
 def test_raw_get_ids_of_names_words_fail_only_with_an_hresult_or_runtime_errors(words, names):
     _call_slot(5, words, {"names": names})
+
+
+# -- raw words into the skeleton stub of every shipped operation ----------------
+
+
+def _valid(sem, desc):
+    """A host value of semantic type `sem` that its codec packs."""
+    if sem.kind == "bool":
+        return False
+    if sem.kind in ("string8", "string16"):
+        return "ok"
+    if sem.kind == "enum":
+        return desc.enum(sem.name).variants[0][0]
+    if sem.kind == "record":
+        return {f.name: _valid(f.sem, desc) for f in desc.record(sem.name).fields}
+    if sem.kind == "callback":
+        return None
+    return 0
+
+
+def _host(sig, desc):
+    """An implementation of `sig` that takes any in-values and returns a
+    valid value for each result."""
+    results = tuple(_valid(r.sem, desc) for r in sig.results)
+    value = None if not results else results[0] if len(results) == 1 else results
+    return lambda *ins: value
+
+
+_STUB_OPS = []
+for _path, _mode in [(IDL_DIR / "win32.idl", "dynamic"), (IDL_DIR / "time.idl", "static"),
+                     (REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl", "dynamic")]:
+    _desc = build_binding(parse_text(_path.read_text(encoding="utf-8"), _path.name), mode=_mode)
+    _STUB_OPS += [(_desc, op) for iface in _desc.interfaces for op in iface.ops]
+
+# blocks and a closure of the world, by name: two strings, a short and a long
+# block, one word into the short one, and a registered closure
+_STUB_ADDRS = ["str8", "str16", "short", "long", "short+1", "fn"]
+# any word: one of those, null or a small int, a count up to 2**31, any
+# 32-bit word, or a hostile one (a bool, or an int outside every word)
+_STUB_WORD = hs.one_of(
+    hs.sampled_from(_STUB_ADDRS), hs.integers(0, 20), hs.integers(0, 2**31),
+    hs.integers(0, 2**32 - 1),
+    hs.sampled_from([True, False, -1, -2**31 - 1, 2**32, 2**32 + 5, -2**40, 2**63]))
+# the tracemalloc peak of one stub call; a valid call of a shipped operation
+# takes a few kB, and a count the stub does not bound takes far more
+_STUB_PEAK_BYTES = 1 << 20
+
+
+@settings(max_examples=400, deadline=None)
+@given(at=hs.integers(0, len(_STUB_OPS) - 1), data=hs.data())
+def test_raw_stub_words_fail_only_with_runtime_errors(at, data):
+    desc, sig = _STUB_OPS[at]
+    mem = Mem()
+    stub = skeleton(sig, _host(sig, desc), mem, desc)
+    short = mem.alloc(4)
+    addrs = {"str8": pack_string8(mem, "text"), "str16": pack_string16(mem, "text"),
+             "short": short, "long": mem.alloc(64), "short+1": mem.offset(short, 1),
+             "fn": mem.fun_to_addr(lambda ws: 0)}
+    arity = abi_arity(sig, desc)
+    # the right arity three times in four, else one word short or over
+    n = data.draw(hs.sampled_from([arity] * 6 + [max(arity - 1, 0), arity + 1]))
+    words = data.draw(hs.lists(_STUB_WORD, min_size=n, max_size=n))
+    words = [addrs[w] if isinstance(w, str) else w for w in words]
+    before = (mem.live_count, mem.closure_count)
+    tracemalloc.start()
+    try:
+        stub(words)
+    except (MarshalError, MemFault):
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < _STUB_PEAK_BYTES
+    # no shipped operation has a string or callback result, so a call that
+    # returns hands its caller no block or registration either
+    assert (mem.live_count, mem.closure_count) == before

@@ -156,7 +156,7 @@ def test_client_and_server_agree(desc, case):
 # callable (`sys.setprofile`, CPython 3.11).  A change that must raise a cap
 # says so in CHANGES.md.
 PYTHON_CALL_CAPS = {
-    "scalar": 5, "bool": 7, "enum": 13, "string8": 32, "string16": 32,
+    "scalar": 3, "bool": 7, "enum": 13, "string8": 32, "string16": 32,
     "callback": 20, "callback_ref": 33, "record_by_value": 24, "record_ref": 58,
     "out_scalar": 21, "out_record": 60, "inout_scalar": 34, "inout_record": 96,
     "int_array": 42, "record_array": 100, "empty_array": 25, "string_return": 32,
@@ -814,10 +814,21 @@ def test_every_hostile_value_of_every_kind_matches_the_reference_marshaller(desc
                 _flat_run(reference_marshal, sig, desc, args, res, words), (kind, ret, args, res)
 
 
+class IndexOnly:
+    """A word that `struct` would take through `__index__`, but that has no
+    `&`: masking it raises TypeError."""
+
+    def __index__(self) -> int:
+        return 7
+
+    def __repr__(self) -> str:
+        return "IndexOnly()"
+
+
 # raw words a stub may be handed: in range, negative, past 2**32, bools, and
 # values that are no integer at all
 RAW_WORDS = (hs.integers(0, 2**32 - 1) | hs.integers(-2**40, -1) | hs.integers(2**32, 2**40)
-             | hs.booleans() | hs.sampled_from([2.0, "7", None, b"\x01", [1]]))
+             | hs.booleans() | hs.sampled_from([2.0, "7", None, b"\x01", [1], IndexOnly()]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -843,6 +854,23 @@ def test_flat_kernels_match_the_reference_marshaller(desc, data):
     runs = [_masked_with_and(_flat_run(m, sig, desc, args, result, words))
             for m in (marshal, reference_marshal)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kinds", [["word32"], ["int32"], ["handle", "int32", "opaque"]],
+                         ids=["unsigned", "signed", "mixed"])
+def test_an_integer_stub_masks_a_word_that_has_no_and(desc, kinds):
+    # `struct` would take the word through `__index__`; masking refuses it,
+    # as the reference does, wherever it stands and whatever the wires
+    sig = LiftedSig("Flat", tuple(ParamSig(f"p{i}", k, FLAT_KINDS[k][0])
+                                  for i, k in enumerate(kinds)), None)
+    for at in range(len(kinds)):
+        words = [1] * len(kinds)
+        words[at] = IndexOnly()
+        runs = [_masked_with_and(_flat_run(m, sig, desc, [1] * len(kinds), None, words))
+                for m in (marshal, reference_marshal)]
+        assert runs[0] == runs[1]
+        assert runs[0][0][-1] == \
+            (TypeError, "unsupported operand type(s) for &: 'IndexOnly' and 'int'")
 
 
 def _masked_with_and(run):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from enum import IntEnum
+
 import pytest
 
 from mlidl.winsim import (
@@ -15,7 +17,8 @@ from mlidl.winsim import (
     lo_word,
     util_or,
 )
-from mlidl.wordmem import Mem
+from mlidl.winsim.world import Msg
+from mlidl.wordmem import Mem, NotCallable
 
 
 def make_world():
@@ -250,6 +253,115 @@ def test_line_to_trace_entry():
     world, _ = make_world()
     world.LineTo(3, 10, 20)
     assert world.trace[-1] == "TICK 0 DRAW LineTo 3 10 20"
+
+
+class Level(IntEnum):
+    HIGH = 3
+
+
+class Tagged(int):
+    def __str__(self) -> str:
+        return f"tag{int(self)}"
+
+
+class Opaque:
+    def __repr__(self) -> str:
+        return "Opaque()"
+
+
+# every C0 and C1 control character but the three with a short escape
+_CONTROLS = "".join(chr(c) for c in (*range(0x20), *range(0x7F, 0xA0)) if c not in (9, 10, 13))
+RENDERED = [
+    (True, "1"),
+    (False, "0"),
+    (None, "0"),
+    (-7, "-7"),
+    (0xFFFFFFFF, "4294967295"),
+    (Level.HIGH, "3"),
+    (Tagged(5), "tag5"),
+    ('a\\b"c\nd\re\tf\u2028g\u2029h é', '"a\\\\b\\"c\\nd\\re\\tf\\u2028g\\u2029h é"'),
+    (_CONTROLS, '"' + "".join(f"\\x{ord(c):02x}" for c in _CONTROLS) + '"'),
+    ("", '""'),
+    ({"x": 1, "s": "q", "b": True, "n": None}, '{x=1,s="q",b=1,n=0}'),
+    ([1, True, "a", [2]], '[1,1,"a",[2]]'),
+    ((2, -3), "[2,-3]"),
+    ([], "[]"),
+    (len, "<fn>"),
+    (2.5, "2.5"),
+    (Opaque(), "Opaque()"),
+]
+
+
+@pytest.mark.parametrize("value, text", RENDERED, ids=[type(v).__name__ for v, _ in RENDERED])
+def test_record_renders_each_argument_kind(value, text):
+    world, _ = make_world()
+    world.record("Op", [value])
+    world.record("Op", [1, value, False])
+    assert world.trace == [f"TICK 0 DRAW Op {text}", f"TICK 0 DRAW Op 1 {text} 0"]
+
+
+def test_record_of_no_arguments_ends_at_the_op():
+    world, _ = make_world()
+    world.record("Op", [])
+    assert world.trace == ["TICK 0 DRAW Op"]
+
+
+# -- dispatch fallbacks -----------------------------------------------------------
+
+
+def test_dispatch_to_no_live_window_of_a_known_class_does_nothing():
+    world, _ = make_world()
+    log = []
+    make_class(world, log, "C")
+    gone = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.PostMessageA(gone, WM_DESTROY, 0, 0)
+    world.pump(1)
+    orphan = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    assert world.UnregisterClassA("C", 0) is True
+    before, seen = list(world.trace), len(log)
+    for hwnd in (gone, orphan, 999):     # destroyed, class unregistered, unknown
+        assert world._dispatch(Msg(hwnd, WM_MOVE, 0, 0, world.tick)) is None
+    assert world.trace == before
+    assert len(log) == seen
+
+
+def test_dispatch_through_a_dropped_closure_is_not_callable():
+    world, mem = make_world()
+    make_class(world, [], "C")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    mem.close()
+    with pytest.raises(NotCallable) as info:
+        world._dispatch(Msg(hwnd, WM_MOVE, 0, 0, world.tick))
+    assert str(info.value) == "address 0x8000000 is not a registered closure"
+
+
+def test_a_nested_pump_error_is_not_wrapped_again():
+    world, _ = make_world()
+
+    def bad(words):
+        raise ValueError("boom")
+
+    def outer(words):
+        if words[1] == WM_MOVE:
+            world.CreateWindowExA(0, "Bad", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+        return 0
+
+    world.RegisterClassExA({"lpszClassName": "Bad", "lpfnWndProc": bad, "style": 0})
+    world.RegisterClassExA({"lpszClassName": "Outer", "lpfnWndProc": outer, "style": 0})
+    hwnd = world.CreateWindowExA(0, "Outer", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    world.PostMessageA(hwnd, WM_MOVE, 0, 0)
+    with pytest.raises(PumpError) as info:
+        world.pump(1)
+    assert info.value.msg.code == WM_CREATE and info.value.msg.hwnd != hwnd
+    assert isinstance(info.value.cause, ValueError)
+    assert str(info.value) == f"wndproc failed on {info.value.msg}: boom"
+
+
+def test_register_class_with_a_wndproc_that_is_not_callable_returns_zero():
+    world, _ = make_world()
+    assert world.RegisterClassExA({"lpszClassName": "C", "lpfnWndProc": 5, "style": 0}) == 0
+    assert world.classes == {}
+    assert world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0) == 0
 
 
 def test_trace_line_shapes():
