@@ -113,12 +113,6 @@ class RecordLayout:
     fields: tuple[FieldLayout, ...]
     size: int             # words
 
-    def field_named(self, name: str) -> FieldLayout:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"{self.name} has no field {name!r}")
-
 
 def lay_out(name: str, fields: Iterable[tuple[str, str, SemType]],
             earlier: Mapping[str, RecordLayout],
@@ -227,9 +221,6 @@ class BindingDesc:
 
     def enum(self, name: str) -> EnumMap:
         return self._named("enum", name)
-
-    def callback_named(self, name: str) -> CallbackDef:
-        return self._named("callback", name)
 
     def interface(self, name: str) -> InterfaceDesc:
         return self._named("interface", name)

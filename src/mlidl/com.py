@@ -207,16 +207,9 @@ class ComObject:
         if iid.guid not in self._interfaces:
             self._interfaces[iid.guid] = ref
 
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
-
     def _check_alive(self) -> None:
         if not self.alive:
             raise DeadObject("object has been destroyed")
-
-    def find_interface(self, iid: Iid) -> Optional[InterfaceRef]:
-        return self._interfaces.get(iid.guid)
 
     def _destroy(self) -> None:
         """Free every block and release every vtable slot, and drop the
@@ -315,22 +308,6 @@ class Registry:
         lines = [f"{factory.clsid.guid} {factory.label or factory.clsid.name}"
                  for factory in self._factories.values()]
         return "\n".join(sorted(lines)) + ("\n" if lines else "")
-
-    @staticmethod
-    def load(text: str, factories: dict[str, ClassFactory]) -> "Registry":
-        reg = Registry()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            guid_text, _, label = line.partition(" ")
-            factory = factories.get(label)
-            if factory is None:
-                raise ComError(f"no factory for label {label!r}")
-            if str(factory.clsid.guid) != guid_text:
-                raise ComError(f"factory {label!r} has CLSID "
-                               f"{factory.clsid.guid}, registry says {guid_text}")
-            co_register_class_object(reg, factory.clsid, factory)
-        return reg
 
 
 def co_register_class_object(reg: Registry, clsid: Clsid,

@@ -171,12 +171,3 @@ class IdlUnit:
             if isinstance(d, SmlName):
                 return d.value
         return None
-
-    def interfaces(self) -> list[Interface]:
-        return [d for d in self.decls if isinstance(d, Interface)]
-
-    def find(self, name: str) -> Optional[Decl]:
-        for d in self.decls:
-            if not isinstance(d, SmlName) and d.name == name:
-                return d
-        return None

@@ -5,7 +5,9 @@ ordinary declarations: HRESULT is an int typedef, IID an empty record and
 IUnknown a parentless interface; a unit's own declaration replaces one.
 Resolution validates every type reference, size_is/iid_is attribute targets,
 typedef cycles and interface inheritance; the unit itself is returned
-unchanged.  The checks are module-level functions of the symbol table and the
+unchanged.  Every typedef's alias chain is checked before any other check,
+so a cycle is reported at its first typedef wherever it stands, and
+`strip_aliases` never meets one.  The checks are module-level functions of the symbol table and the
 unit, so no closure refers back to the unit and reference counting alone
 frees it.
 """
@@ -37,12 +39,13 @@ def symbol_table(unit: ast.IdlUnit) -> dict[str, ast.Decl]:
 def resolve(unit: ast.IdlUnit) -> ast.IdlUnit:
     table = symbol_table(unit)
     for d in unit.decls:
+        if isinstance(d, ast.Typedef) and not isinstance(d.type, ast.FuncType):
+            _check_alias_cycle(d, table, unit)
+    for d in unit.decls:
         if isinstance(d, ast.Typedef):
             _check_type(d.type, d.loc, table, unit)
             if isinstance(d.type, ast.FuncType):
                 _check_params(d.type.params, table, unit)
-            else:
-                _check_alias_cycle(d, table, unit)
         elif isinstance(d, ast.RecordDecl):
             for f in d.fields:
                 _check_type(f.type, f.loc, table, unit)
@@ -104,12 +107,9 @@ def _check_alias_cycle(d: ast.Typedef, table: dict[str, ast.Decl],
 
 
 def strip_aliases(t: ast.IdlType, table: dict[str, ast.Decl]) -> ast.IdlType:
-    """What `t` names once every typedef that is not a callback is followed."""
-    seen: set[str] = set()
+    """What `t` names once every typedef that is not a callback is followed;
+    `resolve` has refused every cycle of such typedefs."""
     while isinstance(t, ast.NamedType):
-        if t.name in seen:
-            break
-        seen.add(t.name)
         d = table.get(t.name)
         if isinstance(d, ast.Typedef) and not isinstance(d.type, ast.FuncType):
             t = d.type
@@ -154,7 +154,9 @@ def _check_params(params: tuple[ast.ParamDecl, ...], table: dict[str, ast.Decl],
 
 
 def _check_inheritance(unit: ast.IdlUnit, table: dict[str, ast.Decl]) -> None:
-    for iface in unit.interfaces():
+    for iface in unit.decls:
+        if not isinstance(iface, ast.Interface):
+            continue
         seen = [iface.name]
         parent = iface.parent
         while parent is not None:

@@ -690,15 +690,11 @@ class BoundInterface:
         if iface.source is None:
             raise MarshalError(f"interface {name!r} has no source library")
         lib = mem.open_library(iface.source)
-        self._name = name
         for op in iface.ops:
             if op.kind != "method":
                 continue
             sym = mem.get_symbol(lib, op.name)
             setattr(self, op.name, _bound_op(op, sym, mem, desc))
-
-    def __repr__(self) -> str:
-        return f"BoundInterface({self._name})"
 
 
 def _bound_op(sig: LiftedSig, sym: Symbol, mem: Mem, desc: BindingDesc):

@@ -36,7 +36,6 @@ class AdapterWorker:
         self.requests: SimpleQueue = SimpleQueue()
         self.replies: SimpleQueue = SimpleQueue()   # a return word or the failure
         self.state = initial_state
-        self.messages_handled = 0
         self.running = False    # set by `start`, cleared by `stop`
         self._handler = handler
         self._thread = threading.Thread(target=self._run, daemon=True,
@@ -63,7 +62,6 @@ class AdapterWorker:
             except BaseException as exc:
                 self.replies.put(exc)
                 continue
-            self.messages_handled += 1
             self.replies.put(ret)
 
 

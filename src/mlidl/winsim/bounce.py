@@ -216,11 +216,3 @@ class BounceDemo:
                 self.worker.stop()
                 self.worker = None
             self.mem.close()
-
-
-def run_bounce(ticks: int = 500,
-               adapter: bool = False) -> tuple[SimWorld, int]:
-    """Run the demo; returns the world (trace included) and the exit code."""
-    demo = BounceDemo(adapter=adapter)
-    code = demo.run(ticks)
-    return demo.world, code

@@ -17,7 +17,8 @@ Trace lines, one event per line (the golden-test artifact):
 A string argument is written between double quotes.  A backslash, a double
 quote, and each control or line-separator character in it is written as a
 backslash escape, so no argument can end its line or its quotes early; all
-other text is written as it is.
+other text is written as it is.  A record's keys are written with the same
+escapes, without quotes.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ WM_TIMER = 0x113
 CW_USEDEFAULT = 0x80000000
 
 MS_PER_TICK = 20
-
-# intrinsic sizes for LoadImageA, keyed by asset name; the logo's size must
-# agree with the totals the demo program hard-codes
-DEFAULT_ASSETS = {"smlnj.bmp": (158, 131)}
 
 
 class PumpError(Exception):
@@ -97,7 +94,8 @@ def _render_arg(v: Any) -> str:
     if isinstance(v, str):
         return f'"{v.translate(_ESCAPES)}"'
     if isinstance(v, dict):
-        inner = ",".join(f"{k}={_render_arg(x)}" for k, x in v.items())
+        inner = ",".join(f"{str(k).translate(_ESCAPES)}={_render_arg(x)}"
+                         for k, x in v.items())
         return "{" + inner + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ",".join(_render_arg(x) for x in v) + "]"
@@ -118,7 +116,6 @@ class SimWorld:
         self.tick = 0
         self.trace: list[str] = []
         self.quit_code: Optional[int] = None
-        self.images: dict[int, tuple[int, int]] = {}
         self._next_handle = 1
 
     # -- plumbing ---------------------------------------------------------------
@@ -294,10 +291,7 @@ class SimWorld:
 
     def LoadImageA(self, h: int, name: str, image_type: int, cx: int, cy: int,
                    load_flags: int) -> int:
-        handle = self.gdi_record("LoadImageA",
-                                 [h, name, image_type, cx, cy, load_flags])
-        self.images[handle] = DEFAULT_ASSETS.get(name, (cx, cy))
-        return handle
+        return self.gdi_record("LoadImageA", [h, name, image_type, cx, cy, load_flags])
 
     def GetDC(self, hwnd: int) -> int:
         return self.gdi_record("GetDC", [hwnd])

@@ -352,9 +352,6 @@ class Mem:
             raise UnknownLibrary(f"unknown library {name!r}")
         return lib
 
-    def get_function(self, lib: Library, name: str) -> int:
-        return self.get_symbol(lib, name).addr
-
     def get_symbol(self, lib: Library, name: str) -> Symbol:
         sym = lib.symbols.get(name)
         if sym is None:

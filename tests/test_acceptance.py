@@ -45,7 +45,7 @@ from mlidl.automation import (
     variant_of,
 )
 from mlidl.com import get_method
-from mlidl.winsim.bounce import run_bounce
+from mlidl.winsim.bounce import BounceDemo
 from mlidl.wordmem import BadRegion, Mem, NotCallable, OutOfBounds
 
 
@@ -62,8 +62,8 @@ def criterion(number: int, label: str, budget_s: float):
 def test_criterion_01_parser_golden():
     with criterion(1, "parser golden: corpus parses; User x8 ops, Gdi x2", 1.0):
         unit = resolve(parse_text(read_idl("win32.idl"), "win32.idl"))
-        user = unit.find("User")
-        gdi = unit.find("Gdi")
+        user = symbol_table(unit)["User"]
+        gdi = symbol_table(unit)["Gdi"]
         assert [op.name for op in user.ops] == [
             "RegisterClassExA", "UnregisterClassA", "CreateWindowExA",
             "ShowWindow", "UpdateWindow", "BeginPaint", "EndPaint",
@@ -181,7 +181,7 @@ def test_criterion_05_com_invariants():
         mem = Mem()
         baseline = mem.live_count
         obj, iids = _three_interface_object(mem)
-        refs = [obj.find_interface(iid) for iid in iids] + [obj.identity]
+        refs = [obj._interfaces[iid.guid] for iid in iids] + [obj.identity]
         unknowns = [query_interface(r, IID_IUNKNOWN) for r in refs]
         assert len({u.addr for u in unknowns}) == 1
         for u in unknowns:
@@ -215,7 +215,7 @@ def test_criterion_05_com_invariants():
             query_interface(obj.identity, bad)
         assert exc.value.hresult == E_NOINTERFACE == 0x80004002
 
-        blocks = obj.block_count
+        blocks = len(obj._blocks)
         assert mem.live_count == baseline + blocks
         release(obj.identity)
         assert mem.live_count == baseline
@@ -226,7 +226,7 @@ def test_criterion_06_raw_abi_matches_query_interface():
                    2.0):
         mem = Mem()
         obj, iids = _three_interface_object(mem)
-        entry = obj.find_interface(iids[0])
+        entry = obj._interfaces[iids[0].guid]
         bad = Iid(Guid.parse("{DEADBEEF-0000-0000-0000-000000000000}"), "bad")
         rng = random.Random(0xACC6)
         pool = iids + [IID_IUNKNOWN, bad]
@@ -339,10 +339,11 @@ def test_criterion_08_bounce_integration(tmp_path):
 
 def test_criterion_09_queue_adapter_equivalence():
     with criterion(9, "adapter: queue-threaded wndproc trace identical", 5.0):
-        direct, code_a = run_bounce(ticks=500)
-        threaded, code_b = run_bounce(ticks=500, adapter=True)
-        assert code_a == code_b == 0
-        assert direct.trace == threaded.trace
+        direct = BounceDemo()
+        assert direct.run(500) == 0
+        threaded = BounceDemo(adapter=True)
+        assert threaded.run(500) == 0
+        assert direct.world.trace == threaded.world.trace
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -18,7 +18,6 @@ def test_state_threads_through_messages():
         for i in range(1, 11):
             assert wndproc([1, 2, 3, 4]) == i
         assert worker.state == 10
-        assert worker.messages_handled == 10
     finally:
         worker.stop()
 
@@ -83,13 +82,13 @@ def _call_in_thread(wndproc):
 
 
 def test_wndproc_refuses_when_worker_not_running():
-    wndproc, worker = wndproc_queue_adapter(lambda s, m: (s, 0), None)
+    wndproc, worker = wndproc_queue_adapter(lambda s, m: (s + 1, 0), 0)
     assert isinstance(_call_in_thread(wndproc), AdapterError)   # not started
     worker.start()
     assert _call_in_thread(wndproc) == 0
     worker.stop()
     assert isinstance(_call_in_thread(wndproc), AdapterError)   # stopped
-    assert worker.messages_handled == 1
+    assert worker.state == 1     # only the call while it ran reached the handler
 
 
 def test_adapter_trace_equals_direct_trace():

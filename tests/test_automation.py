@@ -279,6 +279,11 @@ def test_raw_invoke_through_memory(mem):
         mem.free(a)
 
 
+def test_raw_invoke_of_an_unknown_dispid_is_member_not_found(mem):
+    _, dual, _ = make_calc(mem)
+    assert get_method(dual, 6)([dual.addr, 99, 0, 0, 0, 0, 0, 0, 0]) == DISP_E_MEMBERNOTFOUND
+
+
 def test_raw_invoke_reports_arg_error_index(mem):
     _, dual, _ = make_calc(mem)
     args_blk = mem.alloc(4)
@@ -875,4 +880,4 @@ def test_a_dual_that_cannot_be_built_is_pinned(mem, sigs, n_impls, message):
         make_dual(sigs, [lambda *a: 0] * n_impls, obj, IID_ICALC)
     assert str(info.value) == message
     assert (mem.live_count, mem.closure_count) == counts
-    assert obj.find_interface(IID_ICALC) is None
+    assert IID_ICALC.guid not in obj._interfaces

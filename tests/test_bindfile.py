@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from conftest import IDL_DIR, REPO, SHIPPED_IDL
@@ -247,6 +247,16 @@ def test_bad_direction_is_schema_violation(time_desc):
     assert ".dir" in str(exc.value)
 
 
+def test_a_loaded_unit_parameter_is_refused_when_its_plan_is_built(time_desc):
+    # the compiler gives no parameter the unit sem; an edited file can
+    doc = json.loads(emit_binding_file(time_desc))
+    doc["interfaces"][0]["ops"][1]["params"][0]["sem"] = {"k": "unit"}
+    desc = load_binding_file(json.dumps(doc))
+    with pytest.raises(marshal.MarshalError) as exc:
+        marshal.plan_of(desc.interfaces[0].ops[1], desc)
+    assert str(exc.value) == "void is not a value type"
+
+
 def test_hand_written_file_loads():
     text = json.dumps({
         "module": "M", "mode": "static", "level": "auto",
@@ -405,6 +415,7 @@ _DOCS = hs.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(_DOCS)
+@example({"a": {}, "b": [None, True, False, 1.5, []]})
 def test_writer_equals_json_dumps_indent_2(doc):
     assert render_json(doc) == json.dumps(doc, indent=2)
 
@@ -484,6 +495,39 @@ def test_a_bool_for_an_int_or_a_non_bool_flag_is_schema_violation(fixture, mutat
     with pytest.raises(SchemaViolation) as exc:
         load_binding_file(json.dumps(doc))
     assert exc.value.path == path
+
+
+def _drop_sem(doc):
+    doc["interfaces"][0]["ops"][0]["params"][0].pop("sem")
+    return "$.interfaces[0].ops[0].params[0]"
+
+
+_PARAM_SEM = ("interfaces", 0, "ops", 0, "params", 0, "sem")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(_set(("module",), 5), "expected a string", id="module"),
+    pytest.param(_set(("level",), "concrete"), "unknown level 'concrete'", id="level"),
+    pytest.param(_set(("interfaces",), {}), "expected an array", id="interfaces"),
+    pytest.param(_set(("interfaces", 0, "source"), 5), "expected a string or null",
+                 id="source"),
+    pytest.param(_set(("interfaces", 0, "ops", 0, "kind"), "static"),
+                 "unknown kind 'static'", id="op-kind"),
+    pytest.param(_set(("enums", 0, "variants", 0), ["CS_VREDRAW"]),
+                 'expected [name, "0x..."]', id="variant"),
+    pytest.param(_set(("consts", 0, "value"), 5), "expected a string", id="string-const"),
+    pytest.param(_drop_sem, "missing key 'sem'", id="no-sem"),
+    pytest.param(_set(_PARAM_SEM, 5), "expected a semantic type object with key 'k'",
+                 id="sem-int"),
+    pytest.param(_set(_PARAM_SEM, {"k": "enum"}), "enum semantic type needs a name",
+                 id="sem-no-name"),
+])
+def test_a_node_of_the_wrong_shape_is_pinned(win32_desc, mutate, message):
+    doc = json.loads(emit_binding_file(win32_desc))
+    path = mutate(doc)
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == (path, message)
 
 
 def test_a_missing_flag_is_false(win32_desc):

@@ -135,7 +135,7 @@ def test_record_layout_offsets(win32_desc):
     assert wc.size == 12
     offsets = [f.offset for f in wc.fields]
     assert offsets == sorted(offsets) and len(set(offsets)) == len(offsets)
-    assert wc.field_named("lpfnWndProc").sem.kind == "callback"
+    assert {f.name: f for f in wc.fields}["lpfnWndProc"].sem.kind == "callback"
     assert win32_desc.record("POINT").size == 2
     assert win32_desc.record("RECT").size == 4
     # nested record: hdc + fErase + RECT
@@ -143,7 +143,7 @@ def test_record_layout_offsets(win32_desc):
 
 
 def test_callbacks_collected(win32_desc):
-    wndproc = win32_desc.callback_named("WNDPROC")
+    wndproc = win32_desc.lookup("callback", "WNDPROC")
     assert wndproc.sig.callback
     assert len(wndproc.sig.ins) == 4
     assert wndproc.sig.ret is not None
@@ -272,11 +272,11 @@ def test_name_lookup_first_declaration_wins_and_errors_unchanged():
     desc = BindingDesc("M", "dynamic", "auto", interfaces=(i1, i2), enums=(e1, e2),
                        records=(first, second), callbacks=(c1, c2))
     assert desc.record("R") is first and desc.enum("E") is e1
-    assert desc.callback_named("CB") is c1 and desc.interface("I") is i1
+    assert desc.lookup("callback", "CB") is c1 and desc.interface("I") is i1
     assert marshal.codec_of(st.record_t("R"), desc).width == 1
     assert marshal.codec_of(st.enum_t("E"), desc).width == 1
+    assert desc.lookup("callback", "Nope") is None
     for lookup, kind in ((desc.record, "record"), (desc.enum, "enum"),
-                         (desc.callback_named, "callback"),
                          (desc.interface, "interface")):
         with pytest.raises(KeyError, match=f"no {kind} 'Nope' in binding 'M'"):
             lookup("Nope")

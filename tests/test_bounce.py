@@ -11,7 +11,7 @@ import pytest
 from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
                       nothing_for_the_cycle_collector, peak_mb)
 from reference_bounce import reference_trace
-from mlidl.winsim.bounce import BALL_TIMER, BounceDemo, BounceState, DemoError, run_bounce
+from mlidl.winsim.bounce import BALL_TIMER, BounceDemo, BounceState, DemoError
 from mlidl.winsim.world import WM_SIZE, WM_TIMER, SimWorld
 from mlidl.wordmem import Mem
 
@@ -24,8 +24,9 @@ MOVE = 10
 
 @pytest.fixture(scope="module")
 def demo_run():
-    world, code = run_bounce(ticks=500)
-    return world.trace, code
+    demo = BounceDemo()
+    code = demo.run(500)
+    return demo.world.trace, code
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +57,19 @@ def test_demo_trace_equals_reference(demo_run, reference_run):
 
 
 def test_adapter_trace_identical(demo_run):
-    world, code = run_bounce(ticks=500, adapter=True)
-    assert code == 0
-    assert world.trace == demo_run[0]
+    demo = BounceDemo(adapter=True)
+    assert demo.run(500) == 0
+    assert demo.world.trace == demo_run[0]
 
 
 @pytest.mark.parametrize("adapter", [False, True], ids=["direct", "adapter"])
 def test_trace_is_pinned(adapter):
     # reference_bounce renders through SimWorld too, so only a fixed digest
     # catches a change to the trace format itself
-    world, code = run_bounce(ticks=500, adapter=adapter)
-    assert code == 0
-    assert len(world.trace) == 3516
-    assert hashlib.sha256(world.trace_text().encode()).hexdigest() == \
+    demo = BounceDemo(adapter=adapter)
+    assert demo.run(500) == 0
+    assert len(demo.world.trace) == 3516
+    assert hashlib.sha256(demo.world.trace_text().encode()).hexdigest() == \
         "dd0b3a6f4d654d522b9bf6e1dabca1136569aee6d739a7b22c3e1c540b78ced3"
 
 
@@ -112,9 +113,9 @@ def test_kill_timer_observed_in_trace(demo_run):
 
 
 def test_trace_deterministic_across_runs(demo_run):
-    world, code = run_bounce(ticks=500)
-    assert world.trace == demo_run[0]
-    assert code == demo_run[1]
+    demo = BounceDemo()
+    assert demo.run(500) == demo_run[1]
+    assert demo.world.trace == demo_run[0]
 
 
 def test_unhandled_message_reaches_default_handler():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
 
 import pytest
 
 from conftest import IDL_DIR
 from mlidl.cli import main
+from mlidl.winsim import SimWorld
 
 
 def test_compile_writes_requested_emissions(tmp_path, capsys):
@@ -118,8 +121,22 @@ def test_bad_emission_exits_1():
     assert main(["compile", str(IDL_DIR / "time.idl"), "--emit", "llvm"]) == 1
 
 
+def test_an_empty_emission_list_exits_1(capsys):
+    assert main(["compile", str(IDL_DIR / "time.idl"), "--emit", ","]) == 1
+    assert capsys.readouterr().err.endswith("mlidl: --emit selects nothing\n")
+
+
 def test_check_ok():
     assert main(["check", str(IDL_DIR / "time.idl")]) == 0
+
+
+def test_the_module_runs_as_a_script(monkeypatch):
+    # `python -m mlidl.cli check idl/time.idl`, run in this process
+    monkeypatch.delitem(sys.modules, "mlidl.cli")
+    monkeypatch.setattr(sys, "argv", ["mlidl", "check", str(IDL_DIR / "time.idl")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("mlidl.cli", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
 
 
 def test_check_resolve_error(tmp_path, capsys):
@@ -165,6 +182,12 @@ def test_run_demo_adapter_matches_direct(tmp_path):
 
 def test_run_demo_rejects_zero_ticks():
     assert main(["run-demo", "bounce", "--ticks", "0"]) == 1
+
+
+def test_a_demo_that_fails_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(SimWorld, "CreateWindowExA", lambda self, *args: 0)
+    assert main(["run-demo", "bounce", "--ticks", "4"]) == 3
+    assert capsys.readouterr().err == "mlidl: demo failed: window creation failed\n"
 
 
 def test_run_demo_mlidl_trace_logs_memory_ops(tmp_path, capsys, monkeypatch):

@@ -78,6 +78,12 @@ def test_guid_words_round_trip():
     assert g.to_words()[0] == 0x12345678
 
 
+def test_guid_from_words_needs_four_words():
+    with pytest.raises(ValueError) as exc:
+        Guid.from_words([1, 2, 3])
+    assert str(exc.value) == "a GUID occupies exactly 4 words"
+
+
 def test_iunknown_canonical_value():
     assert str(IID_IUNKNOWN.guid) == "{00000000-0000-0000-C000-000000000046}"
 
@@ -97,7 +103,7 @@ def test_make_interface_slot_counts(mem):
 
 def test_vtable_slots_are_closure_addresses(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     vtable = mem.read(ix.addr, 1)[0]
     for slot in mem.read(vtable, 4):
         mem.addr_to_fun(slot)  # raises NotCallable if not a closure
@@ -105,20 +111,20 @@ def test_vtable_slots_are_closure_addresses(mem):
 
 def test_get_method_runs_method(mem):
     obj, log = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     get_method(ix, 3)([])
     assert log == ["FooX"]
 
 
 def test_get_method_slot_zero_is_queryinterface(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     qi = get_method(ix, 0)
     blk = mem.alloc(4)
     out = mem.alloc(1)
     mem.store(blk, IID_IY.guid.to_words())
     assert qi([ix.addr, blk, out]) == 0
-    assert mem.read(out, 1)[0] == obj.find_interface(IID_IY).addr
+    assert mem.read(out, 1)[0] == obj._interfaces[IID_IY.guid].addr
     release(ix)  # balance the raw QI's reference
     mem.free(blk)
     mem.free(out)
@@ -128,7 +134,7 @@ def test_get_method_out_of_range(mem):
     from mlidl.wordmem import OutOfBounds
 
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     with pytest.raises(OutOfBounds):
         get_method(ix, 99)
 
@@ -138,7 +144,7 @@ def test_get_method_out_of_range(mem):
 
 def test_query_interface_returns_other_interface(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     before = obj.refcount
     iy = query_interface(ix, IID_IY)
     assert iy.iid == IID_IY
@@ -148,8 +154,8 @@ def test_query_interface_returns_other_interface(mem):
 
 def test_iunknown_identity_shared(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
-    iy = obj.find_interface(IID_IY)
+    ix = obj._interfaces[IID_IX.guid]
+    iy = obj._interfaces[IID_IY.guid]
     a = query_interface(ix, IID_IUNKNOWN)
     b = query_interface(iy, IID_IUNKNOWN)
     assert a.addr == b.addr == obj.identity.addr
@@ -167,16 +173,18 @@ def test_identity_differs_across_objects(mem):
 def test_unknown_iid_raises_no_interface(mem):
     obj, _ = build_bar(mem)
     with pytest.raises(NoInterface) as exc:
-        query_interface(obj.find_interface(IID_IX), IID_NONE)
+        query_interface(obj._interfaces[IID_IX.guid], IID_NONE)
     assert exc.value.hresult == 0x80004002
     assert E_NOINTERFACE == 0x80004002
 
 
 def test_refcount_lifecycle(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     assert obj.refcount == 1
     assert add_ref(ix) == 2
+    assert get_method(ix, 1)([ix.addr]) == 3    # AddRef through vtable slot 1
+    assert release(ix) == 2
     assert release(ix) == 1
     assert release(ix) == 0
     assert not obj.alive
@@ -188,7 +196,7 @@ def test_refcount_lifecycle(mem):
 
 def test_qi_then_release_restores_count(mem):
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     start = obj.refcount
     iy = query_interface(ix, IID_IY)
     release(iy)
@@ -199,7 +207,7 @@ def test_destruction_frees_exactly_object_blocks(mem):
     baseline = mem.live_count
     obj, _ = build_bar(mem)
     created = mem.live_count - baseline
-    assert created == obj.block_count == 6  # 3 interfaces x (vtable + slot)
+    assert created == len(obj._blocks) == 6  # 3 interfaces x (vtable + slot)
     release(obj.identity)
     assert mem.live_count == baseline
 
@@ -402,27 +410,17 @@ def test_churn_in_one_world_releases_every_object_and_closure():
         mem.call(stale, [iface])
 
 
-def test_registry_dump_load(mem):
+def test_registry_dump_text_is_pinned(mem):
     reg = Registry()
-    factory = simple_factory(CLSID_BAR, lambda: build_bar(mem)[0], label="Bar")
-    co_register_class_object(reg, CLSID_BAR, factory)
-    text = reg.dump()
-    assert text == f"{CLSID_BAR.guid} Bar\n"
-    again = Registry.load(text, {"Bar": factory})
-    assert co_get_class_object(again, CLSID_BAR) is factory
-    assert again.dump() == text
-
-
-@pytest.mark.parametrize("text,message", [
-    (f"{CLSID_BAR.guid} Nope\n", "no factory for label 'Nope'"),
-    (f"{IID_IX.guid} Bar\n",
-     f"factory 'Bar' has CLSID {CLSID_BAR.guid}, registry says {IID_IX.guid}"),
-], ids=["unknown_label", "clsid_mismatch"])
-def test_a_registry_that_cannot_be_loaded_is_pinned(mem, text, message):
-    factory = simple_factory(CLSID_BAR, lambda: build_bar(mem)[0], label="Bar")
-    with pytest.raises(ComError) as info:
-        Registry.load(text, {"Bar": factory})
-    assert str(info.value) == message
+    assert reg.dump() == ""
+    unlabelled = Clsid(Guid.parse("{00000000-0000-0000-0000-000000000001}"), "Plain")
+    co_register_class_object(reg, CLSID_BAR,
+                             simple_factory(CLSID_BAR, lambda: build_bar(mem)[0], label="Bar"))
+    co_register_class_object(reg, unlabelled,
+                             simple_factory(unlabelled, lambda: build_bar(mem)[0]))
+    # one line per class, sorted: the CLSID, then the label or the class's name
+    assert reg.dump() == (f"{unlabelled.guid} Plain\n"
+                          f"{CLSID_BAR.guid} Bar\n")
 
 
 def test_unregistering_an_unknown_class_is_pinned():
@@ -433,11 +431,11 @@ def test_unregistering_an_unknown_class_is_pinned():
 
 def test_adding_a_present_interface_is_pinned(mem):
     obj, _ = build_bar(mem)
-    counts = (mem.live_count, mem.closure_count, obj.block_count)
+    counts = (mem.live_count, mem.closure_count, len(obj._blocks))
     with pytest.raises(ComError) as info:
         obj.add_interface(IID_IX, [lambda ws: 0])
     assert str(info.value) == f"interface {IID_IX} already present"
-    assert (mem.live_count, mem.closure_count, obj.block_count) == counts
+    assert (mem.live_count, mem.closure_count, len(obj._blocks)) == counts
 
 
 # -- raw ABI ---------------------------------------------------------------------
@@ -446,7 +444,7 @@ def test_adding_a_present_interface_is_pinned(mem):
 def test_raw_vtable_call_matches_query_interface(mem):
     rng = random.Random(0xAB1)
     obj, _ = build_bar(mem)
-    ix = obj.find_interface(IID_IX)
+    ix = obj._interfaces[IID_IX.guid]
     iids = [IID_IX, IID_IY, IID_IUNKNOWN, IID_NONE, IID_IZ]
     for _ in range(100):
         iid = iids[rng.randrange(len(iids))]
@@ -518,10 +516,10 @@ def test_client_and_raw_iunknown_interleaved(ops):
                 got = query_interface(ref, iid)
             except NoInterface:
                 got = None
-            assert got == obj.find_interface(iid)
+            assert got == obj._interfaces.get(iid.guid)
         elif op == "raw_qi":
             hr, out = raw_qi(get_method(ref, 0), ref, iid)
-            got = obj.find_interface(iid)
+            got = obj._interfaces.get(iid.guid)
             assert (hr, out) == ((0, got.addr) if got else (E_NOINTERFACE, 0))
         elif op in ("add_ref", "raw_add_ref"):
             got = ref

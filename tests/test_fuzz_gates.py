@@ -2,7 +2,8 @@
 edit of a shipped IDL file fail only with the compiler's own error classes,
 and raw Invoke and GetIDsOfNames words fail only with an HRESULT or the
 runtime's own error classes, leaving no block behind, and so do the raw
-words of the stub of every shipped operation."""
+words of the stub of every shipped operation, and of two operations whose
+results hand the caller a block or a registration."""
 
 from __future__ import annotations
 
@@ -28,8 +29,9 @@ from mlidl.binding import (
 from mlidl.binding.model import LiftedSig, ParamSig, RetSig
 from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
 from mlidl.idl import IdlError, parse_text
-from mlidl.marshal import MarshalError, abi_arity, pack_string8, pack_string16, skeleton
-from mlidl.wordmem import Mem, MemFault
+from mlidl.marshal import (MarshalError, abi_arity, pack_string8, pack_string16, plan_of,
+                           skeleton)
+from mlidl.wordmem import CLOSURE_BASE, Mem, MemFault
 
 _GUID = "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D00FF}"
 
@@ -223,6 +225,10 @@ def test_raw_get_ids_of_names_words_fail_only_with_an_hresult_or_runtime_errors(
 # -- raw words into the skeleton stub of every shipped operation ----------------
 
 
+def _callback(words):
+    return 0
+
+
 def _valid(sem, desc):
     """A host value of semantic type `sem` that its codec packs."""
     if sem.kind == "bool":
@@ -234,7 +240,7 @@ def _valid(sem, desc):
     if sem.kind == "record":
         return {f.name: _valid(f.sem, desc) for f in desc.record(sem.name).fields}
     if sem.kind == "callback":
-        return None
+        return _callback
     return 0
 
 
@@ -246,51 +252,95 @@ def _host(sig, desc):
     return lambda *ins: value
 
 
+# no shipped result is a string or a callback: these hand the caller a block
+# or a registration, and the stub gives back what it packed for an earlier
+# result when a later one fails to store
+_GIVE_BACK_IDL = """
+typedef [string] char *STRING;
+typedef int *CB ([in] int a);
+interface GiveBack {
+  void Two ([out] STRING *s, [out] int *n);
+  CB Hook ([in] int k);
+}
+"""
+
 _STUB_OPS = []
 for _path, _mode in [(IDL_DIR / "win32.idl", "dynamic"), (IDL_DIR / "time.idl", "static"),
                      (REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl", "dynamic")]:
     _desc = build_binding(parse_text(_path.read_text(encoding="utf-8"), _path.name), mode=_mode)
     _STUB_OPS += [(_desc, op) for iface in _desc.interfaces for op in iface.ops]
+_desc = build_binding(parse_text(_GIVE_BACK_IDL, "give_back.idl"), mode="dynamic")
+_TWO, _HOOK = len(_STUB_OPS), len(_STUB_OPS) + 1
+_STUB_OPS += [(_desc, op) for op in _desc.interfaces[0].ops]
+# one more word than the widest operation takes
+_WORDS = max(abi_arity(op, desc) for desc, op in _STUB_OPS) + 1
 
 # blocks and a closure of the world, by name: two strings, a short and a long
 # block, one word into the short one, and a registered closure
 _STUB_ADDRS = ["str8", "str16", "short", "long", "short+1", "fn"]
+_HOSTILE = [True, False, -1, -2**31 - 1, 2**32, 2**32 + 5, -2**40, 2**63]
 # any word: one of those, null or a small int, a count up to 2**31, any
 # 32-bit word, or a hostile one (a bool, or an int outside every word)
 _STUB_WORD = hs.one_of(
     hs.sampled_from(_STUB_ADDRS), hs.integers(0, 20), hs.integers(0, 2**31),
-    hs.integers(0, 2**32 - 1),
-    hs.sampled_from([True, False, -1, -2**31 - 1, 2**32, 2**32 + 5, -2**40, 2**63]))
+    hs.integers(0, 2**32 - 1), hs.sampled_from(_HOSTILE))
+# the word of a result's address: a block of its own by name, or a word that
+# names no heap block, so that no result overwrites another
+_RESULT_WORD = hs.one_of(
+    hs.sampled_from(_STUB_ADDRS), hs.integers(0, 20), hs.integers(CLOSURE_BASE, 2**32 - 1),
+    hs.sampled_from(_HOSTILE))
 # the tracemalloc peak of one stub call; a valid call of a shipped operation
 # takes a few kB, and a count the stub does not bound takes far more
 _STUB_PEAK_BYTES = 1 << 20
 
 
+def _named(mem, name, blocks):
+    """The address `name` stands for, from `blocks`, made on first use."""
+    base = name.removesuffix("+1")
+    if base not in blocks:
+        blocks[base] = (pack_string8(mem, "text") if base == "str8"
+                        else pack_string16(mem, "text") if base == "str16"
+                        else mem.fun_to_addr(lambda ws: 0) if base == "fn"
+                        else mem.alloc(4 if base == "short" else 64))
+    return blocks[base] if base == name else mem.offset(blocks[base], 1)
+
+
 @settings(max_examples=400, deadline=None)
-@given(at=hs.integers(0, len(_STUB_OPS) - 1), data=hs.data())
-def test_raw_stub_words_fail_only_with_runtime_errors(at, data):
+@given(at=hs.integers(0, len(_STUB_OPS) - 1),
+       # the right arity three times in four, else one word short or over
+       skew=hs.sampled_from([0] * 6 + [-1, 1]),
+       ins=hs.lists(_STUB_WORD, min_size=_WORDS, max_size=_WORDS),
+       results=hs.lists(_RESULT_WORD, min_size=_WORDS, max_size=_WORDS))
+# the string is stored, then the int's store faults
+@example(at=_TWO, skew=0, ins=[0] * _WORDS, results=["short", 0] + [0] * (_WORDS - 2))
+@example(at=_TWO, skew=0, ins=[0] * _WORDS, results=["short", "long"] + [0] * (_WORDS - 2))
+@example(at=_HOOK, skew=0, ins=[0] * _WORDS, results=[0] * _WORDS)
+def test_raw_stub_words_fail_only_with_runtime_errors(at, skew, ins, results):
     desc, sig = _STUB_OPS[at]
     mem = Mem()
     stub = skeleton(sig, _host(sig, desc), mem, desc)
-    short = mem.alloc(4)
-    addrs = {"str8": pack_string8(mem, "text"), "str16": pack_string16(mem, "text"),
-             "short": short, "long": mem.alloc(64), "short+1": mem.offset(short, 1),
-             "fn": mem.fun_to_addr(lambda ws: 0)}
-    arity = abi_arity(sig, desc)
-    # the right arity three times in four, else one word short or over
-    n = data.draw(hs.sampled_from([arity] * 6 + [max(arity - 1, 0), arity + 1]))
-    words = data.draw(hs.lists(_STUB_WORD, min_size=n, max_size=n))
-    words = [addrs[w] if isinstance(w, str) else w for w in words]
+    plan = plan_of(sig, desc)
+    outs = {step.at: step.codec for step in plan.steps if step.dir != "in"}
+    shared, words = {}, []
+    for i in range(max(plan.arity + skew, 0)):
+        w = results[i] if i in outs else ins[i]
+        words.append(_named(mem, w, {} if i in outs else shared) if isinstance(w, str) else w)
     before = (mem.live_count, mem.closure_count)
     tracemalloc.start()
     try:
-        stub(words)
+        ret = stub(words)
     except (MarshalError, MemFault):
-        pass
+        ret = None
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < _STUB_PEAK_BYTES
-    # no shipped operation has a string or callback result, so a call that
-    # returns hands its caller no block or registration either
+    if ret is not None:
+        # take what the call handed over, as `call` does, and give it back
+        owned = []
+        for i, codec in outs.items():
+            codec.unpack(mem, mem.read(words[i], codec.width), 0, owned)
+        if plan.ret is not None:
+            plan.ret.unpack(mem, (ret,), 0, owned)
+        mem.give_back(owned)
     assert (mem.live_count, mem.closure_count) == before

@@ -197,6 +197,7 @@ def test_token_equality_and_hash_leave_out_value():
     assert a[0] == b[0] and hash(a[0]) == hash(b[0])
     assert a[0] == type(a[0])("ident", "x", 1, 1, "other")
     assert a[0] != type(a[0])("ident", "x", 1, 2, "x")
+    assert a[0] != "x" and not a[0] == "x"
     assert repr(a[0]) == "Token(ident, 'x', 1:1)"
 
 

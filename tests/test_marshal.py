@@ -64,6 +64,17 @@ def test_layout_unknown_record(win32_desc):
         codec_of(st.record_t("NOPE"), win32_desc)
 
 
+def test_a_null_string_address_reads_as_the_empty_string(mem):
+    assert read_string8(mem, 0) == read_string16(mem, 0) == ""
+
+
+def test_an_array_semantic_type_needs_its_element_and_count():
+    for partial in ({"elem": st.INT32}, {"len_from": "n"}):
+        with pytest.raises(ValueError) as exc:
+            st.SemType("array", **partial)
+        assert str(exc.value) == "array semantic type needs elem and len_from"
+
+
 # -- scalar and record marshalling ---------------------------------------------
 
 

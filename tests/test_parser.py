@@ -42,7 +42,7 @@ from mlidl.idl import (
 )
 from mlidl.idl import ast
 from mlidl.idl.ast import BASE_TYPES, ArrayType
-from mlidl.idl.resolve import _PRELUDE
+from mlidl.idl.resolve import _PRELUDE, symbol_table
 
 
 def test_time_unit_shape(time_unit):
@@ -69,8 +69,8 @@ def test_nested_typedef_is_hoisted_before_interface(time_unit):
 
 
 def test_win32_corpus_interfaces(win32_unit):
-    user = win32_unit.find("User")
-    gdi = win32_unit.find("Gdi")
+    user = symbol_table(win32_unit)["User"]
+    gdi = symbol_table(win32_unit)["Gdi"]
     assert [op.name for op in user.ops] == [
         "RegisterClassExA", "UnregisterClassA", "CreateWindowExA",
         "ShowWindow", "UpdateWindow", "BeginPaint", "EndPaint", "LoadIconA",
@@ -82,14 +82,14 @@ def test_win32_corpus_interfaces(win32_unit):
 
 
 def test_register_class_param_is_in_ref(win32_unit):
-    op = win32_unit.find("User").ops[0]
+    op = symbol_table(win32_unit)["User"].ops[0]
     (p,) = op.params
     assert p.dir == "in" and p.ref
     assert p.type == PtrType(NamedType("WNDCLASSEX"))
 
 
 def test_size_is_becomes_array_type(win32_unit):
-    poly = win32_unit.find("Gdi").ops[1]
+    poly = symbol_table(win32_unit)["Gdi"].ops[1]
     lppt = poly.params[1]
     assert isinstance(lppt.type, ArrayType)
     assert lppt.type.len_param == "cPoints"
@@ -97,12 +97,12 @@ def test_size_is_becomes_array_type(win32_unit):
 
 
 def test_enum_values_are_exact_words(win32_unit):
-    opts = win32_unit.find("OPTS")
+    opts = symbol_table(win32_unit)["OPTS"]
     values = {v.name: v.value for v in opts.variants}
     assert values["WS_POPUP"] == 0x80000000
     assert values["CS_VREDRAW"] == 1
     assert values["CW_USEDEFAULT"] == 0x80000000
-    wm = win32_unit.find("WM")
+    wm = symbol_table(win32_unit)["WM"]
     wm_values = {v.name: v.value for v in wm.variants}
     assert wm_values["WM_CREATE"] == 1
     assert wm_values["WM_DESTROY"] == 2
@@ -112,7 +112,7 @@ def test_enum_values_are_exact_words(win32_unit):
 
 
 def test_mixed_decimal_and_hex_in_one_enum(win32_unit):
-    opts = win32_unit.find("OPTS")
+    opts = symbol_table(win32_unit)["OPTS"]
     forms = {v.name: v.hex for v in opts.variants}
     assert forms["CS_VREDRAW"] is False
     assert forms["WS_POPUP"] is True
@@ -125,6 +125,12 @@ def test_func_typedef():
     assert isinstance(td, Typedef) and isinstance(td.type, FuncType)
     assert td.type.ret == BaseType("int")
     assert [p.name for p in td.type.params] == ["hwnd", "msg"]
+
+
+def test_a_base_type_node_names_a_base_type():
+    with pytest.raises(ValueError) as exc:
+        BaseType("float")
+    assert str(exc.value) == "not a base type: 'float'"
 
 
 def test_an_operation_result_may_start_with_const():
@@ -228,7 +234,7 @@ def test_parse_error_carries_expected_set_and_location():
 
 
 def test_string_const_value_stored_verbatim(win32_unit):
-    const = win32_unit.find("IDI_APPLICATION")
+    const = symbol_table(win32_unit)["IDI_APPLICATION"]
     assert const.value == "#32512"
 
 
@@ -270,7 +276,7 @@ def test_idispatch_style_declaration_parses():
                           [out] UINT_T* puArgErr);
         }
     """)
-    iface = unit.find("IDispatchLike")
+    iface = symbol_table(unit)["IDispatchLike"]
     assert iface.parent == "IUnknown"
     invoke = iface.ops[2]
     assert invoke.params[4].dir == "inout"

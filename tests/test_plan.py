@@ -564,6 +564,9 @@ def test_flat_client_checks_the_target_before_any_value(desc):
     for target in (stale, Symbol("Scalar", stale, "pascal", 2)):
         with pytest.raises(NotCallable):
             call(sig, target, ["x", 1], mem, desc)
+    with pytest.raises(TypeMismatch) as info:
+        call(sig, 3.5, ["x", 1], mem, desc)
+    assert str(info.value) == "not callable: 3.5"
     assert mem.live_count == 0
 
 

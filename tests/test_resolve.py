@@ -162,6 +162,10 @@ _TYPEDEF_CYCLES = {    # reported at the first typedef of the cycle
     "two_aliases": ("typedef A B;\ntypedef B A;", "t.idl:1:1: typedef cycle: B -> A -> B"),
     "self": ("\ntypedef A A;", "t.idl:2:1: typedef cycle: A -> A"),
     "pointers": ("typedef B *A;\ntypedef A *B;", "t.idl:1:1: typedef cycle: A -> B -> A"),
+    # the cycle, not the size_is target that reaches it, is reported
+    "after_an_interface": ("interface I { void f([in] A n, [in, size_is(n)] int *a); }\n"
+                           "typedef B A;\ntypedef A B;",
+                           "t.idl:2:1: typedef cycle: A -> B -> A"),
 }
 
 

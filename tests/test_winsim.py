@@ -237,12 +237,6 @@ def test_gdi_handles_fresh_and_nonzero():
     assert len(set(handles)) == len(handles)
 
 
-def test_load_image_intrinsic_size():
-    world, _ = make_world()
-    h = world.LoadImageA(0, "smlnj.bmp", 0, 0, 0, 16)
-    assert world.images[h] == (158, 131)
-
-
 def test_delete_object_zero_recorded():
     world, _ = make_world()
     assert world.DeleteObject(0) is False
@@ -286,6 +280,8 @@ RENDERED = [
     ([1, True, "a", [2]], '[1,1,"a",[2]]'),
     ((2, -3), "[2,-3]"),
     ([], "[]"),
+    # a record's keys take the string escapes, without quotes
+    ([{"a\nTICK 9 DRAW X": 1, 'k"\\\t': 2}], '[{a\\nTICK 9 DRAW X=1,k\\"\\\\\\t=2}]'),
     (len, "<fn>"),
     (2.5, "2.5"),
     (Opaque(), "Opaque()"),

@@ -60,6 +60,14 @@ def test_alloc_bad_size(mem):
         mem.alloc(-3)
 
 
+def test_read_of_a_negative_count_is_bad_size(mem):
+    a = mem.alloc(1)
+    assert mem.read(a, 0) == []
+    with pytest.raises(BadSize) as exc:
+        mem.read(a, -1)
+    assert str(exc.value) == "read of -1 words"
+
+
 def test_free_lifecycle(mem):
     a = mem.alloc(4)
     mem.free(a)
@@ -232,7 +240,7 @@ def test_libraries(mem):
     lib = mem.register_library("user32.dll")
     mem.register_function(lib, "ShowWindow", lambda ws: 1)
     opened = mem.open_library("user32.dll")
-    addr = mem.get_function(opened, "ShowWindow")
+    addr = mem.get_symbol(opened, "ShowWindow").addr
     assert mem.addr_to_fun(addr)([5, 1]) == 1
 
 
@@ -244,18 +252,16 @@ def test_unknown_library(mem):
 def test_unknown_symbol(mem):
     lib = mem.register_library("user32.dll")
     with pytest.raises(UnknownSymbol):
-        mem.get_function(lib, "Nope")
+        mem.get_symbol(lib, "Nope")
 
 
-def test_get_function_and_get_symbol_agree(mem):
+def test_get_symbol_finds_the_registered_symbol(mem):
     lib = mem.register_library("user32.dll")
     sym = mem.register_function(lib, "ShowWindow", lambda ws: 1)
-    assert mem.get_function(lib, "ShowWindow") == mem.get_symbol(lib, "ShowWindow").addr \
-        == sym.addr
-    for lookup in (mem.get_function, mem.get_symbol):
-        with pytest.raises(UnknownSymbol) as exc:
-            lookup(lib, "Nope")
-        assert str(exc.value) == "no symbol 'Nope' in library 'user32.dll'"
+    assert mem.get_symbol(lib, "ShowWindow") is sym
+    with pytest.raises(UnknownSymbol) as exc:
+        mem.get_symbol(lib, "Nope")
+    assert str(exc.value) == "no symbol 'Nope' in library 'user32.dll'"
 
 
 def test_symbol_metadata(mem):
