@@ -212,7 +212,7 @@ def make_dual(
     impls: Sequence,
     owner: ComObject,
     iid: Iid,
-    desc: Optional[BindingDesc] = None,
+    desc: BindingDesc,
 ) -> InterfaceRef:
     """Build a dual interface on `owner` from aligned signatures and host
     implementations."""
@@ -234,8 +234,7 @@ class _Dispatch:
     declaration order, methods from slot 7) and the binding description,
     with the bound `_raw_*` methods that fill vtable slots 3..6."""
 
-    def __init__(self, sigs: Sequence[LiftedSig], mem: Mem,
-                 desc: Optional[BindingDesc]) -> None:
+    def __init__(self, sigs: Sequence[LiftedSig], mem: Mem, desc: BindingDesc) -> None:
         self.mem = mem
         self.desc = desc
         self.ref: InterfaceRef     # set once the vtable is laid out

@@ -12,8 +12,8 @@ it: each interface's and callback's ops are written straight from their
 `LiftedSig`/`ParamSig`, and each `sem` fragment is rendered once per
 (SemType, indentation) and found again by identity, which pays because a
 description holds one object per distinct type.  The smaller tables go
-through `render_json`, a writer that lays out dicts and lists itself and
-hands each string to the C string encoder (any `indent` sends `json.dumps`
+through `_write`, a writer that lays out dicts and lists itself and hands
+each string to the C string encoder (any `indent` sends `json.dumps`
 to its pure-Python encoder).  The text is rendered once per description and
 kept on it, so the signature's digest and the emitted file share one render.
 
@@ -155,13 +155,6 @@ def _str_or_null(x: Optional[str]) -> str:
 # -- the writer --------------------------------------------------------------
 
 _quote = json.encoder.encode_basestring_ascii   # what json.dumps uses by default
-
-
-def render_json(doc: Any) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte."""
-    out: list[str] = []
-    _write(doc, "\n", out)
-    return "".join(out)
 
 
 def _write(x: Any, newline: str, out: list[str]) -> None:

@@ -11,8 +11,8 @@ record's size and offsets against it.
 
 Every class here, like `SemType`, stays a frozen dataclass, although the
 IDL AST is a plain one.  The model carries caches that hold only while it
-cannot change: `LiftedSig.plans` and `BindingDesc.plans` key marshalling
-plans by the identity of a signature and derive them from its parameters,
+cannot change: `BindingDesc.plans`, the one home of marshalling plans, keys
+them by the identity of a signature and derives them from its parameters,
 `BindingDesc.binding_text` renders the description once, and the intern
 table and the binding-file writer's fragments key semantic types by
 identity.  An assignment to any of these objects would leave a stale plan
@@ -52,22 +52,12 @@ class LiftedSig:
     callback: bool = False
 
     @cached_property
-    def plans(self) -> dict:
-        """Marshalling plans built for this signature with no binding
-        description; they die with it."""
-        return {}
-
-    @cached_property
     def ins(self) -> tuple[ParamSig, ...]:
         return tuple(p for p in self.params if p.dir in ("in", "inout"))
 
     @cached_property
-    def outs(self) -> tuple[ParamSig, ...]:
-        return tuple(p for p in self.params if p.dir in ("out", "inout"))
-
-    @cached_property
     def results(self) -> tuple[RetSig, ...]:
-        out = tuple(RetSig(p.display, p.sem) for p in self.outs)
+        out = tuple(RetSig(p.display, p.sem) for p in self.params if p.dir != "in")
         if self.ret is not None:
             out = out + (self.ret,)
         return out

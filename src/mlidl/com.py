@@ -312,8 +312,17 @@ class Registry:
 
 def co_register_class_object(reg: Registry, clsid: Clsid,
                              factory: ClassFactory) -> None:
+    """Register `factory` under `clsid`.  The factory must make that very
+    class, and its dump text (the label, or the class's name) must be
+    printable, so that each class dumps as one line naming itself."""
     if clsid.guid in reg._factories:
         raise ComError(f"class {clsid} is already registered")
+    if factory.clsid.guid != clsid.guid:
+        raise ComError(f"a factory of class {factory.clsid} cannot be registered "
+                       f"as class {clsid}")
+    text = factory.label or factory.clsid.name
+    if not text.isprintable():
+        raise ComError(f"class {clsid} has unprintable dump text {text!r}")
     reg._factories[clsid.guid] = factory
 
 

@@ -5,8 +5,10 @@ pack function that appends a value's words to a list the caller passes in
 (recording the blocks it allocates), and an unpack function that decodes a
 value at an offset into the words it is given.  Inline values are thus
 packed into, and decoded from, the argument list itself, with no word list
-per value.  Each signature has one plan (`plan_of`), cached on its binding
-description and read by both the client `call` and the server `skeleton`.
+per value.  A codec may be looked up without a binding description (only
+an enum's or a record's needs one), but a plan is always built against one:
+each signature has one plan per description (`plan_of`), cached on it and
+read by both the client `call` and the server `skeleton`.
 The plan gives every parameter, in declaration order (the ABI argument
 order), its IDL direction, on which alone the drivers branch, and the wire
 codec of its argument words:
@@ -425,18 +427,16 @@ class Plan:
 _STRUCTS: dict[str, struct.Struct] = {}
 
 
-def plan_of(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> Plan:
-    """The plan of `sig`, built once per binding description (or once per
-    signature when there is none)."""
-    plans = desc.plans if desc is not None else sig.plans
-    plan = plans.get(id(sig))
+def plan_of(sig: LiftedSig, desc: BindingDesc) -> Plan:
+    """The plan of `sig`, built once per binding description."""
+    plan = desc.plans.get(id(sig))
     if plan is None:
         # the plan holds `sig`, so its id stays unique while cached
-        plan = plans[id(sig)] = _build_plan(sig, desc)
+        plan = desc.plans[id(sig)] = _build_plan(sig, desc)
     return plan
 
 
-def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
+def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
     ins = [p for p in sig.params if p.dir != "out"]
     steps: list[Step] = []
     arity = 0
@@ -553,7 +553,7 @@ def _build_plan(sig: LiftedSig, desc: Optional[BindingDesc]) -> Plan:
                 client, make_stub)
 
 
-def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
+def abi_arity(sig: LiftedSig, desc: BindingDesc) -> int:
     return plan_of(sig, desc).arity
 
 
@@ -561,9 +561,8 @@ def abi_arity(sig: LiftedSig, desc: Optional[BindingDesc] = None) -> int:
 
 
 def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
-         mem: Mem, desc: Optional[BindingDesc] = None) -> list[Value]:
-    plan = (desc.plans if desc is not None else sig.plans).get(id(sig)) \
-        or plan_of(sig, desc)
+         mem: Mem, desc: BindingDesc) -> list[Value]:
+    plan = desc.plans.get(id(sig)) or plan_of(sig, desc)
     if len(ins) != plan.n_ins:
         raise ArityMismatch(
             f"{sig.name} takes {plan.n_ins} in-arguments, got {len(ins)}")
@@ -636,7 +635,7 @@ def _results(name: str, n_results: int, result: Any) -> tuple[Value, ...]:
 
 
 def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
-             desc: Optional[BindingDesc] = None) -> WordFn:
+             desc: BindingDesc) -> WordFn:
     """Wrap a host function as a raw word-list closure.
 
     The implementation receives the in-parameters as host values (declaration

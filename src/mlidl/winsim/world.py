@@ -131,14 +131,12 @@ class SimWorld:
             parts.append(str(a) if type(a) is int else _render_arg(a))
         self.trace.append(" ".join(parts).rstrip())
 
-    def gdi_record(self, op: str, args: list[Any],
-                   ret: Optional[int] = None) -> int:
-        """Record a never-failing call; fresh nonzero handle unless given."""
+    def gdi_record(self, op: str, args: list[Any]) -> int:
+        """Record a never-failing call that returns a fresh nonzero handle."""
         self.record(op, args)
-        if ret is None:
-            ret = self._next_handle
-            self._next_handle += 1
-        return ret
+        h = self._next_handle
+        self._next_handle += 1
+        return h
 
     def trace_text(self) -> str:
         return "\n".join(self.trace) + ("\n" if self.trace else "")
@@ -297,7 +295,8 @@ class SimWorld:
         return self.gdi_record("GetDC", [hwnd])
 
     def ReleaseDC(self, hwnd: int, hdc: int) -> int:
-        return self.gdi_record("ReleaseDC", [hwnd, hdc], ret=1)
+        self.record("ReleaseDC", [hwnd, hdc])
+        return 1
 
     # -- gdi ----------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from mlidl.automation import (
     variant_of,
 )
 from mlidl.binding import build_binding
-from mlidl.binding.model import LiftedSig, ParamSig, RetSig
+from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RetSig
 from mlidl.com import (
     Clsid,
     ComError,
@@ -56,6 +56,12 @@ from mlidl.idl import parse_text
 from mlidl.wordmem import BadRegion, to_signed, word
 
 IID_ICALC = Iid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0020}"), "ICalc")
+
+
+def new_desc():
+    """A fresh description for the signatures a test builds itself, so that
+    their plans die with it."""
+    return BindingDesc("Test", "com", "auto")
 
 
 def calc_sigs():
@@ -80,7 +86,7 @@ def make_calc(mem):
         lambda s: (trace.append(("IsUpper", s)), s.isupper())[1],
         lambda: trace.append(("Ping",)),
     ]
-    dual = make_dual(calc_sigs(), impls, obj, IID_ICALC)
+    dual = make_dual(calc_sigs(), impls, obj, IID_ICALC, new_desc())
     return obj, dual, trace
 
 
@@ -175,7 +181,7 @@ def test_invoke_void_returns_empty_with_same_effect(mem):
     _, dual, trace = make_calc(mem)
     result = invoke(dual, get_ids_of_names(dual, "Ping"), DispParams())
     assert result == Variant.empty()
-    marshal.call(calc_sigs()[3], get_method(dual, 10), [], mem)
+    marshal.call(calc_sigs()[3], get_method(dual, 10), [], mem, new_desc())
     assert trace == [("Ping",), ("Ping",)]
 
 
@@ -203,7 +209,7 @@ def test_invoke_type_mismatch_carries_arg_index(mem):
 
 def test_dual_vtable_slot_count(mem):
     obj = ComObject(mem)
-    dual = make_dual([calc_sigs()[3]], [lambda: None], obj, IID_ICALC)
+    dual = make_dual([calc_sigs()[3]], [lambda: None], obj, IID_ICALC, new_desc())
     vtable = mem.read(dual.addr, 1)[0]
     # 3 IUnknown + 4 IDispatch + 1 method
     assert len(mem.read(vtable, 8)) == 8
@@ -235,7 +241,7 @@ def test_get_type_info_not_implemented(mem):
 
 def test_dual_equivalence_random(mem):
     obj, dual, trace = make_calc(mem)
-    sigs = calc_sigs()
+    sigs, desc = calc_sigs(), new_desc()
     rng = random.Random(0xD0A1)
     for _ in range(100):
         idx = rng.randrange(3)
@@ -252,7 +258,7 @@ def test_dual_equivalence_random(mem):
             variants = [Variant.bstr(args[0])]
 
         trace.clear()
-        vt_results = marshal.call(sig, get_method(dual, slot), args, mem)
+        vt_results = marshal.call(sig, get_method(dual, slot), args, mem, desc)
         vt_trace = list(trace)
 
         trace.clear()
@@ -415,10 +421,10 @@ def test_raw_slot_checks_word_count(mem, slot, method, n):
     assert mem.live_count == live and trace == []
 
 
-# -- plans without a binding description ------------------------------------------
+# -- plans and their binding description ------------------------------------------
 
 
-def test_plans_without_desc_built_once_per_signature(mem, monkeypatch):
+def test_plans_built_once_per_signature_and_description(mem, monkeypatch):
     built = []
     build = marshal._build_plan
     monkeypatch.setattr(marshal, "_build_plan",
@@ -427,19 +433,25 @@ def test_plans_without_desc_built_once_per_signature(mem, monkeypatch):
     assert sorted(built) == ["Add", "IsUpper", "Negate", "Ping"]   # one per skeleton
     for i in range(100):
         assert invoke(dual, 2, (Variant.i4(i),)) == Variant.i4(-i)
-    sig = calc_sigs()[0]
+    sig, desc = calc_sigs()[0], new_desc()
     for i in range(100):
-        assert marshal.call(sig, lambda ws: ws[0] + ws[1], [i, 1], mem) == [i + 1]
+        assert marshal.call(sig, lambda ws: ws[0] + ws[1], [i, 1], mem, desc) == [i + 1]
     assert sorted(built) == ["Add", "Add", "IsUpper", "Negate", "Ping"]
 
 
-def test_plan_without_desc_freed_with_its_signature(mem):
-    sig = calc_sigs()[1]
-    marshal.call(sig, lambda ws: ws[0], [5], mem)
-    plan = weakref.ref(marshal.plan_of(sig))
-    del sig
+def test_a_signature_has_a_plan_per_description_freed_with_it(mem):
+    sig, first, second = calc_sigs()[1], new_desc(), new_desc()
+    assert marshal.call(sig, lambda ws: ws[0], [5], mem, first) == [5]
+    assert marshal.call(sig, lambda ws: ws[0], [6], mem, second) == [6]
+    plans = [weakref.ref(first.plans[id(sig)]), weakref.ref(second.plans[id(sig)])]
+    assert plans[0]() is not plans[1]()
+    assert marshal.plan_of(sig, first) is plans[0]()
+    del first
     gc.collect()
-    assert plan() is None
+    assert plans[0]() is None and plans[1]() is not None
+    del second
+    gc.collect()
+    assert plans[1]() is None
 
 
 # -- one method per Automation kind ------------------------------------------------
@@ -577,7 +589,7 @@ MIX_ARGS = (Variant.i4(1), Variant.bstr("s"), Variant.boolean(True), Variant.ui4
 def make_mix(mem):
     calls = []
     dual = make_dual([MIX_SIG], [lambda a, s, b, w: (calls.append((a, s, b, w)), a)[1]],
-                     ComObject(mem), IID_IMIX)
+                     ComObject(mem), IID_IMIX, new_desc())
     return dual, calls
 
 
@@ -623,7 +635,7 @@ def test_invoke_rejects_a_bstr_no_string_block_can_hold(mem, bad):
 def test_raw_invoke_frees_the_result_bstr_when_its_slot_faults(mem):
     sig = LiftedSig("Name", (ParamSig("k", "Int32.int", st.INT32),),
                     RetSig("STRING", st.STRING8))
-    dual = make_dual([sig], [lambda k: "n" * k], ComObject(mem), IID_IMIX)
+    dual = make_dual([sig], [lambda k: "n" * k], ComObject(mem), IID_IMIX, new_desc())
     args_blk = mem.alloc(2)
     mem.store(args_blk, [VT_I4, 3])
     dp = mem.alloc(2)
@@ -753,7 +765,8 @@ def test_typed_raw_and_vtable_calls_agree(win32_desc, data):
 def test_invoke_result_from_an_out_or_inout_parameter(mem):
     sigs = [LiftedSig("Get", (ParamSig("x", "BOOL", st.BOOL, dir="out"),), None),
             LiftedSig("Bump", (ParamSig("x", "Word32.word", st.WORD32, dir="inout"),), None)]
-    dual = make_dual(sigs, [lambda: True, lambda x: x + 1], ComObject(mem), IID_IMIX)
+    dual = make_dual(sigs, [lambda: True, lambda x: x + 1], ComObject(mem), IID_IMIX,
+                     new_desc())
     live = mem.live_count
     assert invoke(dual, 1, []) == Variant.boolean(True)
     assert invoke(dual, 2, [Variant.i4(-2)]) == Variant.ui4(0xFFFFFFFF)
@@ -807,7 +820,7 @@ COM_CALL_CAPS = {
     "get_ids_of_names": (_get_ids_of_names, 12),
     "query_interface_slot0": (_query_interface, 15),
     "release_slot2": (_release, 4),
-    "co_create_instance": (_co_create_instance, 147),
+    "co_create_instance": (_co_create_instance, 137),
 }
 
 
@@ -877,7 +890,7 @@ def test_a_dual_that_cannot_be_built_is_pinned(mem, sigs, n_impls, message):
     obj = ComObject(mem)
     counts = (mem.live_count, mem.closure_count)
     with pytest.raises(ComError) as info:
-        make_dual(sigs, [lambda *a: 0] * n_impls, obj, IID_ICALC)
+        make_dual(sigs, [lambda *a: 0] * n_impls, obj, IID_ICALC, new_desc())
     assert str(info.value) == message
     assert (mem.live_count, mem.closure_count) == counts
     assert IID_ICALC.guid not in obj._interfaces

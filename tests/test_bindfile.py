@@ -18,7 +18,7 @@ from mlidl.binding import (
     load_binding_file,
     load_manifest,
 )
-from mlidl.binding.bindfile import render_json
+from mlidl.binding.bindfile import _write
 from mlidl.idl import parse_text
 from mlidl.wordmem import Mem, MemFault
 
@@ -417,7 +417,9 @@ _DOCS = hs.recursive(
 @given(_DOCS)
 @example({"a": {}, "b": [None, True, False, 1.5, []]})
 def test_writer_equals_json_dumps_indent_2(doc):
-    assert render_json(doc) == json.dumps(doc, indent=2)
+    out: list[str] = []
+    _write(doc, "\n", out)
+    assert "".join(out) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("path", ["$.interfaces[0].iid", "$.clsid"])

@@ -33,7 +33,7 @@ from mlidl.com import (
     simple_factory,
 )
 from mlidl.automation import make_dual
-from mlidl.binding.model import LiftedSig, RetSig
+from mlidl.binding.model import BindingDesc, LiftedSig, RetSig
 from mlidl.semtypes import INT32
 from mlidl.wordmem import BadSize, Mem, NotCallable
 
@@ -309,7 +309,8 @@ PING = LiftedSig("Ping", (), RetSig("INT", INT32))
 BUILDS = {
     "ComObject": lambda obj: ComObject(obj.mem),
     "add_interface": lambda obj: obj.add_interface(IID_IZ, [lambda ws: 0]),
-    "make_dual": lambda obj: make_dual([PING], [lambda: 1], obj, IID_IZ),
+    "make_dual": lambda obj: make_dual([PING], [lambda: 1], obj, IID_IZ,
+                                       BindingDesc("Z", "com", "auto")),
 }
 
 
@@ -375,10 +376,11 @@ def test_churn_in_one_world_releases_every_object_and_closure():
     cycle collector, and no closure or block is left behind."""
     mem = Mem()
     reg = Registry()
+    desc = BindingDesc("Z", "com", "auto")
 
     def build():
         obj = ComObject(mem, CLSID_BAR)
-        make_dual([PING], [lambda: 1], obj, IID_IZ)
+        make_dual([PING], [lambda: 1], obj, IID_IZ, desc)
         obj.add_interface(IID_IX, [lambda ws: 0])
         return obj
 
@@ -421,6 +423,32 @@ def test_registry_dump_text_is_pinned(mem):
     # one line per class, sorted: the CLSID, then the label or the class's name
     assert reg.dump() == (f"{unlabelled.guid} Plain\n"
                           f"{CLSID_BAR.guid} Bar\n")
+
+
+def test_a_factory_of_another_class_is_refused(mem):
+    other = Clsid(Guid.parse("{00000000-0000-0000-0000-000000000002}"), "B")
+    reg = Registry()
+    with pytest.raises(ComError) as info:
+        co_register_class_object(reg, CLSID_BAR,
+                                 simple_factory(other, lambda: build_bar(mem)[0]))
+    assert str(info.value) == (f"a factory of class {other.guid} cannot be registered "
+                               f"as class {CLSID_BAR.guid}")
+    assert reg.dump() == ""
+
+
+@pytest.mark.parametrize("label,name", [
+    ("a\n{00000000-0000-0000-0000-000000000002} B", "Bar"),
+    ("", "Bar\tX"),
+], ids=["label", "name"])
+def test_an_unprintable_dump_text_is_refused(mem, label, name):
+    clsid = Clsid(CLSID_BAR.guid, name)
+    reg = Registry()
+    with pytest.raises(ComError) as info:
+        co_register_class_object(reg, clsid, simple_factory(
+            clsid, lambda: build_bar(mem)[0], label=label))
+    assert str(info.value) == (f"class {CLSID_BAR.guid} has unprintable dump text "
+                               f"{(label or name)!r}")
+    assert reg.dump() == ""
 
 
 def test_unregistering_an_unknown_class_is_pinned():

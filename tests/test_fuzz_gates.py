@@ -26,7 +26,7 @@ from mlidl.binding import (
     emit_sig_text,
     load_binding_file,
 )
-from mlidl.binding.model import LiftedSig, ParamSig, RetSig
+from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RetSig
 from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
 from mlidl.idl import IdlError, parse_text
 from mlidl.marshal import (MarshalError, abi_arity, pack_string8, pack_string16, plan_of,
@@ -158,7 +158,7 @@ def _words(draw, *sensible):
 def _fuzz_world(contents):
     mem = Mem()
     dual = make_dual([sig for sig, _ in _MEMBERS], [impl for _, impl in _MEMBERS],
-                     ComObject(mem), _IID_IFUZZ)
+                     ComObject(mem), _IID_IFUZZ, BindingDesc("Fuzz", "com", "auto"))
     addrs = {"this": dual.addr, "text": pack_string8(mem, "Len"),
              "name": pack_string8(mem, "name")}
     for name, size in _BLOCKS.items():

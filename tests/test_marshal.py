@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from mlidl import semtypes as st
-from mlidl.binding.model import LiftedSig, ParamSig, RetSig
+from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RetSig
 from mlidl.marshal import (
     ArityMismatch,
     BadString,
@@ -150,7 +150,8 @@ def test_lone_surrogate_in_a_bound_call_is_bad_string_and_leaks_nothing(mem):
     hits = []
     before = mem.live_count
     with pytest.raises(BadString):
-        call(sig, lambda ws: hits.append(ws) or 0, ["ok", "x\ud800"], mem)
+        call(sig, lambda ws: hits.append(ws) or 0, ["ok", "x\ud800"], mem,
+             BindingDesc("Test", "dynamic", "auto"))
     assert hits == [] and mem.live_count == before
 
 
@@ -242,7 +243,7 @@ def test_bad_string_bytes_raise_decode_error(mem, sem, reader, bad):
     with pytest.raises(DecodeError, match=where):
         reader(mem, addr)
     take = LiftedSig("Take", (ParamSig("s", "STRING", sem),), RetSig("INT", st.INT32))
-    stub = skeleton(take, lambda s: len(s), mem)
+    stub = skeleton(take, lambda s: len(s), mem, BindingDesc("Test", "dynamic", "auto"))
     with pytest.raises(DecodeError, match=where):
         stub([addr])
     mem.free(addr)
