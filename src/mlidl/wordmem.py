@@ -10,16 +10,21 @@ into three regions:
     [0x8000000, ...)        closure registry ("code")
 
 Heap allocations are page-granular internally so that any address can be
-mapped back to its allocation in O(1): the page table is a list indexed by
-page number.  Reads and stores are bounds-checked against the owning
-allocation.  `read_rest` reads from an address to the end of its
-allocation, so data of unknown length (a NUL-terminated string) is read in
-one checked step and can never run on into the next block.
+mapped back to its allocation in O(1): the page table is three columns
+indexed by page number, filled for every page a block spans.  `_cells`
+holds the block's words, `_first` its first page (so its base) and `_size`
+its size in words.  A block of at most 1,024 words starts on the page it
+lies in, so an access to it reads only `_cells`.  Reads and stores are
+bounds-checked against the owning allocation.  `read_rest` reads from an
+address to the end of its allocation, so data of unknown length (a
+NUL-terminated string) is read in one checked step and can never run on
+into the next block.
 
 Pages are never reused.  A freed block stays in the page table as a
-tombstone that keeps only its base and size, so a later access still raises
-`UseAfterFree`, `DoubleFree` or `OutOfBounds` exactly as it would on the
-live block, while its words are dropped at `free`.
+tombstone, `None` in `_cells` beside its `_first` and `_size` entries (8
+bytes a page), so a later access still raises `UseAfterFree`, `DoubleFree`
+or `OutOfBounds` exactly as it would on the live block, while its words are
+dropped at `free`.
 
 A closure address is counted per registration: `fun_to_addr` returns one
 address per callable and counts each call, and `release_closure` undoes one
@@ -38,6 +43,7 @@ it frees a heap block and releases a closure registration.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -121,13 +127,6 @@ class _Closures(dict):
         raise NotCallable(f"address {addr:#x} is not a registered closure")
 
 
-@dataclass(slots=True)
-class Allocation:
-    base: int
-    size: int                      # words
-    cells: Optional[list[int]]     # None once freed: the block is a tombstone
-
-
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -150,7 +149,10 @@ class Mem:
     """
 
     def __init__(self, trace: Optional[Callable[[str], None]] = None) -> None:
-        self._pages: list[Allocation] = []     # page number -> allocation
+        # page number -> its block's words (None once freed), first page, size
+        self._cells: list[Optional[list[int]]] = []
+        self._first = array("i")
+        self._size = array("i")
         self._live = 0
         self._closures: dict[int, WordFn] = _Closures()
         self._closure_refs: dict[int, int] = {}    # addr -> registrations
@@ -172,45 +174,57 @@ class Mem:
         if nwords <= 0:
             raise BadSize(f"alloc of {nwords} words")
         npages = (nwords + _PAGE_WORDS - 1) // _PAGE_WORDS
-        base = HEAP_BASE + len(self._pages) * _PAGE_BYTES
+        page = len(self._cells)
+        base = HEAP_BASE + page * _PAGE_BYTES
         if base + npages * _PAGE_BYTES > CLOSURE_BASE:
             raise BadSize("heap region exhausted")
-        self._pages += [Allocation(base, nwords, [0] * nwords)] * npages
+        self._cells.append([0] * nwords)
+        self._first.append(page)
+        self._size.append(nwords)
+        if npages > 1:      # a block fills the entries of every page it spans
+            self._cells += self._cells[-1:] * (npages - 1)
+            self._first.extend([page] * (npages - 1))
+            self._size.extend([nwords] * (npages - 1))
         self._live += 1
         if self._trace is not None:
             self._trace(f"alloc {nwords} -> {base:#x}")
         return base
 
-    def _find(self, addr: int) -> tuple[Allocation, int]:
-        """Map an address to (allocation, word index); check liveness."""
-        if region_of(addr) != "heap":
+    def _find(self, addr: int) -> tuple[list[int], int]:
+        """Map an address to (its block's words, word index); check liveness."""
+        if addr == NULL_ADDR or addr >= CLOSURE_BASE:
             raise BadRegion(f"address {addr:#x} is not a heap address")
         if addr % WORD_BYTES:
             raise OutOfBounds(f"address {addr:#x} is not word-aligned")
         page = (addr - HEAP_BASE) // _PAGE_BYTES
-        if not 0 <= page < len(self._pages):
+        if not 0 <= page < len(self._cells):
             raise OutOfBounds(f"address {addr:#x} outside any allocation")
-        alloc = self._pages[page]
-        idx = (addr - alloc.base) // WORD_BYTES
-        if idx >= alloc.size:
-            raise OutOfBounds(
-                f"address {addr:#x} past the end of allocation {alloc.base:#x}"
-            )
-        if alloc.cells is None:
-            raise UseAfterFree(f"address {addr:#x} in freed allocation {alloc.base:#x}")
-        return alloc, idx
+        cells = self._cells[page]
+        idx = addr % _PAGE_BYTES // WORD_BYTES
+        if cells is not None and idx < len(cells) <= _PAGE_WORDS:
+            return cells, idx       # a block of at most a page starts on `page`
+        base = HEAP_BASE + self._first[page] * _PAGE_BYTES
+        idx = (addr - base) // WORD_BYTES
+        if idx >= self._size[page]:
+            raise OutOfBounds(f"address {addr:#x} past the end of allocation {base:#x}")
+        if cells is None:
+            raise UseAfterFree(f"address {addr:#x} in freed allocation {base:#x}")
+        return cells, idx
 
     def free(self, addr: int) -> None:
-        reg = region_of(addr)
-        if reg != "heap":
-            raise BadRegion(f"free of {reg} address {addr:#x}")
+        if addr == NULL_ADDR or addr >= CLOSURE_BASE:
+            raise BadRegion(f"free of {region_of(addr)} address {addr:#x}")
         page = (addr - HEAP_BASE) // _PAGE_BYTES
-        alloc = self._pages[page] if 0 <= page < len(self._pages) else None
-        if alloc is None or alloc.base != addr:
+        if (addr % _PAGE_BYTES or not 0 <= page < len(self._cells)
+                or self._first[page] != page):
             raise OutOfBounds(f"free of {addr:#x}, which is not an allocation base")
-        if alloc.cells is None:
+        cells = self._cells[page]
+        if cells is None:
             raise DoubleFree(f"double free of {addr:#x}")
-        alloc.cells = None
+        self._cells[page] = None
+        if len(cells) > _PAGE_WORDS:        # and the entries of its later pages
+            npages = (len(cells) + _PAGE_WORDS - 1) // _PAGE_WORDS
+            self._cells[page:page + npages] = [None] * npages
         self._live -= 1
         if self._trace is not None:
             self._trace(f"free {addr:#x}")
@@ -222,14 +236,14 @@ class Mem:
     def store(self, addr: int, words: list[int]) -> None:
         if not words:
             return
-        alloc, idx = self._find(addr)
-        if idx + len(words) > alloc.size:
+        cells, idx = self._find(addr)
+        if idx + len(words) > len(cells):
             raise OutOfBounds(
                 f"store of {len(words)} words at {addr:#x} overruns "
-                f"allocation {alloc.base:#x} ({alloc.size} words)"
+                f"allocation {addr - idx * WORD_BYTES:#x} ({len(cells)} words)"
             )
         masked = [w & WORD_MASK for w in words]
-        alloc.cells[idx:idx + len(masked)] = masked
+        cells[idx:idx + len(masked)] = masked
         if self._trace is not None:
             self._trace(f"store {addr:#x} {[hex(w) for w in masked]}")
 
@@ -238,13 +252,13 @@ class Mem:
             raise BadSize(f"read of {nwords} words")
         if nwords == 0:
             return []
-        alloc, idx = self._find(addr)
-        if idx + nwords > alloc.size:
+        cells, idx = self._find(addr)
+        if idx + nwords > len(cells):
             raise OutOfBounds(
                 f"read of {nwords} words at {addr:#x} overruns "
-                f"allocation {alloc.base:#x} ({alloc.size} words)"
+                f"allocation {addr - idx * WORD_BYTES:#x} ({len(cells)} words)"
             )
-        out = alloc.cells[idx:idx + nwords]
+        out = cells[idx:idx + nwords]
         if self._trace is not None:
             self._trace(f"read {addr:#x} {nwords} -> {[hex(w) for w in out]}")
         return out
@@ -253,8 +267,8 @@ class Mem:
         """The words from `addr` to the end of the allocation that holds it,
         as one `read`: for data such as a NUL-terminated string, whose length
         the reader finds in the words and must find inside this block."""
-        alloc, idx = self._find(addr)
-        return self.read(addr, alloc.size - idx)
+        cells, idx = self._find(addr)
+        return self.read(addr, len(cells) - idx)
 
     # -- closures ---------------------------------------------------------
 

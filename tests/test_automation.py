@@ -815,12 +815,12 @@ def _co_create_instance(mem, dual):
 # operation: (its set-up on make_calc's object, Python calls of one warm call
 # on CPython 3.11, counted with conftest.count_mlidl_calls)
 COM_CALL_CAPS = {
-    "typed_invoke": (_typed_invoke, 39),
-    "raw_invoke": (_raw_invoke, 49),
-    "get_ids_of_names": (_get_ids_of_names, 12),
-    "query_interface_slot0": (_query_interface, 15),
+    "typed_invoke": (_typed_invoke, 35),
+    "raw_invoke": (_raw_invoke, 44),
+    "get_ids_of_names": (_get_ids_of_names, 10),
+    "query_interface_slot0": (_query_interface, 13),
     "release_slot2": (_release, 4),
-    "co_create_instance": (_co_create_instance, 137),
+    "co_create_instance": (_co_create_instance, 129),
 }
 
 
