@@ -19,9 +19,10 @@ codec's `to_word` checks the value and the parameter codec's `from_word`
 reads the word back, so VT_I4/VT_UI4 are reinterpreted bit-exactly,
 nothing is bridged between strings, numbers and bools, and a BSTR holding a
 NUL or a lone surrogate is refused as a string pack refuses it
-(DISP_E_TYPEMISMATCH with the argument's index).  `variant_of` runs the
-same way back; a result it cannot wrap, such as a record, is
-DISP_E_TYPEMISMATCH on both Invoke paths.  Raw Invoke reads and writes
+(DISP_E_TYPEMISMATCH with the argument's index).  A result is wrapped the
+same way back; one that no VARIANT can carry, such as a record, is
+DISP_E_TYPEMISMATCH on both Invoke paths.  The typed `invoke` takes its
+arguments as a sequence of VARIANTs.  Raw Invoke reads and writes
 payloads with the codecs' unpack and pack (a tag it does not know is
 DISP_E_BADVARTYPE, with the argument's index).  Type libraries, locales and
 named arguments are out of scope (GetTypeInfoCount reports 0, GetTypeInfo
@@ -47,7 +48,7 @@ from mlidl.com import (
     check_words,
     get_method,
 )
-from mlidl.wordmem import Mem, MemFault, OutOfBounds, to_signed, word
+from mlidl.wordmem import Mem, MemFault, OutOfBounds
 
 VT_EMPTY = 0
 VT_I4 = 3
@@ -90,32 +91,9 @@ class Variant:
     def empty() -> "Variant":
         return Variant(VT_EMPTY)
 
-    @staticmethod
-    def i4(value: int) -> "Variant":
-        return Variant(VT_I4, to_signed(value))
-
-    @staticmethod
-    def ui4(value: int) -> "Variant":
-        return Variant(VT_UI4, word(value))
-
-    @staticmethod
-    def boolean(value: bool) -> "Variant":
-        return Variant(VT_BOOL, bool(value))
-
-    @staticmethod
-    def bstr(value: str) -> "Variant":
-        return Variant(VT_BSTR, value)
-
     def __str__(self) -> str:
         name = _VT_NAMES[self.tag]
         return name if self.tag == VT_EMPTY else f"{name}({self.value!r})"
-
-
-@dataclass(frozen=True)
-class DispParams:
-    """Positional argument pack for Invoke."""
-
-    args: tuple[Variant, ...] = ()
 
 
 # -- the value model ------------------------------------------------------------
@@ -161,16 +139,6 @@ def _text(value: Any) -> str:
     return value
 
 
-def coerce(v: Variant, t: st.SemType, desc: Optional[BindingDesc] = None) -> Any:
-    """Variant to host value for semantic type `t`; strict, no string/number
-    bridging, VT_I4/VT_UI4 reinterpreted bit-exactly."""
-    try:
-        codec = marshal.codec_of(t, desc)
-    except marshal.MarshalError as exc:
-        raise AutomationError(str(exc), DISP_E_TYPEMISMATCH) from None
-    return _coerce(v, t.kind, codec)
-
-
 def _coerce(v: Variant, kind: str, codec: marshal.Codec) -> Any:
     """`v` as `codec` holds it: its payload's word, read back by `codec`."""
     try:
@@ -183,25 +151,15 @@ def _coerce(v: Variant, kind: str, codec: marshal.Codec) -> Any:
                               DISP_E_TYPEMISMATCH) from None
 
 
-def variant_of(value: Any, t: st.SemType, desc: Optional[BindingDesc] = None) -> Variant:
-    try:
-        codec = marshal.codec_of(t, desc)
-    except marshal.MarshalError as exc:
-        raise ComError(str(exc)) from None
-    return _variant_of(value, t.kind, codec)
-
-
 def _variant_of(value: Any, kind: str, codec: marshal.Codec) -> Variant:
+    """`value`, a result that `marshal.call` decoded with `codec`, as a
+    VARIANT: such a value always re-encodes, so only its kind can fail."""
     tag = _KINDS.get(kind, ((), None))[1]
     if tag is None:
         raise AutomationError(f"cannot wrap a {kind} result as a VARIANT",
                               DISP_E_TYPEMISMATCH)
-    try:
-        return Variant(tag, _PAYLOAD[tag].from_word(codec.to_word(value))
-                       if codec.to_word else _text(value))
-    except marshal.MarshalError as exc:
-        raise AutomationError(f"cannot wrap {value!r} as a {kind} VARIANT: {exc}",
-                              DISP_E_TYPEMISMATCH) from None
+    return Variant(tag, _PAYLOAD[tag].from_word(codec.to_word(value))
+                   if codec.to_word else value)
 
 
 # -- dual interface construction ---------------------------------------------
@@ -351,16 +309,9 @@ def get_ids_of_names(ref: InterfaceRef, name: str) -> int:
     return dispid
 
 
-def invoke(ref: InterfaceRef, dispid: int,
-           params: "DispParams | Sequence[Variant]") -> Variant:
+def invoke(ref: InterfaceRef, dispid: int, args: Sequence[Variant]) -> Variant:
     disp = _dispatch_of(ref)
     if dispid not in disp.by_id:
         raise AutomationError(f"no member with DISPID {dispid}",
                               DISP_E_MEMBERNOTFOUND)
-    return disp.call(dispid, list(params.args if isinstance(params, DispParams)
-                                 else params))
-
-
-def get_type_info_count(ref: InterfaceRef) -> int:
-    """Dispatch-level type info count; always 0 (no type libraries)."""
-    return 0
+    return disp.call(dispid, list(args))

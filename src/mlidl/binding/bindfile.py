@@ -24,8 +24,9 @@ description, like a built one, holds one object per distinct type.  A
 record's `size` and `offset`s must be those of `model.lay_out`, the layout
 rule the builder uses, given the records before it in the file.  Every enum,
 record or callback that a semantic type names must be declared in the file,
-except COM's built-in `record IID`; the intern table holds each distinct
-type once, so the check looks at each name once.
+except COM's built-in `record IID`.  The declared names are collected before
+the walk, so a type that names an undeclared one is refused where the walk
+first meets it, in file order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Optional
 
 from mlidl import semtypes as st
 from mlidl.binding import model
-from mlidl.binding.build import _GUID_TEXT, LEVELS, MODES
+from mlidl.binding.build import LEVELS, MODES
 from mlidl.semtypes import SchemaViolation   # defined there, raised here too
 
 
@@ -219,8 +220,9 @@ def load_binding_file(text: str) -> model.BindingDesc:
     clsid = _guid(doc, "clsid", "$")
 
     sems = st.sem_table()       # this call's intern table; it dies on return
+    declared = _declared(doc)
     interfaces = tuple(
-        _load_iface(x, f"$.interfaces[{i}]", sems)
+        _load_iface(x, f"$.interfaces[{i}]", sems, declared)
         for i, x in enumerate(_list(doc, "interfaces", "$"))
     )
     enums = tuple(
@@ -229,7 +231,7 @@ def load_binding_file(text: str) -> model.BindingDesc:
     )
     earlier: dict[str, model.RecordLayout] = {}
     records = tuple(
-        _load_record(x, f"$.records[{i}]", sems, earlier)
+        _load_record(x, f"$.records[{i}]", sems, declared, earlier)
         for i, x in enumerate(_list(doc, "records", "$"))
     )
     consts = tuple(
@@ -237,68 +239,53 @@ def load_binding_file(text: str) -> model.BindingDesc:
         for i, x in enumerate(_list(doc, "consts", "$"))
     )
     callbacks = tuple(
-        _load_callback(x, f"$.callbacks[{i}]", sems)
+        _load_callback(x, f"$.callbacks[{i}]", sems, declared)
         for i, x in enumerate(_list(doc, "callbacks", "$"))
     )
     aliases = tuple(
-        _load_alias(x, f"$.aliases[{i}]", sems)
+        _load_alias(x, f"$.aliases[{i}]", sems, declared)
         for i, x in enumerate(_list(doc, "aliases", "$"))
     )
-    desc = model.BindingDesc(
+    return model.BindingDesc(
         module=module, mode=mode, level=level, interfaces=interfaces,
         enums=enums, records=records, consts=consts, callbacks=callbacks,
         aliases=aliases, clsid=clsid,
     )
-    # COM's built-in `record IID` needs no declaration
-    declared = ({("record", "IID")} | {("record", name) for name in earlier}
-                | {("enum", e.name) for e in enums} | {("callback", c.name) for c in callbacks})
-    undeclared = {t for t in sems.values() if t.kind in ("enum", "record", "callback")
-                  and (t.kind, t.name) not in declared}
-    if undeclared:
-        _raise_at_first_use(desc, undeclared)
-    return desc
 
 
-def _raise_at_first_use(desc: model.BindingDesc, undeclared: set[st.SemType]) -> None:
-    """A SchemaViolation at the first `sem` of `desc`, in file order, that
-    names an enum, record or callback in `undeclared`."""
-    sems = [s for i, iface in enumerate(desc.interfaces) for j, op in enumerate(iface.ops)
-            for s in _sig_sems(f"$.interfaces[{i}].ops[{j}]", op)]
-    sems += [(f"$.records[{i}].fields[{j}].sem", f.sem)
-             for i, r in enumerate(desc.records) for j, f in enumerate(r.fields)]
-    sems += [s for i, c in enumerate(desc.callbacks)
-             for s in _sig_sems(f"$.callbacks[{i}].sig", c.sig)]
-    sems += [(f"$.aliases[{i}].sem", a.sem) for i, a in enumerate(desc.aliases)]
-    for path, t in sems:
-        while t.kind == "array":
-            path, t = f"{path}.elem", t.elem
-        if t in undeclared:
-            raise SchemaViolation(path, f"no {t.kind} named {t.name!r} is declared")
+def _declared(doc: dict) -> set[tuple[str, str]]:
+    """The (kind, name) of each enum, record and callback that `doc`
+    declares, and COM's built-in `record IID`, which needs no declaration.
+    A table that is no array, or a declaration without a name, is reported
+    here, as the walk would report it, before any use of a name."""
+    declared = {("record", "IID")}
+    for kind, key in (("enum", "enums"), ("record", "records"), ("callback", "callbacks")):
+        for i, x in enumerate(_list(doc, key, "$")):
+            name = x.get("name") if isinstance(x, dict) else None
+            if not isinstance(name, str) or not name:
+                _need(x, dict, f"$.{key}[{i}]")
+                _type_name(x, f"$.{key}[{i}]")     # raises
+            declared.add((kind, name))
+    return declared
 
 
-def _sig_sems(path: str, sig: model.LiftedSig) -> list[tuple[str, st.SemType]]:
-    sems = [(f"{path}.params[{k}].sem", p.sem) for k, p in enumerate(sig.params)]
-    if sig.ret is not None:
-        sems.append((f"{path}.ret.sem", sig.ret.sem))
-    return sems
-
-
-def _load_callback(x: Any, path: str, sems: dict) -> model.CallbackDef:
+def _load_callback(x: Any, path: str, sems: dict, declared: set) -> model.CallbackDef:
     _need(x, dict, path)
     return model.CallbackDef(name=_type_name(x, path),
-                             sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig", sems))
+                             sig=_load_sig(_need_key(x, "sig", path), f"{path}.sig", sems,
+                                           declared))
 
 
-def _load_alias(x: Any, path: str, sems: dict) -> model.AliasDef:
+def _load_alias(x: Any, path: str, sems: dict, declared: set) -> model.AliasDef:
     _need(x, dict, path)
     return model.AliasDef(
         name=_str(x, "name", path),
         display=_str(x, "type", path),
-        sem=st.sem_from_json(_need_key(x, "sem", path), f"{path}.sem", sems),
+        sem=st.sem_from_json(_need_key(x, "sem", path), f"{path}.sem", sems, declared),
     )
 
 
-def _load_iface(x: Any, path: str, sems: dict) -> model.InterfaceDesc:
+def _load_iface(x: Any, path: str, sems: dict, declared: set) -> model.InterfaceDesc:
     _need(x, dict, path)
     source = x.get("source")
     parent = x.get("parent")
@@ -307,7 +294,7 @@ def _load_iface(x: Any, path: str, sems: dict) -> model.InterfaceDesc:
             raise SchemaViolation(f"{path}.{key}", "expected a string or null")
     iid = _guid(x, "iid", path)
     ops = tuple(
-        _load_sig(op, f"{path}.ops[{i}]", sems)
+        _load_sig(op, f"{path}.ops[{i}]", sems, declared)
         for i, op in enumerate(_list(x, "ops", path))
     )
     return model.InterfaceDesc(name=_str(x, "name", path), ops=ops,
@@ -316,12 +303,12 @@ def _load_iface(x: Any, path: str, sems: dict) -> model.InterfaceDesc:
 
 def _guid(x: dict, key: str, path: str) -> Optional[str]:
     val = x.get(key)
-    if val is not None and (not isinstance(val, str) or _GUID_TEXT.fullmatch(val) is None):
+    if val is not None and (not isinstance(val, str) or st._GUID_TEXT.fullmatch(val) is None):
         raise SchemaViolation(f"{path}.{key}", "expected braced GUID text or null")
     return val
 
 
-def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
+def _load_sig(x: Any, path: str, sems: dict, declared: set) -> model.LiftedSig:
     _need(x, dict, path)
     kind = x.get("kind", "method")
     if kind not in ("method", "query_interface"):
@@ -336,7 +323,7 @@ def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
         params.append(model.ParamSig(
             name=_str(p, "name", ppath),
             display=_str(p, "type", ppath),
-            sem=st.sem_from_json(_need_key(p, "sem", ppath), f"{ppath}.sem", sems),
+            sem=st.sem_from_json(_need_key(p, "sem", ppath), f"{ppath}.sem", sems, declared),
             dir=direction,
             byref=_flag(p, "byref", ppath),
         ))
@@ -347,7 +334,8 @@ def _load_sig(x: Any, path: str, sems: dict) -> model.LiftedSig:
         _need(ret_obj, dict, rpath)
         ret = model.RetSig(
             display=_str(ret_obj, "type", rpath),
-            sem=st.sem_from_json(_need_key(ret_obj, "sem", rpath), f"{rpath}.sem", sems),
+            sem=st.sem_from_json(_need_key(ret_obj, "sem", rpath), f"{rpath}.sem", sems,
+                                 declared),
         )
     return model.LiftedSig(name=_str(x, "name", path), params=tuple(params),
                            ret=ret, kind=kind, callback=_flag(x, "callback", path))
@@ -365,7 +353,7 @@ def _load_enum(x: Any, path: str) -> model.EnumMap:
     return model.EnumMap(name=_type_name(x, path), variants=tuple(variants))
 
 
-def _load_record(x: Any, path: str, sems: dict,
+def _load_record(x: Any, path: str, sems: dict, declared: set,
                  earlier: dict[str, model.RecordLayout]) -> model.RecordLayout:
     """The record at `path`, laid out by the rule given `earlier`, the records
     before it by name (the first of a name wins); it joins `earlier`."""
@@ -379,7 +367,7 @@ def _load_record(x: Any, path: str, sems: dict,
         fields.append((
             _str(f, "name", fpath),
             _str(f, "type", fpath),
-            st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems),
+            st.sem_from_json(_need_key(f, "sem", fpath), f"{fpath}.sem", sems, declared),
         ))
     size = _count(x, "size", path)
     name = _type_name(x, path)

@@ -24,7 +24,6 @@ to a pointer too, so a name that is not a type (a const) is refused there.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -50,12 +49,6 @@ _BASE = {
 
 # the string `[string]` makes of a pointer to each base type it applies to
 _TEXT = {"char": st.STRING8, "wchar_t": st.STRING16}
-
-
-# The one braced GUID grammar: the compiler and the binding loader check
-# against it, and `com.Guid.parse` reads it.
-_GUID_TEXT = re.compile(r"\{[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-"
-                        r"[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}\}")
 
 
 class BindingError(Exception):
@@ -309,7 +302,7 @@ class _Builder:
 
 
 def _check_guid(value: object, what: str) -> None:
-    if not isinstance(value, str) or _GUID_TEXT.fullmatch(value) is None:
+    if not isinstance(value, str) or st._GUID_TEXT.fullmatch(value) is None:
         raise BindingError(f"{what} in the manifest is not a GUID of the form "
                            f"{{XXXXXXXX-XXXX-XXXX-XXXX-XXXXXXXXXXXX}}: {value!r}")
 

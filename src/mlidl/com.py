@@ -12,8 +12,9 @@ QueryInterface for IUnknown returns the same interface from any starting
 interface, which makes its address usable as the object's identity.
 
 IUnknown is implemented once, by `ComObject.query_interface/add_ref/release`.
-Vtable slots 0..2 only check and decode their words and call them; the
-client helpers of the same names call them directly, packing nothing.
+Vtable slots 0..2 only check and decode their words and call them.  The
+client helpers `query_interface` and `release` call them directly, packing
+nothing; a client adds a reference through slot 1, as a COM client does.
 
 The QueryInterface ABI is (this, iid-block-addr, out-slot-addr) -> HRESULT,
 with the IID packed as a 4-word block, so the whole model stays callable
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from mlidl.binding.build import _GUID_TEXT
+from mlidl.semtypes import _GUID_TEXT
 from mlidl.wordmem import Mem, MemFault, WordFn
 
 S_OK = 0x00000000
@@ -280,10 +281,6 @@ def query_interface(ref: InterfaceRef, iid: Iid) -> InterfaceRef:
     return found
 
 
-def add_ref(ref: InterfaceRef) -> int:
-    return ref.owner.add_ref()
-
-
 def release(ref: InterfaceRef) -> int:
     return ref.owner.release()
 
@@ -324,12 +321,6 @@ def co_register_class_object(reg: Registry, clsid: Clsid,
     if not text.isprintable():
         raise ComError(f"class {clsid} has unprintable dump text {text!r}")
     reg._factories[clsid.guid] = factory
-
-
-def co_unregister_class_object(reg: Registry, clsid: Clsid) -> None:
-    if clsid.guid not in reg._factories:
-        raise ClassNotRegistered(f"class {clsid} is not registered")
-    del reg._factories[clsid.guid]
 
 
 def co_get_class_object(reg: Registry, clsid: Clsid) -> ClassFactory:

@@ -10,13 +10,21 @@ the binding-file loader each make the types of one description through
 types are one object there, and the binding-file writer renders each once.
 Nothing is kept between descriptions.  `SchemaViolation`, the loader's
 error, is defined here so that this module needs no import of the binding
-package; its public home stays `mlidl.binding`.
+package; its public home stays `mlidl.binding`.  The braced GUID grammar
+lives here too, so that `com` reaches it without importing the compiler.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
+
+
+# The one braced GUID grammar: the compiler and the binding loader check
+# against it, and `com.Guid.parse` reads it.
+_GUID_TEXT = re.compile(r"\{[0-9A-Fa-f]{8}-[0-9A-Fa-f]{4}-[0-9A-Fa-f]{4}-"
+                        r"[0-9A-Fa-f]{4}-[0-9A-Fa-f]{12}\}")
 
 
 class SchemaViolation(Exception):
@@ -58,22 +66,6 @@ OPAQUE = SemType("opaque")
 UNIT = SemType("unit")
 
 
-def enum_t(name: str) -> SemType:
-    return SemType("enum", name=name)
-
-
-def record_t(name: str) -> SemType:
-    return SemType("record", name=name)
-
-
-def callback_t(name: str) -> SemType:
-    return SemType("callback", name=name)
-
-
-def array_t(elem: SemType, len_from: str) -> SemType:
-    return SemType("array", elem=elem, len_from=len_from)
-
-
 def sem_to_json(t: SemType) -> dict:
     out: dict = {"k": t.kind}
     if t.name is not None:
@@ -108,9 +100,12 @@ def interned(table: dict, kind: str, name: Optional[str] = None,
     return t
 
 
-def sem_from_json(obj: object, path: str, table: dict) -> SemType:
+def sem_from_json(obj: object, path: str, table: dict,
+                  declared: Optional[set] = None) -> SemType:
     """The SemType `obj` spells, interned in `table`, or a SchemaViolation
-    at `path`."""
+    at `path`.  If `declared` is given, it holds the (kind, name) of every
+    enum, record and callback that may be named, and a type that names
+    another is refused where it is met."""
     if not isinstance(obj, dict) or "k" not in obj:
         raise SchemaViolation(path, "expected a semantic type object with key 'k'")
     name = obj.get("name")
@@ -119,10 +114,14 @@ def sem_from_json(obj: object, path: str, table: dict) -> SemType:
     len_from = obj.get("len_from")
     if len_from is not None and not isinstance(len_from, str):
         raise SchemaViolation(f"{path}.len_from", "expected a string")
-    elem = sem_from_json(obj["elem"], path + ".elem", table) if "elem" in obj else None
+    elem = (sem_from_json(obj["elem"], path + ".elem", table, declared)
+            if "elem" in obj else None)
     kind = obj["k"]
     if type(kind) is not str:
         raise SchemaViolation(path, f"unknown semantic type kind {kind!r}")
+    if (name and declared is not None and kind in ("enum", "record", "callback")
+            and (kind, name) not in declared):
+        raise SchemaViolation(path, f"no {kind} named {name!r} is declared")
     try:
         return interned(table, kind, name, elem, len_from)
     except ValueError as exc:

@@ -211,8 +211,6 @@ def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
         return _enum_codec(found)
     if t.kind == "record" and t.name == "IID":
         return _IID
-    if desc is None and t.kind == "enum":
-        raise MarshalError(f"enum {t.name!r} needs a binding description")
     raise MarshalError(f"unknown {t.kind} type {t.name!r}")
 
 

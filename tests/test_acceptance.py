@@ -27,7 +27,6 @@ from mlidl.com import (
     IID_IUNKNOWN,
     Iid,
     NoInterface,
-    add_ref,
     query_interface,
     release,
 )
@@ -37,12 +36,14 @@ from mlidl.automation import (
     AutomationError,
     DISP_E_BADPARAMCOUNT,
     DISP_E_TYPEMISMATCH,
-    DispParams,
+    VT_BOOL,
+    VT_BSTR,
+    VT_I4,
+    VT_UI4,
     Variant,
     get_ids_of_names,
     invoke,
     make_dual,
-    variant_of,
 )
 from mlidl.com import get_method
 from mlidl.winsim.bounce import BounceDemo
@@ -112,14 +113,14 @@ def test_criterion_03_layout_against_byte_oracle():
         unit = resolve(parse_text(read_idl("win32.idl"), "win32.idl"))
         table = symbol_table(unit)
         desc = build_binding(unit, "dynamic", "auto")
-        assert marshal.codec_of(st.record_t("WNDCLASSEX"), desc).width == 12
+        assert marshal.codec_of(st.SemType("record", name="WNDCLASSEX"), desc).width == 12
         assert _oracle_byte_size(ast.NamedType("WNDCLASSEX"), table) == 48
-        assert marshal.codec_of(st.record_t("POINT"), desc).width == 2
+        assert marshal.codec_of(st.SemType("record", name="POINT"), desc).width == 2
         assert _oracle_byte_size(ast.NamedType("POINT"), table) == 8
         for rec in desc.records:
             oracle_bytes = _oracle_byte_size(ast.NamedType(rec.name), table)
             assert oracle_bytes == 4 * rec.size == \
-                4 * marshal.codec_of(st.record_t(rec.name), desc).width
+                4 * marshal.codec_of(st.SemType("record", name=rec.name), desc).width
 
 
 def test_criterion_04_wordmem_properties():
@@ -201,7 +202,7 @@ def test_criterion_05_com_invariants():
                     held.append(query_interface(
                         base, rng.choice(iids + [IID_IUNKNOWN])))
                 else:
-                    add_ref(base)
+                    get_method(base, 1)([base.addr])      # AddRef
                     held.append(base)
                 depth += 1
             assert obj.refcount == start + depth > 0
@@ -282,27 +283,26 @@ def test_criterion_07_dual_equivalence():
             sig = sigs[idx]
             if idx == 0:
                 args = [rng.randint(-999, 999), rng.randint(-999, 999)]
-                variants = [Variant.i4(a) for a in args]
+                variants = [Variant(VT_I4, a) for a in args]
             elif idx == 1:
                 args = [rng.getrandbits(32)]
-                variants = [Variant.ui4(args[0])]
+                variants = [Variant(VT_UI4, args[0])]
             else:
                 args = [rng.choice(["LOUD", "quiet", "Mixed", "X"])]
-                variants = [Variant.bstr(args[0])]
+                variants = [Variant(VT_BSTR, args[0])]
             trace.clear()
             vt = marshal.call(sig, get_method(dual, 7 + idx), args, mem, desc)
             vt_effects = list(trace)
             trace.clear()
-            disp = invoke(dual, get_ids_of_names(dual, sig.name),
-                          DispParams(tuple(variants)))
+            disp = invoke(dual, get_ids_of_names(dual, sig.name), variants)
             assert list(trace) == vt_effects
-            assert disp == variant_of(vt[0], sig.results[0].sem, desc)
+            assert disp == Variant((VT_I4, VT_UI4, VT_BOOL)[idx], vt[0])
 
         with pytest.raises(AutomationError) as exc:
-            invoke(dual, 1, DispParams((Variant.i4(1),)))
+            invoke(dual, 1, [Variant(VT_I4, 1)])
         assert exc.value.hresult == DISP_E_BADPARAMCOUNT
         with pytest.raises(AutomationError) as exc:
-            invoke(dual, 1, DispParams((Variant.bstr("x"), Variant.i4(1))))
+            invoke(dual, 1, [Variant(VT_BSTR, "x"), Variant(VT_I4, 1)])
         assert exc.value.hresult == DISP_E_TYPEMISMATCH
         assert exc.value.arg_index == 0
 

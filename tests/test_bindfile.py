@@ -122,12 +122,34 @@ def test_the_first_undeclared_type_is_reported_in_file_order():
         ("$.records[0].fields[0].sem", "no enum named 'E' is declared")
 
 
+def test_an_undeclared_type_is_reported_where_the_file_first_uses_it():
+    # the interface comes before the records, so its parameter is the first
+    # use, although a record field that names it would fail its layout too
+    unit = parse_text("typedef struct { int x; int y; } POINT;\n"
+                      "typedef struct { POINT p; int z; } SEG;\n"
+                      "interface I { int Sum ([in,ref] SEG *s, [in] int n); }\n")
+    doc = json.loads(emit_binding_file(build_binding(unit, "dynamic", "auto")))
+    nope = {"k": "record", "name": "NOPE"}
+    doc["interfaces"][0]["ops"][0]["params"][0]["sem"] = nope
+    doc["records"][1]["fields"][0]["sem"] = nope
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.interfaces[0].ops[0].params[0].sem", "no record named 'NOPE' is declared")
+    # named only in a record field, it is refused as undeclared there
+    doc["interfaces"][0]["ops"][0]["params"][0]["sem"] = {"k": "record", "name": "SEG"}
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.records[1].fields[0].sem", "no record named 'NOPE' is declared")
+
+
 def test_the_query_interface_iid_needs_no_declaration(bar_desc):
     text = emit_binding_file(bar_desc)
     assert "IID" not in [r["name"] for r in json.loads(text)["records"]]
     qi = [op for iface in load_binding_file(text).interfaces for op in iface.ops
           if op.kind == "query_interface"]
-    assert qi and all(op.params[0].sem == st.record_t("IID") for op in qi)
+    assert qi and all(op.params[0].sem == st.SemType("record", name="IID") for op in qi)
 
 
 def test_missing_key_is_schema_violation(time_desc):
@@ -672,7 +694,7 @@ def test_one_mutated_node_loads_or_is_a_schema_violation(win32_desc, time_desc, 
             except marshal.MarshalError:
                 pass
     for record in loaded.records:
-        sem = st.record_t(record.name)
+        sem = st.SemType("record", name=record.name)
         value = _sample(sem, loaded, itertools.count(1))
         mem = Mem()
         try:
@@ -719,3 +741,17 @@ def test_compiler_imports_no_runtime_module():
     runtime = ("mlidl.wordmem", "mlidl.marshal", "mlidl.com", "mlidl.automation",
                "mlidl.winsim")
     assert [m for m in loaded if m.startswith(runtime)] == []
+
+
+def test_the_com_runtime_imports_no_compiler_module():
+    # `com` shares the GUID grammar with the compiler through `semtypes`
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys, mlidl.com\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('mlidl'))))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True, env=env).stdout.split()
+    assert loaded == ["mlidl", "mlidl.com", "mlidl.semtypes", "mlidl.wordmem"]

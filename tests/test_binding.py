@@ -273,15 +273,15 @@ def test_name_lookup_first_declaration_wins_and_errors_unchanged():
                        records=(first, second), callbacks=(c1, c2))
     assert desc.record("R") is first and desc.enum("E") is e1
     assert desc.lookup("callback", "CB") is c1 and desc.interface("I") is i1
-    assert marshal.codec_of(st.record_t("R"), desc).width == 1
-    assert marshal.codec_of(st.enum_t("E"), desc).width == 1
+    assert marshal.codec_of(st.SemType("record", name="R"), desc).width == 1
+    assert marshal.codec_of(st.SemType("enum", name="E"), desc).width == 1
     assert desc.lookup("callback", "Nope") is None
     for lookup, kind in ((desc.record, "record"), (desc.enum, "enum"),
                          (desc.interface, "interface")):
         with pytest.raises(KeyError, match=f"no {kind} 'Nope' in binding 'M'"):
             lookup("Nope")
     with pytest.raises(marshal.MarshalError, match="unknown record type 'Nope'"):
-        marshal.codec_of(st.record_t("Nope"), desc)
+        marshal.codec_of(st.SemType("record", name="Nope"), desc)
 
 
 @pytest.mark.parametrize("manifest", [

@@ -21,11 +21,9 @@ from mlidl.com import (
     NoInterface,
     Registry,
     S_OK,
-    add_ref,
     co_create_instance,
     co_get_class_object,
     co_register_class_object,
-    co_unregister_class_object,
     ComError,
     get_method,
     query_interface,
@@ -182,9 +180,7 @@ def test_refcount_lifecycle(mem):
     obj, _ = build_bar(mem)
     ix = obj._interfaces[IID_IX.guid]
     assert obj.refcount == 1
-    assert add_ref(ix) == 2
-    assert get_method(ix, 1)([ix.addr]) == 3    # AddRef through vtable slot 1
-    assert release(ix) == 2
+    assert get_method(ix, 1)([ix.addr]) == 2    # AddRef through vtable slot 1
     assert release(ix) == 1
     assert release(ix) == 0
     assert not obj.alive
@@ -228,7 +224,7 @@ def test_refcount_conservation_random_balanced(mem):
                 refs.append(query_interface(
                     base, rng.choice((IID_IX, IID_IY, IID_IUNKNOWN))))
             else:
-                add_ref(base)
+                get_method(base, 1)([base.addr])      # AddRef
                 refs.append(base)
             depth += 1
         assert obj.refcount == start + depth
@@ -267,20 +263,14 @@ def test_duplicate_registration_rejected(mem):
         co_register_class_object(reg, CLSID_BAR, factory)
 
 
-def test_unregister_then_create_fails(mem):
-    reg = Registry()
-    factory = simple_factory(CLSID_BAR, lambda: build_bar(mem)[0], label="Bar")
-    co_register_class_object(reg, CLSID_BAR, factory)
-    co_unregister_class_object(reg, CLSID_BAR)
-    with pytest.raises(ClassNotRegistered) as exc:
-        co_create_instance(reg, CLSID_BAR, IID_IX)
-    assert exc.value.hresult == 0x80040154
-
-
 def test_unknown_clsid(mem):
     reg = Registry()
     with pytest.raises(ClassNotRegistered):
         co_get_class_object(reg, CLSID_BAR)
+    with pytest.raises(ClassNotRegistered) as exc:
+        co_create_instance(reg, CLSID_BAR, IID_IX)
+    assert exc.value.hresult == 0x80040154
+    assert str(exc.value) == f"class {CLSID_BAR.guid} is not registered"
 
 
 def test_failed_create_leaves_no_live_object(mem):
@@ -451,12 +441,6 @@ def test_an_unprintable_dump_text_is_refused(mem, label, name):
     assert reg.dump() == ""
 
 
-def test_unregistering_an_unknown_class_is_pinned():
-    with pytest.raises(ClassNotRegistered) as info:
-        co_unregister_class_object(Registry(), CLSID_BAR)
-    assert str(info.value) == f"class {CLSID_BAR.guid} is not registered"
-
-
 def test_adding_a_present_interface_is_pinned(mem):
     obj, _ = build_bar(mem)
     counts = (mem.live_count, mem.closure_count, len(obj._blocks))
@@ -498,7 +482,7 @@ def test_raw_vtable_call_matches_query_interface(mem):
 # -- one IUnknown: client helpers and raw slots agree ----------------------------
 
 
-_IUNKNOWN_OPS = ("qi", "raw_qi", "add_ref", "raw_add_ref", "release", "raw_release")
+_IUNKNOWN_OPS = ("qi", "raw_qi", "raw_add_ref", "release", "raw_release")
 _QI_TARGETS = (IID_IX, IID_IY, IID_IUNKNOWN, IID_NONE)
 
 
@@ -531,7 +515,6 @@ def test_client_and_raw_iunknown_interleaved(ops):
             with pytest.raises(DeadObject):
                 {"qi": lambda: query_interface(ref, iid),
                  "raw_qi": lambda: raw_qi(slots[0], ref, iid),
-                 "add_ref": lambda: add_ref(ref),
                  "raw_add_ref": lambda: slots[1]([ref.addr]),
                  "release": lambda: release(ref),
                  "raw_release": lambda: slots[2]([ref.addr])}[op]()
@@ -549,9 +532,9 @@ def test_client_and_raw_iunknown_interleaved(ops):
             hr, out = raw_qi(get_method(ref, 0), ref, iid)
             got = obj._interfaces.get(iid.guid)
             assert (hr, out) == ((0, got.addr) if got else (E_NOINTERFACE, 0))
-        elif op in ("add_ref", "raw_add_ref"):
+        elif op == "raw_add_ref":
             got = ref
-            count = add_ref(ref) if op == "add_ref" else get_method(ref, 1)([ref.addr])
+            count = get_method(ref, 1)([ref.addr])
             assert count == len(held) + 1
         else:
             fn = get_method(ref, 2) if op == "raw_release" else None

@@ -48,20 +48,20 @@ def unpacked(words, t, mem, desc=None):
 
 
 def test_layout_examples(win32_desc):
-    assert codec_of(st.record_t("POINT"), win32_desc).width == 2
-    assert codec_of(st.record_t("WNDCLASSEX"), win32_desc).width == 12
+    assert codec_of(st.SemType("record", name="POINT"), win32_desc).width == 2
+    assert codec_of(st.SemType("record", name="WNDCLASSEX"), win32_desc).width == 12
     assert codec_of(st.BOOL).width == 1
     assert codec_of(st.INT32).width == 1
     assert codec_of(st.STRING8).width == 1
-    assert codec_of(st.callback_t("WNDPROC")).width == 1
-    assert codec_of(st.array_t(st.INT32, "n")).width == 1
-    assert codec_of(st.record_t("IID")).width == 4
+    assert codec_of(st.SemType("callback", name="WNDPROC")).width == 1
+    assert codec_of(st.SemType("array", elem=st.INT32, len_from="n")).width == 1
+    assert codec_of(st.SemType("record", name="IID")).width == 4
 
 
 def test_layout_unknown_record(win32_desc):
     from mlidl.marshal import MarshalError
     with pytest.raises(MarshalError):
-        codec_of(st.record_t("NOPE"), win32_desc)
+        codec_of(st.SemType("record", name="NOPE"), win32_desc)
 
 
 def test_a_null_string_address_reads_as_the_empty_string(mem):
@@ -89,15 +89,16 @@ def test_any_nonzero_unmarshals_true(mem):
 
 
 def test_point_field_order(mem, win32_desc):
-    words = packed({"x": 3, "y": 4}, st.record_t("POINT"), mem, win32_desc)
+    words = packed({"x": 3, "y": 4}, st.SemType("record", name="POINT"), mem, win32_desc)
     assert words == [3, 4]
 
 
 def test_record_field_set_must_match(mem, win32_desc):
+    point = st.SemType("record", name="POINT")
     with pytest.raises(TypeMismatch):
-        packed({"x": 3}, st.record_t("POINT"), mem, win32_desc)
+        packed({"x": 3}, point, mem, win32_desc)
     with pytest.raises(TypeMismatch):
-        packed({"x": 3, "y": 4, "z": 5}, st.record_t("POINT"), mem, win32_desc)
+        packed({"x": 3, "y": 4, "z": 5}, point, mem, win32_desc)
 
 
 def test_int32_range(mem):
@@ -112,7 +113,7 @@ def test_int32_range(mem):
 
 
 def test_enum_marshal_through_map(mem, win32_desc):
-    opts = st.enum_t("OPTS")
+    opts = st.SemType("enum", name="OPTS")
     assert packed("CS_HREDRAW", opts, mem, win32_desc) == [2]
     assert unpacked([2], opts, mem, win32_desc) == "CS_HREDRAW"
     with pytest.raises(DecodeError):
@@ -251,10 +252,10 @@ def test_bad_string_bytes_raise_decode_error(mem, sem, reader, bad):
 
 def test_callback_identity(mem):
     fn = lambda ws: 7  # noqa: E731
-    words = packed(fn, st.callback_t("CB"), mem)
-    assert unpacked(words, st.callback_t("CB"), mem) is fn
-    assert packed(None, st.callback_t("CB"), mem) == [0]
-    assert unpacked([0], st.callback_t("CB"), mem) is None
+    words = packed(fn, st.SemType("callback", name="CB"), mem)
+    assert unpacked(words, st.SemType("callback", name="CB"), mem) is fn
+    assert packed(None, st.SemType("callback", name="CB"), mem) == [0]
+    assert unpacked([0], st.SemType("callback", name="CB"), mem) is None
 
 
 def test_record_round_trip_random(mem, win32_desc):
@@ -264,7 +265,7 @@ def test_record_round_trip_random(mem, win32_desc):
              "top": rng.randint(-2**31, 2**31 - 1),
              "right": rng.randint(-2**31, 2**31 - 1),
              "bottom": rng.randint(-2**31, 2**31 - 1)}
-        t = st.record_t("RECT")
+        t = st.SemType("record", name="RECT")
         assert unpacked(packed(v, t, mem, win32_desc), t, mem, win32_desc) == v
 
 
@@ -286,7 +287,7 @@ def test_packed_record_fields_match_layout_offsets(mem, win32_desc):
     layout = win32_desc.record("PAINTSTRUCT")
     ps = {"hdc": 9, "fErase": True,
           "rcPaint": {"left": 1, "top": 2, "right": 3, "bottom": 4}}
-    words = packed(ps, st.record_t("PAINTSTRUCT"), mem, win32_desc)
+    words = packed(ps, st.SemType("record", name="PAINTSTRUCT"), mem, win32_desc)
     addr = mem.alloc(layout.size)
     mem.store(addr, words)
     for f in layout.fields:
@@ -419,7 +420,7 @@ def test_abi_arity(win32_desc, time_desc):
 def test_inline_record_param():
     # a record passed by value occupies its full width in the word list
     mem = Mem()
-    pt = ParamSig("pt", "POINT", st.record_t("POINT"), dir="in", byref=False)
+    pt = ParamSig("pt", "POINT", st.SemType("record", name="POINT"), dir="in", byref=False)
     n = ParamSig("n", "Int32.int", st.INT32, dir="in")
     sig = LiftedSig("f", (pt, n), RetSig("Int32.int", st.INT32))
     from conftest import read_idl
@@ -442,7 +443,7 @@ def test_inline_record_param():
 
 
 def test_inout_param_round_trip(mem, win32_desc):
-    p = ParamSig("pt", "POINT", st.record_t("POINT"), dir="inout", byref=True)
+    p = ParamSig("pt", "POINT", st.SemType("record", name="POINT"), dir="inout", byref=True)
     sig = LiftedSig("bump", (p,), None)
     stub = skeleton(sig, lambda pt: ({"x": pt["x"] + 1, "y": pt["y"] + 1},),
                     mem, win32_desc)

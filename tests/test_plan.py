@@ -478,10 +478,11 @@ def test_string_handed_back_unchanged_is_freed_once(desc):
 
 
 def test_record_nested_in_itself_is_a_marshal_error(desc):
-    loop = RecordLayout("LOOP", (FieldLayout("self", "LOOP", st.record_t("LOOP"), 0),), 1)
+    t = st.SemType("record", name="LOOP")
+    loop = RecordLayout("LOOP", (FieldLayout("self", "LOOP", t, 0),), 1)
     bad = replace(desc, records=desc.records + (loop,))
     with pytest.raises(MarshalError, match="LOOP"):
-        codec_of(st.record_t("LOOP"), bad)
+        codec_of(t, bad)
 
 
 def test_record_codec_reads_each_field_where_it_packed_it(desc):
@@ -492,7 +493,7 @@ def test_record_codec_reads_each_field_where_it_packed_it(desc):
     bad = replace(desc, records=tuple(wrong if r is good else r for r in desc.records))
     value = label("t", 7, "MODE_HIGH")
     mem = Mem()
-    codec = codec_of(st.record_t("LABEL"), bad)
+    codec = codec_of(st.SemType("record", name="LABEL"), bad)
     words: list[int] = []
     codec.pack(mem, value, words, [])
     assert len(words) == codec.width == 3
@@ -619,7 +620,8 @@ FLAT_KINDS = {
     "handle": (st.HANDLE, _boundary_ints(0, 2**32 - 1)),
     "opaque": (st.OPAQUE, _boundary_ints(0, 2**32 - 1)),
     "bool": (st.BOOL, hs.booleans()),
-    "enum": (st.enum_t("MODE"), hs.sampled_from(["MODE_OFF", "MODE_ON", "MODE_HIGH"])),
+    "enum": (st.SemType("enum", name="MODE"),
+             hs.sampled_from(["MODE_OFF", "MODE_ON", "MODE_HIGH"])),
 }
 
 
@@ -697,7 +699,8 @@ def test_stub_rejects_a_negative_element_count(desc):
 def test_an_array_value_alone_cannot_be_decoded():
     mem = Mem()
     with pytest.raises(MarshalError) as info:
-        codec_of(st.array_t(st.INT32, "n")).unpack(mem, [0x1000], 0, None)
+        ints = st.SemType("array", elem=st.INT32, len_from="n")
+        codec_of(ints).unpack(mem, [0x1000], 0, None)
     assert str(info.value) == "an array needs its element count"
 
 
@@ -940,7 +943,8 @@ def test_an_interface_with_no_source_library_cannot_be_bound():
 def test_binding_skips_an_op_that_is_not_a_method():
     f = LiftedSig("F", (ParamSig("k", "Int32.int", st.INT32),), RetSig("Int32.int", st.INT32))
     qi = LiftedSig("QueryInterface",
-                   (ParamSig("iid", "'a Com.IID", st.record_t("IID"), byref=True),),
+                   (ParamSig("iid", "'a Com.IID", st.SemType("record", name="IID"),
+                             byref=True),),
                    RetSig("'a Com.interface", st.OPAQUE), kind="query_interface")
     desc = BindingDesc("M", "dynamic", "auto",
                        interfaces=(InterfaceDesc("I", (qi, f), source="m.dll"),))
