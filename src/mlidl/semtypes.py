@@ -100,12 +100,11 @@ def interned(table: dict, kind: str, name: Optional[str] = None,
     return t
 
 
-def sem_from_json(obj: object, path: str, table: dict,
-                  declared: Optional[set] = None) -> SemType:
+def sem_from_json(obj: object, path: str, table: dict, declared: set) -> SemType:
     """The SemType `obj` spells, interned in `table`, or a SchemaViolation
-    at `path`.  If `declared` is given, it holds the (kind, name) of every
-    enum, record and callback that may be named, and a type that names
-    another is refused where it is met."""
+    at `path`.  `declared` holds the (kind, name) of every enum, record and
+    callback that may be named; a type that names one not in it is refused
+    where it is met."""
     if not isinstance(obj, dict) or "k" not in obj:
         raise SchemaViolation(path, "expected a semantic type object with key 'k'")
     name = obj.get("name")
@@ -119,8 +118,7 @@ def sem_from_json(obj: object, path: str, table: dict,
     kind = obj["k"]
     if type(kind) is not str:
         raise SchemaViolation(path, f"unknown semantic type kind {kind!r}")
-    if (name and declared is not None and kind in ("enum", "record", "callback")
-            and (kind, name) not in declared):
+    if name and kind in ("enum", "record", "callback") and (kind, name) not in declared:
         raise SchemaViolation(path, f"no {kind} named {name!r} is declared")
     try:
         return interned(table, kind, name, elem, len_from)

@@ -409,16 +409,17 @@ def test_sem_from_json_interns_through_its_table():
     from mlidl import semtypes as st
 
     arr = {"k": "array", "elem": {"k": "record", "name": "P"}, "len_from": "n"}
-    table = st.sem_table()
-    a, b = st.sem_from_json(arr, "$", table), st.sem_from_json(dict(arr), "$", table)
-    assert a is b and a.elem is st.sem_from_json(arr["elem"], "$", table)
-    assert st.sem_from_json({"k": "int32"}, "$", table) is st.INT32
+    table, declared = st.sem_table(), {("record", "P")}
+    a = st.sem_from_json(arr, "$", table, declared)
+    assert a is st.sem_from_json(dict(arr), "$", table, declared)
+    assert a.elem is st.sem_from_json(arr["elem"], "$", table, declared)
+    assert st.sem_from_json({"k": "int32"}, "$", table, declared) is st.INT32
     # an unhashable kind is reported, not looked up
     with pytest.raises(SchemaViolation) as exc:
-        st.sem_from_json({"k": ["int32"]}, "$.x", table)
+        st.sem_from_json({"k": ["int32"]}, "$.x", table, declared)
     assert str(exc.value) == "$.x: unknown semantic type kind ['int32']"
     with pytest.raises(SchemaViolation):
-        st.sem_from_json({"k": "quux"}, "$", table)
+        st.sem_from_json({"k": "quux"}, "$", table, declared)
     assert all(key[0] != "quux" for key in table)
 
 
