@@ -4,11 +4,12 @@ A dual interface derives from IDispatch: its vtable is the IUnknown triple,
 the IDispatch quadruple (GetTypeInfoCount, GetTypeInfo, GetIDsofNames,
 Invoke), then the interface's own methods.  The dispatch table is generated
 from the same signatures, with DISPIDs assigned densely from 1 in
-declaration order, and Invoke calls through the very closure installed in
-the vtable slot, so both invocation paths share one implementation.
+declaration order, and Invoke calls the skeleton that `make_dual` installed
+in the method's slot, so both invocation paths share one implementation; a
+later raw store over a vtable word redirects slot callers, not Invoke.
 
 A dual interface is a plain `InterfaceRef`, however it was reached.  Its
-DISPID table and binding description live with the IDispatch closures of
+DISPID table, skeletons and binding description live with the closures of
 slots 3..6, and the typed `invoke` and `get_ids_of_names` find them through
 slot 6 of any ref to it.  IUnknown is implemented once, in `com.ComObject`.
 
@@ -48,7 +49,7 @@ from mlidl.com import (
     check_words,
     get_method,
 )
-from mlidl.wordmem import Mem, MemFault, OutOfBounds
+from mlidl.wordmem import Mem, MemFault, OutOfBounds, WordFn
 
 VT_EMPTY = 0
 VT_I4 = 3
@@ -139,16 +140,16 @@ def _text(value: Any) -> str:
     return value
 
 
-def _coerce(v: Variant, kind: str, codec: marshal.Codec) -> Any:
-    """`v` as `codec` holds it: its payload's word, read back by `codec`."""
+def _coerce(i: int, v: Variant, kind: str, codec: marshal.Codec) -> Any:
+    """`v`, argument `i`, as `codec` holds it: its payload word, read back."""
     try:
         if v.tag not in _KINDS.get(kind, ((), None))[0]:
             raise marshal.TypeMismatch(f"{kind} takes no {_VT_NAMES[v.tag]}")
         to_word = _PAYLOAD[v.tag].to_word
         return codec.from_word(to_word(v.value)) if to_word else _text(v.value)
     except marshal.MarshalError as exc:
-        raise AutomationError(f"cannot coerce {v} to {kind}: {exc}",
-                              DISP_E_TYPEMISMATCH) from None
+        raise AutomationError(f"argument {i}: cannot coerce {v} to {kind}: {exc}",
+                              DISP_E_TYPEMISMATCH, arg_index=i) from None
 
 
 def _variant_of(value: Any, kind: str, codec: marshal.Codec) -> Variant:
@@ -179,24 +180,24 @@ def make_dual(
     mem = owner.mem
     method_fns = [marshal.skeleton(sig, impl, mem, desc)
                   for sig, impl in zip(sigs, impls)]
-    d = _Dispatch(sigs, mem, desc)
-    d.ref = owner.add_interface(iid, [d._raw_get_type_info_count, d._raw_get_type_info,
-                                      d._raw_get_ids_of_names, d._raw_invoke]
-                                + method_fns)
-    owner.alias_interface(IID_IDISPATCH, d.ref)
-    return d.ref
+    d = _Dispatch(sigs, method_fns, mem, desc)
+    ref = owner.add_interface(iid, [d._raw_get_type_info_count, d._raw_get_type_info,
+                                    d._raw_get_ids_of_names, d._raw_invoke] + method_fns)
+    owner.alias_interface(IID_IDISPATCH, ref)
+    return ref
 
 
 class _Dispatch:
     """IDispatch of one dual interface: the DISPID table (dense from 1 in
-    declaration order, methods from slot 7) and the binding description,
-    with the bound `_raw_*` methods that fill vtable slots 3..6."""
+    declaration order), the skeletons of slots 7 and up and the binding
+    description, with the bound `_raw_*` methods that fill slots 3..6."""
 
-    def __init__(self, sigs: Sequence[LiftedSig], mem: Mem, desc: BindingDesc) -> None:
+    def __init__(self, sigs: Sequence[LiftedSig], methods: list[WordFn], mem: Mem,
+                 desc: BindingDesc) -> None:
         self.mem = mem
         self.desc = desc
-        self.ref: InterfaceRef     # set once the vtable is laid out
         self.by_id = dict(enumerate(sigs, 1))      # DISPID -> its signature
+        self.methods = methods                     # DISPID - 1 -> its skeleton
         self.by_name: dict[str, int] = {}
         for dispid, sig in self.by_id.items():
             key = sig.name.casefold()
@@ -261,7 +262,7 @@ class _Dispatch:
         return S_OK
 
     def call(self, dispid: int, args: list[Variant]) -> Variant:
-        """Coerce `args` and call the method through its vtable slot."""
+        """Coerce `args` and call the skeleton installed in the method's slot."""
         sig = self.by_id[dispid]
         plan = marshal.plan_of(sig, self.desc)
         if len(args) != plan.n_ins:
@@ -271,13 +272,8 @@ class _Dispatch:
         codecs = [s.codec for s in plan.steps if s.dir != "out"]
         values = []
         for i, (v, p, codec) in enumerate(zip(args, sig.ins, codecs)):
-            try:
-                values.append(_coerce(v, p.sem.kind, codec))
-            except AutomationError as exc:
-                raise AutomationError(f"argument {i}: {exc}", exc.hresult,
-                                      arg_index=i) from None
-        results = marshal.call(sig, get_method(self.ref, 6 + dispid), values,
-                               self.mem, self.desc)
+            values.append(_coerce(i, v, p.sem.kind, codec))
+        results = marshal.call(sig, self.methods[dispid - 1], values, self.mem, self.desc)
         if not results:
             return Variant.empty()
         if len(results) == 1:

@@ -6,8 +6,11 @@ Release always in slots 0..2.  Reference counting is per object: all of an
 object's interfaces share one count, and when it reaches zero every block
 the object owns is freed and every slot its vtables registered is released
 (`Mem.give_back`), so a call through a stale slot raises
-`NotCallable` and the world keeps nothing of the object alive.  An object
-whose construction raises holds no block and no slot, and is not `alive`.
+`NotCallable` and the world keeps nothing of the object alive.  A failed
+construction is undone the same way: an object whose IUnknown cannot be
+built is `_destroy`ed, so it holds no block, no slot and no reference to
+itself, and is not `alive`; and when the builder of a `simple_factory`
+raises, every object made during that build is destroyed too.
 QueryInterface for IUnknown returns the same interface from any starting
 interface, which makes its address usable as the object's identity.
 
@@ -23,6 +26,7 @@ through raw memory alone.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -148,6 +152,11 @@ def check_words(method: str, words: list[int], n: int) -> list[int]:
     return words
 
 
+# per thread, the `open` tuple holds one list for each `simple_factory` build
+# under way; every ComObject made meanwhile adds itself to each
+_builds = threading.local()
+
+
 class ComObject:
     """Refcounted object with one vtable block per supported interface."""
 
@@ -159,17 +168,16 @@ class ComObject:
         self._interfaces: dict[Guid, InterfaceRef] = {}
         self._blocks: list[int] = []
         self._slot_addrs: list[int] = []     # one per `fun_to_addr` it made
-        # one bound method per slot, so every vtable registers the same three;
-        # kept only once the IUnknown vtable exists, so an object whose first
-        # `add_interface` fails holds no reference to itself
-        self._unknown_slots: list[WordFn] = []
-        unknown = [self._raw_query_interface, self._raw_add_ref, self._raw_release]
+        # one bound method per slot, so every vtable registers the same three
+        self._unknown_slots: list[WordFn] = [
+            self._raw_query_interface, self._raw_add_ref, self._raw_release]
         try:
-            self._identity = self.add_interface(IID_IUNKNOWN, unknown).addr
+            self._identity = self.add_interface(IID_IUNKNOWN, []).addr
         except BaseException:
-            self.alive = False      # nothing was built, so nothing is alive
+            self._destroy()
             raise
-        self._unknown_slots = unknown
+        for made in getattr(_builds, "open", ()):
+            made.append(self)
 
     @property
     def identity(self) -> InterfaceRef:
@@ -341,13 +349,25 @@ def simple_factory(clsid: Clsid, build: Callable[[], ComObject],
     The builder returns a fresh object holding its creation reference; the
     requested interface is taken via QueryInterface and the creation
     reference dropped, so a failed request destroys the partial object and
-    leaks nothing.  If `build` itself raises, the factory never receives
-    the partial object: releasing what the builder made before it failed is
-    the builder's job.
+    leaks nothing.  If `build` itself raises, every `ComObject` that this
+    thread made while it ran, through nested factories too, and that is
+    still alive is destroyed (`_destroy`), and the error passes on: the
+    world is left as the build found it, whatever the builder still held.
     """
 
     def create(iid: Iid) -> InterfaceRef:
-        obj = build()
+        made: list[ComObject] = []
+        outer = getattr(_builds, "open", ())
+        _builds.open = outer + (made,)
+        try:
+            obj = build()
+        except BaseException:
+            for o in made:
+                if o.alive:
+                    o._destroy()
+            raise
+        finally:
+            _builds.open = outer
         try:
             ref = query_interface(obj.identity, iid)
         except NoInterface:

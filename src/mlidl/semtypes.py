@@ -50,10 +50,16 @@ class SemType:
             "enum", "record", "array", "callback", "opaque", "unit",
         ):
             raise ValueError(f"unknown semantic type kind {self.kind!r}")
-        if self.kind in ("enum", "record", "callback") and not self.name:
-            raise ValueError(f"{self.kind} semantic type needs a name")
-        if self.kind == "array" and (self.elem is None or not self.len_from):
-            raise ValueError("array semantic type needs elem and len_from")
+        if self.kind in ("enum", "record", "callback"):
+            if not self.name:
+                raise ValueError(f"{self.kind} semantic type needs a name")
+        elif self.name is not None:
+            raise ValueError(f"{self.kind} semantic type takes no name")
+        if self.kind == "array":
+            if self.elem is None or not self.len_from:
+                raise ValueError("array semantic type needs elem and len_from")
+        elif self.elem is not None or self.len_from is not None:
+            raise ValueError(f"{self.kind} semantic type takes no elem or len_from")
 
 
 INT32 = SemType("int32")

@@ -81,11 +81,11 @@ def abi_mix_counts() -> dict[str, int]:
 # says so in CHANGES.md.
 ABI_MIX_CAPS = {
     "setup_calls": (19_786, 19_885),
-    "stream_calls": (112_656, 113_219),
+    "stream_calls": (110_512, 111_065),
     "alloc": (2_658, 2_671),
     "free": (2_604, 2_617),
     "store": (2_816, 2_830),
-    "read": (4_054, 4_074),
+    "read": (3_518, 3_536),
     "call": (1_287, 1_293),
     "pages": (2_662, 2_675),
     "failed": (0, 0),

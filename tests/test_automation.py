@@ -516,6 +516,22 @@ def raw_invoke(mem, ref, dispid, arg_words, argerr=0):
             mem.free(b)
 
 
+def test_a_raw_store_over_a_method_slot_redirects_slot_callers_not_invoke(mem):
+    before = mem.live_count, mem.closure_count
+    _, dual, trace = make_calc(mem)
+    other = lambda ws: 99  # noqa: E731
+    addr = mem.fun_to_addr(other)
+    mem.store(mem.offset(mem.read(dual.addr, 1)[0], 7), [addr])
+    assert get_method(dual, 7) is other
+    # both Invoke paths call the skeleton that make_dual installed
+    assert invoke(dual, 1, [Variant(VT_I4, 20), Variant(VT_I4, 22)]) == Variant(VT_I4, 42)
+    assert raw_invoke(mem, dual, 1, [VT_I4, 20, VT_I4, 22]) == (0, VT_I4, 42)
+    assert trace == [("Add", 20, 22)] * 2
+    release(dual)
+    mem.release_closure(addr)
+    assert (mem.live_count, mem.closure_count) == before
+
+
 # -- pinned behaviour of the value model --------------------------------------------
 
 
@@ -823,8 +839,8 @@ def _co_create_instance(mem, dual):
 # operation: (its set-up on make_calc's object, Python calls of one warm call
 # on CPython 3.11, counted with conftest.count_mlidl_calls)
 COM_CALL_CAPS = {
-    "typed_invoke": (_typed_invoke, 35),
-    "raw_invoke": (_raw_invoke, 44),
+    "typed_invoke": (_typed_invoke, 27),
+    "raw_invoke": (_raw_invoke, 36),
     "get_ids_of_names": (_get_ids_of_names, 10),
     "query_interface_slot0": (_query_interface, 13),
     "release_slot2": (_release, 4),

@@ -107,6 +107,20 @@ def test_an_undeclared_array_element_type_is_schema_violation():
         ("$.aliases[0].sem.elem", "no callback named 'NOPE' is declared")
 
 
+@pytest.mark.parametrize("sem, message", [
+    ({"k": "int32", "name": "WHATEVER"}, "int32 semantic type takes no name"),
+    ({"k": "record", "name": "POINT", "elem": {"k": "int32"}, "len_from": "n"},
+     "record semantic type takes no elem or len_from"),
+], ids=["scalar-with-name", "record-with-elem"])
+def test_a_field_that_its_kind_does_not_have_is_schema_violation(sem, message):
+    doc = json.loads(emit_binding_file(build_binding(_POINT_SUM, "dynamic", "auto")))
+    doc["interfaces"][0]["ops"][0]["params"][0]["sem"] = sem
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.interfaces[0].ops[0].params[0].sem", message)
+
+
 def test_the_first_undeclared_type_is_reported_in_file_order():
     # records come before callbacks in the file, so the field is first
     unit = parse_text("typedef enum { A = 0 } E;\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nothing_for_the_cycle_collector
+from mlidl import marshal
 from mlidl.com import (
     ClassNotRegistered,
     Clsid,
@@ -335,6 +337,77 @@ def test_an_object_that_failed_to_build_leaves_nothing_for_the_cycle_collector(f
         assert obj.alive is False
         del obj
     assert (mem.live_count, mem.closure_count) == before
+
+
+CLSID_INNER = Clsid(Guid.parse("{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D0005}"), "Inner")
+OPS = [LiftedSig(f"Op{i}", (), RetSig("INT", INT32)) for i in range(3)]
+
+
+def churn_factory(mem, made, fail=None):
+    """A factory whose builder is shaped like abi-mix's: an object, a dual
+    of three operations, then a second interface of one skeleton.  It adds
+    each object it makes to `made`; given an exception class `fail`, it
+    raises one once the object is whole, after a nested factory made one
+    more."""
+    desc = BindingDesc("Z", "com", "auto")
+
+    def build():
+        obj = ComObject(mem, CLSID_BAR)
+        made.append(obj)
+        make_dual(OPS, [lambda: 1, lambda: 2, lambda: 3], obj, IID_IZ, desc)
+        obj.add_interface(IID_IX, [marshal.skeleton(PING, lambda: 4, mem, desc)])
+        if fail is not None:
+            made.append(co_create_instance(reg, CLSID_INNER, IID_IX).owner)
+            raise fail("no")
+        return obj
+
+    reg = Registry()
+    co_register_class_object(reg, CLSID_BAR, simple_factory(CLSID_BAR, build))
+    co_register_class_object(reg, CLSID_INNER, simple_factory(
+        CLSID_INNER, lambda: build_bar(mem)[0]))
+    return reg
+
+
+def _all_destroyed_and_freed(made):
+    """Every object in `made` is destroyed, and freed once `made` lets go."""
+    assert [obj.alive for obj in made] == [False] * len(made)
+    dead = [weakref.ref(obj) for obj in made]
+    made.clear()
+    assert [w() for w in dead] == [None] * len(dead)
+
+
+def test_a_failed_alloc_in_a_factory_build_leaves_the_world_as_it_found_it():
+    mem = FailingMem()
+    made = []
+    reg = churn_factory(mem, made)
+    before = mem.live_count, mem.closure_count
+    for k in itertools.count(1):
+        mem.fail_in = k
+        with nothing_for_the_cycle_collector():
+            try:
+                ref = co_create_instance(reg, CLSID_BAR, IID_IZ)
+            except BadSize as exc:
+                assert str(exc) == "injected"
+            else:
+                break
+            assert (mem.live_count, mem.closure_count) == before
+            _all_destroyed_and_freed(made)
+    assert k == 7           # an alloc for each vtable and interface word
+    assert get_method(ref, 7)([]) == 1
+    release(ref)
+    assert (mem.live_count, mem.closure_count) == before
+
+
+def test_a_factory_destroys_what_a_build_made_before_it_raised(mem):
+    made = []
+    reg = churn_factory(mem, made, ValueError)
+    before = mem.live_count, mem.closure_count
+    with nothing_for_the_cycle_collector():
+        with pytest.raises(ValueError, match="^no$"):
+            co_create_instance(reg, CLSID_BAR, IID_IZ)
+        assert len(made) == 2       # the outer object and the nested one
+        assert (mem.live_count, mem.closure_count) == before
+        _all_destroyed_and_freed(made)
 
 
 def test_destroy_releases_every_closure_but_shared_ones(mem):
