@@ -2,11 +2,13 @@
 
 An interface is a one-word heap block holding the address of its vtable
 block; vtable slots are closure addresses with QueryInterface, AddRef and
-Release always in slots 0..2.  Reference counting is per object: all of an
-object's interfaces share one count, and when it reaches zero every block
-the object owns is freed and every slot its vtables registered is released
-(`Mem.give_back`), so a call through a stale slot raises
-`NotCallable` and the world keeps nothing of the object alive.  A failed
+Release always in slots 0..2.  An object registers each of those three
+once, and every vtable it lays out holds the same three addresses.
+Reference counting is per object: all of an object's interfaces share one
+count, and when it reaches zero the object hands its one owned list, every
+block and registration it made in the order it made them, to
+`Mem.give_back`, so a call through a stale slot raises `NotCallable` and
+the world keeps nothing of the object alive.  A failed
 construction is undone the same way: an object whose IUnknown cannot be
 built is `_destroy`ed, so it holds no block, no slot and no reference to
 itself, and is not `alive`; and when the builder of a `simple_factory`
@@ -166,11 +168,10 @@ class ComObject:
         self.refcount = 1
         self.alive = True
         self._interfaces: dict[Guid, InterfaceRef] = {}
-        self._blocks: list[int] = []
-        self._slot_addrs: list[int] = []     # one per `fun_to_addr` it made
-        # one bound method per slot, so every vtable registers the same three
-        self._unknown_slots: list[WordFn] = [
-            self._raw_query_interface, self._raw_add_ref, self._raw_release]
+        # every block and registration it made, in order; IUnknown's first
+        self._owned: list[int] = [mem.fun_to_addr(self._raw_query_interface),
+                                  mem.fun_to_addr(self._raw_add_ref),
+                                  mem.fun_to_addr(self._raw_release)]
         try:
             self._identity = self.add_interface(IID_IUNKNOWN, []).addr
         except BaseException:
@@ -193,10 +194,9 @@ class ComObject:
         self._check_alive()
         if iid.guid in self._interfaces:
             raise ComError(f"interface {iid} already present")
-        slots = self._unknown_slots + list(methods)
-        vtable = self.mem.alloc(len(slots))
-        addrs = [self.mem.fun_to_addr(fn) for fn in slots]
-        self.mem.store(vtable, addrs)
+        vtable = self.mem.alloc(3 + len(methods))
+        addrs = [self.mem.fun_to_addr(fn) for fn in methods]
+        self.mem.store(vtable, self._owned[:3] + addrs)
         try:
             iface = self.mem.alloc(1)
         except MemFault:
@@ -204,8 +204,7 @@ class ComObject:
             self.mem.give_back([vtable] + addrs)
             raise
         self.mem.store(iface, [vtable])
-        self._blocks += [vtable, iface]
-        self._slot_addrs += addrs
+        self._owned += [vtable, *addrs, iface]
         ref = InterfaceRef(addr=iface, iid=iid, owner=self)
         self._interfaces[iid.guid] = ref
         return ref
@@ -223,12 +222,9 @@ class ComObject:
     def _destroy(self) -> None:
         """Free every block and release every vtable slot, and drop the
         references back to this object that the interfaces and slots hold."""
-        self.mem.give_back(self._blocks)
-        self.mem.give_back(self._slot_addrs)
-        self._blocks.clear()
-        self._slot_addrs.clear()
+        self.mem.give_back(self._owned)
+        self._owned.clear()
         self._interfaces.clear()
-        self._unknown_slots.clear()
         self.alive = False
 
     # -- IUnknown, implemented once --------------------------------------------
@@ -274,7 +270,10 @@ class ComObject:
 
 
 def get_method(ref: InterfaceRef, index: int) -> WordFn:
-    """Slot `index` of the interface's vtable, as a callable."""
+    """Slot `index` of the interface's vtable, as a callable: the Python
+    function behind the slot, valid while the object lives, as a C function
+    pointer is.  Once the object is destroyed a call through the slot's
+    address raises `NotCallable`, and a kept slot 0..2 raises `DeadObject`."""
     ref.owner._check_alive()
     mem = ref.owner.mem
     vtable = mem.read(ref.addr, 1)[0]

@@ -1,25 +1,1 @@
 """Headless, deterministic Win32 user/gdi simulation."""
-
-from mlidl.winsim.adapter import AdapterError, AdapterWorker, wndproc_queue_adapter
-from mlidl.winsim.util import hi_word, lo_word, util_or
-from mlidl.winsim.world import (
-    MS_PER_TICK,
-    Msg,
-    PumpError,
-    SimWorld,
-    WM_CREATE,
-    WM_DESTROY,
-    WM_MOVE,
-    WM_NULL,
-    WM_PAINT,
-    WM_SETFOCUS,
-    WM_SIZE,
-    WM_TIMER,
-)
-
-__all__ = [
-    "AdapterError", "AdapterWorker", "MS_PER_TICK", "Msg", "PumpError",
-    "SimWorld", "WM_CREATE", "WM_DESTROY", "WM_MOVE", "WM_NULL", "WM_PAINT",
-    "WM_SETFOCUS", "WM_SIZE", "WM_TIMER", "hi_word", "lo_word", "util_or",
-    "wndproc_queue_adapter",
-]

@@ -15,7 +15,7 @@ import pytest
 
 from mlidl.binding import build_binding, load_manifest
 from mlidl.idl import parse_text, resolve
-from mlidl.wordmem import Mem
+from mlidl.wordmem import BadSize, Mem
 
 REPO = Path(__file__).resolve().parents[1]
 IDL_DIR = REPO / "idl"
@@ -23,6 +23,18 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 # every IDL file the project ships
 SHIPPED_IDL = [IDL_DIR / "win32.idl", IDL_DIR / "time.idl", IDL_DIR / "bar.idl",
                REPO / "src" / "mlidl" / "winsim" / "data" / "win32sim.idl"]
+
+
+class FailingMem(Mem):
+    """A world whose `fail_in`-th allocation from now raises BadSize."""
+
+    fail_in = 0
+
+    def alloc(self, nwords: int) -> int:
+        self.fail_in -= 1
+        if self.fail_in == 0:
+            raise BadSize("injected")
+        return super().alloc(nwords)
 
 
 def read_idl(name: str) -> str:

@@ -51,7 +51,7 @@ import itertools
 from typing import NamedTuple, Union
 
 from mlidl.binding import BindingError
-from mlidl.idl import BadAttrTarget
+from mlidl.idl.errors import BadAttrTarget
 
 PREAMBLE = """\
 typedef [string] char *STRING;

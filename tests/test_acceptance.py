@@ -182,6 +182,8 @@ def test_criterion_05_com_invariants():
         mem = Mem()
         baseline = mem.live_count
         obj, iids = _three_interface_object(mem)
+        blocks = mem.live_count - baseline
+        assert blocks == 8  # 4 interfaces x (vtable + interface word)
         refs = [obj._interfaces[iid.guid] for iid in iids] + [obj.identity]
         unknowns = [query_interface(r, IID_IUNKNOWN) for r in refs]
         assert len({u.addr for u in unknowns}) == 1
@@ -216,7 +218,6 @@ def test_criterion_05_com_invariants():
             query_interface(obj.identity, bad)
         assert exc.value.hresult == E_NOINTERFACE == 0x80004002
 
-        blocks = len(obj._blocks)
         assert mem.live_count == baseline + blocks
         release(obj.identity)
         assert mem.live_count == baseline

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from mlidl.winsim import AdapterError, SimWorld, wndproc_queue_adapter
+from mlidl.winsim.adapter import AdapterError, wndproc_queue_adapter
+from mlidl.winsim.world import SimWorld
 from mlidl.wordmem import Mem
 
 

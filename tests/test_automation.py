@@ -844,7 +844,7 @@ COM_CALL_CAPS = {
     "get_ids_of_names": (_get_ids_of_names, 10),
     "query_interface_slot0": (_query_interface, 13),
     "release_slot2": (_release, 4),
-    "co_create_instance": (_co_create_instance, 129),
+    "co_create_instance": (_co_create_instance, 126),
 }
 
 

@@ -9,13 +9,13 @@ from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import (
     BindingError,
-    MissingIid,
     build_binding,
     emit_binding_file,
     emit_sig_text,
     load_binding_file,
     load_manifest,
 )
+from mlidl.binding.build import MissingIid
 from mlidl.binding.model import (
     BindingDesc,
     CallbackDef,

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import IDL_DIR
 from mlidl.cli import main
-from mlidl.winsim import SimWorld
+from mlidl.winsim.world import SimWorld
 
 
 def test_compile_writes_requested_emissions(tmp_path, capsys):

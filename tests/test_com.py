@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nothing_for_the_cycle_collector
+from conftest import FailingMem, nothing_for_the_cycle_collector
 from mlidl import marshal
 from mlidl.com import (
     ClassNotRegistered,
@@ -205,7 +205,7 @@ def test_destruction_frees_exactly_object_blocks(mem):
     baseline = mem.live_count
     obj, _ = build_bar(mem)
     created = mem.live_count - baseline
-    assert created == len(obj._blocks) == 6  # 3 interfaces x (vtable + slot)
+    assert created == 6  # 3 interfaces x (vtable + slot)
     release(obj.identity)
     assert mem.live_count == baseline
 
@@ -283,18 +283,6 @@ def test_failed_create_leaves_no_live_object(mem):
     with pytest.raises(NoInterface):
         co_create_instance(reg, CLSID_BAR, IID_NONE)
     assert mem.live_count == baseline
-
-
-class FailingMem(Mem):
-    """A world whose `fail_in`-th allocation from now raises BadSize."""
-
-    fail_in = 0
-
-    def alloc(self, nwords):
-        self.fail_in -= 1
-        if self.fail_in == 0:
-            raise BadSize("injected")
-        return super().alloc(nwords)
 
 
 PING = LiftedSig("Ping", (), RetSig("INT", INT32))
@@ -410,6 +398,52 @@ def test_a_factory_destroys_what_a_build_made_before_it_raised(mem):
         _all_destroyed_and_freed(made)
 
 
+class CountingMem(Mem):
+    """A world that counts its `fun_to_addr` registrations."""
+
+    registrations = 0
+
+    def fun_to_addr(self, fn):
+        self.registrations += 1
+        return super().fun_to_addr(fn)
+
+
+@pytest.mark.parametrize("methods", [[], [1], [2, 0, 3]], ids=["none", "one", "three"])
+def test_an_object_registers_each_iunknown_slot_once(methods):
+    mem = CountingMem()
+    start = mem.closure_count
+    obj = ComObject(mem)
+    iids = [Iid(Guid.parse(f"{{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D01{i:02X}}}"), f"I{i}")
+            for i in range(len(methods))]
+    for iid, m in zip(iids, methods):
+        obj.add_interface(iid, [lambda ws: 0 for _ in range(m)])
+    assert mem.registrations == 3 + sum(methods)
+    vtables = [mem.read(ref.addr, 1)[0]
+               for ref in [obj.identity] + [obj._interfaces[iid.guid] for iid in iids]]
+    unknown = {tuple(mem.read(vtable, 3)) for vtable in vtables}
+    assert len(unknown) == 1
+    release(obj.identity)
+    assert mem.closure_count == start
+    for addr in unknown.pop():
+        with pytest.raises(NotCallable):
+            mem.call(addr, [0])
+
+
+def test_kept_iunknown_slots_raise_dead_object_once_the_object_is_destroyed(mem):
+    # `get_method` hands out the callable behind a slot, valid while the
+    # object lives; slots 0..2 check that it still does
+    obj, _ = build_bar(mem)
+    ix = obj._interfaces[IID_IX.guid]
+    query, release_slot = get_method(ix, 0), get_method(ix, 2)
+    iid, out = mem.alloc(4), mem.alloc(1)
+    mem.store(iid, IID_IY.guid.to_words())
+    release(obj.identity)
+    with pytest.raises(DeadObject):
+        query([ix.addr, iid, out])
+    with pytest.raises(DeadObject):
+        release_slot([ix.addr])
+
+
 def test_destroy_releases_every_closure_but_shared_ones(mem):
     shared = lambda ws: 5  # noqa: E731
     lib = mem.register_library("x.dll")
@@ -515,12 +549,16 @@ def test_an_unprintable_dump_text_is_refused(mem, label, name):
 
 
 def test_adding_a_present_interface_is_pinned(mem):
+    baseline = mem.live_count
     obj, _ = build_bar(mem)
-    counts = (mem.live_count, mem.closure_count, len(obj._blocks))
+    counts = (mem.live_count, mem.closure_count)
     with pytest.raises(ComError) as info:
         obj.add_interface(IID_IX, [lambda ws: 0])
     assert str(info.value) == f"interface {IID_IX} already present"
-    assert (mem.live_count, mem.closure_count, len(obj._blocks)) == counts
+    assert (mem.live_count, mem.closure_count) == counts
+    # the object owns no more blocks than before: destroying it frees them all
+    release(obj.identity)
+    assert mem.live_count == baseline
 
 
 # -- raw ABI ---------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
 import reference_lexer
-from mlidl.idl import LexError, tokenize
+from mlidl.idl import tokenize
+from mlidl.idl.errors import LexError
 
 
 def kinds(text):

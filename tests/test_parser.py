@@ -19,29 +19,24 @@ from mlidl.binding import (
     load_binding_file,
     load_manifest,
 )
-from mlidl.idl import (
+from mlidl.idl import IdlError, ast, parse_text, parse_unit, resolve, tokenize
+from mlidl.idl.ast import (
+    BASE_TYPES,
+    ArrayType,
     BaseType,
     Const,
-    DuplicateName,
     FuncType,
-    IdlError,
     IdlUnit,
     Interface,
     NamedType,
     OpDecl,
     ParamDecl,
-    ParseError,
     PtrType,
     RecordDecl,
     SmlName,
     Typedef,
-    parse_text,
-    parse_unit,
-    resolve,
-    tokenize,
 )
-from mlidl.idl import ast
-from mlidl.idl.ast import BASE_TYPES, ArrayType
+from mlidl.idl.errors import DuplicateName, ParseError
 from mlidl.idl.resolve import _PRELUDE, symbol_table
 
 
@@ -171,7 +166,7 @@ def test_iunknown_style_declaration_parses():
 
 def test_undefined_parent_is_resolve_error():
     unit = parse_text("interface X : Y { }")
-    from mlidl.idl import UnresolvedType
+    from mlidl.idl.errors import UnresolvedType
     with pytest.raises(UnresolvedType):
         resolve(unit)
 

@@ -4,14 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from mlidl.idl import (
-    BadAttrTarget,
-    IdlError,
-    InheritanceCycle,
-    UnresolvedType,
-    parse_text,
-    resolve,
-)
+from mlidl.idl import IdlError, parse_text, resolve
+from mlidl.idl.errors import BadAttrTarget, InheritanceCycle, UnresolvedType
 from mlidl.binding import build_binding
 from mlidl.idl import ast
 

@@ -4,20 +4,18 @@ from enum import IntEnum
 
 import pytest
 
-from mlidl.winsim import (
+from mlidl.winsim.util import hi_word, lo_word, util_or
+from mlidl.winsim.world import (
     MS_PER_TICK,
-    PumpError,
-    SimWorld,
     WM_CREATE,
     WM_DESTROY,
     WM_MOVE,
     WM_SIZE,
     WM_TIMER,
-    hi_word,
-    lo_word,
-    util_or,
+    Msg,
+    PumpError,
+    SimWorld,
 )
-from mlidl.winsim.world import Msg
 from mlidl.wordmem import Mem, NotCallable
 
 
