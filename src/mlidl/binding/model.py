@@ -110,7 +110,8 @@ def lay_out(name: str, fields: Iterable[tuple[str, str, SemType]],
     """Record `name`'s (name, display, sem) fields laid out by the rule:
     declaration order, no padding, a record field as wide as its record in
     `earlier` (the records declared before), any other field one word.  A
-    void field, or a record not in `earlier`, raises `fail(index, message)`."""
+    void or array field, or a record not in `earlier`, raises
+    `fail(index, message)`."""
     laid: list[FieldLayout] = []
     offset = 0
     for i, (fname, display, sem) in enumerate(fields):
@@ -123,6 +124,8 @@ def lay_out(name: str, fields: Iterable[tuple[str, str, SemType]],
             offset += inner.size
         elif sem.kind == "unit":
             raise fail(i, f"void is not a value type (in {name!r})")
+        elif sem.kind == "array":       # its count would have no parameter to come from
+            raise fail(i, f"an array cannot be a record field (in {name!r})")
         else:
             offset += 1
     return RecordLayout(name, tuple(laid), offset)

@@ -169,10 +169,10 @@ class ComObject:
         self.alive = True
         self._interfaces: dict[Guid, InterfaceRef] = {}
         # every block and registration it made, in order; IUnknown's first
-        self._owned: list[int] = [mem.fun_to_addr(self._raw_query_interface),
-                                  mem.fun_to_addr(self._raw_add_ref),
-                                  mem.fun_to_addr(self._raw_release)]
+        self._owned: list[int] = []
         try:
+            for fn in (self._raw_query_interface, self._raw_add_ref, self._raw_release):
+                self._owned.append(mem.fun_to_addr(fn))
             self._identity = self.add_interface(IID_IUNKNOWN, []).addr
         except BaseException:
             self._destroy()
@@ -195,16 +195,19 @@ class ComObject:
         if iid.guid in self._interfaces:
             raise ComError(f"interface {iid} already present")
         vtable = self.mem.alloc(3 + len(methods))
-        addrs = [self.mem.fun_to_addr(fn) for fn in methods]
-        self.mem.store(vtable, self._owned[:3] + addrs)
+        made = [vtable]         # then its method slots, then the interface word
         try:
-            iface = self.mem.alloc(1)
+            for fn in methods:
+                made.append(self.mem.fun_to_addr(fn))
+            self.mem.store(vtable, self._owned[:3] + made[1:])
+            made.append(self.mem.alloc(1))
         except MemFault:
             # nothing is recorded yet: leave no block and no registration
-            self.mem.give_back([vtable] + addrs)
+            self.mem.give_back(made)
             raise
+        iface = made[-1]
         self.mem.store(iface, [vtable])
-        self._owned += [vtable, *addrs, iface]
+        self._owned += made
         ref = InterfaceRef(addr=iface, iid=iid, owner=self)
         self._interfaces[iid.guid] = ref
         return ref

@@ -24,10 +24,10 @@ address; a record is its fields' codecs end to end, in declaration order with
 no padding, and its unpack reads each field where its pack put it.  That is
 the layout rule of `binding.model.lay_out`, so it agrees with every layout.
 A string's block holds its text (UTF-8 for string8, UTF-16 for string16),
-one NUL unit and zero padding to a whole word.  One function pair packs and
-reads both kinds: a pack is one `alloc` and one `store`, a read is one
-`Mem.read_rest`, and a block with no NUL unit is `OutOfBounds`, never a read
-into the next block.
+one NUL unit and zero padding to a whole word.  One codec maker,
+`_string_codec`, owns that rule for both kinds: a pack is one `alloc` and one
+`store`, a read is one `Mem.read_rest`, NULL reads as "", and a block with no
+NUL unit is `OutOfBounds`, never a read into the next block.
 
 A plan is flat when every wire is a one-word value passed inline (int32,
 word32, handle, opaque, bool or enum) and so is the return value, if any:
@@ -111,65 +111,6 @@ class Unsupported(MarshalError):
     """A signature shape the word ABI cannot carry."""
 
 
-# -- strings -------------------------------------------------------------------
-
-
-def _encoded(s: str, encoding: str) -> bytes:
-    """`s` encoded; a NUL or a character `encoding` cannot carry is BadString."""
-    if "\x00" in s:
-        raise BadString("string contains NUL")
-    try:
-        return s.encode(encoding)
-    except UnicodeEncodeError as exc:     # a lone surrogate
-        raise BadString(f"string is not encodable as {encoding.upper()}: "
-                        f"{exc.reason} at index {exc.start}") from None
-
-
-def _pack_text(mem: Mem, s: str, encoding: str, nul: bytes) -> int:
-    """One block holding `s` encoded, one NUL unit, and zero padding to a
-    whole word; packed with one alloc and one store."""
-    data = _encoded(s, encoding) + nul
-    data += bytes(-len(data) % 4)
-    addr = mem.alloc(len(data) // 4)
-    mem.store(addr, list(struct.unpack(f"<{len(data) // 4}I", data)))
-    return addr
-
-
-def _read_text(mem: Mem, addr: int, encoding: str, nul: bytes, kind: str) -> str:
-    """The text at `addr`, up to the first NUL unit inside the block that
-    holds `addr`, read with one `Mem.read_rest`; a missing NUL is an overrun."""
-    if addr == 0:
-        return ""
-    ws = mem.read_rest(addr)
-    raw = struct.pack(f"<{len(ws)}I", *ws)
-    end = raw.find(nul)
-    while end > 0 and end % len(nul):       # a NUL unit starts on a unit boundary
-        end = raw.find(nul, end + 1)
-    if end < 0:
-        raise OutOfBounds(f"{kind} at {addr:#x} has no NUL before the end of its block")
-    try:
-        return raw[:end].decode(encoding)
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{kind} at {addr:#x} is not valid {encoding.upper()}: "
-                          f"{exc.reason} at byte {exc.start}") from None
-
-
-def pack_string8(mem: Mem, s: str) -> int:
-    return _pack_text(mem, s, "utf-8", b"\0")
-
-
-def read_string8(mem: Mem, addr: int) -> str:
-    return _read_text(mem, addr, "utf-8", b"\0", "string8")
-
-
-def pack_string16(mem: Mem, s: str) -> int:
-    return _pack_text(mem, s, "utf-16-le", b"\0\0")
-
-
-def read_string16(mem: Mem, addr: int) -> str:
-    return _read_text(mem, addr, "utf-16-le", b"\0\0", "string16")
-
-
 # -- codecs ---------------------------------------------------------------------
 
 
@@ -221,19 +162,48 @@ def _bool_from_word(w: int) -> bool:
     return (w & WORD_MASK) != 0
 
 
-def _string_codec(pack_str: Callable[[Mem, str], int],
-                  read_str: Callable[[Mem, int], str]) -> Codec:
+def _encoded(s: str, encoding: str) -> bytes:
+    """`s` encoded; a NUL or a character `encoding` cannot carry is BadString."""
+    if "\x00" in s:
+        raise BadString("string contains NUL")
+    try:
+        return s.encode(encoding)
+    except UnicodeEncodeError as exc:     # a lone surrogate
+        raise BadString(f"string is not encodable as {encoding.upper()}: "
+                        f"{exc.reason} at index {exc.start}") from None
+
+
+def _string_codec(kind: str, encoding: str, nul: bytes) -> Codec:
+    """The codec of string kind `kind`, whose text is `encoding` ended by
+    the NUL unit `nul`: the one owner of the string rule (module docstring)."""
+
     def pack(mem: Mem, v: Value, words: list[int], temps: list[int]) -> None:
         if not isinstance(v, str):
             raise TypeMismatch(f"expected a string, got {v!r}")
-        temps.append(pack_str(mem, v))
+        data = _encoded(v, encoding) + nul
+        data += bytes(-len(data) % 4)
+        temps.append(mem.alloc(len(data) // 4))
+        mem.store(temps[-1], list(struct.unpack(f"<{len(data) // 4}I", data)))
         words.append(temps[-1])
 
     def unpack(mem: Mem, ws: Sequence[int], at: int,
                owned: Optional[list[int]]) -> str:
-        addr = word(ws[at])
-        s = read_str(mem, addr)
-        if owned is not None and addr and addr not in owned:
+        addr = ws[at] & WORD_MASK
+        if addr == 0:
+            return ""
+        block = mem.read_rest(addr)
+        raw = struct.pack(f"<{len(block)}I", *block)
+        end = raw.find(nul)
+        while end > 0 and end % len(nul):       # a NUL unit starts on a unit boundary
+            end = raw.find(nul, end + 1)
+        if end < 0:
+            raise OutOfBounds(f"{kind} at {addr:#x} has no NUL before the end of its block")
+        try:
+            s = raw[:end].decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"{kind} at {addr:#x} is not valid {encoding.upper()}: "
+                              f"{exc.reason} at byte {exc.start}") from None
+        if owned is not None and addr not in owned:
             owned.append(addr)
         return s
 
@@ -272,13 +242,25 @@ _CODECS: dict[str, Codec] = {
     "handle": _int_codec("handle", word),
     "opaque": _int_codec("opaque", word),
     "bool": _word_codec(_bool_to_word, _bool_from_word),
-    "string8": _string_codec(pack_string8, read_string8),
-    "string16": _string_codec(pack_string16, read_string16),
+    "string8": _string_codec("string8", "utf-8", b"\0"),
+    "string16": _string_codec("string16", "utf-16-le", b"\0\0"),
     "callback": Codec(1, _pack_callback, _unpack_callback),
 }
 
 # COM's IID has a 4-word layout, but no values cross yet
 _IID = Codec(4, _no_iid, _no_iid)
+
+
+def pack_string8(mem: Mem, s: str) -> int:
+    """The address of a fresh string8 block holding `s`."""
+    words: list[int] = []
+    _CODECS["string8"].pack(mem, s, words, [])
+    return words[0]
+
+
+def read_string8(mem: Mem, addr: int) -> str:
+    """The string8 at `addr`, or "" for NULL."""
+    return _CODECS["string8"].unpack(mem, (addr,), 0, None)
 
 
 def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:

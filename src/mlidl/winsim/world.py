@@ -7,6 +7,10 @@ each message to its window's wndproc through the closure registry.  GDI and
 the other painting-adjacent calls never fail: they append a trace entry and
 hand out fresh opaque handles.
 
+A class holds one closure registration of its wndproc, and a timer one of
+its callback; `UnregisterClassA`, `KillTimer` and a `SetTimer` that replaces
+a timer give theirs back, so a world in use keeps only what is still set.
+
 Each simulated call is a method named as its operation in win32sim.idl.
 
 Trace lines, one event per line (the golden-test artifact):
@@ -176,9 +180,10 @@ class SimWorld:
         return atom
 
     def UnregisterClassA(self, class_name: str, hinstance: int) -> bool:
-        if class_name not in self.classes:
+        wndproc_addr = self.classes.pop(class_name, None)
+        if wndproc_addr is None:
             return False
-        del self.classes[class_name]
+        self.mem.release_closure(wndproc_addr)
         return True
 
     def CreateWindowExA(self, exstyle: int, classname: str, windowname: str,
@@ -204,16 +209,23 @@ class SimWorld:
                  cb: Any = None) -> int:
         period = max(1, -(-int(period_ms) // MS_PER_TICK))
         cb_addr = self.mem.fun_to_addr(cb) if callable(cb) else 0
+        # a timer set again replaces the old one, whose registration goes
+        # after the new one is made: the same callable keeps its address
+        old = self.timers.get((hwnd, timer_id))
         self.timers[(hwnd, timer_id)] = Timer(
             hwnd=hwnd, timer_id=timer_id, period=period,
             start_tick=self.tick, cb_addr=cb_addr)
+        if old is not None and old.cb_addr:
+            self.mem.release_closure(old.cb_addr)
         self.record("SetTimer", [hwnd, timer_id, period_ms, cb_addr])
         return timer_id
 
     def KillTimer(self, hwnd: int, timer_id: int) -> bool:
-        found = self.timers.pop((hwnd, timer_id), None) is not None
+        timer = self.timers.pop((hwnd, timer_id), None)
+        if timer is not None and timer.cb_addr:
+            self.mem.release_closure(timer.cb_addr)
         self.record("KillTimer", [hwnd, timer_id])
-        return found
+        return timer is not None
 
     def PostMessageA(self, hwnd: int, code: int, wparam: int,
                      lparam: int) -> bool:

@@ -7,7 +7,7 @@ into three regions:
 
     0                       the null address
     [0x1000, 0x8000000)     heap data (word-aligned, 4 bytes per word)
-    [0x8000000, ...)        closure registry ("code")
+    [0x8000000, 0xFFFFFFFC] closure registry ("code")
 
 Heap allocations are page-granular internally so that any address can be
 mapped back to its allocation in O(1): the page table is three columns
@@ -31,8 +31,10 @@ address per callable and counts each call, and `release_closure` undoes one
 of them.  The last release unregisters the callable, so the world no longer
 keeps it alive, and a call through the address raises `NotCallable`.
 Closure addresses are never reused, so a stale one can reach no other
-function.  `close` drops every closure at once; a later release of one of
-them does nothing.  The closure table, `Mem._closures`, is a dict whose
+function; once the last word address, 0xFFFFFFFC, is handed out, a new
+registration raises `BadSize`, as a full heap does, and changes nothing.
+`close` drops every closure at once; a later release of one of them does
+nothing.  The closure table, `Mem._closures`, is a dict whose
 missing key raises `NotCallable`: `marshal.call` tests an address against it
 and `SimWorld._dispatch` subscripts it, on paths every bound call and every
 message take, where `addr_to_fun` would cost a Python call.
@@ -285,6 +287,8 @@ class Mem:
             self._closure_refs[addr] += 1
             return addr
         addr = self._next_closure
+        if addr > WORD_MASK:
+            raise BadSize("closure region exhausted")
         self._next_closure += WORD_BYTES
         self._closures[addr] = fn
         self._closure_refs[addr] = 1

@@ -15,7 +15,7 @@ import pytest
 
 from mlidl.binding import build_binding, load_manifest
 from mlidl.idl import parse_text, resolve
-from mlidl.wordmem import BadSize, Mem
+from mlidl.wordmem import BadSize, Mem, WordFn
 
 REPO = Path(__file__).resolve().parents[1]
 IDL_DIR = REPO / "idl"
@@ -26,15 +26,23 @@ SHIPPED_IDL = [IDL_DIR / "win32.idl", IDL_DIR / "time.idl", IDL_DIR / "bar.idl",
 
 
 class FailingMem(Mem):
-    """A world whose `fail_in`-th allocation from now raises BadSize."""
+    """A world whose `fail_in`-th allocation from now raises BadSize, and
+    whose `fail_registration_in`-th closure registration from now does."""
 
     fail_in = 0
+    fail_registration_in = 0
 
     def alloc(self, nwords: int) -> int:
         self.fail_in -= 1
         if self.fail_in == 0:
             raise BadSize("injected")
         return super().alloc(nwords)
+
+    def fun_to_addr(self, fn: WordFn) -> int:
+        self.fail_registration_in -= 1
+        if self.fail_registration_in == 0:
+            raise BadSize("injected")
+        return super().fun_to_addr(fn)
 
 
 def read_idl(name: str) -> str:

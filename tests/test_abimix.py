@@ -80,8 +80,8 @@ def abi_mix_counts() -> dict[str, int]:
 # A change that lowers a count lowers its cap; one that must raise a cap
 # says so in CHANGES.md.
 ABI_MIX_CAPS = {
-    "setup_calls": (19_783, 19_882),
-    "stream_calls": (108_703, 109_247),
+    "setup_calls": (19_781, 19_880),
+    "stream_calls": (105_770, 106_299),
     "alloc": (2_658, 2_671),
     "free": (2_604, 2_617),
     "store": (2_816, 2_830),

@@ -1,14 +1,17 @@
-"""Every public runtime operation survives a failed `Mem.alloc` at any step.
+"""Every public runtime operation survives a failed `Mem.alloc` or
+`Mem.fun_to_addr` at any step.
 
 As in SQLite's out-of-memory tests, the k-th `alloc` of an operation raises
-`BadSize`, for k = 1, 2, … until the operation succeeds.  Each failed
-attempt raises only `BadSize`, leaves `live_count` and `closure_count`
-where they were, and leaves every object it made and did not return not
-`alive` and freed without the cycle collector.  The operations are every
-call shape of `tests/test_plan.py`, through `call` on the address of its
-`skeleton`; typed and raw Invoke of every Automation kind of
-`tests/test_automation.py`; and `ComObject`, `add_interface` and
-`make_dual`.  A `BounceDemo` set-up makes no `alloc`, so it has no case.
+`BadSize`, for k = 1, 2, … until the operation succeeds; and so, in a
+second pass, does its k-th closure registration, as an exhausted closure
+region refuses one.  Each failed attempt raises only `BadSize`, leaves
+`live_count` and `closure_count` where they were, and leaves every object
+it made and did not return not `alive` and freed without the cycle
+collector.  The operations are every call shape of `tests/test_plan.py`,
+through `call` on the address of its `skeleton`; typed and raw Invoke of
+every Automation kind of `tests/test_automation.py`; and `ComObject`,
+`add_interface` and `make_dual`.  A `BounceDemo` set-up makes no `alloc`,
+so it has no case.
 """
 from __future__ import annotations
 
@@ -29,21 +32,22 @@ from mlidl.idl import parse_text
 from mlidl.wordmem import BadSize
 
 
-def fail_each_alloc_in_turn(mem, op):
-    """Run `op(made)` with its k-th `alloc` failing, for k = 1, 2, … until
+def fail_each_in_turn(mem, op, counter):
+    """Run `op(made)` with its k-th `alloc` (`counter` "fail_in") or
+    `fun_to_addr` ("fail_registration_in") failing, for k = 1, 2, … until
     it returns, and return what it returned.  `op` adds each object it
     makes to `made` before that object can fail."""
     before = mem.live_count, mem.closure_count
     for k in itertools.count(1):
         made = []
-        mem.fail_in = k
+        setattr(mem, counter, k)
         with nothing_for_the_cycle_collector():
             try:
                 result = op(made)
             except BadSize as exc:
                 assert str(exc) == "injected"
             else:
-                mem.fail_in = 0
+                setattr(mem, counter, 0)
                 return result
             assert (mem.live_count, mem.closure_count) == before, f"alloc {k}"
             assert [obj.alive for obj in made] == [False] * len(made)
@@ -131,4 +135,10 @@ OPERATIONS = {
 @pytest.mark.parametrize("case", sorted(OPERATIONS))
 def test_a_failed_alloc_at_any_step_leaves_the_world_as_it_found_it(descs, case):
     mem, op, want = OPERATIONS[case](descs)
-    assert fail_each_alloc_in_turn(mem, op) == want
+    assert fail_each_in_turn(mem, op, "fail_in") == want
+
+
+@pytest.mark.parametrize("case", sorted(OPERATIONS))
+def test_a_refused_registration_at_any_step_leaves_the_world_as_it_found_it(descs, case):
+    mem, op, want = OPERATIONS[case](descs)
+    assert fail_each_in_turn(mem, op, "fail_registration_in") == want

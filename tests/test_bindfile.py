@@ -646,6 +646,18 @@ def test_a_record_layout_that_breaks_the_rule_is_a_schema_violation(mutate, path
     assert (exc.value.path, exc.value.message) == (path, message)
 
 
+def test_an_array_record_field_is_a_schema_violation():
+    # no IDL form builds one, and no call could carry it: an array's count
+    # comes from a parameter, which a field has none of
+    doc = _point_doc()
+    doc["records"][0]["fields"][1]["sem"] = {"k": "array", "elem": {"k": "int32"},
+                                             "len_from": "x"}
+    with pytest.raises(SchemaViolation) as exc:
+        load_binding_file(json.dumps(doc))
+    assert (exc.value.path, exc.value.message) == \
+        ("$.records[0].fields[1].sem", "an array cannot be a record field (in 'POINT')")
+
+
 def test_a_record_layout_that_keeps_the_rule_loads_and_binds():
     desc = load_binding_file(json.dumps(_point_doc()))
     assert [(r.size, [f.offset for f in r.fields]) for r in desc.records] == \

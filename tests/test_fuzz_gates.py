@@ -29,9 +29,16 @@ from mlidl.binding import (
 from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RetSig
 from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
 from mlidl.idl import IdlError, parse_text
-from mlidl.marshal import (MarshalError, abi_arity, pack_string8, pack_string16, plan_of,
+from mlidl.marshal import (MarshalError, abi_arity, codec_of, pack_string8, plan_of,
                            skeleton)
 from mlidl.wordmem import CLOSURE_BASE, Mem, MemFault
+
+
+def pack_string16(mem, s):
+    words = []
+    codec_of(st.STRING16).pack(mem, s, words, [])
+    return words[0]
+
 
 _GUID = "{C9E1D3A0-4B5A-4C7E-9A10-2F6B8A1D00FF}"
 

@@ -19,8 +19,6 @@ from mlidl.marshal import (
     codec_of,
     pack_string8,
     read_string8,
-    read_string16,
-    pack_string16,
     skeleton,
 )
 from mlidl.wordmem import Mem, OutOfBounds
@@ -42,6 +40,14 @@ def unpacked(words, t, mem, desc=None):
     codec = codec_of(t, desc)
     assert len(words) == codec.width
     return codec.unpack(mem, words, 0, None)
+
+
+def pack_string16(mem, s):
+    return packed(s, st.STRING16, mem)[0]
+
+
+def read_string16(mem, addr):
+    return unpacked([addr], st.STRING16, mem)
 
 
 # -- layout ---------------------------------------------------------------------
@@ -135,6 +141,13 @@ def test_string_nul_rejected(mem):
         pack_string8(mem, "a\x00b")
     with pytest.raises(BadString):
         pack_string16(mem, "a\x00b")
+
+
+@pytest.mark.parametrize("value", [5, b"ab", None])
+def test_pack_string8_of_a_non_string_is_a_type_mismatch(mem, value):
+    with pytest.raises(TypeMismatch, match="^expected a string, got "):
+        pack_string8(mem, value)
+    assert mem.live_count == 0
 
 
 @pytest.mark.parametrize("pack", [pack_string8, pack_string16])

@@ -69,6 +69,15 @@ def test_unregister_then_reregister():
     assert world.UnregisterClassA("Nope", 0) is False
 
 
+def test_register_unregister_churn_gives_back_the_wndproc():
+    world, mem = make_world()
+    for _ in range(3):
+        assert make_class(world, [], "C") != 0
+        assert mem.closure_count == 1
+        assert world.UnregisterClassA("C", 0) is True
+        assert mem.closure_count == 0
+
+
 # -- windows ----------------------------------------------------------------------
 
 
@@ -147,6 +156,36 @@ def test_kill_timer_stops_events():
     world.pump(3)
     assert [m for m in log if m[1] == WM_TIMER] == []
     assert world.KillTimer(hwnd, 2) is False
+
+
+def test_set_kill_timer_churn_gives_back_the_callback():
+    world, mem = make_world()
+    make_class(world, [], "C")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    before = mem.closure_count
+    for _ in range(3):
+        world.SetTimer(hwnd, 2, 20, lambda ws: 0)
+        assert mem.closure_count == before + 1
+        assert world.KillTimer(hwnd, 2) is True
+        assert mem.closure_count == before
+
+
+def test_a_replaced_timer_holds_one_registration():
+    world, mem = make_world()
+    make_class(world, [], "C")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    before = mem.closure_count
+    world.SetTimer(hwnd, 2, 20, lambda ws: 0)
+    world.SetTimer(hwnd, 2, 20, lambda ws: 1)
+    assert mem.closure_count == before + 1
+    assert [mem._closure_refs[t.cb_addr] for t in world.timers.values()] == [1]
+    cb = mem.addr_to_fun(world.timers[(hwnd, 2)].cb_addr)
+    kept = world.timers[(hwnd, 2)].cb_addr
+    world.SetTimer(hwnd, 2, 40, cb)                 # the same callable keeps its address
+    assert world.timers[(hwnd, 2)].cb_addr == kept
+    assert mem._closure_refs[kept] == 1
+    world.SetTimer(hwnd, 2, 20, None)
+    assert mem.closure_count == before
 
 
 def test_post_quit_then_pump_exits():

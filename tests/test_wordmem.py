@@ -512,6 +512,19 @@ def test_release_of_a_non_closure_address_is_not_callable(mem):
             mem.release_closure(addr)
 
 
+def test_an_exhausted_closure_region_refuses_the_next_registration(mem):
+    # set near the top: the region holds one more address, the last word
+    mem._next_closure = 0xFFFFFFFC
+    f = lambda ws: 1  # noqa: E731
+    assert mem.fun_to_addr(f) == 0xFFFFFFFC
+    state = mem.closure_count, mem._next_closure, dict(mem._closure_refs)
+    with pytest.raises(BadSize, match="^closure region exhausted$"):
+        mem.fun_to_addr(lambda ws: 2)
+    assert (mem.closure_count, mem._next_closure, dict(mem._closure_refs)) == state
+    assert mem.fun_to_addr(f) == 0xFFFFFFFC        # a registered callable still counts
+    assert mem.call(0xFFFFFFFC, []) == 1
+
+
 # -- freed blocks are small tombstones --------------------------------------------
 
 
