@@ -9,8 +9,6 @@ per level and soft-wrapped at 72 columns.
 
 from __future__ import annotations
 
-import hashlib
-
 from mlidl.binding import model
 
 WIDTH = 72
@@ -36,6 +34,11 @@ _PERVASIVES = [
 
 
 def emit_sig_text(desc: model.BindingDesc) -> str:
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MB of resident memory;
+    # only a written .sig needs the digest, so a process that imports the
+    # binding package to load or run a binding never pays for it
+    import hashlib
+
     from mlidl.binding.bindfile import emit_binding_file
 
     digest = hashlib.sha256(emit_binding_file(desc).encode("utf-8")).hexdigest()[:16]

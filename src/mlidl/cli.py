@@ -6,6 +6,8 @@
     mlidl run-demo bounce [--ticks N] [--trace FILE]
 
 Exit codes: 0 success, 1 usage error, 2 compile error, 3 runtime error.
+An output that cannot be written fails its command: 2 for compile, 3 for
+run-demo.
 Outputs carry no timestamps; identical inputs give byte-identical files.
 Set MLIDL_TRACE=1 to log raw memory operations to stderr.
 """
@@ -28,8 +30,6 @@ from mlidl.binding import (
 )
 from mlidl.binding.build import LEVELS, MODES
 from mlidl.idl import IdlError, parse_text, resolve
-from mlidl.winsim.bounce import BounceDemo
-from mlidl.wordmem import Mem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +39,13 @@ EXIT_RUNTIME = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _CannotWrite(Exception):
+    """An output file or directory cannot be written."""
+
+    def __init__(self, path: Path, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,6 +89,13 @@ def _read_unit(path: str):
     return parse_text(text, source=path)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CannotWrite(path, exc) from None
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     emissions = [e.strip() for e in args.emit.split(",") if e.strip()]
     for e in emissions:
@@ -96,15 +110,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                          manifest=manifest)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CannotWrite(out_dir, exc) from None
     stem = Path(args.input).stem
     if "sig" in emissions:
         path = out_dir / f"{stem}.sig"
-        path.write_text(emit_sig_text(desc), encoding="utf-8")
+        _write(path, emit_sig_text(desc))
         print(f"wrote {path}")
     if "binding" in emissions:
         path = out_dir / f"{stem}.binding.json"
-        path.write_text(emit_binding_file(desc), encoding="utf-8")
+        _write(path, emit_binding_file(desc))
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -115,6 +132,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_demo(args: argparse.Namespace) -> int:
+    # the runtime is imported here, so that `compile` and `check` load none of it
+    from mlidl.winsim.bounce import BounceDemo
+    from mlidl.wordmem import Mem
+
     if args.ticks < 1:
         raise _UsageError("--ticks must be at least 1")
     mem = Mem(trace=(lambda line: print(line, file=sys.stderr))
@@ -126,7 +147,7 @@ def _cmd_run_demo(args: argparse.Namespace) -> int:
         print(f"mlidl: demo failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if args.trace is not None:
-        Path(args.trace).write_text(demo.world.trace_text(), encoding="utf-8")
+        _write(Path(args.trace), demo.world.trace_text())
     return EXIT_OK if code == 0 else EXIT_RUNTIME
 
 
@@ -148,6 +169,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (IdlError, BindingError, SchemaViolation) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_COMPILE
+    except _CannotWrite as exc:
+        print(f"mlidl: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME if args.command == "run-demo" else EXIT_COMPILE
 
 
 if __name__ == "__main__":

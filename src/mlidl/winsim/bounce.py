@@ -37,7 +37,7 @@ LOGO_H = 131
 class DemoError(Exception):
     """The demo cannot run to its end: a constant its program names is not
     declared, its window is not created, or it never reaches the quit
-    message."""
+    message; or it ends with a DC or bitmap it never gave back."""
 
 
 class BounceState(NamedTuple):
@@ -207,6 +207,9 @@ class BounceDemo:
             user.UnregisterClassA(APP_NAME, hinstance)
             if code is None:
                 raise DemoError("demo did not reach the quit message")
+            if world.gdi_live:
+                raise DemoError("demo left GDI handles live: " + ", ".join(
+                    f"{kind} {h}" for h, kind in world.gdi_live.items()))
             return code
         finally:
             # the worker's handler and the registered wndproc and stubs

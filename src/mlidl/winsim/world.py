@@ -1,15 +1,24 @@
 """The simulated window system.
 
 One SimWorld holds the class registry, windows, a FIFO message queue, the
-timer table and an append-only trace.  Time is a discrete tick counter;
-every tick the pump fires due timers and then drains the queue, dispatching
-each message to its window's wndproc through the closure registry.  GDI and
-the other painting-adjacent calls never fail: they append a trace entry and
-hand out fresh opaque handles.
+timer table, the live GDI handles and an append-only trace.  Time is a
+discrete tick counter; every tick the pump fires due timers and then drains
+the queue, dispatching each message to its window's wndproc through the
+closure registry.  GDI and the other painting-adjacent calls append a trace
+entry and hand out fresh opaque handles.
 
 A class holds one closure registration of its wndproc, and a timer one of
 its callback; `UnregisterClassA`, `KillTimer` and a `SetTimer` that replaces
 a timer give theirs back, so a world in use keeps only what is still set.
+A registration the memory world refuses makes `RegisterClassExA` and
+`SetTimer` return 0 and change nothing, as a failed call does in Win32.
+
+`gdi_live` maps each handle that must be given back to its kind: a DC from
+`GetDC` or `BeginPaint`, a memory DC from `CreateCompatibleDC`, a bitmap
+from `LoadImageA`.  `ReleaseDC` and `EndPaint`, `DeleteDC` and
+`DeleteObject` remove a handle of their kind, and return 0 or False for any
+handle that is not live in it.  Stock objects, icons, cursors and the handle
+`SelectObject` returns need no release.
 
 Each simulated call is a method named as its operation in win32sim.idl.
 
@@ -31,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Optional
 
-from mlidl.wordmem import WORD_MASK, Mem, word
+from mlidl.wordmem import WORD_MASK, BadSize, Mem, word
 
 WM_NULL = 0x0
 WM_CREATE = 0x1
@@ -45,6 +54,11 @@ WM_TIMER = 0x113
 CW_USEDEFAULT = 0x80000000
 
 MS_PER_TICK = 20
+
+# kinds of gdi_live
+DC = "DC"
+MEMORY_DC = "memory DC"
+BITMAP = "bitmap"
 
 
 class PumpError(Exception):
@@ -120,6 +134,7 @@ class SimWorld:
         self.tick = 0
         self.trace: list[str] = []
         self.quit_code: Optional[int] = None
+        self.gdi_live: dict[int, str] = {}   # handle -> kind, until given back
         self._next_handle = 1
 
     # -- plumbing ---------------------------------------------------------------
@@ -175,9 +190,11 @@ class SimWorld:
         wndproc = wndclass["lpfnWndProc"]
         if not callable(wndproc):
             return 0
-        atom = self.fresh_handle()
-        self.classes[name] = self.mem.fun_to_addr(wndproc)
-        return atom
+        try:
+            self.classes[name] = self.mem.fun_to_addr(wndproc)
+        except BadSize:                 # the closure region is exhausted
+            return 0
+        return self.fresh_handle()
 
     def UnregisterClassA(self, class_name: str, hinstance: int) -> bool:
         wndproc_addr = self.classes.pop(class_name, None)
@@ -208,7 +225,10 @@ class SimWorld:
     def SetTimer(self, hwnd: int, timer_id: int, period_ms: int,
                  cb: Any = None) -> int:
         period = max(1, -(-int(period_ms) // MS_PER_TICK))
-        cb_addr = self.mem.fun_to_addr(cb) if callable(cb) else 0
+        try:
+            cb_addr = self.mem.fun_to_addr(cb) if callable(cb) else 0
+        except BadSize:                 # the closure region is exhausted
+            return 0
         # a timer set again replaces the old one, whose registration goes
         # after the new one is made: the same callable keeps its address
         old = self.timers.get((hwnd, timer_id))
@@ -285,12 +305,17 @@ class SimWorld:
         window = self.windows.get(hwnd)
         w, h = (window.rect[2], window.rect[3]) if window else (0, 0)
         hdc = self.gdi_record("BeginPaint", [hwnd])
+        self.gdi_live[hdc] = DC
         ps = {"hdc": hdc, "fErase": False,
               "rcPaint": {"left": 0, "top": 0, "right": w, "bottom": h}}
         return ps, hdc
 
     def EndPaint(self, hwnd: int, ps: dict[str, Any]) -> bool:
         self.record("EndPaint", [hwnd, ps])
+        hdc = ps["hdc"]
+        if self.gdi_live.get(hdc) != DC:
+            return False
+        del self.gdi_live[hdc]
         return True
 
     def LoadIconA(self, h: int, name: str) -> int:
@@ -301,13 +326,20 @@ class SimWorld:
 
     def LoadImageA(self, h: int, name: str, image_type: int, cx: int, cy: int,
                    load_flags: int) -> int:
-        return self.gdi_record("LoadImageA", [h, name, image_type, cx, cy, load_flags])
+        hbitmap = self.gdi_record("LoadImageA", [h, name, image_type, cx, cy, load_flags])
+        self.gdi_live[hbitmap] = BITMAP
+        return hbitmap
 
     def GetDC(self, hwnd: int) -> int:
-        return self.gdi_record("GetDC", [hwnd])
+        hdc = self.gdi_record("GetDC", [hwnd])
+        self.gdi_live[hdc] = DC
+        return hdc
 
     def ReleaseDC(self, hwnd: int, hdc: int) -> int:
         self.record("ReleaseDC", [hwnd, hdc])
+        if self.gdi_live.get(hdc) != DC:
+            return 0
+        del self.gdi_live[hdc]
         return 1
 
     # -- gdi ----------------------------------------------------------------------
@@ -321,7 +353,9 @@ class SimWorld:
         return True
 
     def CreateCompatibleDC(self, hdc: int) -> int:
-        return self.gdi_record("CreateCompatibleDC", [hdc])
+        hdcmem = self.gdi_record("CreateCompatibleDC", [hdc])
+        self.gdi_live[hdcmem] = MEMORY_DC
+        return hdcmem
 
     def SelectObject(self, hdc: int, handle: int) -> int:
         return self.gdi_record("SelectObject", [hdc, handle])
@@ -333,10 +367,16 @@ class SimWorld:
 
     def DeleteObject(self, handle: int) -> bool:
         self.record("DeleteObject", [handle])
-        return handle != 0
+        if self.gdi_live.get(handle) != BITMAP:
+            return False
+        del self.gdi_live[handle]
+        return True
 
     def DeleteDC(self, hdc: int) -> bool:
         self.record("DeleteDC", [hdc])
+        if self.gdi_live.get(hdc) != MEMORY_DC:
+            return False
+        del self.gdi_live[hdc]
         return True
 
     def GetStockObject(self, index: int) -> int:

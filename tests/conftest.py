@@ -81,18 +81,31 @@ def peak_mb(fn: Callable[..., Any], *args: Any) -> float:
         tracemalloc.stop()
 
 
-def in_a_fresh_interpreter(module: str, fn: str) -> Any:
-    """`module.fn()`, a function of a test module that returns JSON data,
-    run in a new interpreter with a fixed hash seed: the same steps in the
-    same state on every run, whatever tests ran before."""
-    code = f"import json, {module}; print(json.dumps({module}.{fn}()))"
+def _run_in_a_new_interpreter(code: str) -> str:
+    """The standard output of `code`, run in a new interpreter with `tests/`
+    and `src/` on its path and a fixed hash seed; it must exit with 0."""
     path = os.pathsep.join(filter(None, [str(REPO / "tests"), str(REPO / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="0"),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def in_a_fresh_interpreter(module: str, fn: str) -> Any:
+    """`module.fn()`, a function of a test module that returns JSON data,
+    run in a new interpreter with a fixed hash seed: the same steps in the
+    same state on every run, whatever tests ran before."""
+    return json.loads(_run_in_a_new_interpreter(
+        f"import json, {module}; print(json.dumps({module}.{fn}()))"))
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """The sorted names of `sys.modules` once `code` has run in a new
+    interpreter, which imports only what the code does and `sys`."""
+    out = _run_in_a_new_interpreter(f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))")
+    return out.splitlines()[-1].split()
 
 
 @contextmanager

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from conftest import IDL_DIR, REPO, SHIPPED_IDL
+from conftest import IDL_DIR, SHIPPED_IDL, modules_loaded_by
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import (
@@ -755,15 +755,8 @@ _SAMPLES = {"bool": True, "string8": "", "string16": "", "callback": None, "arra
 
 def test_compiler_imports_no_runtime_module():
     # a command-line compile pays for every module it imports
-    import os
-    import subprocess
-    import sys
-
-    probe = ("import sys, mlidl.idl, mlidl.binding\n"
-             "print(' '.join(sorted(m for m in sys.modules if m.startswith('mlidl'))))")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env=env).stdout.split()
+    loaded = [m for m in modules_loaded_by("import mlidl.idl, mlidl.binding")
+              if m.startswith("mlidl")]
     assert "mlidl.binding.bindfile" in loaded
     runtime = ("mlidl.wordmem", "mlidl.marshal", "mlidl.com", "mlidl.automation",
                "mlidl.winsim")
@@ -772,13 +765,5 @@ def test_compiler_imports_no_runtime_module():
 
 def test_the_com_runtime_imports_no_compiler_module():
     # `com` shares the GUID grammar with the compiler through `semtypes`
-    import os
-    import subprocess
-    import sys
-
-    probe = ("import sys, mlidl.com\n"
-             "print(' '.join(sorted(m for m in sys.modules if m.startswith('mlidl'))))")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            check=True, env=env).stdout.split()
+    loaded = [m for m in modules_loaded_by("import mlidl.com") if m.startswith("mlidl")]
     assert loaded == ["mlidl", "mlidl.com", "mlidl.semtypes", "mlidl.wordmem"]

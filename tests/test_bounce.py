@@ -11,7 +11,7 @@ import pytest
 from conftest import (count_mlidl_calls, in_a_fresh_interpreter,
                       nothing_for_the_cycle_collector, peak_mb)
 from reference_bounce import reference_trace
-from mlidl.winsim.bounce import BALL_TIMER, BounceDemo, BounceState, DemoError
+from mlidl.winsim.bounce import BALL_TIMER, TIMER_RATE, BounceDemo, BounceState, DemoError
 from mlidl.winsim.world import WM_SIZE, WM_TIMER, SimWorld
 from mlidl.wordmem import Mem
 
@@ -233,6 +233,39 @@ def test_a_demo_that_cannot_finish_raises_demo_error(monkeypatch, patch, message
     with pytest.raises(DemoError) as info:
         demo.run(5)
     assert str(info.value) == message
+    assert demo.mem.live_count == 0
+
+
+class SkipsReleaseDC(BounceDemo):
+    def _create(self, state, hwnd):
+        self.user.GetDC(hwnd)
+        self.user.SetTimer(hwnd, BALL_TIMER, TIMER_RATE, None)
+        return state, 0
+
+
+class KeepsAMemoryDC(BounceDemo):
+    def _timer_ball(self, state, hwnd):
+        self.gdi.CreateCompatibleDC(0)
+        return super()._timer_ball(state, hwnd)
+
+
+class SkipsDeleteObject(BounceDemo):
+    def _destroy(self, state, hwnd):
+        return super()._destroy(state._replace(hbitmap=0), hwnd)
+
+
+@pytest.mark.parametrize("demo_class, message", [
+    # Petzold's classic leak: WM_CREATE's DC is never released
+    (SkipsReleaseDC, "DC 6"),
+    # each of two ticks makes a memory DC that it never deletes
+    (KeepsAMemoryDC, "memory DC 8, memory DC 12"),
+    (SkipsDeleteObject, "bitmap 7"),
+], ids=["ReleaseDC", "DeleteDC", "DeleteObject"])
+def test_a_handle_the_program_keeps_is_demo_error(demo_class, message):
+    demo = demo_class()
+    with pytest.raises(DemoError) as info:
+        demo.run(2)
+    assert str(info.value) == f"demo left GDI handles live: {message}"
     assert demo.mem.live_count == 0
 
 

@@ -53,6 +53,21 @@ def test_compile_parse_error_exits_2(tmp_path, capsys):
     assert "bad.idl:1:" in err
 
 
+def test_an_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["compile", str(IDL_DIR / "win32.idl"), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"mlidl: cannot write {out}: File exists\n")
+
+
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    (tmp_path / "win32.sig").mkdir()
+    assert main(["compile", str(IDL_DIR / "win32.idl"), "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"mlidl: cannot write {tmp_path / 'win32.sig'}: Is a directory\n")
+    assert not (tmp_path / "win32.binding.json").exists()
+
+
 def test_compile_com_needs_manifest(tmp_path, capsys):
     assert main(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
                  "-o", str(tmp_path)]) == 2
@@ -178,6 +193,13 @@ def test_run_demo_adapter_matches_direct(tmp_path):
     assert main(["run-demo", "bounce", "--ticks", "40", "--adapter",
                  "--trace", str(t2)]) == 0
     assert t1.read_bytes() == t2.read_bytes()
+
+
+def test_a_trace_that_cannot_be_written_exits_3(tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.txt"
+    assert main(["run-demo", "bounce", "--ticks", "5", "--trace", str(trace)]) == 3
+    assert capsys.readouterr().err == \
+        f"mlidl: cannot write {trace}: No such file or directory\n"
 
 
 def test_run_demo_rejects_zero_ticks():

@@ -78,6 +78,17 @@ def test_register_unregister_churn_gives_back_the_wndproc():
         assert mem.closure_count == 0
 
 
+def test_a_refused_wndproc_registration_registers_no_class_and_takes_no_handle():
+    world, mem = make_world()
+    mem._next_closure = 0x100000000             # the closure region is used up
+    assert make_class(world, [], "C") == 0      # as a failed RegisterClassEx
+    assert (world.classes, world._next_handle, mem.closure_count) == ({}, 1, 0)
+    assert world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0) == 0
+    mem._next_closure = 0xFFFFFFFC              # one address left
+    assert make_class(world, [], "C") == 1      # the atom the refusal did not take
+    assert world.classes == {"C": 0xFFFFFFFC}
+
+
 # -- windows ----------------------------------------------------------------------
 
 
@@ -188,6 +199,23 @@ def test_a_replaced_timer_holds_one_registration():
     assert mem.closure_count == before
 
 
+def test_a_refused_callback_registration_sets_no_timer():
+    world, mem = make_world()
+    make_class(world, [], "C")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    cb = lambda ws: 0  # noqa: E731
+    assert world.SetTimer(hwnd, 2, 20, cb) == 2
+    timer = world.timers[(hwnd, 2)]
+    state = mem.closure_count, dict(mem._closure_refs), list(world.trace)
+    mem._next_closure = 0x100000000             # the closure region is used up
+    assert world.SetTimer(hwnd, 2, 40, lambda ws: 1) == 0
+    assert world.SetTimer(hwnd, 3, 40, lambda ws: 1) == 0
+    assert world.timers == {(hwnd, 2): timer} and world.timers[(hwnd, 2)] is timer
+    assert (mem.closure_count, dict(mem._closure_refs), world.trace) == state
+    assert world.SetTimer(hwnd, 2, 40, cb) == 2     # a registered callable needs no address
+    assert world.timers[(hwnd, 2)].cb_addr == timer.cb_addr
+
+
 def test_post_quit_then_pump_exits():
     world, _ = make_world()
     world.PostQuitMessage(0)
@@ -278,6 +306,33 @@ def test_delete_object_zero_recorded():
     world, _ = make_world()
     assert world.DeleteObject(0) is False
     assert world.trace[-1] == "TICK 0 DRAW DeleteObject 0"
+
+
+def test_a_handle_is_live_in_its_kind_until_its_one_release():
+    world, _ = make_world()
+    hdc, hdcmem = world.GetDC(1), world.CreateCompatibleDC(1)
+    hbitmap = world.LoadImageA(0, "smlnj.bmp", 0, 0, 0, 16)
+    ps, hdc_paint = world.BeginPaint(1)
+    # stock objects, icons, cursors and a selected-out object need no release
+    others = [world.SelectObject(hdcmem, hbitmap), world.GetStockObject(0),
+              world.LoadIconA(0, "#32512"), world.LoadCursorA(0, "#32512"), 0, 999]
+    live = {hdc: "DC", hdcmem: "memory DC", hbitmap: "bitmap", hdc_paint: "DC"}
+    assert world.gdi_live == live
+    for h in [hdcmem, hbitmap, *others]:
+        assert world.ReleaseDC(1, h) == 0
+        assert world.EndPaint(1, {**ps, "hdc": h}) is False
+    for h in [hdc, hbitmap, *others]:
+        assert world.DeleteDC(h) is False
+    for h in [hdc, hdcmem, *others]:
+        assert world.DeleteObject(h) is False
+    assert world.gdi_live == live               # refused calls are still traced
+    assert world.trace[-1] == "TICK 0 DRAW DeleteObject 999"
+    assert world.ReleaseDC(1, hdc) == 1
+    assert world.ReleaseDC(1, hdc) == 0         # a DC goes back once
+    assert world.DeleteDC(hdcmem) is True and world.DeleteDC(hdcmem) is False
+    assert world.DeleteObject(hbitmap) is True and world.DeleteObject(hbitmap) is False
+    assert world.EndPaint(1, ps) is True and world.EndPaint(1, ps) is False
+    assert world.gdi_live == {}
 
 
 def test_line_to_trace_entry():
