@@ -23,7 +23,10 @@ NUL or a lone surrogate is refused as a string pack refuses it
 (DISP_E_TYPEMISMATCH with the argument's index).  A result is wrapped the
 same way back; one that no VARIANT can carry, such as a record, is
 DISP_E_TYPEMISMATCH on both Invoke paths.  The typed `invoke` takes its
-arguments as a sequence of VARIANTs.  Raw Invoke reads and writes
+arguments as a sequence of VARIANTs, and reads one row per signature
+(`_row_of`), cached on the binding description as plans are: a VT_I4 or
+VT_UI4 int on an integer parameter is converted there inline, and every
+other argument through the tables.  Raw Invoke reads and writes
 payloads with the codecs' unpack and pack (a tag it does not know is
 DISP_E_BADVARTYPE, with the argument's index).  Type libraries, locales and
 named arguments are out of scope (GetTypeInfoCount reports 0, GetTypeInfo
@@ -33,7 +36,7 @@ is not implemented, riid/lcid are ignored).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from mlidl import marshal
 from mlidl import semtypes as st
@@ -49,7 +52,7 @@ from mlidl.com import (
     check_words,
     get_method,
 )
-from mlidl.wordmem import Mem, MemFault, OutOfBounds, WordFn
+from mlidl.wordmem import WORD_MASK, Mem, MemFault, OutOfBounds, WordFn
 
 VT_EMPTY = 0
 VT_I4 = 3
@@ -140,10 +143,12 @@ def _text(value: Any) -> str:
     return value
 
 
-def _coerce(i: int, v: Variant, kind: str, codec: marshal.Codec) -> Any:
-    """`v`, argument `i`, as `codec` holds it: its payload word, read back."""
+def _coerce(i: int, v: Variant, kind: str, tags: tuple[int, ...],
+            codec: marshal.Codec) -> Any:
+    """`v`, argument `i`, as `codec` holds it: its payload word, read back.
+    `tags` are the tags that `kind` accepts."""
     try:
-        if v.tag not in _KINDS.get(kind, ((), None))[0]:
+        if v.tag not in tags:
             raise marshal.TypeMismatch(f"{kind} takes no {_VT_NAMES[v.tag]}")
         to_word = _PAYLOAD[v.tag].to_word
         return codec.from_word(to_word(v.value)) if to_word else _text(v.value)
@@ -161,6 +166,44 @@ def _variant_of(value: Any, kind: str, codec: marshal.Codec) -> Variant:
                               DISP_E_TYPEMISMATCH)
     return Variant(tag, _PAYLOAD[tag].from_word(codec.to_word(value))
                    if codec.to_word else value)
+
+
+class _Arg(NamedTuple):
+    kind: str
+    tags: tuple[int, ...]           # the tags it accepts
+    codec: marshal.Codec
+    sign: Optional[int]             # an integer's sign bit, or None
+
+
+class _Row(NamedTuple):
+    """What typed Invoke reads of one signature, once per description."""
+
+    plan: marshal.Plan
+    args: tuple[_Arg, ...]          # one per in-parameter
+    result: Optional[tuple[str, marshal.Codec]]     # of a single result
+
+
+def _row_of(sig: LiftedSig, desc: BindingDesc) -> _Row:
+    """The Invoke row of `sig`, built once per binding description.  An
+    integer parameter (int32: sign bit 31, any other: none) converts a
+    VT_I4 or VT_UI4 int inline, as `_coerce` would; every other argument
+    goes through `_coerce`."""
+    row = desc.invoke_rows.get(id(sig))
+    if row is None:
+        plan = marshal.plan_of(sig, desc)
+        args = []
+        for p, step in zip(sig.ins, [s for s in plan.steps if s.dir != "out"]):
+            kind = p.sem.kind
+            args.append(_Arg(kind, _KINDS.get(kind, ((), None))[0], step.codec,
+                             0x80000000 if kind == "int32" else
+                             0 if kind in ("word32", "handle", "opaque") else None))
+        result = None
+        if len(sig.results) == 1:
+            result = (sig.results[0].sem.kind,
+                      plan.ret or next(s.codec for s in plan.steps if s.dir != "in"))
+        # the row holds the plan, which holds `sig`: its id stays unique
+        row = desc.invoke_rows[id(sig)] = _Row(plan, tuple(args), result)
+    return row
 
 
 # -- dual interface construction ---------------------------------------------
@@ -264,21 +307,24 @@ class _Dispatch:
     def call(self, dispid: int, args: list[Variant]) -> Variant:
         """Coerce `args` and call the skeleton installed in the method's slot."""
         sig = self.by_id[dispid]
-        plan = marshal.plan_of(sig, self.desc)
-        if len(args) != plan.n_ins:
+        row = self.desc.invoke_rows.get(id(sig)) or _row_of(sig, self.desc)
+        if len(args) != row.plan.n_ins:
             raise AutomationError(
-                f"{sig.name} takes {plan.n_ins} arguments, got {len(args)}",
+                f"{sig.name} takes {row.plan.n_ins} arguments, got {len(args)}",
                 DISP_E_BADPARAMCOUNT)
-        codecs = [s.codec for s in plan.steps if s.dir != "out"]
         values = []
-        for i, (v, p, codec) in enumerate(zip(args, sig.ins, codecs)):
-            values.append(_coerce(i, v, p.sem.kind, codec))
+        for i, (v, (kind, tags, codec, sign)) in enumerate(zip(args, row.args)):
+            x = v.value
+            if sign is not None and (v.tag == VT_I4 or v.tag == VT_UI4) \
+                    and type(x) is int and -0x80000000 <= x <= 0xFFFFFFFF:
+                values.append(((x & WORD_MASK) ^ sign) - sign)
+            else:
+                values.append(_coerce(i, v, kind, tags, codec))
         results = marshal.call(sig, self.methods[dispid - 1], values, self.mem, self.desc)
         if not results:
             return Variant.empty()
         if len(results) == 1:
-            ret = plan.ret or next(s.codec for s in plan.steps if s.dir != "in")
-            return _variant_of(results[0], sig.results[0].sem.kind, ret)
+            return _variant_of(results[0], *row.result)
         raise AutomationError(
             f"{sig.name} has {len(results)} results; Invoke carries at most one",
             DISP_E_TYPEMISMATCH)

@@ -13,6 +13,8 @@ Every class here, like `SemType`, stays a frozen dataclass, although the
 IDL AST is a plain one.  The model carries caches that hold only while it
 cannot change: `BindingDesc.plans`, the one home of marshalling plans, keys
 them by the identity of a signature and derives them from its parameters,
+as `BindingDesc.invoke_rows` does Automation's rows, `BindingDesc.codecs`
+holds the codec of each enum and record type, by kind and name,
 `BindingDesc.binding_text` renders the description once, and the intern
 table and the binding-file writer's fragments key semantic types by
 identity.  An assignment to any of these objects would leave a stale plan
@@ -178,6 +180,18 @@ class BindingDesc:
     def plans(self) -> dict:
         """Marshalling plans built against this description, by signature
         identity; they die with it."""
+        return {}
+
+    @cached_property
+    def codecs(self) -> dict:
+        """Marshalling codecs of its enum and record types, by (kind, name);
+        they die with it."""
+        return {}
+
+    @cached_property
+    def invoke_rows(self) -> dict:
+        """Automation's typed-Invoke rows, by signature identity, as `plans`;
+        they die with it."""
         return {}
 
     @cached_property

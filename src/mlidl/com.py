@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from mlidl.semtypes import _GUID_TEXT
-from mlidl.wordmem import Mem, MemFault, WordFn
+from mlidl.wordmem import WORD_BYTES, Mem, MemFault, WordFn
 
 S_OK = 0x00000000
 E_NOTIMPL = 0x80004001
@@ -276,12 +276,15 @@ def get_method(ref: InterfaceRef, index: int) -> WordFn:
     """Slot `index` of the interface's vtable, as a callable: the Python
     function behind the slot, valid while the object lives, as a C function
     pointer is.  Once the object is destroyed a call through the slot's
-    address raises `NotCallable`, and a kept slot 0..2 raises `DeadObject`."""
-    ref.owner._check_alive()
-    mem = ref.owner.mem
+    address raises `NotCallable`, and a kept slot 0..2 raises `DeadObject`.
+    The liveness test, the slot's offset and the closure lookup are inline,
+    as in `marshal.call`: this runs on every slot call a client makes."""
+    owner = ref.owner
+    if not owner.alive:
+        owner._check_alive()
+    mem = owner.mem
     vtable = mem.read(ref.addr, 1)[0]
-    slot = mem.read(mem.offset(vtable, index), 1)[0]
-    return mem.addr_to_fun(slot)
+    return mem._closures[mem.read(vtable + index * WORD_BYTES, 1)[0]]
 
 
 def query_interface(ref: InterfaceRef, iid: Iid) -> InterfaceRef:

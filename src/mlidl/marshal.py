@@ -6,9 +6,10 @@ pack function that appends a value's words to a list the caller passes in
 value at an offset into the words it is given.  Inline values are thus
 packed into, and decoded from, the argument list itself, with no word list
 per value.  A codec may be looked up without a binding description (only
-an enum's or a record's needs one), but a plan is always built against one:
-each signature has one plan per description (`plan_of`), cached on it and
-read by both the client `call` and the server `skeleton`.
+an enum's or a record's needs one, and is built once per description and
+cached on it), but a plan is always built against one: each signature has
+one plan per description (`plan_of`), cached on it and read by both the
+client `call` and the server `skeleton`.
 The plan gives every parameter, in declaration order (the ABI argument
 order), its IDL direction, on which alone the drivers branch, and the wire
 codec of its argument words:
@@ -29,15 +30,18 @@ one NUL unit and zero padding to a whole word.  One codec maker,
 `store`, a read is one `Mem.read_rest`, NULL reads as "", and a block with no
 NUL unit is `OutOfBounds`, never a read into the next block.
 
-A plan is flat when every wire is a one-word value passed inline (int32,
-word32, handle, opaque, bool or enum) and so is the return value, if any:
-the shape of the GDI calls the bounce demo makes on each tick.  Those codecs
-have a `to_word` and a `from_word`.  A flat plan is compiled, when it is
-built, into its own client and stub maker: closures that hold what they read
-of the plan.  A flat call makes one `Mem.call` and converts the returned
-word; neither side allocates.  `call` checks the target and hands the client
-the arguments; `skeleton` hands the stub maker the implementation.  What the
-closures do differs by the plan's wires, chosen once per plan:
+A plan is one-word when every parameter is an [in] one-word wire passed
+inline and the return value, if any, is a flat kind.  A flat kind (int32,
+word32, handle, opaque, bool or enum) has a `to_word` and a `from_word`;
+the other one-word wires are string8, string16 and callback.  That is the
+shape of the GDI calls the bounce demo makes on each tick, and of the
+string and callback calls of a client library.  A one-word plan is
+compiled, when it is built, into its own client and stub maker: closures
+that hold what they read of the plan.  `call` checks the target and hands
+the client the arguments; `skeleton` hands the stub maker the
+implementation and the world.  A call makes one `Mem.call` and converts
+the returned word.  What the closures do differs by the plan's wires,
+chosen once per plan:
 
     integer wires only   the client checks and masks the arguments in one
                          loop, going through each wire's `to_word` only when
@@ -48,9 +52,15 @@ closures do differs by the plan's wires, chosen once per plan:
                          unpack.  Both loops run in the closure's own frame:
                          on CPython 3.11 that is cheaper than a
                          comprehension, and than `map` over a builtin.
-    a bool or enum wire  the client converts each argument through its
-                         wire's `to_word`, and the stub decodes each word
-                         through its `from_word`.
+    any other wire       the client converts each argument in parameter
+                         order: a flat kind through its `to_word`, a string
+                         through its codec's pack (one `alloc`, one
+                         `store`), a callable with one `fun_to_addr`; it
+                         gives the blocks and registrations back in that
+                         order after the call.  The stub decodes each word:
+                         a flat kind through its `from_word`, a string
+                         through its codec's unpack (one `read_rest`), a
+                         callback by subscripting `Mem._closures`.
 
 Both sides encode or decode an int or bool return inline; any other return,
 and a result that is not one plain value, goes through its codec and the
@@ -250,6 +260,11 @@ _CODECS: dict[str, Codec] = {
 # COM's IID has a 4-word layout, but no values cross yet
 _IID = Codec(4, _no_iid, _no_iid)
 
+# the one-word wires that have no to_word, by codec identity: their codes
+# in a one-word plan (see `_build_plan`)
+_WIRE_CODES = {id(_CODECS["string8"]): "s", id(_CODECS["string16"]): "s",
+               id(_CODECS["callback"]): "c"}
+
 
 def pack_string8(mem: Mem, s: str) -> int:
     """The address of a fresh string8 block holding `s`."""
@@ -264,18 +279,24 @@ def read_string8(mem: Mem, addr: int) -> str:
 
 
 def codec_of(t: SemType, desc: Optional[BindingDesc] = None) -> Codec:
-    """The codec of `t`; enum and record codecs are resolved against `desc`."""
+    """The codec of `t`; enum and record codecs are resolved against `desc`,
+    built once and cached on it."""
     if t.kind in _CODECS:
         return _CODECS[t.kind]
     if t.kind == "array":
         return _array_codec(codec_of(t.elem, desc))
     if t.kind == "unit":
         raise MarshalError("void is not a value type")
+    codec = desc.codecs.get((t.kind, t.name)) if desc else None
+    if codec is not None:
+        return codec
     found = desc.lookup(t.kind, t.name) if desc else None
     if isinstance(found, RecordLayout):
-        return _record_codec(found, desc)
+        codec = desc.codecs[t.kind, t.name] = _record_codec(found, desc)
+        return codec
     if isinstance(found, EnumMap):
-        return _enum_codec(found)
+        codec = desc.codecs[t.kind, t.name] = _enum_codec(found)
+        return codec
     if t.kind == "record" and t.name == "IID":
         return _IID
     raise MarshalError(f"unknown {t.kind} type {t.name!r}")
@@ -395,12 +416,12 @@ class Plan:
     n_ins: int
     n_results: int
     ret: Optional[Codec]
-    # flat plans only: the client, which `call` hands a checked target, the
-    # in-arguments and the world, and the stub maker, which `skeleton` hands
-    # the implementation
+    # one-word plans only: the client, which `call` hands a checked target,
+    # the in-arguments and the world, and the stub maker, which `skeleton`
+    # hands the implementation and the world
     client: Optional[Callable[[Union[WordFn, int], Sequence[Value], Mem],
                               list[Value]]] = None
-    stub: Optional[Callable[[Callable[..., Any]], WordFn]] = None
+    stub: Optional[Callable[[Callable[..., Any], Mem], WordFn]] = None
 
 
 # one reinterpreting Struct per format, shared by every plan that uses it
@@ -444,23 +465,24 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
             raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
                               f"values are not supported")
         ret = codec_of(sig.ret.sem, desc)
-    flat = all([s.wire.to_word is not None for s in steps]) \
-        and (ret is None or ret.to_word is not None)
-    if not flat:
+    # a one-word wire's code: "i" int32 and "I" any other integer (decoded
+    # through to_signed or word), "?" a bool or an enum, "s" a string, "c"
+    # a callback; any other wire takes the general path
+    codes = "".join([_WIRE_CODES.get(id(s.wire), "") if s.wire.to_word is None
+                     else "i" if s.wire.from_word is to_signed
+                     else "I" if s.wire.from_word is word else "?" for s in steps])
+    if len(codes) != len(steps) or not (ret is None or ret.to_word is not None):
         return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
 
-    # The flat kernels, built here once per plan.  They close over what
+    # The one-word kernels, built here once per plan.  They close over what
     # they read of the plan, never over the plan or a world, so nothing a
     # plan keeps refers back to it.
     name = sig.name
-    to_words = tuple([s.wire.to_word for s in steps])
-    from_words = tuple([s.wire.from_word for s in steps])
-    # an integer wire decodes with to_signed (int32) or word; a plan with
-    # any other wire (a bool or an enum) converts every value through its
-    # codec, since a plain 1 on a bool wire is a TypeMismatch
-    codes = "".join(["i" if f is to_signed else "I" if f is word else "?"
-                     for f in from_words])
-    masks = "?" not in codes
+    masks = codes.strip("iI") == ""
+    # per wire, the client's conversion (a flat kind's to_word, any other
+    # wire's pack) and the stub's (from_word, or a string's unpack)
+    to_words = tuple([s.wire.to_word or s.wire.pack for s in steps])
+    from_words = tuple([s.wire.from_word or s.wire.unpack for s in steps])
     # the return: an integer's sign bit (int32: bit 31, word32: none), or
     # a bool, or any other one-word kind through its codec
     rsign = None if ret is None or ret.from_word not in (to_signed, word) \
@@ -480,23 +502,39 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
         # that pass refuses (a bool, an int subclass, a non-int, an
         # out-of-range int) sends the whole list through each wire's
         # to_word, which raises for the first bad value or converts an int
-        # subclass.  Any other plan's values always go that way.
-        words = []
-        for v in values:
-            if masks and type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF:
-                words.append(v & WORD_MASK)
+        # subclass.  Any other plan converts or packs each value in turn:
+        # a callable with one registration, a string with its codec's pack.
+        words: list[int] = []
+        temps: list[int] = []       # given back in the order they were made
+        try:
+            if masks:
+                for v in values:
+                    if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF:
+                        words.append(v & WORD_MASK)
+                    else:
+                        words = [to_word(v) for to_word, v in zip(to_words, values)]
+                        break
             else:
-                words = [to_word(v) for to_word, v in zip(to_words, values)]
-                break
-        w = mem.call(target, words) if isinstance(target, int) \
-            else target(words) & WORD_MASK
-        if rsign is not None:
-            return [(w ^ rsign) - rsign]
-        if ret is None:
-            return []
-        return [w != 0] if rbool else [ret.from_word(w)]
+                for code, conv, v in zip(codes, to_words, values):
+                    if code == "c" and callable(v):
+                        temps.append(mem.fun_to_addr(v))
+                        words.append(temps[-1])
+                    elif code in "cs":
+                        conv(mem, v, words, temps)
+                    else:
+                        words.append(conv(v))
+            w = mem.call(target, words) if isinstance(target, int) \
+                else target(words) & WORD_MASK
+            if rsign is not None:
+                return [(w ^ rsign) - rsign]
+            if ret is None:
+                return []
+            return [w != 0] if rbool else [ret.from_word(w)]
+        finally:
+            if temps:
+                mem.give_back(temps)
 
-    def make_stub(impl: Callable[..., Any]) -> WordFn:
+    def make_stub(impl: Callable[..., Any], mem: Mem) -> WordFn:
         def stub(words: list[int]) -> int:
             if len(words) != arity:
                 raise ArityMismatch(
@@ -508,7 +546,16 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
                 result = impl(*unpack(pack(*masked))) if unpack is not None \
                     else impl(*masked)
             else:
-                result = impl(*[from_word(w) for from_word, w in zip(from_words, words)])
+                args = []
+                for code, conv, w in zip(codes, from_words, words):
+                    if code == "c":
+                        w = w & WORD_MASK       # `&`, not `&=`: `word`'s TypeError
+                        args.append(mem._closures[w] if w else None)
+                    elif code == "s":
+                        args.append(conv(mem, (w,), 0, None))
+                    else:
+                        args.append(conv(w))
+                result = impl(*args)
             # a plain int or bool result is encoded here; anything else goes
             # through the result count check and the return's to_word
             if rsign is not None:
@@ -625,7 +672,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     """
     plan = plan_of(sig, desc)
     if plan.stub is not None:
-        return plan.stub(impl)
+        return plan.stub(impl, mem)
 
     def stub(words: list[int]) -> int:
         if len(words) != plan.arity:

@@ -224,6 +224,9 @@ class SimWorld:
 
     def SetTimer(self, hwnd: int, timer_id: int, period_ms: int,
                  cb: Any = None) -> int:
+        """Set (or reset) timer `timer_id` of `hwnd`.  Nonzero on success, as
+        Win32's is: `timer_id`, or 1 for a timer whose id is 0; 0 when the
+        callback cannot be registered, and then no timer changes."""
         period = max(1, -(-int(period_ms) // MS_PER_TICK))
         try:
             cb_addr = self.mem.fun_to_addr(cb) if callable(cb) else 0
@@ -238,7 +241,7 @@ class SimWorld:
         if old is not None and old.cb_addr:
             self.mem.release_closure(old.cb_addr)
         self.record("SetTimer", [hwnd, timer_id, period_ms, cb_addr])
-        return timer_id
+        return timer_id or 1
 
     def KillTimer(self, hwnd: int, timer_id: int) -> bool:
         timer = self.timers.pop((hwnd, timer_id), None)

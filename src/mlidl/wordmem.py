@@ -14,11 +14,12 @@ mapped back to its allocation in O(1): the page table is three columns
 indexed by page number, filled for every page a block spans.  `_cells`
 holds the block's words, `_first` its first page (so its base) and `_size`
 its size in words.  A block of at most 1,024 words starts on the page it
-lies in, so an access to it reads only `_cells`.  Reads and stores are
-bounds-checked against the owning allocation.  `read_rest` reads from an
-address to the end of its allocation, so data of unknown length (a
-NUL-terminated string) is read in one checked step and can never run on
-into the next block.
+lies in, so an access to it reads only `_cells`: `read` and `store` resolve
+such an address inline and hand any other, and so every fault, to `_find`.
+Reads and stores are bounds-checked against the owning allocation.
+`read_rest` reads from an address to the end of its allocation, so data of
+unknown length (a NUL-terminated string) is read in one checked step and
+can never run on into the next block.
 
 Pages are never reused.  A freed block stays in the page table as a
 tombstone, `None` in `_cells` beside its `_first` and `_size` entries (8
@@ -238,13 +239,24 @@ class Mem:
     def store(self, addr: int, words: list[int]) -> None:
         if not words:
             return
-        cells, idx = self._find(addr)
+        # a block of at most a page, resolved inline; anything else, and
+        # every fault, goes through `_find`
+        cells = None
+        if type(addr) is int and not addr % WORD_BYTES:
+            page = (addr - HEAP_BASE) // _PAGE_BYTES
+            if 0 <= page < len(self._cells):
+                cells = self._cells[page]
+                idx = addr % _PAGE_BYTES // WORD_BYTES
+        if cells is None or not idx < len(cells) <= _PAGE_WORDS:
+            cells, idx = self._find(addr)
         if idx + len(words) > len(cells):
             raise OutOfBounds(
                 f"store of {len(words)} words at {addr:#x} overruns "
                 f"allocation {addr - idx * WORD_BYTES:#x} ({len(cells)} words)"
             )
-        masked = [w & WORD_MASK for w in words]
+        masked = []
+        for w in words:
+            masked.append(w & WORD_MASK)
         cells[idx:idx + len(masked)] = masked
         if self._trace is not None:
             self._trace(f"store {addr:#x} {[hex(w) for w in masked]}")
@@ -254,7 +266,15 @@ class Mem:
             raise BadSize(f"read of {nwords} words")
         if nwords == 0:
             return []
-        cells, idx = self._find(addr)
+        # inline as in `store`
+        cells = None
+        if type(addr) is int and not addr % WORD_BYTES:
+            page = (addr - HEAP_BASE) // _PAGE_BYTES
+            if 0 <= page < len(self._cells):
+                cells = self._cells[page]
+                idx = addr % _PAGE_BYTES // WORD_BYTES
+        if cells is None or not idx < len(cells) <= _PAGE_WORDS:
+            cells, idx = self._find(addr)
         if idx + nwords > len(cells):
             raise OutOfBounds(
                 f"read of {nwords} words at {addr:#x} overruns "

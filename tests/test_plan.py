@@ -154,13 +154,17 @@ def test_client_and_server_agree(desc, case):
 
 # Python calls into mlidl of one warm call per shape, stub passed as a host
 # callable (`sys.setprofile`, CPython 3.11).  A change that must raise a cap
-# says so in CHANGES.md.
+# says so in CHANGES.md.  Before one-word plans and the inline `Mem.read`
+# and `Mem.store`, the caps were: bool 7, enum 13, string8 and string16 22,
+# callback 20, callback_ref 29, record_ref 44, out_scalar 17, out_record 46,
+# inout_scalar 28, inout_record 70, int_array 38, record_array 76,
+# string_return 22, out_string 29.
 PYTHON_CALL_CAPS = {
-    "scalar": 3, "bool": 7, "enum": 13, "string8": 22, "string16": 22,
-    "callback": 20, "callback_ref": 29, "record_by_value": 24, "record_ref": 44,
-    "out_scalar": 17, "out_record": 46, "inout_scalar": 28, "inout_record": 70,
-    "int_array": 38, "record_array": 76, "empty_array": 23, "string_return": 22,
-    "out_string": 29,
+    "scalar": 3, "bool": 5, "enum": 11, "string8": 13, "string16": 13,
+    "callback": 8, "callback_ref": 26, "record_by_value": 24, "record_ref": 38,
+    "out_scalar": 14, "out_record": 40, "inout_scalar": 22, "inout_record": 58,
+    "int_array": 35, "record_array": 67, "empty_array": 23, "string_return": 19,
+    "out_string": 23,
 }
 
 
@@ -516,6 +520,20 @@ def test_plans_are_shared_through_the_description(monkeypatch):
     assert built == ["ByRef"]
 
 
+def test_record_and_enum_codecs_are_built_once_per_description(monkeypatch):
+    built = []
+    for maker in ("_record_codec", "_enum_codec"):
+        monkeypatch.setattr(marshal, maker, lambda t, *d, make=getattr(marshal, maker):
+                            built.append(t.name) or make(t, *d))
+    fresh = build_binding(parse_text(SHAPES_IDL, "shapes.idl"), "dynamic", "auto")
+    for sig in fresh.interfaces[0].ops:
+        plan_of(sig, fresh)
+    assert sorted(built) == ["LABEL", "MODE", "POINT"]
+    label_t = op(fresh, "ByRef").params[0].sem
+    assert codec_of(label_t, fresh) is codec_of(label_t, fresh)
+    assert sorted(built) == ["LABEL", "MODE", "POINT"]
+
+
 # -- one-word signatures ----------------------------------------------------------
 
 CLIENT_ERRORS = [
@@ -604,9 +622,11 @@ def test_flat_server_errors(desc, name, words, impl, exc, message):
 
 
 def test_only_one_word_signatures_are_flat(desc):
+    # every wire an [in] word passed inline (a flat kind, a string or a
+    # callback) and a flat return or none: not CallbackRef, ByValue, Name
     flat = {o.name for i in desc.interfaces[:1] for o in i.ops
             if plan_of(o, desc).client is not None}
-    assert flat == {"Scalar", "Flag", "Mode"}
+    assert flat == {"Scalar", "Flag", "Mode", "Str8", "Str16", "Callback"}
 
 
 def _boundary_ints(lo, hi):
@@ -751,10 +771,12 @@ def _outcome(thunk):
         return type(exc), str(exc)
 
 
-def _flat_run(m, sig, desc, args, result, words):
-    """Every way a flat call reaches its stub, run by marshaller `m` in a fresh
-    world: its outcomes, what the implementation saw, the `Mem` trace, and
-    the live blocks at the end."""
+def _flat_run(m, sig, desc, args, result, words, prepare=None):
+    """Every way a flat or one-word call reaches its stub, run by marshaller
+    `m` in a fresh world: its outcomes, what the implementation saw, the
+    `Mem` trace, and the live blocks and closures at the end.
+    `prepare(mem, words)`, if given, sets up the world first and returns
+    the raw words for the stub."""
     lines: list[str] = []
     seen: list[list] = []
 
@@ -763,6 +785,8 @@ def _flat_run(m, sig, desc, args, result, words):
         return result
 
     mem = Mem(trace=lines.append)
+    if prepare is not None:
+        words = prepare(mem, words)
     n = len(sig.params)
     stub = m.skeleton(sig, impl, mem, desc)
     lib = mem.register_library("flat.dll")
@@ -772,7 +796,7 @@ def _flat_run(m, sig, desc, args, result, words):
                Symbol("Flat", loose.addr + 4, "pascal", n)]     # stale
     outcomes = [_outcome(lambda: m.call(sig, t, args, mem, desc)) for t in targets]
     outcomes.append(_outcome(lambda: [stub(list(words))]))
-    return outcomes, seen, lines, mem.live_count
+    return outcomes, seen, lines, mem.live_count, mem.closure_count
 
 
 @settings(max_examples=300, deadline=None)
@@ -884,10 +908,84 @@ def _masked_with_and(run):
     no integer raises the TypeError of masking it with `&`, where an int32
     wire decoded through `to_signed` uses `&=` (every int32 wire of the
     reference, and one of a plan with a bool or enum wire on both sides)."""
-    outcomes, seen, lines, live = run
+    outcomes, *rest = run
     return ([(TypeError, o[1].replace("for &=:", "for &:"))
              if isinstance(o, tuple) and o[0] is TypeError else o for o in outcomes],
-            seen, lines, live)
+            *rest)
+
+
+def _echo(words):
+    return words[0]
+
+
+def _twice(words):
+    return 2 * words[0]
+
+
+# the one-word wires: the flat kinds, strings and callbacks.  A callback
+# value is None or a callable that the world registered before the call,
+# since the reference never releases the registration a call makes: so
+# both sides hand out the same addresses and keep the same closures.
+ONE_WORD_KINDS = {
+    **FLAT_KINDS,
+    "string8": (st.STRING8, hs.text(max_size=8)),
+    "string16": (st.STRING16, hs.text(max_size=8)),
+    "callback": (st.SemType("callback", name="CB"), hs.sampled_from([_echo, _twice, None])),
+}
+# values a string or callback wire refuses: an int, bytes, a NUL, a lone
+# surrogate, a non-callable, and None where a string belongs
+ONE_WORD_HOSTILE = [5, b"x", "a\x00b", "\ud800", [1], None]
+
+
+class At(NamedTuple):
+    """A raw word that names an address of the prepared world."""
+    name: str
+
+
+def _one_word_world(mem, words):
+    """Register the callables, and lay out the blocks that `At` words name:
+    a string of each kind, a freed block and a block with no NUL unit."""
+    at = {"closure": mem.fun_to_addr(_echo)}
+    mem.fun_to_addr(_twice)
+    at["string8"] = reference_marshal.pack_string8(mem, "héllo")
+    at["string16"] = reference_marshal.pack_string16(mem, "wörld")
+    at["unaligned"] = at["string8"] + 2
+    at["freed"] = mem.alloc(1)
+    mem.free(at["freed"])
+    at["no_nul"] = mem.alloc(2)
+    mem.store(at["no_nul"], [0x41414141, 0x42424242])
+    return [at[w.name] if isinstance(w, At) else w for w in words]
+
+
+ONE_WORD_WORDS = RAW_WORDS | hs.sampled_from(
+    [0, *map(At, ["closure", "string8", "string16", "unaligned", "freed", "no_nul"])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_one_word_kernels_match_the_reference_marshaller(desc, data):
+    # the per-plan client and stub of a signature that mixes flat wires
+    # with at least one string or callback wire
+    kinds = data.draw(hs.lists(hs.sampled_from(sorted(ONE_WORD_KINDS)), min_size=1,
+                               max_size=6).filter(lambda ks: set(ks) - set(FLAT_KINDS)))
+    ret = data.draw(hs.sampled_from([None, *sorted(FLAT_KINDS)]))
+    sig = LiftedSig("OneWord", tuple(ParamSig(f"p{i}", k, ONE_WORD_KINDS[k][0])
+                                     for i, k in enumerate(kinds)),
+                    None if ret is None else RetSig(ret, FLAT_KINDS[ret][0]))
+    assert plan_of(sig, desc).client is not None
+    args = [data.draw(ONE_WORD_KINDS[k][1]) for k in kinds]
+    for at in data.draw(hs.lists(hs.integers(0, len(args) - 1), max_size=2)):
+        args[at] = data.draw(hs.sampled_from(ONE_WORD_HOSTILE + HOSTILE_VALUES))
+    if data.draw(hs.booleans()):
+        args = args[:-1] if data.draw(hs.booleans()) else args + [0]
+    result = None if ret is None else data.draw(FLAT_KINDS[ret][1])
+    result = data.draw(hs.just(result) | hs.sampled_from(HOSTILE_VALUES + [()])
+                       | hs.builds(Single, hs.just(result)))
+    words = data.draw(hs.lists(ONE_WORD_WORDS, min_size=len(kinds) - 1,
+                               max_size=len(kinds) + 1))
+    runs = [_flat_run(m, sig, desc, args, result, words, _one_word_world)
+            for m in (marshal, reference_marshal)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("case", sorted(TRACE_CASES))

@@ -216,6 +216,19 @@ def test_a_refused_callback_registration_sets_no_timer():
     assert world.timers[(hwnd, 2)].cb_addr == timer.cb_addr
 
 
+def test_a_timer_set_with_id_0_returns_nonzero():
+    # 0 is what a refused registration returns; a set timer never does
+    world, mem = make_world()
+    make_class(world, [], "C")
+    hwnd = world.CreateWindowExA(0, "C", "T", 0, 0, 0, 9, 9, 0, 0, 0, 0)
+    assert world.SetTimer(hwnd, 0, 20, None) == 1
+    assert world.SetTimer(hwnd, 0, 40, lambda ws: 0) == 1
+    assert list(world.timers) == [(hwnd, 0)]
+    mem._next_closure = 0x100000000             # the closure region is used up
+    assert world.SetTimer(hwnd, 0, 20, lambda ws: 1) == 0
+    assert world.KillTimer(hwnd, 0) is True
+
+
 def test_post_quit_then_pump_exits():
     world, _ = make_world()
     world.PostQuitMessage(0)
