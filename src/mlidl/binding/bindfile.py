@@ -202,7 +202,7 @@ def _write(x: Any, newline: str, out: list[str]) -> None:
 def load_binding_file(text: str) -> model.BindingDesc:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # also too many digits, or too deep
         raise SchemaViolation("$", f"not valid JSON: {exc}") from None
     _need(doc, dict, "$")
     for key in ("module", "mode", "level", "interfaces", "enums", "records",

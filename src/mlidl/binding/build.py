@@ -69,7 +69,7 @@ def load_manifest(path: Union[str, Path]) -> Any:
     except UnicodeDecodeError as exc:
         raise BindingError(f"manifest {path}: not UTF-8: {exc.reason} "
                            f"at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:     # also too many digits, or too deep
         raise BindingError(f"manifest {path}: not valid JSON: {exc}") from None
     return data
 

@@ -86,6 +86,8 @@ def _read_unit(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IdlError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IdlError(f"not UTF-8: {exc.reason} at byte {exc.start}", source=path) from None
     return parse_text(text, source=path)
 
 
@@ -163,7 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_check(args)
         return _cmd_run_demo(args)
     except _UsageError as exc:
-        print(f"usage: {parser.format_usage().strip()}", file=sys.stderr)
+        print(parser.format_usage().strip(), file=sys.stderr)
         print(f"mlidl: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IdlError, BindingError, SchemaViolation) as exc:

@@ -108,7 +108,11 @@ def tokenize(text: str, source: str = "<idl>") -> list[Token]:
         if ch.isdecimal():      # isdigit() also takes "²" or "①", which int() rejects
             end = _DIGITS.match(text, i + 1).end()
             lit = text[i:end]
-            toks.append(Token("int", lit, line, col, int(lit)))
+            try:
+                toks.append(Token("int", lit, line, col, int(lit)))
+            except ValueError:  # past CPython's limit on the digits `int` converts
+                raise LexError(f"integer literal of {len(lit)} digits is too long",
+                               line, col, source) from None
             i = end
             continue
         if ch.isalpha() or ch == "_":

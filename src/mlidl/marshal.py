@@ -11,61 +11,52 @@ cached on it), but a plan is always built against one: each signature has
 one plan per description (`plan_of`), cached on it and read by both the
 client `call` and the server `skeleton`.
 The plan gives every parameter, in declaration order (the ABI argument
-order), its IDL direction, on which alone the drivers branch, and the wire
-codec of its argument words:
+order), the wire codec of its argument words and a code, both decided once
+per plan:
 
-    in            the value's own codec: its words inline
-    in, byref     by reference: the address of a block holding the value
-    in, size_is   the address of a block of elements; it reads its count
-                  from the [in] integer argument that size_is names
-    out, inout    by reference: a block the callee writes back
+    i, I, ?       [in], a flat kind (int32; word32, handle or opaque; bool
+                  or enum): its word inline, through to_word and from_word
+    s, c          [in], a string or a callback: the address of the string's
+                  block, or of the callable's registration
+    r             [in] by reference (the address of a block holding the
+                  value), or a record by value (its words inline)
+    a             [in, size_is]: the address of a block of elements; its
+                  count is the [in] integer argument that size_is names
+    x, o          [in, out] or [out]: the address of a block the callee
+                  writes back
 
-Scalars, handles, bools and enums are one word; strings and callbacks are an
-address; a record is its fields' codecs end to end, in declaration order with
-no padding, and its unpack reads each field where its pack put it.  That is
-the layout rule of `binding.model.lay_out`, so it agrees with every layout.
+A record is its fields' codecs end to end, in declaration order with no
+padding, and its unpack reads each field where its pack put it.  That is the
+layout rule of `binding.model.lay_out`, so it agrees with every layout.
 A string's block holds its text (UTF-8 for string8, UTF-16 for string16),
 one NUL unit and zero padding to a whole word.  One codec maker,
 `_string_codec`, owns that rule for both kinds: a pack is one `alloc` and one
 `store`, a read is one `Mem.read_rest`, NULL reads as "", and a block with no
 NUL unit is `OutOfBounds`, never a read into the next block.
 
-A plan is one-word when every parameter is an [in] one-word wire passed
-inline and the return value, if any, is a flat kind.  A flat kind (int32,
-word32, handle, opaque, bool or enum) has a `to_word` and a `from_word`;
-the other one-word wires are string8, string16 and callback.  That is the
-shape of the GDI calls the bounce demo makes on each tick, and of the
-string and callback calls of a client library.  A one-word plan is
-compiled, when it is built, into its own client and stub maker: closures
-that hold what they read of the plan.  `call` checks the target and hands
-the client the arguments; `skeleton` hands the stub maker the
-implementation and the world.  A call makes one `Mem.call` and converts
-the returned word.  What the closures do differs by the plan's wires,
-chosen once per plan:
+Every plan is compiled, when it is built, into its own client and stub
+maker: closures that hold what they read of the plan, never the plan.
+`call` checks the target and hands the client the arguments; `skeleton`
+hands the stub maker the implementation and the world.  The closures run
+one of three loops, chosen once per plan, each in the closure's own frame
+(on CPython 3.11 cheaper than a comprehension or `map` over a builtin):
 
-    integer wires only   the client checks and masks the arguments in one
-                         loop, going through each wire's `to_word` only when
-                         a value fails that check (the first bad value
-                         raises there).  The stub masks the words in one
-                         loop and, if any wire is int32, takes them as
-                         signed through one shared `struct.Struct` pack and
-                         unpack.  Both loops run in the closure's own frame:
-                         on CPython 3.11 that is cheaper than a
-                         comprehension, and than `map` over a builtin.
-    any other wire       the client converts each argument in parameter
-                         order: a flat kind through its `to_word`, a string
-                         through its codec's pack (one `alloc`, one
-                         `store`), a callable with one `fun_to_addr`; it
-                         gives the blocks and registrations back in that
-                         order after the call.  The stub decodes each word:
-                         a flat kind through its `from_word`, a string
-                         through its codec's unpack (one `read_rest`), a
-                         callback by subscripting `Mem._closures`.
+    i, I          with a flat return or none: the client checks and masks
+                  the values in one loop, going through each wire's to_word
+                  only when a value fails that check; the stub masks the
+                  words in one loop, and reads int32 words as signed through
+                  one shared `struct.Struct` pack and unpack.
+    i, I, ?, s, c with a flat return or none: one loop over the wires and
+                  the values, or the words.
+    any other     one loop over the steps.  The client allocates each out
+                  block and checks each array's count against its list;
+                  after the call it decodes each out and in-out block, then
+                  the return.  Where an out block or the return needs
+                  memory, the stub packs its results itself.
 
-Both sides encode or decode an int or bool return inline; any other return,
-and a result that is not one plain value, goes through its codec and the
-result count check.  Every other plan takes the general path below.  Both
-paths raise the same errors in the same order.
+Both sides encode or decode an int or bool return inline, and any other
+through its codec; a result that is not one plain value goes through the
+result count check.
 
 When the call returns, the caller frees every block it packed and releases
 each closure registration its packing made for a host callable (an `[in]`
@@ -260,8 +251,8 @@ _CODECS: dict[str, Codec] = {
 # COM's IID has a 4-word layout, but no values cross yet
 _IID = Codec(4, _no_iid, _no_iid)
 
-# the one-word wires that have no to_word, by codec identity: their codes
-# in a one-word plan (see `_build_plan`)
+# the [in] wires passed inline that have no to_word, by codec identity:
+# their codes in a plan (see `_build_plan`)
 _WIRE_CODES = {id(_CODECS["string8"]): "s", id(_CODECS["string16"]): "s",
                id(_CODECS["callback"]): "c"}
 
@@ -414,14 +405,10 @@ class Plan:
     steps: tuple[Step, ...]
     arity: int                  # argument words
     n_ins: int
-    n_results: int
     ret: Optional[Codec]
-    # one-word plans only: the client, which `call` hands a checked target,
-    # the in-arguments and the world, and the stub maker, which `skeleton`
-    # hands the implementation and the world
-    client: Optional[Callable[[Union[WordFn, int], Sequence[Value], Mem],
-                              list[Value]]] = None
-    stub: Optional[Callable[[Callable[..., Any], Mem], WordFn]] = None
+    # the compiled client and stub maker (module docstring)
+    client: Callable[[Union[WordFn, int], Sequence[Value], Mem], list[Value]]
+    stub: Callable[[Callable[..., Any], Mem], WordFn]
 
 
 # one reinterpreting Struct per format, shared by every plan that uses it
@@ -448,43 +435,57 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
         wire = _ref_codec(codec) if p.dir != "in" or p.byref else codec
         steps.append(Step(p.name, p.dir, codec, wire, arity))
         arity += wire.width
+    # each wire's code (module docstring), and its client and stub conversion
+    codes = ""
+    convs: list[Any] = []
+    froms: list[Any] = []
+    out_steps: list[Step] = []      # the out and in-out steps, in order
     for i, p in enumerate(sig.params):
-        if p.sem.kind != "array":
-            continue
-        n = next((q for q in ins if q.name == p.sem.len_from), None)
-        if n is None or n.dir != "in" or n.byref \
-                or n.sem.kind not in ("int32", "word32", "handle"):
-            raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
-                              f"is not an [in] integer parameter")
-        wire = _array_codec(codec_of(p.sem.elem, desc), f"{sig.name}.{p.name}",
-                            steps[sig.params.index(n)])
-        steps[i] = steps[i]._replace(wire=wire, count=ins.index(n))
+        s = steps[i]
+        if p.sem.kind == "array":
+            n = next((q for q in ins if q.name == p.sem.len_from), None)
+            if n is None or n.dir != "in" or n.byref \
+                    or n.sem.kind not in ("int32", "word32", "handle"):
+                raise Unsupported(f"{sig.name}.{p.name}: size_is({p.sem.len_from}) "
+                                  f"is not an [in] integer parameter")
+            s = steps[i] = s._replace(count=ins.index(n), wire=_array_codec(
+                codec_of(p.sem.elem, desc), f"{sig.name}.{p.name}",
+                steps[sig.params.index(n)]))
+        if s.dir != "in":
+            out_steps.append(s)
+            code = "o" if s.dir == "out" else "x"
+        elif s.count is not None:
+            code = "a"
+        elif s.wire.to_word is None:
+            code = _WIRE_CODES.get(id(s.wire), "r")
+        else:
+            code = "i" if s.wire.from_word is to_signed \
+                else "I" if s.wire.from_word is word else "?"
+        codes += code
+        # an out block's conversion is its size, as `_ref_codec`'s block
+        convs.append(max(s.codec.width, 1) if code == "o" else s.wire.to_word or s.wire.pack)
+        froms.append(s.wire.from_word or s.wire.unpack)
     ret = None
     if sig.ret is not None:
         if sig.ret.sem.kind in ("record", "array"):
             raise Unsupported(f"{sig.name}.return: {sig.ret.sem.kind} return "
                               f"values are not supported")
         ret = codec_of(sig.ret.sem, desc)
-    # a one-word wire's code: "i" int32 and "I" any other integer (decoded
-    # through to_signed or word), "?" a bool or an enum, "s" a string, "c"
-    # a callback; any other wire takes the general path
-    codes = "".join([_WIRE_CODES.get(id(s.wire), "") if s.wire.to_word is None
-                     else "i" if s.wire.from_word is to_signed
-                     else "I" if s.wire.from_word is word else "?" for s in steps])
-    if len(codes) != len(steps) or not (ret is None or ret.to_word is not None):
-        return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret)
 
-    # The one-word kernels, built here once per plan.  They close over what
-    # they read of the plan, never over the plan or a world, so nothing a
-    # plan keeps refers back to it.
-    name = sig.name
-    masks = codes.strip("iI") == ""
-    # per wire, the client's conversion (a flat kind's to_word, any other
-    # wire's pack) and the stub's (from_word, or a string's unpack)
-    to_words = tuple([s.wire.to_word or s.wire.pack for s in steps])
-    from_words = tuple([s.wire.from_word or s.wire.unpack for s in steps])
+    # The kernels, built here once per plan.  They close over what they
+    # read of the plan, never over the plan or a world, so nothing a plan
+    # keeps refers back to it.
+    steps = tuple(steps)
+    convs, froms = tuple(convs), tuple(froms)
+    flat_ret = ret is None or ret.to_word is not None
+    general = not flat_ret or codes.strip("iI?sc") != ""
+    masks = not general and codes.strip("iI") == ""
+    # a general stub packs its results itself when an out step or the
+    # return needs memory; any other stub encodes its one result, or none,
+    # as a one-word stub does
+    packed = tuple(out_steps) if out_steps or not flat_ret else None
     # the return: an integer's sign bit (int32: bit 31, word32: none), or
-    # a bool, or any other one-word kind through its codec
+    # a bool, or any other kind through its codec
     rsign = None if ret is None or ret.from_word not in (to_signed, word) \
         else 0x80000000 if ret.from_word is to_signed else 0
     rbool = ret is not None and ret.from_word is _bool_from_word
@@ -498,12 +499,9 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
 
     def client(target: Union[WordFn, int], values: Sequence[Value],
                mem: Mem) -> list[Value]:
-        # an integer plan checks and masks every value in one pass; a value
-        # that pass refuses (a bool, an int subclass, a non-int, an
-        # out-of-range int) sends the whole list through each wire's
-        # to_word, which raises for the first bad value or converts an int
-        # subclass.  Any other plan converts or packs each value in turn:
-        # a callable with one registration, a string with its codec's pack.
+        # a value the integer loop refuses (a bool, an int subclass, a
+        # non-int, an out-of-range int) sends the whole list through each
+        # wire's to_word, which raises or converts an int subclass
         words: list[int] = []
         temps: list[int] = []       # given back in the order they were made
         try:
@@ -512,10 +510,41 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
                     if type(v) is int and -0x80000000 <= v <= 0xFFFFFFFF:
                         words.append(v & WORD_MASK)
                     else:
-                        words = [to_word(v) for to_word, v in zip(to_words, values)]
+                        words = [to_word(v) for to_word, v in zip(convs, values)]
                         break
+            elif general:
+                outs = []
+                args = iter(values)
+                for code, conv, s in zip(codes, convs, steps):
+                    if code == "o":
+                        temps.append(mem.alloc(conv))
+                        words.append(temps[-1])
+                    else:
+                        v = next(args)
+                        if code in "iI?":
+                            words.append(conv(v))
+                            continue
+                        if code == "a" and isinstance(v, list) \
+                                and isinstance(values[s.count], int) \
+                                and values[s.count] != len(v):
+                            raise TypeMismatch(
+                                f"{sig.name}.{s.name}: array has {len(v)} elements "
+                                f"but {sig.ins[s.count].name} is {values[s.count]}")
+                        conv(mem, v, words, temps)
+                    if code in "ox":
+                        outs.append((s.codec, words[-1]))
+                w = mem.call(target, words) if isinstance(target, int) \
+                    else target(words) & WORD_MASK
+                results = []
+                for codec, addr in outs:
+                    results.append(codec.unpack(mem, mem.read(addr, codec.width), 0, temps))
+                if rsign is not None:
+                    results.append((w ^ rsign) - rsign)
+                elif ret is not None:
+                    results.append(ret.unpack(mem, (w,), 0, temps))
+                return results
             else:
-                for code, conv, v in zip(codes, to_words, values):
+                for code, conv, v in zip(codes, convs, values):
                     if code == "c" and callable(v):
                         temps.append(mem.fun_to_addr(v))
                         words.append(temps[-1])
@@ -538,16 +567,40 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
         def stub(words: list[int]) -> int:
             if len(words) != arity:
                 raise ArityMismatch(
-                    f"{name}: expected {arity} argument words, got {len(words)}")
+                    f"{sig.name}: expected {arity} argument words, got {len(words)}")
             if masks:
                 masked = []
                 for w in words:
                     masked.append(w & WORD_MASK)
                 result = impl(*unpack(pack(*masked))) if unpack is not None \
                     else impl(*masked)
+            elif general:
+                args = []
+                for code, conv, s in zip(codes, froms, steps):
+                    if code in "iI?":
+                        args.append(conv(words[s.at]))
+                    elif code != "o":
+                        args.append(conv(mem, words, s.at, None))
+                if packed is not None:
+                    values = _results(sig, impl(*args))
+                    given: list[int] = []   # packed here, now the caller's
+                    try:
+                        for s, v in zip(packed, values):
+                            block: list[int] = []
+                            s.codec.pack(mem, v, block, given)
+                            mem.store(words[s.at], block)
+                        if ret is None:
+                            return 0
+                        block = []
+                        ret.pack(mem, values[-1], block, given)
+                        return block[0]
+                    except BaseException:
+                        mem.give_back(given)    # as the client gives back its temps
+                        raise
+                result = impl(*args)
             else:
                 args = []
-                for code, conv, w in zip(codes, from_words, words):
+                for code, conv, w in zip(codes, froms, words):
                     if code == "c":
                         w = w & WORD_MASK       # `&`, not `&=`: `word`'s TypeError
                         args.append(mem._closures[w] if w else None)
@@ -568,16 +621,15 @@ def _build_plan(sig: LiftedSig, desc: BindingDesc) -> Plan:
                     return 0
             elif ret is None:
                 if result is not None:
-                    _results(name, 0, result)
+                    _results(sig, result)
                 return 0
             if result is None or isinstance(result, tuple):
-                result = _results(name, 1, result)[0]
+                result = _results(sig, result)[0]
             return ret.to_word(result)
 
         return stub
 
-    return Plan(sig, tuple(steps), arity, len(ins), len(sig.results), ret,
-                client, make_stub)
+    return Plan(sig, steps, arity, len(ins), ret, client, make_stub)
 
 
 def abi_arity(sig: LiftedSig, desc: BindingDesc) -> int:
@@ -605,59 +657,24 @@ def call(sig: LiftedSig, f: Union[WordFn, Symbol, int], ins: Sequence[Value],
             mem.addr_to_fun(target)   # fail early on a stale address: NotCallable
     elif not callable(target):
         raise TypeMismatch(f"not callable: {target!r}")
-
-    client = plan.client
-    if client is not None:
-        return client(target, ins, mem)
-
-    temps: list[int] = []
-    outs: list[tuple[Codec, int]] = []
-    try:
-        words = []
-        args = iter(ins)
-        for name, direction, codec, wire, _, count in plan.steps:
-            if direction == "out":
-                temps.append(mem.alloc(max(codec.width, 1)))     # as `_ref_codec`'s block
-                words.append(temps[-1])
-            else:
-                v = next(args)
-                if count is not None and isinstance(v, list) \
-                        and isinstance(ins[count], int) and ins[count] != len(v):
-                    raise TypeMismatch(f"{sig.name}.{name}: array has {len(v)} elements "
-                                       f"but {sig.ins[count].name} is {ins[count]}")
-                wire.pack(mem, v, words, temps)
-            if direction != "in":
-                outs.append((codec, words[-1]))
-
-        ret_word = mem.call(target, words) if isinstance(target, int) \
-            else word(target(words))
-
-        results = [codec.unpack(mem, mem.read(addr, codec.width), 0, temps)
-                   for codec, addr in outs]
-        if plan.ret is not None:
-            results.append(plan.ret.unpack(mem, (ret_word,), 0, temps))
-        return results
-    finally:
-        if temps:       # a plan that packed nothing pays for no call here
-            mem.give_back(temps)
+    return plan.client(target, ins, mem)
 
 
 # -- server-side skeleton -----------------------------------------------------
 
 
-def _results(name: str, n_results: int, result: Any) -> tuple[Value, ...]:
-    """An implementation's result as the tuple of the `n_results` results of
-    operation `name`."""
+def _results(sig: LiftedSig, result: Any) -> tuple[Value, ...]:
+    """An implementation's result as the tuple of the results of `sig`."""
     if result is None:
         values: tuple[Value, ...] = ()
     elif isinstance(result, tuple):
         values = result
     else:
         values = (result,)
-    if len(values) != n_results:
+    if len(values) != len(sig.results):
         raise ArityMismatch(
-            f"{name}: implementation returned {len(values)} values, "
-            f"signature has {n_results} results")
+            f"{sig.name}: implementation returned {len(values)} values, "
+            f"signature has {len(sig.results)} results")
     return values
 
 
@@ -670,39 +687,7 @@ def skeleton(sig: LiftedSig, impl: Callable[..., Any], mem: Mem,
     parameter, then the return value last if the operation is not void.  A
     void operation with no outs may return None.
     """
-    plan = plan_of(sig, desc)
-    if plan.stub is not None:
-        return plan.stub(impl, mem)
-
-    def stub(words: list[int]) -> int:
-        if len(words) != plan.arity:
-            raise ArityMismatch(
-                f"{sig.name}: expected {plan.arity} argument words, got {len(words)}")
-        args: list[Value] = []
-        outs: list[tuple[Codec, int]] = []
-        for _, direction, codec, wire, at, _ in plan.steps:
-            if direction != "out":
-                args.append(wire.unpack(mem, words, at, None))
-            if direction != "in":
-                outs.append((codec, words[at]))
-
-        values = _results(sig.name, plan.n_results, impl(*args))
-        given: list[int] = []    # blocks packed here now belong to the caller
-        try:
-            for (codec, addr), v in zip(outs, values):
-                block: list[int] = []
-                codec.pack(mem, v, block, given)
-                mem.store(addr, block)
-            if plan.ret is None:
-                return 0
-            ret: list[int] = []
-            plan.ret.pack(mem, values[-1], ret, given)
-            return ret[0]
-        except BaseException:
-            mem.give_back(given)    # as `call` gives back its temps; the caller gets none
-            raise
-
-    return stub
+    return plan_of(sig, desc).stub(impl, mem)
 
 
 # -- client-side binder ---------------------------------------------------------

@@ -14,8 +14,9 @@ mapped back to its allocation in O(1): the page table is three columns
 indexed by page number, filled for every page a block spans.  `_cells`
 holds the block's words, `_first` its first page (so its base) and `_size`
 its size in words.  A block of at most 1,024 words starts on the page it
-lies in, so an access to it reads only `_cells`: `read` and `store` resolve
-such an address inline and hand any other, and so every fault, to `_find`.
+lies in, so an access to it reads only `_cells`: `read`, `store` and
+`read_rest` resolve such an address inline and hand any other, and so every
+fault, to `_find`.
 Reads and stores are bounds-checked against the owning allocation.
 `read_rest` reads from an address to the end of its allocation, so data of
 unknown length (a NUL-terminated string) is read in one checked step and
@@ -203,9 +204,6 @@ class Mem:
         if not 0 <= page < len(self._cells):
             raise OutOfBounds(f"address {addr:#x} outside any allocation")
         cells = self._cells[page]
-        idx = addr % _PAGE_BYTES // WORD_BYTES
-        if cells is not None and idx < len(cells) <= _PAGE_WORDS:
-            return cells, idx       # a block of at most a page starts on `page`
         base = HEAP_BASE + self._first[page] * _PAGE_BYTES
         idx = (addr - base) // WORD_BYTES
         if idx >= self._size[page]:
@@ -289,7 +287,14 @@ class Mem:
         """The words from `addr` to the end of the allocation that holds it,
         as one `read`: for data such as a NUL-terminated string, whose length
         the reader finds in the words and must find inside this block."""
-        cells, idx = self._find(addr)
+        cells = None        # resolved inline as in `read`
+        if type(addr) is int and not addr % WORD_BYTES:
+            page = (addr - HEAP_BASE) // _PAGE_BYTES
+            if 0 <= page < len(self._cells):
+                cells = self._cells[page]
+                idx = addr % _PAGE_BYTES // WORD_BYTES
+        if cells is None or not idx < len(cells) <= _PAGE_WORDS:
+            cells, idx = self._find(addr)
         return self.read(addr, len(cells) - idx)
 
     # -- closures ---------------------------------------------------------

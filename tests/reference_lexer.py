@@ -106,7 +106,12 @@ def tokenize(text: str, source: str = "<idl>") -> list[Token]:
                 i += 1
                 col += 1
             lit = text[start:i]
-            toks.append(Token("int", lit, line, start_col, int(lit)))
+            try:
+                value = int(lit)
+            except ValueError:      # more digits than `int` converts
+                raise err(f"integer literal of {len(lit)} digits is too long",
+                          line, start_col) from None
+            toks.append(Token("int", lit, line, start_col, value))
             continue
         if ch.isalpha() or ch == "_":
             start = i

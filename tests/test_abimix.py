@@ -92,11 +92,15 @@ def abi_mix_counts() -> dict[str, int]:
 # A change that lowers a count lowers its cap; one that must raise a cap
 # says so in CHANGES.md.
 ABI_MIX_CAPS = {
-    "setup_calls": (18_793, 18_887),        # 19,781 before each enum and
-                                            # record codec was cached on its
-                                            # description
-    "stream_calls": (88_042, 88_482),       # 105,770 before one-word plans,
-                                            # Invoke rows, and `Mem.read`,
+    "setup_calls": (18_505, 18_598),        # 18,793 before every plan was
+                                            # compiled, 19,781 before each
+                                            # enum and record codec was
+                                            # cached on its description
+    "stream_calls": (84_386, 84_808),       # 88,042 before every plan was
+                                            # compiled and `Mem.read_rest`
+                                            # resolved inline, 105,770
+                                            # before one-word plans, Invoke
+                                            # rows, and `Mem.read`,
                                             # `Mem.store` and `get_method`
                                             # did their common case inline
     "alloc": (2_658, 2_671),
@@ -112,7 +116,11 @@ ABI_MIX_CAPS = {
 
 # operation kind: (Python calls of its operations in the stream, cap), with
 # the same margin.  The stream total alone would let a change move calls
-# from one kind to another unseen.  Before one-word plans, Invoke rows and
+# from one kind to another unseen.  Before every plan was compiled and
+# `Mem.read_rest` resolved inline, the kinds that moved made: string8
+# 2,267, string16 2,602, record_in 7,703, record_out 6,969, inout 10,076,
+# array 11,407, typed Invoke 4,079 and raw Invoke 9,671.  Before one-word
+# plans, Invoke rows and
 # the inline `Mem` and `get_method` paths, the kinds that moved made:
 # string8 3,555, string16 4,084, callback 3,356, typed Invoke 6,376, raw
 # Invoke 13,328, GetIDsOfNames 1,480, slot-0 QI 4,927, Release 4,320,
@@ -120,15 +128,15 @@ ABI_MIX_CAPS = {
 # 11,024 and array 11,866.
 ABI_MIX_KIND_CAPS = {
     "call.scalar": (1_811, 1_820),
-    "call.string8": (2_267, 2_278),
-    "call.string16": (2_602, 2_615),
-    "call.record_in": (7_703, 7_742),
-    "call.record_out": (6_969, 7_004),
-    "call.inout": (10_076, 10_126),
-    "call.array": (11_407, 11_464),
+    "call.string8": (2_137, 2_148),
+    "call.string16": (2_454, 2_466),
+    "call.record_in": (6_567, 6_600),
+    "call.record_out": (6_589, 6_622),
+    "call.inout": (9_642, 9_690),
+    "call.array": (10_188, 10_239),
     "call.callback": (1_711, 1_720),
-    "automation.invoke": (4_079, 4_099),
-    "automation.invoke_raw": (9_671, 9_719),
+    "automation.invoke": (4_004, 4_024),
+    "automation.invoke_raw": (9_537, 9_585),
     "automation.get_ids_of_names": (740, 744),
     "com.create": (11_088, 11_143),
     "com.qi_slot0": (3_338, 3_355),

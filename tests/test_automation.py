@@ -840,14 +840,16 @@ def _co_create_instance(mem, dual):
 # on CPython 3.11, counted with conftest.count_mlidl_calls).  Before Invoke
 # rows, one-word plans, and the inline `get_method`, `Mem.read` and
 # `Mem.store`: typed Invoke 27, raw Invoke 36, GetIDsOfNames 10, slot-0
-# QueryInterface 13, co_create_instance 124.
+# QueryInterface 13, co_create_instance 124; co_create_instance made 116
+# before `_build_plan` built each plan's codes and conversions in its own
+# loop, with no comprehension.
 COM_CALL_CAPS = {
     "typed_invoke": (_typed_invoke, 14),
     "raw_invoke": (_raw_invoke, 24),
     "get_ids_of_names": (_get_ids_of_names, 5),
     "query_interface_slot0": (_query_interface, 10),
     "release_slot2": (_release, 4),
-    "co_create_instance": (_co_create_instance, 116),
+    "co_create_instance": (_co_create_instance, 96),
 }
 
 

@@ -121,7 +121,8 @@ def test_compile_manifest_of_the_wrong_shape_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_exits_1(capsys):
     assert main(["compile", str(IDL_DIR / "time.idl"), "--frobnicate"]) == 1
-    assert "usage" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[0] == \
+        "usage: mlidl [-h] {compile,check,run-demo} ..."
 
 
 def test_unknown_command_exits_1(capsys):

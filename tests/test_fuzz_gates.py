@@ -1,16 +1,20 @@
-"""Fuzz gates on the input boundaries: a mutated manifest and a one-character
-edit of a shipped IDL file fail only with the compiler's own error classes,
-and raw Invoke and GetIDsOfNames words fail only with an HRESULT or the
-runtime's own error classes, leaving no block behind, and so do the raw
+"""Fuzz gates on the input boundaries: a mutated manifest, a one-character
+edit of a shipped IDL file, and whole files of hostile bytes given as an IDL
+file, a binding file or a manifest fail only with the compiler's own error
+classes, and raw Invoke and GetIDsOfNames words fail only with an HRESULT
+or the runtime's own error classes, leaving no block behind, and so do the raw
 words of the stub of every shipped operation, and of two operations whose
 results hand the caller a block or a registration."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import tracemalloc
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hs
 
@@ -25,10 +29,12 @@ from mlidl.binding import (
     emit_binding_file,
     emit_sig_text,
     load_binding_file,
+    load_manifest,
 )
 from mlidl.binding.model import BindingDesc, LiftedSig, ParamSig, RetSig
 from mlidl.com import S_OK, ComError, ComObject, Guid, Iid, get_method
-from mlidl.idl import IdlError, parse_text
+from mlidl.cli import main
+from mlidl.idl import IdlError, parse_text, resolve
 from mlidl.marshal import (MarshalError, abi_arity, codec_of, pack_string8, plan_of,
                            skeleton)
 from mlidl.wordmem import CLOSURE_BASE, Mem, MemFault
@@ -127,6 +133,108 @@ def test_one_character_edit_of_shipped_idl_raises_only_compiler_errors(
     except (IdlError, BindingError, SchemaViolation):
         return
     assert loaded == desc and emit_binding_file(loaded) == bfile
+
+
+# -- whole files of hostile bytes, at each file boundary ------------------------
+
+def _hostile_file(valid: str, latin: str, digits: str, nest: str):
+    """Whole files that no one-character edit reaches: random bytes, the
+    valid file `valid` re-encoded as UTF-16 or after a BOM, `latin` (a valid
+    file with an "\xe9") encoded as Latin-1, the prefix `nest` repeated
+    100,000 times, and `digits` with its `#` replaced by a run of digits."""
+    return hs.binary(max_size=300) | hs.sampled_from([
+        valid.encode("utf-16"),
+        valid.encode("utf-16-le"),
+        latin.encode("latin-1"),
+        b"\xef\xbb\xbf" + valid.encode(),
+        (nest * 100_000).encode(),
+        digits.replace("#", "9" * 5_000).encode(),
+        digits.replace("#", "1" * 4_300).encode(),     # the most digits `int` converts
+    ])
+
+
+def _cli_outcome(argv):
+    """`mlidl argv`'s exit code and its stderr lines, run in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+_TIME_FILE = emit_binding_file(build_binding(parse_text(_TEXTS["time.idl"], "time.idl")))
+_MANIFEST = (IDL_DIR / "bar.manifest.json").read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_hostile_file(_TEXTS["time.idl"], "// \xe9\n" + _TEXTS["time.idl"],
+                          "const int X = #;", "interface I { "))
+def test_a_whole_idl_file_fails_only_with_idl_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("idl") / "hostile.idl"
+    path.write_bytes(data)
+    try:
+        resolve(parse_text(data.decode("latin-1"), "hostile.idl"))
+    except IdlError:
+        pass
+    code, lines = _cli_outcome(["check", str(path)])
+    assert (code, len(lines)) in ((0, 0), (2, 1)), lines
+    assert code == 0 or lines[0].startswith(f"{path}:"), lines
+    code, lines = _cli_outcome(["compile", str(path), "--emit", "binding",
+                                "-o", str(path.parent)])
+    assert (code, len(lines)) in ((0, 0), (2, 1)), lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_hostile_file(_TIME_FILE, _TIME_FILE.replace('"', '"\xe9', 1),
+                          '{"module": #}', "["))
+def test_a_whole_binding_file_fails_only_with_schema_violation(data):
+    for encoding in ("utf-8", "latin-1"):
+        try:
+            text = data.decode(encoding)
+        except UnicodeDecodeError:
+            continue
+        try:
+            load_binding_file(text)
+        except SchemaViolation:
+            pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_hostile_file(_MANIFEST, _MANIFEST.replace('"', '"\xe9', 1),
+                          '{"iids": {"IX": #}}', '{"a": '))
+def test_a_whole_manifest_fails_only_with_binding_error(tmp_path_factory, bar_unit, data):
+    path = tmp_path_factory.mktemp("manifest") / "hostile.json"
+    path.write_bytes(data)
+    try:
+        build_binding(bar_unit, "com", manifest=load_manifest(path))
+    except BindingError:
+        pass
+    code, lines = _cli_outcome(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
+                                "--manifest", str(path), "-o", str(path.parent)])
+    assert (code, len(lines)) in ((0, 0), (2, 1)), lines
+
+
+def test_each_hostile_file_kind_reaches_its_boundary_error(tmp_path):
+    # the inputs above that escaped as bare Python errors before each
+    # boundary caught them
+    path = tmp_path / "x"
+    path.write_bytes("const int X = 1;".encode("utf-16"))
+    assert _cli_outcome(["check", str(path)]) == \
+        (2, [f"{path}: not UTF-8: invalid start byte at byte 0"])
+    with pytest.raises(IdlError) as info:
+        parse_text("const int X = " + "9" * 5_000 + ";")
+    assert str(info.value) == "<idl>:1:15: integer literal of 5000 digits is too long"
+    for text, reason in (('{"module": ' + "9" * 5_000 + "}", "Exceeds the limit (4300 digits)"),
+                         ("[" * 100_000, "maximum recursion depth exceeded")):
+        with pytest.raises(SchemaViolation) as info:
+            load_binding_file(text)
+        assert str(info.value).startswith(f"$: not valid JSON: {reason}")
+        path.write_text(text)
+        with pytest.raises(BindingError) as info:
+            load_manifest(path)
+        assert str(info.value).startswith(f"manifest {path}: not valid JSON: {reason}")
+        assert _cli_outcome(["compile", str(IDL_DIR / "bar.idl"), "--mode", "com",
+                             "--manifest", str(path), "-o", str(tmp_path)]) == \
+            (2, [str(info.value)])
 
 
 # -- raw Invoke (slot 6) and GetIDsOfNames (slot 5) words ----------------------

@@ -216,3 +216,25 @@ def test_digit_that_int_rejects_is_a_stray_character(text, ch):
 def test_decimal_digit_of_another_script_is_an_int():
     tok = tokenize("٣")[0]
     assert (tok.kind, tok.text, tok.value) == ("int", "٣", 3)
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # `int` converts at most 4,300 digits on CPython 3.11
+    ("const int X = " + "9" * 5_000 + ";", 1, 15, "integer literal of 5000 digits is too long"),
+    ("\n  " + "1" * 4_301, 2, 3, "integer literal of 4301 digits is too long"),
+    # a byte order mark is no token: it is not skipped, as any other
+    # character outside the grammar is not
+    ("﻿interface I { }", 1, 1, "stray character '\\ufeff'"),
+])
+def test_text_no_token_carries_is_a_lex_error_at_its_start(text, line, col, message):
+    for scan in (tokenize, reference_lexer.tokenize):
+        with pytest.raises(LexError) as exc:
+            scan(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+
+def test_the_longest_literal_int_converts_lexes():
+    lit = "1" * 4_300
+    for scan in (tokenize, reference_lexer.tokenize):
+        tok = scan(lit)[0]
+        assert (tok.kind, tok.col, tok.value) == ("int", 1, int(lit))

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import reference_marshal
-from conftest import count_mlidl_calls
+from conftest import SHIPPED_IDL, count_mlidl_calls
+from test_bindfile import _manifest_for
 from mlidl import marshal
 from mlidl import semtypes as st
 from mlidl.binding import build_binding
@@ -154,17 +155,21 @@ def test_client_and_server_agree(desc, case):
 
 # Python calls into mlidl of one warm call per shape, stub passed as a host
 # callable (`sys.setprofile`, CPython 3.11).  A change that must raise a cap
-# says so in CHANGES.md.  Before one-word plans and the inline `Mem.read`
-# and `Mem.store`, the caps were: bool 7, enum 13, string8 and string16 22,
-# callback 20, callback_ref 29, record_ref 44, out_scalar 17, out_record 46,
-# inout_scalar 28, inout_record 70, int_array 38, record_array 76,
-# string_return 22, out_string 29.
+# says so in CHANGES.md.  Before every plan was compiled and `Mem.read_rest`
+# resolved its address inline, the caps were: string8 and string16 13,
+# callback_ref 26, record_by_value 24, record_ref 38, out_scalar 14,
+# out_record 40, inout_scalar 22, inout_record 58, int_array 35,
+# record_array 67, empty_array 23, string_return 19, out_string 23.  Before
+# one-word plans and the inline `Mem.read` and `Mem.store`, they were: bool
+# 7, enum 13, string8 and string16 22, callback 20, callback_ref 29,
+# record_ref 44, out_scalar 17, out_record 46, inout_scalar 28, inout_record
+# 70, int_array 38, record_array 76, string_return 22, out_string 29.
 PYTHON_CALL_CAPS = {
-    "scalar": 3, "bool": 5, "enum": 11, "string8": 13, "string16": 13,
-    "callback": 8, "callback_ref": 26, "record_by_value": 24, "record_ref": 38,
-    "out_scalar": 14, "out_record": 40, "inout_scalar": 22, "inout_record": 58,
-    "int_array": 35, "record_array": 67, "empty_array": 23, "string_return": 19,
-    "out_string": 23,
+    "scalar": 3, "bool": 5, "enum": 11, "string8": 12, "string16": 12,
+    "callback": 8, "callback_ref": 18, "record_by_value": 16, "record_ref": 31,
+    "out_scalar": 13, "out_record": 34, "inout_scalar": 21, "inout_record": 55,
+    "int_array": 27, "record_array": 57, "empty_array": 15, "string_return": 15,
+    "out_string": 19,
 }
 
 
@@ -621,12 +626,18 @@ def test_flat_server_errors(desc, name, words, impl, exc, message):
     assert mem.live_count == 0
 
 
-def test_only_one_word_signatures_are_flat(desc):
-    # every wire an [in] word passed inline (a flat kind, a string or a
-    # callback) and a flat return or none: not CallbackRef, ByValue, Name
-    flat = {o.name for i in desc.interfaces[:1] for o in i.ops
-            if plan_of(o, desc).client is not None}
-    assert flat == {"Scalar", "Flag", "Mode", "Str8", "Str16", "Callback"}
+@pytest.mark.parametrize("path", SHIPPED_IDL, ids=lambda p: p.name)
+@pytest.mark.parametrize("mode", ["static", "dynamic", "com"])
+@pytest.mark.parametrize("level", ["auto", "abstract"])
+def test_every_plan_has_a_client_and_a_stub(path, mode, level):
+    unit = parse_text(path.read_text(encoding="utf-8"), path.name)
+    d = build_binding(unit, mode=mode, level=level,
+                      manifest=_manifest_for(unit) if mode == "com" else None)
+    mem = Mem()
+    for sig in (o for i in d.interfaces for o in i.ops):
+        plan = plan_of(sig, d)
+        assert callable(plan.client), sig.name
+        assert callable(plan.stub(lambda *args: None, mem)), sig.name
 
 
 def _boundary_ints(lo, hi):
@@ -772,9 +783,9 @@ def _outcome(thunk):
 
 
 def _flat_run(m, sig, desc, args, result, words, prepare=None):
-    """Every way a flat or one-word call reaches its stub, run by marshaller
-    `m` in a fresh world: its outcomes, what the implementation saw, the
-    `Mem` trace, and the live blocks and closures at the end.
+    """Every way a call reaches its stub, run by marshaller `m` in a fresh
+    world: its outcomes, what the implementation saw, the `Mem` trace, and
+    the live blocks and closures at the end.
     `prepare(mem, words)`, if given, sets up the world first and returns
     the raw words for the stub."""
     lines: list[str] = []
@@ -787,7 +798,7 @@ def _flat_run(m, sig, desc, args, result, words, prepare=None):
     mem = Mem(trace=lines.append)
     if prepare is not None:
         words = prepare(mem, words)
-    n = len(sig.params)
+    n = reference_marshal.plan_of(sig, desc).arity
     stub = m.skeleton(sig, impl, mem, desc)
     lib = mem.register_library("flat.dll")
     sym = mem.register_function(lib, "Flat", stub, arity=n)
@@ -984,6 +995,106 @@ def test_one_word_kernels_match_the_reference_marshaller(desc, data):
     words = data.draw(hs.lists(ONE_WORD_WORDS, min_size=len(kinds) - 1,
                                max_size=len(kinds) + 1))
     runs = [_flat_run(m, sig, desc, args, result, words, _one_word_world)
+            for m in (marshal, reference_marshal)]
+    assert runs[0] == runs[1]
+
+
+LABEL_T = st.SemType("record", name="LABEL")
+LABELS = hs.builds(label, hs.text(max_size=4), _boundary_ints(-2**31, 2**31 - 1),
+                   hs.sampled_from(["MODE_OFF", "MODE_ON", "MODE_HIGH"]))
+POINTS = hs.fixed_dictionaries({"x": _boundary_ints(-2**31, 2**31 - 1),
+                                "y": _boundary_ints(-2**31, 2**31 - 1)})
+INTS = _boundary_ints(-2**31, 2**31 - 1)
+
+# the wires of the general path: per kind, its parameter's direction, type
+# and whether it is passed by reference, and strategies of its in-value
+# and of its result (None where it has none).  An array kind adds an [in]
+# count parameter, before or after it.
+GENERAL_KINDS = {
+    "out_int": ("out", st.INT32, True, None, INTS),
+    "out_label": ("out", LABEL_T, True, None, LABELS),
+    "out_string": ("out", st.STRING8, True, None, hs.text(max_size=6)),
+    "inout_int": ("inout", st.INT32, True, INTS, INTS),
+    "inout_label": ("inout", LABEL_T, True, LABELS, LABELS),
+    "ref_label": ("in", LABEL_T, True, LABELS, None),
+    "point": ("in", st.SemType("record", name="POINT"), False, POINTS, None),
+    "label": ("in", LABEL_T, False, LABELS, None),
+    "int_array": ("in", st.INT32, False, hs.lists(INTS, max_size=3), None),
+    "label_array": ("in", LABEL_T, False, hs.lists(LABELS, max_size=3), None),
+}
+# values that some general wire refuses: a bad or missing field, a bad
+# element, a string with a NUL, a bool where an int belongs
+GENERAL_HOSTILE = [label("x", mode="MODE_MAX"), {"text": "x"}, [label(b"x")], ["x"], 2**32,
+                   label("a\x00b"), {"x": 1, "y": True}]
+GENERAL_WORDS = ONE_WORD_WORDS | hs.sampled_from([At("label"), At("ints"), At("out")])
+
+
+def _general_world(mem, words):
+    """`_one_word_world`, with a block holding a LABEL, one of four ints,
+    and a three-word block for an out parameter, that `At` words name."""
+    at = {"label": mem.alloc(3), "ints": mem.alloc(4), "out": mem.alloc(3)}
+    mem.store(at["label"], [reference_marshal.pack_string8(mem, "lab"), 7, 1])
+    mem.store(at["ints"], [1, 0xFFFFFFFF, 3, 4])
+    return _one_word_world(mem, [at.get(w.name, w) if isinstance(w, At) else w for w in words])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_general_plans_match_the_reference_marshaller(desc, data):
+    # the per-plan client and stub of a signature that mixes one-word wires
+    # with out, in-out, by-reference, by-value and size_is array wires
+    names = data.draw(hs.lists(hs.sampled_from(sorted(GENERAL_KINDS) + sorted(ONE_WORD_KINDS)),
+                               min_size=1, max_size=5)
+                      .filter(lambda ks: set(ks) & set(GENERAL_KINDS)))
+    params, args, results, words = [], [], [], []
+    for i, kind in enumerate(names):
+        if kind in ONE_WORD_KINDS:
+            params.append(ParamSig(f"p{i}", kind, ONE_WORD_KINDS[kind][0]))
+            args.append(data.draw(ONE_WORD_KINDS[kind][1]))
+            words.append(data.draw(ONE_WORD_WORDS))
+            continue
+        direction, sem, byref, ins, outs = GENERAL_KINDS[kind]
+        if kind.endswith("_array"):
+            value = data.draw(ins)
+            count = ParamSig(f"n{i}", "INT", st.INT32)
+            array = ParamSig(f"p{i}", kind, st.SemType("array", elem=sem, len_from=f"n{i}"))
+            first = data.draw(hs.booleans())
+            params += [array, count] if first else [count, array]
+            args += [value, len(value)] if first else [len(value), value]
+            words += [data.draw(GENERAL_WORDS), data.draw(GENERAL_WORDS)]
+            continue
+        params.append(ParamSig(f"p{i}", kind, sem, direction, byref))
+        if ins is not None:
+            args.append(data.draw(ins))
+        if outs is not None:
+            results.append(data.draw(outs))
+        width = 2 if kind == "point" else 3 if kind == "label" else 1
+        words += [At("out")] if direction == "out" else \
+            [data.draw(GENERAL_WORDS) for _ in range(width)]
+    ret = data.draw(hs.sampled_from([None, "string8", *sorted(FLAT_KINDS)]))
+    if ret is not None:
+        results.append(data.draw(hs.text(max_size=6) if ret == "string8"
+                                 else FLAT_KINDS[ret][1]))
+    sig = LiftedSig("General", tuple(params), None if ret is None else
+                    RetSig(ret, st.STRING8 if ret == "string8" else FLAT_KINDS[ret][0]))
+    # at most one hostile value, so that no other error hides it; a result
+    # is refused before the stub packs any (a later one would find the
+    # stub giving back what it packed, which the reference does not)
+    hostile = data.draw(hs.sampled_from(["none", "arg", "count", "result", "arity", "words"]))
+    if hostile == "arg" and args:
+        args[data.draw(hs.integers(0, len(args) - 1))] = \
+            data.draw(hs.sampled_from(GENERAL_HOSTILE + ONE_WORD_HOSTILE + HOSTILE_VALUES))
+    elif hostile == "count" and any(k.endswith("_array") for k in names):
+        at = next(k for k, p in enumerate(sig.ins) if p.name.startswith("n"))
+        args[at] = data.draw(hs.sampled_from([args[at] + 1, -1, True, "2"]))
+    elif hostile == "result" and results:
+        results[0] = data.draw(hs.sampled_from([b"x", None, (1, 2)]))
+    elif hostile == "arity":
+        results = data.draw(hs.sampled_from([results + [0], results[:-1]]))
+    elif hostile == "words":
+        words = words[:-1] if data.draw(hs.booleans()) else words + [0]
+    result = None if not results else results[0] if len(results) == 1 else tuple(results)
+    runs = [_flat_run(m, sig, desc, args, result, words, _general_world)
             for m in (marshal, reference_marshal)]
     assert runs[0] == runs[1]
 
